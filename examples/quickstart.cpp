@@ -22,7 +22,7 @@ int main() {
   constexpr int64_t kPieces = 8;
 
   // Backend picked by $IDXL_BACKEND (local | sharded | dist) — the same
-  // program runs on a thread pool, on in-process shards, or across real OS
+  // program runs on a thread pool, on in-process ranks, or across real OS
   // processes without modification.
   const std::unique_ptr<RuntimeApi> rt_ptr = dist::make_runtime();
   RuntimeApi& rt = *rt_ptr;

@@ -96,11 +96,11 @@ std::vector<std::byte> encode_interference_bundle(
 std::optional<std::vector<std::pair<std::string, std::vector<std::byte>>>>
 decode_interference_bundle(const std::byte* data, std::size_t size);
 
-/// Pair-verdict cache, shared across shard threads and — via the
-/// export/import surface — across distributed ranks. Keys are full-fidelity
-/// fingerprints (never hashes: a collision would reuse the wrong verdict,
-/// which is a soundness bug). Entries imported from a remote rank carry
-/// their certificate bytes but are *unchecked*: the first lookup re-decodes
+/// Pair-verdict cache, shared across distributed ranks via the
+/// export/import surface. Keys are full-fidelity fingerprints (never
+/// hashes: a collision would reuse the wrong verdict, which is a soundness
+/// bug). Entries imported from a remote rank carry their certificate bytes
+/// but are *unchecked*: the first lookup re-decodes
 /// and re-validates the certificate against the live launch descriptors and
 /// either promotes the entry or rejects-and-erases it, so a poisoned
 /// certificate can never authorize a skip.
@@ -169,8 +169,8 @@ struct LazyFingerprint {
 
 /// Per-fence record of every group-path launch argument a runtime issued on
 /// each region tree — the "other side" of every pair test the group walk
-/// would otherwise run dynamically. Shared by the local and sharded
-/// runtimes; cleared wherever the dependence tiers reset (the recorded
+/// would otherwise run dynamically. Owned by the Runtime that issued the
+/// launches; cleared wherever the dependence tiers reset (the recorded
 /// summaries must never outlive the uses they stand for). Not internally
 /// locked: owned by a single issuing thread, like the dependence trackers
 /// themselves.

@@ -1,5 +1,7 @@
 #include "dist/backend.hpp"
 
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 
 #include "support/error.hpp"
@@ -20,8 +22,13 @@ namespace {
 uint32_t env_u32(const char* name, uint32_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  const long parsed = std::strtol(v, nullptr, 10);
-  IDXL_REQUIRE(parsed >= 1, std::string(name) + " must be a positive integer");
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v, &end, 10);
+  IDXL_REQUIRE(*end == '\0' && errno == 0 && parsed >= 1 &&
+                   parsed <= static_cast<long long>(UINT32_MAX),
+               std::string(name) + " must be a positive 32-bit integer (got '" +
+                   v + "')");
   return static_cast<uint32_t>(parsed);
 }
 
@@ -41,21 +48,12 @@ std::unique_ptr<RuntimeApi> make_runtime(BackendConfig config) {
   switch (backend) {
     case Backend::kLocal:
       return std::make_unique<Runtime>(config.runtime);
-    case Backend::kSharded: {
-      ShardedConfig sc;
-      sc.shards = env_u32("IDXL_SHARDS", config.shards);
-      sc.workers_per_shard =
-          config.runtime.workers == 0 ? 1 : config.runtime.workers;
-      sc.enable_index_launches = config.runtime.enable_index_launches;
-      sc.enable_dynamic_checks = config.runtime.enable_dynamic_checks;
-      sc.enable_verdict_cache = config.runtime.enable_verdict_cache;
-      sc.fault_plan = config.runtime.fault_plan;
-      return std::make_unique<ShardedRuntime>(std::move(sc));
-    }
+    case Backend::kSharded:
     case Backend::kDist: {
       DistConfig dc = config.dist;
       dc.runtime = config.runtime;
       dc.ranks = env_u32("IDXL_DIST_RANKS", dc.ranks);
+      dc.in_process = backend == Backend::kSharded;
       return std::make_unique<DistributedRuntime>(std::move(dc));
     }
   }

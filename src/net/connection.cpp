@@ -145,6 +145,7 @@ std::string Connection::recv_loop(const FrameHandler& on_frame) {
 }
 
 void Connection::start_recv(FrameHandler on_frame, CloseHandler on_close) {
+  std::lock_guard<std::mutex> lock(recv_mu_);
   IDXL_REQUIRE(!receiver_.joinable(), "start_recv called twice");
   receiver_ = std::thread(
       [this, on_frame = std::move(on_frame), on_close = std::move(on_close)] {
@@ -175,7 +176,12 @@ void Connection::close() {
   if (sender_.joinable()) sender_.join();
   // Shut down reads so a blocked recv() returns; full close happens in ~Socket.
   if (sock_.valid()) ::shutdown(sock_.fd(), SHUT_RDWR);
-  if (receiver_.joinable()) receiver_.join();
+  std::thread receiver;
+  {
+    std::lock_guard<std::mutex> lock(recv_mu_);
+    receiver = std::move(receiver_);
+  }
+  if (receiver.joinable()) receiver.join();
 }
 
 PeerMonitor::PeerMonitor(std::vector<Connection*> peers, uint8_t ping_type,

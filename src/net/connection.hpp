@@ -94,6 +94,9 @@ class Connection {
   bool sender_idle_ = true;
 
   std::thread sender_;
+  /// Started by start_recv() and joined by close(), which may run on
+  /// different threads (a service acceptor starts it, the scheduler closes).
+  std::mutex recv_mu_;
   std::thread receiver_;
   std::atomic<bool> closed_{false};
   std::atomic<uint64_t> last_recv_ns_{0};

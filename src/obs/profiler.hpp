@@ -23,7 +23,7 @@ enum class ProfCategory : uint8_t {
   kSafety,      ///< hybrid safety analysis (static + dynamic)
   kTrace,       ///< trace capture / replay bookkeeping
   kReduce,      ///< future reduction (Future::get)
-  kExchange,    ///< cross-shard data movement (distributed storage copies)
+  kExchange,    ///< cross-rank data movement (remote outcomes applied)
   kPhase,       ///< application-defined phase timer
   kRuntime,     ///< other runtime work (wait_all, ...)
 };
@@ -118,7 +118,6 @@ class Profiler {
     kNameTraceReplay,
     kNameFutureReduce,
     kNameWaitAll,
-    kNameShardExchange,
     kNameGroupDependence,  ///< group-level (whole-partition) dependence pass
     kNameMaterialize,      ///< group state flushed into the per-point tracker
     kNameExpandChunk,      ///< one bulk-expansion chunk building closures

@@ -97,10 +97,10 @@ struct LaunchResult {
 };
 
 /// The backend-independent runtime interface (the Specx-style "one task API
-/// across backends"): `Runtime` (local thread pool), `ShardedRuntime`
-/// (in-process control replication) and `DistributedRuntime` (real
-/// multi-process execution, src/dist) all implement it, so a workload
-/// written against RuntimeApi runs unmodified on all three. Construct
+/// across backends"): `Runtime` (local thread pool) and
+/// `DistributedRuntime` (control replication over in-process ranks, forked
+/// processes or remote daemons, src/dist) implement it, so a workload
+/// written against RuntimeApi runs unmodified on every backend. Construct
 /// through make_runtime() (src/dist/backend.hpp) to pick the backend from
 /// config or $IDXL_BACKEND.
 ///
@@ -136,7 +136,7 @@ class RuntimeApi {
   virtual LaunchResult execute_index(const IndexLauncher& launcher) = 0;
 
   /// Fence: block until every issued task reached a terminal state, on every
-  /// process/shard of the backend.
+  /// rank of the backend.
   virtual void wait_all() = 0;
 
   /// Structured outcome of every failure so far: root causes plus the
@@ -151,10 +151,8 @@ class RuntimeApi {
   /// The metrics registry backing stats().
   virtual obs::MetricsRegistry& metrics() = 0;
 
-  /// Run `program`, fence, and return the merged FaultReport — the
-  /// ShardedRuntime::run contract generalized to every backend (the sharded
-  /// backend overrides this to execute `program` SPMD on every shard).
-  virtual FaultReport run(const std::function<void(RuntimeApi&)>& program);
+  /// Run `program`, fence, and return the merged FaultReport.
+  FaultReport run(const std::function<void(RuntimeApi&)>& program);
 
   /// Resolve a launch's Future: fence, then fold the collected values.
   double get(const Future& future);

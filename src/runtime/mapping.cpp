@@ -2,43 +2,7 @@
 
 #include <algorithm>
 
-#include "support/error.hpp"
-
 namespace idxl {
-
-namespace {
-
-/// Position of `p` in the row-major enumeration of `domain`.
-int64_t linear_index(const Domain& domain, const Point& p) {
-  return domain.linear_index(p);
-}
-
-}  // namespace
-
-std::vector<Point> ShardingFunctor::local_points(const Domain& domain,
-                                                 uint32_t shard_id,
-                                                 uint32_t total_shards) const {
-  std::vector<Point> result;
-  domain.for_each([&](const Point& p) {
-    if (shard(p, domain, total_shards) == shard_id) result.push_back(p);
-  });
-  return result;
-}
-
-uint32_t BlockShardingFunctor::shard(const Point& p, const Domain& domain,
-                                     uint32_t total_shards) const {
-  IDXL_ASSERT(total_shards > 0);
-  const int64_t volume = domain.volume();
-  const int64_t idx = linear_index(domain, p);
-  // Node k owns ceil-balanced contiguous chunk k.
-  return static_cast<uint32_t>((idx * total_shards) / volume);
-}
-
-uint32_t CyclicShardingFunctor::shard(const Point& p, const Domain& domain,
-                                      uint32_t total_shards) const {
-  IDXL_ASSERT(total_shards > 0);
-  return static_cast<uint32_t>(linear_index(domain, p) % total_shards);
-}
 
 std::vector<Slice> BinarySlicingFunctor::slice(const Slice& s) const {
   if (s.node_count() <= 1 || s.domain.volume() <= 1) return {s};

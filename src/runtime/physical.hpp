@@ -33,17 +33,6 @@ class PhysicalRegion {
     std::size_t size;
   };
 
-  /// Construct over explicit storage buffers (one per field) instead of the
-  /// forest's root storage — the sharded runtime's per-shard replicas.
-  PhysicalRegion(RegionId region, const Domain* domain, const Rect& storage_bounds,
-                 std::vector<ResolvedField> resolved, Privilege priv, ReductionOp redop)
-      : region_(region),
-        domain_(domain),
-        storage_bounds_(storage_bounds),
-        resolved_(std::move(resolved)),
-        priv_(priv),
-        redop_(redop) {}
-
   template <typename T>
   Accessor<T> accessor(FieldId f) const {
     for (const ResolvedField& rf : resolved_)

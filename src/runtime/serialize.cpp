@@ -177,8 +177,8 @@ std::vector<std::byte> serialize_launcher(const IndexLauncher& launcher) {
   serialize_domain(s, launcher.domain);
   s.put_u8(launcher.assume_verified ? 1 : 0);
   s.put_u8(static_cast<uint8_t>(launcher.result_redop));
-  // Retry policy is part of the descriptor: the sharded runtime's
-  // replication hash must catch shards disagreeing on failure semantics.
+  // Retry policy is part of the descriptor: every replica must apply the
+  // driver's failure semantics.
   s.put_u32(launcher.max_retries);
   s.put_u32(launcher.retry_backoff_ms);
   s.put_u32(launcher.timeout_ms);

@@ -57,9 +57,6 @@ struct TaskNode {
   std::string label;           ///< "taskname@(point)" for diagnostics
   uint32_t prof_name = 0;      ///< interned task name for profiling events
   std::function<void()> work;
-  /// Executing shard in sharded (DCR) mode; completion hands ready
-  /// successors to pools_[successor->owner]. Unused by the single runtime.
-  std::atomic<uint32_t> owner{0};
 
   /// Pending predecessor count plus one "issue guard" held while edges are
   /// still being added; the node becomes ready when this reaches zero.

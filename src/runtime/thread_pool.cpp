@@ -7,15 +7,14 @@
 
 namespace idxl {
 
-ThreadPool::ThreadPool(unsigned workers, int worker_id_base) {
+ThreadPool::ThreadPool(unsigned workers) {
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
   }
   threads_.reserve(workers);
   for (unsigned i = 0; i < workers; ++i)
-    threads_.emplace_back(
-        [this, id = worker_id_base + static_cast<int>(i)] { worker_loop(id); });
+    threads_.emplace_back([this, id = static_cast<int>(i)] { worker_loop(id); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -118,7 +117,10 @@ void ThreadPool::timer_loop() {
       if (it->deadline < due->deadline) due = it;
     const auto now = std::chrono::steady_clock::now();
     if (due->deadline > now) {
-      timer_cv_.wait_until(lock, due->deadline);
+      // Wait on a copy: wait_until reads its deadline after waking, and a
+      // submit_after() meanwhile may reallocate timers_ under `due`.
+      const auto deadline = due->deadline;
+      timer_cv_.wait_until(lock, deadline);
       continue;
     }
     auto fn = std::move(due->fn);

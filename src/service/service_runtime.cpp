@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <utility>
 
 #include "dist/task_registry.hpp"
@@ -71,23 +72,19 @@ ServiceRuntime::ServiceRuntime(std::unique_ptr<RuntimeApi> backend,
   // The scheduler thread is the backend's single issuing thread for its
   // whole life — including task registration, which must precede the first
   // launch on every backend. The constructor blocks until the table is in.
-  std::mutex ready_mu;
-  std::condition_variable ready_cv;
-  bool ready = false;
-  scheduler_ = std::thread([this, &ready_mu, &ready_cv, &ready] {
+  // The thread owns the promise, so signalling never touches this frame,
+  // which is gone as soon as the wait below returns.
+  std::promise<void> registered;
+  std::future<void> table_in = registered.get_future();
+  scheduler_ = std::thread([this, registered = std::move(registered)]() mutable {
     for (auto& [name, fn] : dist::all_named_tasks()) {
       task_names_.push_back(name);
       task_ids_.push_back(backend_->register_task(name, fn));
     }
-    {
-      std::lock_guard<std::mutex> lk(ready_mu);
-      ready = true;
-    }
-    ready_cv.notify_all();
+    registered.set_value();
     scheduler_main();
   });
-  std::unique_lock<std::mutex> lk(ready_mu);
-  ready_cv.wait(lk, [&ready] { return ready; });
+  table_in.wait();
 }
 
 ServiceRuntime::~ServiceRuntime() {

@@ -65,10 +65,9 @@ struct ServiceConfig {
 /// FaultReport::for_launch and answering all pending client fences with one
 /// backend wait_all().
 ///
-/// Backend notes: the sharded backend cannot express single-task launches
-/// (kSingle answers a typed kBackend error there); the distributed backend
-/// freezes forest setup at its first launch, so sessions joining later
-/// cannot create regions — see docs/SERVICE.md.
+/// Backend notes: the replicated backends (sharded and dist) freeze forest
+/// setup at their first launch, so sessions joining later cannot create
+/// regions — see docs/SERVICE.md.
 class ServiceRuntime {
  public:
   explicit ServiceRuntime(std::unique_ptr<RuntimeApi> backend,

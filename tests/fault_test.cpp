@@ -7,9 +7,9 @@
 #include <thread>
 #include <vector>
 
+#include "dist/dist_runtime.hpp"
 #include "region/partition_ops.hpp"
 #include "runtime/runtime.hpp"
-#include "shard/sharded_runtime.hpp"
 
 namespace idxl {
 namespace {
@@ -582,15 +582,22 @@ TEST(FaultTest, ThousandPointLaunchSurvivesInjectedFailureViaRetry) {
     ASSERT_DOUBLE_EQ(acc.read(Point::p1(i)), static_cast<double>(i) * 2.0) << i;
 }
 
-// --- sharded runtime ------------------------------------------------------
+// --- control replication over in-process ranks ---------------------------
 
-TEST(ShardedFaultTest, FaultReportPropagatesAcrossShards) {
-  ShardedConfig cfg;
-  cfg.shards = 2;
+dist::DistConfig in_process_ranks(uint32_t ranks,
+                                  std::shared_ptr<const FaultPlan> plan) {
+  dist::DistConfig dc;
+  dc.ranks = ranks;
+  dc.in_process = true;
+  dc.runtime.workers = 1;
+  dc.runtime.fault_plan = std::move(plan);
+  return dc;
+}
+
+TEST(InProcessFaultTest, FaultReportPropagatesAcrossRanks) {
   auto plan = std::make_shared<FaultPlan>();
-  plan->fail(0, Point::p1(1));  // owned by shard 0 (block sharding, 4 pieces)
-  cfg.fault_plan = plan;
-  ShardedRuntime rt(cfg);
+  plan->fail(0, Point::p1(1));  // owned by rank 0 (block placement, 4 pieces)
+  dist::DistributedRuntime rt(in_process_ranks(2, plan));
   auto& forest = rt.forest();
   const auto is = forest.create_index_space(Domain::line(8));
   const auto fs = forest.create_field_space();
@@ -610,39 +617,37 @@ TEST(ShardedFaultTest, FaultReportPropagatesAcrossShards) {
         [&](const Point& p) { out.write(p, in.read(p)); });
   });
   const auto id = ProjectionFunctor::identity(1);
-  const FaultReport report = rt.run([&](ShardContext& ctx) {
-    IndexLauncher w;
-    w.task = writer;
-    w.domain = Domain::line(4);
-    w.args = {{grid, blocks, id, {fv}, Privilege::kWrite, ReductionOp::kNone}};
-    ctx.execute_index(w);
-    IndexLauncher r;
-    r.task = reader;
-    r.domain = Domain::line(4);
-    r.args = {{grid, halos, id, {fv}, Privilege::kRead, ReductionOp::kNone},
-              {grid, blocks, id, {fw}, Privilege::kWrite, ReductionOp::kNone}};
-    ctx.execute_index(r);
+  uint64_t read_launch = 0;
+  const FaultReport report = rt.run([&](RuntimeApi& api) {
+    api.execute_index(IndexLauncher::over(Domain::line(4))
+                          .with_task(writer)
+                          .region(grid, blocks, id, {fv}, Privilege::kWrite));
+    // Delta transfers take launch ids of their own: ask, don't assume.
+    read_launch = api.execute_index(IndexLauncher::over(Domain::line(4))
+                                        .with_task(reader)
+                                        .region(grid, halos, id, {fv},
+                                                Privilege::kRead)
+                                        .region(grid, blocks, id, {fw},
+                                                Privilege::kWrite))
+                      .launch_id;
   });
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].kind, FaultKind::kInjected);
   EXPECT_EQ(report.failures[0].launch, 0u);
   EXPECT_EQ(report.failures[0].point, Point::p1(1));
-  // The failed writer (shard 0's point 1) poisons halo readers 0..2 —
-  // point 2 is owned by shard 1, so the poison crossed the shard boundary.
-  EXPECT_TRUE(poisoned_contains(report, 1, Point::p1(0)));
-  EXPECT_TRUE(poisoned_contains(report, 1, Point::p1(1)));
-  EXPECT_TRUE(poisoned_contains(report, 1, Point::p1(2)));
-  EXPECT_FALSE(poisoned_contains(report, 1, Point::p1(3)));
+  // The failed writer (rank 0's point 1) poisons halo readers 0..2 — point
+  // 2 is owned by rank 1, so the poison crossed the rank boundary.
+  EXPECT_TRUE(poisoned_contains(report, read_launch, Point::p1(0)));
+  EXPECT_TRUE(poisoned_contains(report, read_launch, Point::p1(1)));
+  EXPECT_TRUE(poisoned_contains(report, read_launch, Point::p1(2)));
+  EXPECT_FALSE(poisoned_contains(report, read_launch, Point::p1(3)));
   EXPECT_EQ(rt.fault_report(), report);
 }
 
-TEST(ShardedFaultTest, RetryRecoversAcrossShards) {
-  ShardedConfig cfg;
-  cfg.shards = 2;
+TEST(InProcessFaultTest, RetryRecoversAcrossRanks) {
   auto plan = std::make_shared<FaultPlan>();
-  plan->fail(0, Point::p1(3), 0);  // shard 1's point fails once
-  cfg.fault_plan = plan;
-  ShardedRuntime rt(cfg);
+  plan->fail(0, Point::p1(3), 0);  // rank 1's point fails once
+  dist::DistributedRuntime rt(in_process_ranks(2, plan));
   auto& forest = rt.forest();
   const auto is = forest.create_index_space(Domain::line(8));
   const auto fs = forest.create_field_space();
@@ -654,20 +659,20 @@ TEST(ShardedFaultTest, RetryRecoversAcrossShards) {
     ctx.region(0).domain().for_each(
         [&](const Point& p) { acc.write(p, static_cast<double>(p[0])); });
   });
-  const FaultReport report = rt.run([&](ShardContext& ctx) {
-    IndexLauncher l;
-    l.task = fill;
-    l.domain = Domain::line(4);
-    l.max_retries = 2;
-    l.args = {{grid, blocks, ProjectionFunctor::identity(1), {fv},
-               Privilege::kWrite, ReductionOp::kNone}};
-    ctx.execute_index(l);
+  const FaultReport report = rt.run([&](RuntimeApi& api) {
+    api.execute_index(IndexLauncher::over(Domain::line(4))
+                          .with_task(fill)
+                          .retries(2)
+                          .region(grid, blocks, ProjectionFunctor::identity(1),
+                                  {fv}, Privilege::kWrite));
   });
   EXPECT_TRUE(report.ok());
   auto acc = rt.read_region<double>(grid, fv);
   for (int64_t i = 0; i < 8; ++i)
     EXPECT_DOUBLE_EQ(acc.read(Point::p1(i)), static_cast<double>(i));
-  EXPECT_EQ(rt.metrics().snapshot().value("idxl_retry_succeeded_total"), 1u);
+  const auto metrics = rt.cluster_metrics();
+  EXPECT_EQ(metrics.value("idxl_retry_succeeded_total", {{"rank", "1"}}), 1u);
+  EXPECT_EQ(metrics.value("idxl_retry_succeeded_total", {{"rank", "all"}}), 1u);
 }
 
 // --- fault-injection soak (nightly CI scales the knobs up) ----------------

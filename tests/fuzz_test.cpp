@@ -6,9 +6,9 @@
 #include "analysis/certificate.hpp"
 #include "analysis/interference.hpp"
 #include "analysis/witness.hpp"
+#include "dist/dist_runtime.hpp"
 #include "region/partition_ops.hpp"
 #include "runtime/runtime.hpp"
-#include "shard/sharded_runtime.hpp"
 #include "support/rng.hpp"
 
 namespace idxl {
@@ -272,10 +272,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TwoArgDifferentialFuzz,
                          ::testing::Range<uint64_t>(1, 7));
 
 // Cross-runtime fuzz: the same random program on the single in-process
-// runtime and on the sharded (control-replicated) runtime — with shared and
-// with distributed storage — must produce identical region contents. The
-// functor pool is constrained to launches the sharded mode accepts
-// (injective writers; reductions may alias).
+// runtime and on control replication over in-process ranks — star-hub and
+// delta data planes — must produce identical region contents. The functor
+// pool is constrained to safe launches (injective writers; reductions may
+// alias, so points of one launch on different ranks fold into one color).
 struct SafeLaunch {
   int64_t domain_size;
   int functor_kind;  // 0 identity, 1 (i+k)%6 full period, 2 reduce-quadratic
@@ -393,12 +393,14 @@ std::vector<double> run_safe_single(const std::vector<SafeLaunch>& prog) {
   return out;
 }
 
-std::vector<double> run_safe_sharded(const std::vector<SafeLaunch>& prog,
-                                     uint32_t shards, bool distributed) {
-  ShardedConfig cfg;
-  cfg.shards = shards;
-  cfg.distributed_storage = distributed;
-  ShardedRuntime rt(cfg);
+std::vector<double> run_safe_replicated(const std::vector<SafeLaunch>& prog,
+                                        uint32_t ranks, bool delta) {
+  dist::DistConfig dc;
+  dc.ranks = ranks;
+  dc.in_process = true;
+  dc.delta_transfers = delta;
+  dc.runtime.workers = 1;
+  dist::DistributedRuntime rt(dc);
   auto& forest = rt.forest();
   const IndexSpaceId is = forest.create_index_space(Domain::line(kElements));
   const FieldSpaceId fs = forest.create_field_space();
@@ -413,10 +415,8 @@ std::vector<double> run_safe_sharded(const std::vector<SafeLaunch>& prog,
   const TaskFnId w = rt.register_task("w", fuzz_write_body());
   const TaskFnId rw = rt.register_task("rw", fuzz_rw_body());
   const TaskFnId red = rt.register_task("red", fuzz_reduce_body());
-  rt.run([&](ShardContext& ctx) {
-    issue_safe_program(prog, region, blocks, fv, w, rw, red,
-                       [&](const IndexLauncher& l) { ctx.execute_index(l); });
-  });
+  issue_safe_program(prog, region, blocks, fv, w, rw, red,
+                     [&](const IndexLauncher& l) { rt.execute_index(l); });
   auto acc = rt.read_region<double>(region, fv);
   std::vector<double> out;
   for (int64_t i = 0; i < kElements; ++i) out.push_back(acc.read(Point::p1(i)));
@@ -425,14 +425,14 @@ std::vector<double> run_safe_sharded(const std::vector<SafeLaunch>& prog,
 
 class CrossRuntimeFuzz : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(CrossRuntimeFuzz, ShardedMatchesSingleRuntime) {
+TEST_P(CrossRuntimeFuzz, InProcessRanksMatchSingleRuntime) {
   for (uint64_t trial = 0; trial < 5; ++trial) {
     const auto prog = random_safe_program(GetParam() * 104729 + trial);
     const auto baseline = run_safe_single(prog);
-    EXPECT_EQ(run_safe_sharded(prog, 1, false), baseline) << "1 shard";
-    EXPECT_EQ(run_safe_sharded(prog, 3, false), baseline) << "3 shards shared";
-    EXPECT_EQ(run_safe_sharded(prog, 3, true), baseline) << "3 shards distributed";
-    EXPECT_EQ(run_safe_sharded(prog, 4, true), baseline) << "4 shards distributed";
+    EXPECT_EQ(run_safe_replicated(prog, 1, true), baseline) << "1 rank";
+    EXPECT_EQ(run_safe_replicated(prog, 3, false), baseline) << "3 ranks star-hub";
+    EXPECT_EQ(run_safe_replicated(prog, 3, true), baseline) << "3 ranks delta";
+    EXPECT_EQ(run_safe_replicated(prog, 4, true), baseline) << "4 ranks delta";
   }
 }
 

@@ -742,48 +742,36 @@ TEST(RuntimeTest, DisjointPartitionSkipsDomainTests) {
   EXPECT_LT(fx.rt.stats().dependence_tests, 10u * 64u * 8u);
 }
 
-// ---------- sharding / slicing functors ----------
+TEST(RuntimeTest, LaunchStreamDivergenceDetected) {
+  // Control replication's launch-stream guard: a replicated descriptor
+  // carries the launch id its origin assigned, and a rank whose own next id
+  // differs has diverged from the driver's stream and must refuse it.
+  Fixture fx(16, 4);
+  const TaskFnId noop = fx.rt.register_task("noop", [](TaskContext&) {});
+  IndexLauncher index = IndexLauncher::over(Domain::line(4))
+                            .with_task(noop)
+                            .region(fx.region, fx.blocks,
+                                    ProjectionFunctor::identity(1), {fx.fv},
+                                    Privilege::kWrite);
+  index.trace_ctx = obs::TraceContext{fx.rt.peek_next_launch_id() + 1,
+                                      obs::TraceContext::kNone, 0};
+  EXPECT_THROW(fx.rt.execute_index(index), RuntimeError);
 
-TEST(MappingTest, BlockShardingPartitionsDomain) {
-  BlockShardingFunctor sharder;
-  const Domain d = Domain::line(100);
-  std::vector<int> counts(4, 0);
-  d.for_each([&](const Point& p) { ++counts[sharder.shard(p, d, 4)]; });
-  for (int c : counts) EXPECT_EQ(c, 25);
-  // Contiguity: shard of point 0 is 0, of point 99 is 3.
-  EXPECT_EQ(sharder.shard(Point::p1(0), d, 4), 0u);
-  EXPECT_EQ(sharder.shard(Point::p1(99), d, 4), 3u);
+  TaskLauncher single = TaskLauncher::for_task(noop);
+  single.trace_ctx = obs::TraceContext{fx.rt.peek_next_launch_id() + 1,
+                                       obs::TraceContext::kNone, 0};
+  EXPECT_THROW(fx.rt.execute(single), RuntimeError);
+
+  // Stamped with the id this runtime assigns next, both are accepted.
+  index.trace_ctx.launch = fx.rt.peek_next_launch_id();
+  EXPECT_NO_THROW(fx.rt.execute_index(index));
+  single.trace_ctx.launch = fx.rt.peek_next_launch_id();
+  EXPECT_NO_THROW(fx.rt.execute(single));
+  fx.rt.wait_all();
+  EXPECT_TRUE(fx.rt.fault_report().ok());
 }
 
-TEST(MappingTest, BlockShardingLocalPoints) {
-  BlockShardingFunctor sharder;
-  const Domain d = Domain::line(10);
-  const auto local = sharder.local_points(d, 1, 3);
-  // Shards of 10 over 3: idx*3/10 -> shard 1 owns idx 4..6.
-  ASSERT_EQ(local.size(), 3u);
-  EXPECT_EQ(local[0], Point::p1(4));
-  EXPECT_EQ(local[2], Point::p1(6));
-}
-
-TEST(MappingTest, CyclicShardingRoundRobins) {
-  CyclicShardingFunctor sharder;
-  const Domain d = Domain::line(8);
-  EXPECT_EQ(sharder.shard(Point::p1(0), d, 3), 0u);
-  EXPECT_EQ(sharder.shard(Point::p1(1), d, 3), 1u);
-  EXPECT_EQ(sharder.shard(Point::p1(2), d, 3), 2u);
-  EXPECT_EQ(sharder.shard(Point::p1(3), d, 3), 0u);
-}
-
-TEST(MappingTest, ShardingWorksOnSparseDomains) {
-  BlockShardingFunctor sharder;
-  std::vector<Point> pts;
-  for (int i = 0; i < 12; i += 2) pts.push_back(Point::p1(i));
-  const Domain d = Domain::from_points(pts);
-  std::vector<int> counts(2, 0);
-  d.for_each([&](const Point& p) { ++counts[sharder.shard(p, d, 2)]; });
-  EXPECT_EQ(counts[0], 3);
-  EXPECT_EQ(counts[1], 3);
-}
+// ---------- slicing functors ----------
 
 TEST(MappingTest, BinarySlicingCoversDomainExactly) {
   BinarySlicingFunctor slicer;
