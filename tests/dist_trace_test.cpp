@@ -139,8 +139,15 @@ TEST(DistTraceTest, ClockOffsetsWithinRttBound) {
   const Grid g = make_grid(rt.forest());
   init_grid(rt.forest(), g);
   run_stencil(rt, g, /*iters=*/1);
-  // Let a few heartbeat ping-pong probes complete.
-  for (int spin = 0; spin < 100 && !rt.clock_estimate(3).valid; ++spin)
+  // Let a heartbeat ping-pong probe complete with every worker: pongs
+  // arrive on separate connections, so one rank's estimate says nothing
+  // about another's.
+  auto all_valid = [&] {
+    for (uint32_t rank = 1; rank < 4; ++rank)
+      if (!rt.clock_estimate(rank).valid) return false;
+    return true;
+  };
+  for (int spin = 0; spin < 100 && !all_valid(); ++spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
 
   for (uint32_t rank = 1; rank < 4; ++rank) {
