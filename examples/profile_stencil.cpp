@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "apps/stencil.hpp"
-#include "obs/profiler.hpp"
+#include "obs/event_log.hpp"
 #include "runtime/runtime.hpp"
 
 using namespace idxl;
@@ -30,14 +30,14 @@ int main(int argc, char** argv) {
   StencilApp app(rt, params);
 
   {
-    ProfileScope setup = rt.profiler().phase("iterations 0-3 (untraced)");
+    obs::EventLog::Scope setup = rt.profiler().phase("iterations 0-3 (untraced)");
     for (int it = 0; it < params.iterations / 2; ++it) app.run_iteration();
     rt.wait_all();
   }
   {
     // Second half under a trace: iteration 4 captures the dependence
     // analysis, 5-7 replay it — both span kinds land in the profile.
-    ProfileScope traced = rt.profiler().phase("iterations 4-7 (traced)");
+    obs::EventLog::Scope traced = rt.profiler().phase("iterations 4-7 (traced)");
     for (int it = params.iterations / 2; it < params.iterations; ++it) {
       rt.begin_trace(1);
       app.run_iteration();

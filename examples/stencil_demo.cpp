@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "apps/stencil.hpp"
-#include "obs/profiler.hpp"
 #include "runtime/runtime.hpp"
 
 using namespace idxl;

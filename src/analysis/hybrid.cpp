@@ -1,6 +1,6 @@
 #include "analysis/hybrid.hpp"
 
-#include "obs/profiler.hpp"
+#include "obs/event_log.hpp"
 
 namespace idxl {
 
@@ -26,8 +26,8 @@ SafetyReport analyze_uncached(
     const std::function<bool(std::size_t, std::size_t)>& pair_independent) {
   SafetyReport report;
   std::vector<bool> flagged(args.size(), false);
-  ProfileScope static_scope(options.profiler, ProfCategory::kSafety,
-                            Profiler::kNameSafetyStatic);
+  obs::EventLog::Scope static_scope(options.log, ProfCategory::kSafety,
+                                    obs::EventLog::kNameSafetyStatic);
 
   // --- Self-checks (§3): each write/read-write argument needs a disjoint
   // partition and an injective functor. Reads and reductions are exempt.
@@ -127,8 +127,8 @@ SafetyReport analyze_uncached(
     return report;
   }
 
-  ProfileScope dynamic_scope(options.profiler, ProfCategory::kSafety,
-                             Profiler::kNameSafetyDynamic);
+  obs::EventLog::Scope dynamic_scope(options.log, ProfCategory::kSafety,
+                                     obs::EventLog::kNameSafetyDynamic);
   const DynamicCheckResult dyn = dynamic_cross_check(dynamic_args, domain);
   report.dynamic_points = dyn.points_evaluated;
   report.dynamic_bits = dyn.bitmask_bits;
@@ -230,8 +230,8 @@ SafetyReport analyze_launch_safety(
 
   std::optional<std::string> cache_key;
   {
-    ProfileScope cache_scope(options.profiler, ProfCategory::kSafety,
-                             Profiler::kNameSafetyCache);
+    obs::EventLog::Scope cache_scope(options.log, ProfCategory::kSafety,
+                                     obs::EventLog::kNameSafetyCache);
     cache_key = VerdictCache::key(args, domain, options);
     if (cache_key) {
       if (auto hit = options.verdict_cache->lookup(*cache_key)) {

@@ -11,8 +11,10 @@
 
 namespace idxl {
 
-class Profiler;
 class VerdictCache;
+namespace obs {
+class EventLog;
+}
 
 /// Knobs for the hybrid analysis.
 struct AnalysisOptions {
@@ -27,10 +29,10 @@ struct AnalysisOptions {
   /// classifier leaves to the dynamic check. Off by default to match the
   /// paper's constant/identity/affine baseline.
   bool extended_static = false;
-  /// When set (and enabled), the analysis records `safety-check/static`,
+  /// When set (and capturing), the analysis records `safety-check/static`,
   /// `safety-check/dynamic` and `safety-check/cache` spans so profiles
   /// attribute check time to the phase that spent it.
-  Profiler* profiler = nullptr;
+  obs::EventLog* log = nullptr;
   /// Launch-site verdict cache: repeated launches with the same functor
   /// fingerprints, domain and privilege vector reuse the prior verdict and
   /// skip re-analysis entirely. nullptr disables caching.

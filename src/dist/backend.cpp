@@ -1,10 +1,8 @@
 #include "dist/backend.hpp"
 
-#include <cerrno>
-#include <cstdint>
 #include <cstdlib>
 
-#include "support/error.hpp"
+#include "support/env.hpp"
 
 namespace idxl::dist {
 
@@ -16,23 +14,6 @@ const char* backend_name(Backend b) {
   }
   return "unknown";
 }
-
-namespace {
-
-uint32_t env_u32(const char* name, uint32_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(v, &end, 10);
-  IDXL_REQUIRE(*end == '\0' && errno == 0 && parsed >= 1 &&
-                   parsed <= static_cast<long long>(UINT32_MAX),
-               std::string(name) + " must be a positive 32-bit integer (got '" +
-                   v + "')");
-  return static_cast<uint32_t>(parsed);
-}
-
-}  // namespace
 
 std::unique_ptr<RuntimeApi> make_runtime(BackendConfig config) {
   Backend backend = config.backend;

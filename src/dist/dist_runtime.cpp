@@ -358,9 +358,7 @@ void DistributedRuntime::ensure_started() {
 
   net::NetObs obs;
   obs.metrics = &local_->metrics();
-  obs.recorder = local_->config().enable_flight_recorder
-                     ? &local_->flight_recorder()
-                     : nullptr;
+  obs.log = &local_->flight_recorder();
   obs.type_name = msg_name;
   conns_.reserve(nworkers);
   for (std::size_t i = 0; i < nworkers; ++i)
@@ -615,8 +613,8 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
       const bool adopted = td.data_dest == 0;
       const obs::TraceContext ctx = td.ctx;
       local_->complete_external(seq, std::move(td.outcome));
-      record_apply_span(adopted ? name_xfer_apply_ : name_done_apply_, seq,
-                        ctx, span_start);
+      local_->profiler().record_remote_span(adopted ? name_xfer_apply_ : name_done_apply_,
+                                            seq, ctx, span_start);
       break;
     }
     case Msg::kRegionData: {
@@ -689,23 +687,6 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
                               std::to_string(frame.type) + " (" +
                               msg_name(frame.type) + ")");
   }
-}
-
-void DistributedRuntime::record_apply_span(uint32_t name, uint64_t seq,
-                                           const obs::TraceContext& ctx,
-                                           uint64_t start_ns) {
-  Profiler& prof = local_->profiler();
-  if (!prof.enabled() || !ctx.valid()) return;
-  ProfileEvent ev;
-  ev.name = name;
-  ev.cat = ProfCategory::kExchange;
-  ev.start_ns = start_ns;
-  ev.dur_ns = prof.now_ns() - start_ns;
-  ev.seq = seq;
-  ev.launch = ctx.launch;
-  ev.parent = ctx.span;
-  ev.origin = ctx.origin;
-  prof.record(ev);
 }
 
 void DistributedRuntime::on_worker_close(std::size_t worker,
@@ -958,14 +939,14 @@ obs::ClusterTrace DistributedRuntime::collect_cluster_trace() {
   }
   obs::RankTrace r0;
   r0.rank = 0;
-  const Profiler& prof = local_->profiler();
-  r0.epoch_ns = prof.epoch_ns();
-  if (prof.enabled()) {
-    r0.names = prof.names();
-    r0.spans = prof.events();
-    r0.samples = prof.task_samples();
+  const obs::EventLog& log = local_->profiler();
+  r0.epoch_ns = log.epoch_ns();
+  if (log.capturing()) {
+    r0.names = log.names();
+    r0.spans = log.events();
+    r0.samples = log.task_samples();
   }
-  r0.recent = local_->flight_recorder().tail(256);
+  r0.recent = log.tail(256);
   trace.ranks.push_back(std::move(r0));
   std::lock_guard<std::mutex> lock(fence_mu_);
   for (auto& [rank, t] : telemetry_) {
@@ -994,8 +975,7 @@ std::string DistributedRuntime::distributed_stall_dump() {
   obs::RankStall mine;
   mine.rank = 0;
   mine.report = local_->stall_report();
-  for (const auto& [seq, label] : local_->pending_externals())
-    mine.pending_externals.push_back(seq);
+  mine.pending_externals = local_->pending_externals();
   ranks.push_back(std::move(mine));
   {
     std::lock_guard<std::mutex> lock(fence_mu_);

@@ -149,9 +149,9 @@ class DistributedRuntime : public RuntimeApi {
   std::string cluster_prometheus();
   std::string cluster_metrics_json();
 
-  /// Fence, pull every rank's spans + recorder tail (kTelemetryReq), and
+  /// Fence, pull every rank's spans + lifecycle tail (kTelemetryReq), and
   /// assemble the clock-aligned cluster trace. Rank 0 is the driver's own
-  /// profiler; worker clocks are aligned with the heartbeat-probe offset
+  /// event log; worker clocks are aligned with the heartbeat-probe offset
   /// estimates. Requires profiling enabled to carry spans.
   obs::ClusterTrace collect_cluster_trace();
   /// collect_cluster_trace() written as a merged Chrome trace file.
@@ -169,7 +169,7 @@ class DistributedRuntime : public RuntimeApi {
     return clocks_ != nullptr ? clocks_->estimate(rank) : net::ClockEstimate{};
   }
 
-  /// The driver's local runtime (tests: counters, flight recorder).
+  /// The driver's local runtime (tests: counters, event log).
   /// Valid only after the first launch.
   Runtime& local() { return *local_; }
 
@@ -212,9 +212,6 @@ class DistributedRuntime : public RuntimeApi {
   /// on_task_success arm for the driver-owned transfer task: extract the
   /// rect, ship it to the destination, announce a slim outcome.
   void send_xfer_data(uint64_t seq, uint64_t launch, TaskContext& ctx);
-  /// Record the receiving half of a remote span pair on the local profiler.
-  void record_apply_span(uint32_t name, uint64_t seq,
-                         const obs::TraceContext& ctx, uint64_t start_ns);
   /// Fold current totals into the idxl_net_* metric series (fence_mu_ held).
   void publish_net_metrics_locked();
 

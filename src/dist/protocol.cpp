@@ -415,12 +415,12 @@ std::vector<std::byte> encode_telemetry(const Telemetry& t) {
     for (uint64_t dep : sample.deps) s.put_u64(dep);
   }
   s.put_u32(static_cast<uint32_t>(t.recent.size()));
-  for (const obs::FlightEvent& ev : t.recent) {
+  for (const obs::Event& ev : t.recent) {
     s.put_u64(ev.ts_ns);
     s.put_u64(ev.seq);
     s.put_u64(ev.launch);
     s.put_u64(ev.edge);
-    for (int i = 0; i < obs::FlightEvent::kMaxPointDim; ++i)
+    for (int i = 0; i < obs::Event::kMaxPointDim; ++i)
       s.put_i64(ev.coord[i]);
     s.put_u8(static_cast<uint8_t>(ev.kind));
     s.put_u8(static_cast<uint8_t>(ev.detail));
@@ -485,12 +485,12 @@ Telemetry decode_telemetry(const std::vector<std::byte>& bytes) {
   const uint32_t nrecent = d.get_u32();
   t.recent.reserve(nrecent);
   for (uint32_t i = 0; i < nrecent; ++i) {
-    obs::FlightEvent ev;
+    obs::Event ev;
     ev.ts_ns = d.get_u64();
     ev.seq = d.get_u64();
     ev.launch = d.get_u64();
     ev.edge = d.get_u64();
-    for (int j = 0; j < obs::FlightEvent::kMaxPointDim; ++j)
+    for (int j = 0; j < obs::Event::kMaxPointDim; ++j)
       ev.coord[j] = d.get_i64();
     ev.kind = static_cast<obs::LifecycleEvent>(d.get_u8());
     ev.detail = static_cast<obs::LifecycleDetail>(d.get_u8());

@@ -6,9 +6,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace_context.hpp"
 #include "obs/watchdog.hpp"
 #include "region/region_forest.hpp"
@@ -80,7 +79,7 @@ enum class Msg : uint8_t {
   kRoute,         ///< driver -> worker: delta-transfer directive (v3)
   kRegionData,    ///< src rank -> dest rank, direct or driver-relayed (v3)
   kTelemetryReq,  ///< driver -> worker: ship your trace + metrics (v4)
-  kTelemetry,     ///< worker -> driver: spans, recorder tail, metrics (v4)
+  kTelemetry,     ///< worker -> driver: spans, lifecycle tail, metrics (v4)
 };
 
 /// Metric-label name per message type (NetObs::type_name).
@@ -227,16 +226,16 @@ enum class TelemetryFlavor : uint8_t {
 
 /// One rank's observability state on the wire: everything the driver needs
 /// for the clock-aligned trace merge (spans + intern table + epoch), the
-/// flight-recorder tail, a metrics snapshot, and — for stall pushes — the
+/// lifecycle tail, a metrics snapshot, and — for stall pushes — the
 /// waits-for graph so the distributed watchdog can name the blocking rank.
 struct Telemetry {
   uint32_t rank = 0;
   uint8_t flavor = 0;     ///< TelemetryFlavor
-  uint64_t epoch_ns = 0;  ///< profiler epoch, absolute steady-clock ns
-  std::vector<std::string> names;  ///< profiler intern table
+  uint64_t epoch_ns = 0;  ///< event-log epoch, absolute steady-clock ns
+  std::vector<std::string> names;  ///< event-log intern table
   std::vector<ProfileEvent> spans;
   std::vector<TaskSample> samples;
-  std::vector<obs::FlightEvent> recent;
+  std::vector<obs::Event> recent;
   obs::MetricsSnapshot metrics;
   // Stall-push fields (zero/empty on shutdown pulls).
   uint64_t completed = 0;

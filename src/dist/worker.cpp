@@ -69,8 +69,7 @@ WorkerSession::WorkerSession(net::Socket sock, uint32_t rank, uint32_t nranks,
   name_done_apply_ = rt_->profiler().intern("done-apply");
   net::NetObs obs;
   obs.metrics = &rt_->metrics();
-  obs.recorder =
-      rt_->config().enable_flight_recorder ? &rt_->flight_recorder() : nullptr;
+  obs.log = &rt_->flight_recorder();
   obs.type_name = msg_name;
   conn_ = std::make_unique<net::Connection>(std::move(sock), "driver", obs);
 
@@ -139,38 +138,20 @@ void WorkerSession::handle_ping(uint32_t peer_rank, net::Connection& conn,
   }
 }
 
-void WorkerSession::record_apply_span(uint32_t name, uint64_t seq,
-                                      const obs::TraceContext& ctx,
-                                      uint64_t start_ns) {
-  Profiler& prof = rt_->profiler();
-  if (!prof.enabled() || !ctx.valid()) return;
-  ProfileEvent ev;
-  ev.name = name;
-  ev.cat = ProfCategory::kExchange;
-  ev.start_ns = start_ns;
-  ev.dur_ns = prof.now_ns() - start_ns;
-  ev.seq = seq;
-  ev.launch = ctx.launch;
-  ev.parent = ctx.span;
-  ev.origin = ctx.origin;
-  prof.record(ev);
-}
-
 Telemetry WorkerSession::make_telemetry(TelemetryFlavor flavor) {
   Telemetry t;
   t.rank = rank_;
   t.flavor = static_cast<uint8_t>(flavor);
-  Profiler& prof = rt_->profiler();
-  t.epoch_ns = prof.epoch_ns();
-  if (prof.enabled()) {
-    t.names = prof.names();
-    t.spans = prof.events();
-    t.samples = prof.task_samples();
+  const obs::EventLog& log = rt_->profiler();
+  t.epoch_ns = log.epoch_ns();
+  if (log.capturing()) {
+    t.names = log.names();
+    t.spans = log.events();
+    t.samples = log.task_samples();
   }
-  t.recent = rt_->flight_recorder().tail(256);
+  t.recent = log.tail(256);
   t.metrics = rt_->metrics().snapshot();
-  for (const auto& [seq, label] : rt_->pending_externals())
-    t.pending_externals.push_back(seq);
+  t.pending_externals = rt_->pending_externals();
   return t;
 }
 
@@ -246,7 +227,7 @@ void WorkerSession::apply_region_data(RegionData rd) {
   // The receiving half of the transfer edge: parented on the producing
   // transfer span of the sending rank, so the merged trace can draw a flow
   // arrow from the source lane into this one.
-  record_apply_span(name_xfer_apply_, seq, ctx, span_start);
+  rt_->profiler().record_remote_span(name_xfer_apply_, seq, ctx, span_start);
 }
 
 void WorkerSession::run() {
@@ -302,7 +283,7 @@ void WorkerSession::on_frame(net::Frame& frame) {
       const uint64_t seq = td.seq;
       const obs::TraceContext ctx = td.ctx;
       rt_->complete_external(seq, std::move(td.outcome));
-      record_apply_span(name_done_apply_, seq, ctx, span_start);
+      rt_->profiler().record_remote_span(name_done_apply_, seq, ctx, span_start);
       break;
     }
     case Msg::kFence: {
@@ -327,8 +308,8 @@ void WorkerSession::on_frame(net::Frame& frame) {
       break;
     }
     case Msg::kTelemetryReq:
-      // Only sent at quiescent moments (post-fence), so reading the profiler
-      // and recorder buffers from this — the issuing — thread is safe.
+      // Only sent at quiescent moments (post-fence), so the span views read
+      // a complete log from this — the issuing — thread.
       conn_->send(static_cast<uint8_t>(Msg::kTelemetry),
                   encode_telemetry(make_telemetry(TelemetryFlavor::kShutdownPull)));
       break;

@@ -69,10 +69,6 @@ class WorkerSession {
   /// (a pong, when the probe was a ping) goes back on `conn`.
   void handle_ping(uint32_t peer_rank, net::Connection& conn,
                    const std::vector<std::byte>& payload);
-  /// Record the receiving half of a remote span pair: a kExchange span
-  /// whose parent is `ctx` on the origin rank. No-op unless profiling.
-  void record_apply_span(uint32_t name, uint64_t seq,
-                         const obs::TraceContext& ctx, uint64_t start_ns);
   /// This rank's observability state for the driver (kTelemetry payload).
   Telemetry make_telemetry(TelemetryFlavor flavor);
 
@@ -102,7 +98,7 @@ class WorkerSession {
 
   /// Per-peer clock-offset estimates from probes riding the heartbeats.
   std::unique_ptr<net::ClockTable> clocks_;
-  /// Interned profiler names for the remote-parent apply spans.
+  /// Interned event-log names for the remote-parent apply spans.
   uint32_t name_xfer_apply_ = 0;
   uint32_t name_done_apply_ = 0;
 };

@@ -57,12 +57,12 @@ void Connection::count(bool sent, uint8_t type, std::size_t bytes) {
     cells->bytes.inc(bytes);
     cells->frames.inc();
   }
-  if (obs_.recorder != nullptr) {
-    obs::FlightEvent ev;
-    ev.kind = sent ? obs::LifecycleEvent::kNetSend : obs::LifecycleEvent::kNetRecv;
-    ev.seq = type;    // frame type, not a task — see the enum's doc comment
-    ev.edge = bytes;
-    obs_.recorder->record(ev);
+  if (obs_.log != nullptr) {
+    // seq is the frame type, not a task — see the enum's doc comment.
+    obs_.log->record({.seq = type,
+                      .edge = bytes,
+                      .kind = sent ? obs::LifecycleEvent::kNetSend
+                                   : obs::LifecycleEvent::kNetRecv});
   }
 }
 

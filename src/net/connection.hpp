@@ -13,17 +13,17 @@
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 
 namespace idxl::net {
 
 /// Observability wiring shared by every connection of one endpoint: the
-/// `idxl_net_*` metric family, optional flight-recorder events, and a
+/// `idxl_net_*` metric family, optional event-log records, and a
 /// human-readable name per protocol message type (for metric labels).
 struct NetObs {
   obs::MetricsRegistry* metrics = nullptr;
-  obs::FlightRecorder* recorder = nullptr;
+  obs::EventLog* log = nullptr;
   const char* (*type_name)(uint8_t type) = nullptr;
 };
 

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "obs/json.hpp"
 #include "support/error.hpp"
 
 namespace idxl::obs {
@@ -81,7 +80,7 @@ CriticalPathReport ClusterTrace::critical_path() const {
 }
 
 std::string ClusterTrace::chrome_trace_json() const {
-  // Zero of the merged timeline: the earliest aligned profiler epoch, so
+  // Zero of the merged timeline: the earliest aligned event-log epoch, so
   // every timestamp is positive and the driver's own spans keep their
   // relative positions.
   double base = 0.0;
@@ -119,46 +118,7 @@ std::string ClusterTrace::chrome_trace_json() const {
     emit("{\"ph\":\"M\",\"pid\":%u,\"name\":\"process_sort_index\","
          "\"args\":{\"sort_index\":%u}}",
          r.rank, r.rank);
-    std::vector<int32_t> lane_worker;
-    for (const ProfileEvent& ev : r.spans) {
-      if (lane_worker.size() <= ev.tid) lane_worker.resize(ev.tid + 1, -1);
-      lane_worker[ev.tid] = ev.worker;
-    }
-    for (uint32_t tid = 0; tid < lane_worker.size(); ++tid)
-      emit("{\"ph\":\"M\",\"pid\":%u,\"tid\":%u,\"name\":\"thread_name\","
-           "\"args\":{\"name\":\"%s\"}}",
-           r.rank, tid,
-           lane_worker[tid] < 0
-               ? "issuer"
-               : ("worker " + std::to_string(lane_worker[tid])).c_str());
-
-    for (const ProfileEvent& ev : r.spans) {
-      const double ts_us = (aligned_ns(r, ev.start_ns) - base) / 1e3;
-      if (!first) out += ',';
-      first = false;
-      out += "{\"name\":\"";
-      json_escape(out, ev.name < r.names.size() ? r.names[ev.name] : "?");
-      std::snprintf(buf, sizeof(buf),
-                    "\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":%u,\"tid\":%u,"
-                    "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"worker\":%d",
-                    category_name(ev.cat), r.rank, ev.tid, ts_us,
-                    static_cast<double>(ev.dur_ns) / 1e3, ev.worker);
-      out += buf;
-      if (ev.seq != ProfileEvent::kNoSeq) {
-        std::snprintf(buf, sizeof(buf), ",\"seq\":%" PRIu64, ev.seq);
-        out += buf;
-      }
-      if (ev.launch != ProfileEvent::kNoSeq) {
-        std::snprintf(buf, sizeof(buf), ",\"launch\":%" PRIu64, ev.launch);
-        out += buf;
-      }
-      if (ev.remote_parent()) {
-        std::snprintf(buf, sizeof(buf), ",\"parent\":%" PRIu64 ",\"origin\":%u",
-                      ev.parent, ev.origin);
-        out += buf;
-      }
-      out += "}}";
-    }
+    append_chrome_spans(out, first, r.spans, r.names, r.rank, aligned_ns(r, 0) - base);
 
     // Clock-alignment note per rank: how far its clock was judged off and
     // the probe RTT bounding the estimate's error.
@@ -239,15 +199,15 @@ std::string merged_stall_dump(const std::vector<RankStall>& ranks) {
       for (uint64_t dep : t.waits_for) waited.insert(dep);
     }
   }
-  uint64_t head = FlightEvent::kNone;
+  uint64_t head = Event::kNone;
   for (uint64_t seq : waited)
     if (blocked.count(seq) == 0) {
       head = seq;
       break;
     }
-  if (head == FlightEvent::kNone && !waited.empty()) head = *waited.begin();
+  if (head == Event::kNone && !waited.empty()) head = *waited.begin();
 
-  if (head != FlightEvent::kNone) {
+  if (head != Event::kNone) {
     // The blocking rank is the one executing `head`: every other rank lists
     // it as a pending external (a TaskDone it still owes them).
     std::vector<uint32_t> owners, waiters;

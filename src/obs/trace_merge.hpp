@@ -4,14 +4,13 @@
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
-#include "obs/profiler.hpp"
+#include "obs/event_log.hpp"
 #include "obs/watchdog.hpp"
 
 namespace idxl::obs {
 
-/// One rank's contribution to the merged cluster trace: its profiler spans
-/// and name table, its issue-order task graph, a flight-recorder tail, and
+/// One rank's contribution to the merged cluster trace: its event log's
+/// spans and name table, issue-order task graph and lifecycle tail, and
 /// the clock alignment the driver estimated for it.
 struct RankTrace {
   uint32_t rank = 0;
@@ -22,12 +21,12 @@ struct RankTrace {
   /// Smoothed probe round-trip time; the offset estimate is correct to
   /// within ±rtt/2 (midpoint method error bound).
   uint64_t rtt_ns = 0;
-  /// Profiler epoch on the rank's own steady clock (absolute ns).
+  /// Event-log epoch on the rank's own steady clock (absolute ns).
   uint64_t epoch_ns = 0;
-  std::vector<std::string> names;   ///< profiler intern table, by name id
+  std::vector<std::string> names;   ///< event-log intern table, by name id
   std::vector<ProfileEvent> spans;
   std::vector<TaskSample> samples;  ///< issue-order task graph (seq + deps)
-  std::vector<FlightEvent> recent;  ///< flight-recorder tail
+  std::vector<Event> recent;        ///< lifecycle tail
 };
 
 /// A span claiming a cross-rank parent that the origin rank's trace does

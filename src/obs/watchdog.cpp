@@ -31,7 +31,7 @@ std::string StallReport::to_string() const {
       out += t.label;
       out += ']';
     }
-    if (t.launch != FlightEvent::kNone) {
+    if (t.launch != Event::kNone) {
       std::snprintf(buf, sizeof(buf), " launch %" PRIu64, t.launch);
       out += buf;
     }
@@ -47,20 +47,20 @@ std::string StallReport::to_string() const {
   std::snprintf(buf, sizeof(buf), "-- last %zu lifecycle events --\n",
                 recent.size());
   out += buf;
-  for (const FlightEvent& e : recent) {
+  for (const Event& e : recent) {
     std::snprintf(buf, sizeof(buf), "  [%12.6f ms] %-14s",
                   static_cast<double>(e.ts_ns) / 1e6,
                   lifecycle_event_name(e.kind));
     out += buf;
-    if (e.seq != FlightEvent::kNone) {
+    if (e.seq != Event::kNone) {
       std::snprintf(buf, sizeof(buf), " seq=%" PRIu64, e.seq);
       out += buf;
     }
-    if (e.launch != FlightEvent::kNone) {
+    if (e.launch != Event::kNone) {
       std::snprintf(buf, sizeof(buf), " launch=%" PRIu64, e.launch);
       out += buf;
     }
-    if (e.edge != FlightEvent::kNone) {
+    if (e.edge != Event::kNone) {
       std::snprintf(buf, sizeof(buf), " edge=%" PRIu64, e.edge);
       out += buf;
     }

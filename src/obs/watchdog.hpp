@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 
 namespace idxl::obs {
@@ -19,7 +19,7 @@ struct WatchdogConfig {
   uint32_t check_period_ms = 50;
   /// Declare a stall after this long with pending tasks and no completions.
   uint32_t stall_window_ms = 1000;
-  /// How many flight-recorder events the dump includes.
+  /// How many lifecycle events the dump includes.
   std::size_t tail_events = 32;
   /// Abort the process after dumping (post-mortem over hang).
   bool abort_on_stall = false;
@@ -34,20 +34,20 @@ struct WatchdogConfig {
 /// One blocked task in the waits-for graph of a stall dump.
 struct BlockedTask {
   uint64_t seq = 0;
-  uint64_t launch = FlightEvent::kNone;
+  uint64_t launch = Event::kNone;
   std::string label;
   /// Seqs of the still-incomplete predecessors this task waits for.
   std::vector<uint64_t> waits_for;
 };
 
 /// Everything a stalled run leaves behind: the waits-for graph of blocked
-/// tasks, the flight-recorder tail, and a metrics snapshot.
+/// tasks, the event log's lifecycle tail, and a metrics snapshot.
 struct StallReport {
   uint64_t completed = 0;  ///< tasks completed when the stall was declared
   uint64_t pending = 0;    ///< tasks issued but not completed
   uint64_t window_ms = 0;  ///< how long progress had been absent
   std::vector<BlockedTask> blocked;
-  std::vector<FlightEvent> recent;
+  std::vector<Event> recent;
   MetricsSnapshot metrics;
 
   /// Human-readable post-mortem (what the watchdog writes to stderr/file).

@@ -92,7 +92,7 @@ struct LaunchResult {
   bool ran_as_index_launch = false;
   Future future;  ///< valid iff the launcher set result_redop
   /// Id of this launch — the key into FaultReport::for_launch (and the
-  /// flight recorder / Chrome trace cross-link).
+  /// event log's lifecycle / span cross-link).
   uint64_t launch_id = UINT64_MAX;
 };
 

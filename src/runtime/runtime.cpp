@@ -6,11 +6,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <unordered_set>
+
+#include "support/env.hpp"
 
 namespace idxl {
 
 namespace {
+
+using obs::LifecycleEvent;
+using LogScope = obs::EventLog::Scope;
 
 bool env_flag(const char* name, bool fallback) {
   const char* v = std::getenv(name);
@@ -18,25 +24,19 @@ bool env_flag(const char* name, bool fallback) {
   return !(v[0] == '0' || v[0] == 'n' || v[0] == 'N' || v[0] == 'f' || v[0] == 'F');
 }
 
-uint64_t env_u64(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
-}
-
 /// IDXL_* environment overrides for the observability knobs, so a hung
-/// production run can be re-launched with a watchdog (or the recorder
+/// production run can be re-launched with a watchdog (or the event log
 /// resized) without a rebuild. Documented in docs/OBSERVABILITY.md.
 RuntimeConfig apply_env_overrides(RuntimeConfig cfg) {
   cfg.enable_flight_recorder =
       env_flag("IDXL_FLIGHT_RECORDER", cfg.enable_flight_recorder);
-  cfg.flight_recorder_capacity = static_cast<std::size_t>(
-      env_u64("IDXL_FLIGHT_CAPACITY", cfg.flight_recorder_capacity));
+  if (const uint32_t cap = env_u32("IDXL_FLIGHT_CAPACITY", 0); cap != 0)
+    cfg.flight_recorder_capacity = cap;
   cfg.enable_watchdog = env_flag("IDXL_WATCHDOG", cfg.enable_watchdog);
-  cfg.watchdog_check_period_ms = static_cast<uint32_t>(
-      env_u64("IDXL_WATCHDOG_PERIOD_MS", cfg.watchdog_check_period_ms));
-  cfg.watchdog_stall_window_ms = static_cast<uint32_t>(
-      env_u64("IDXL_WATCHDOG_WINDOW_MS", cfg.watchdog_stall_window_ms));
+  cfg.watchdog_check_period_ms =
+      env_u32("IDXL_WATCHDOG_PERIOD_MS", cfg.watchdog_check_period_ms);
+  cfg.watchdog_stall_window_ms =
+      env_u32("IDXL_WATCHDOG_WINDOW_MS", cfg.watchdog_stall_window_ms);
   cfg.watchdog_abort = env_flag("IDXL_WATCHDOG_ABORT", cfg.watchdog_abort);
   cfg.watchdog_cancel = env_flag("IDXL_WATCHDOG_CANCEL", cfg.watchdog_cancel);
   if (const char* v = std::getenv("IDXL_WATCHDOG_DUMP")) cfg.watchdog_dump_path = v;
@@ -73,11 +73,11 @@ Runtime::Runtime(RuntimeConfig config, std::shared_ptr<RegionForest> forest)
                                 : std::make_shared<RegionForest>()),
       tracker_(*forest_),
       group_(*forest_),
-      profiler_(std::make_unique<Profiler>(config_.enable_profiling)),
-      prof_(config_.enable_profiling ? profiler_.get() : nullptr),
-      recorder_(config_.enable_flight_recorder, config_.flight_recorder_capacity,
-                profiler_->epoch_ns()),
-      rec_(config_.enable_flight_recorder ? &recorder_ : nullptr),
+      event_log_(config_.enable_profiling         ? obs::LogMode::kCapture
+                 : config_.enable_flight_recorder ? obs::LogMode::kBounded
+                                                  : obs::LogMode::kOff,
+                 config_.flight_recorder_capacity),
+      log_(event_log_.enabled() ? &event_log_ : nullptr),
       pool_(std::make_unique<ThreadPool>(config_.workers)),
       live_enabled_(config_.enable_watchdog),
       fault_plan_(config_.fault_plan) {
@@ -98,11 +98,7 @@ Runtime::Runtime(RuntimeConfig config, std::shared_ptr<RegionForest> forest)
               done, cells_.point_tasks.value() - done);
         },
         [this] {
-          if (rec_ != nullptr) {
-            obs::FlightEvent ev;
-            ev.kind = obs::LifecycleEvent::kStall;
-            rec_->record(ev);
-          }
+          if (log_ != nullptr) log_->record({.kind = LifecycleEvent::kStall});
           return stall_report();
         });
     watchdog_->set_stall_action([this] { cancel_all(); });
@@ -123,179 +119,167 @@ Runtime::~Runtime() {
   wait_all();
 }
 
+/// Counter rows name the StatsCells handle the runtime increments; gauge
+/// rows name the externally owned value (trackers, caches, pool, event
+/// log) a collector copies in at snapshot time.
+struct Runtime::StatRow {
+  const char* series;
+  const char* help;                  ///< recorded from a family's first row
+  uint64_t RuntimeStats::*field;     ///< nullptr: exported only
+  obs::Counter StatsCells::*cell;    ///< counter rows
+  uint64_t (*read)(const Runtime&);  ///< gauge rows
+  const char* label_key = nullptr;   ///< nullptr: unlabeled series
+  const char* label_value = nullptr;
+
+  obs::Labels labels() const {
+    return label_key != nullptr ? obs::Labels{{label_key, label_value}} : obs::Labels{};
+  }
+};
+
+std::span<const Runtime::StatRow> Runtime::stat_rows() {
+  using S = RuntimeStats;
+  using C = StatsCells;
+  const auto counter = [](const char* series, const char* help, uint64_t S::*field,
+                          obs::Counter C::*cell, const char* key = nullptr,
+                          const char* value = nullptr) {
+    return StatRow{series, help, field, cell, nullptr, key, value};
+  };
+  const auto gauge = [](const char* series, const char* help, uint64_t S::*field,
+                        uint64_t (*read)(const Runtime&)) {
+    return StatRow{series, help, field, nullptr, read};
+  };
+  const char* safety = "index-launch safety verdicts by outcome";
+  const char* faults = "terminally failed tasks by root cause";
+  // Registration order is exposition order: keep counters, then gauges.
+  static const StatRow rows[] = {
+      counter("idxl_runtime_calls_total", "task issuance API calls", &S::runtime_calls,
+              &C::runtime_calls),
+      counter("idxl_launches_total", "launches by kind", &S::single_launches,
+              &C::single_launches, "kind", "single"),
+      counter("idxl_launches_total", "", &S::index_launches, &C::index_launches, "kind",
+              "index"),
+      counter("idxl_point_tasks_total", "point tasks issued", &S::point_tasks,
+              &C::point_tasks),
+      counter("idxl_tasks_completed_total", "task bodies completed", &S::tasks_completed,
+              &C::tasks_completed),
+      counter("idxl_dependence_edges_total", "dependence edges discovered",
+              &S::dependence_edges, &C::dependence_edges),
+      counter("idxl_launch_safety_total", safety, &S::launches_safe_static,
+              &C::safe_static, "outcome", "safe_static"),
+      counter("idxl_launch_safety_total", safety, &S::launches_safe_dynamic,
+              &C::safe_dynamic, "outcome", "safe_dynamic"),
+      counter("idxl_launch_safety_total", safety, &S::launches_safe_unchecked,
+              &C::safe_unchecked, "outcome", "safe_unchecked"),
+      counter("idxl_launch_safety_total", safety, &S::launches_assumed_verified,
+              &C::assumed_verified, "outcome", "assumed_verified"),
+      counter("idxl_launch_safety_total", safety, &S::launches_unsafe, &C::unsafe,
+              "outcome", "unsafe"),
+      counter("idxl_dynamic_check_points_total", "functor evaluations in dynamic checks",
+              &S::dynamic_check_points, &C::dynamic_check_points),
+      counter("idxl_traced_tasks_replayed_total", "tasks replayed from captured traces",
+              &S::traced_tasks_replayed, &C::traced_replayed),
+      counter("idxl_verdict_cache_launches_total", "launches by verdict-cache result",
+              &S::verdict_cache_hits, &C::cache_hit_launches, "result", "hit"),
+      counter("idxl_verdict_cache_launches_total", "", &S::verdict_cache_misses,
+              &C::cache_miss_launches, "result", "miss"),
+      counter("idxl_group_launches_total", "index launches issued on the group path",
+              &S::group_launches, &C::group_launches),
+      counter("idxl_group_edges_total", "launch-level summary conflicts (O(args))",
+              &S::group_edges, &C::group_edges),
+      counter("idxl_group_fallbacks_total", "safe launches forced onto the per-point path",
+              &S::group_fallbacks, &C::group_fallbacks),
+      counter("idxl_group_materializations_total", "trees flushed group -> per-point",
+              &S::group_materializations, &C::group_materializations),
+      counter("idxl_interference_pair_tests_total",
+              "inter-launch pair analyses run (cache misses)", &S::interference_pair_tests,
+              &C::interference_pair_tests),
+      counter("idxl_interference_skips_total",
+              "group-walk skips authorized by checked pair certificates",
+              &S::interference_skips, &C::interference_skips),
+      counter("idxl_fault_tasks_total", faults, &S::tasks_failed, &C::fault_exception,
+              "kind", "exception"),
+      counter("idxl_fault_tasks_total", "", &S::tasks_failed, &C::fault_explicit, "kind",
+              "explicit"),
+      counter("idxl_fault_tasks_total", "", &S::tasks_failed, &C::fault_injected, "kind",
+              "injected"),
+      counter("idxl_fault_tasks_total", "", &S::tasks_failed, &C::fault_timeout, "kind",
+              "timeout"),
+      counter("idxl_fault_tasks_total", "", &S::tasks_failed, &C::fault_cancelled, "kind",
+              "cancelled"),
+      counter("idxl_fault_poisoned_total",
+              "tasks skipped because an upstream failure poisoned them", &S::tasks_poisoned,
+              &C::fault_poisoned),
+      counter("idxl_fault_injections_total", "FaultPlan injections fired",
+              &S::fault_injections, &C::fault_injections),
+      counter("idxl_retry_attempts_total", "failed attempts re-enqueued",
+              &S::retry_attempts, &C::retry_attempts),
+      counter("idxl_retry_succeeded_total", "tasks that succeeded after at least one retry",
+              &S::retries_succeeded, &C::retry_succeeded),
+      gauge("idxl_dependence_tests", "per-use conflict tests, both tiers (live)",
+            &S::dependence_tests,
+            [](const Runtime& rt) {
+              return rt.tracker_.dependence_tests() + rt.group_.dependence_tests();
+            }),
+      gauge("idxl_verdict_cache_hits", "verdict cache lookup hits", nullptr,
+            [](const Runtime& rt) { return rt.verdict_cache_.counters().hits; }),
+      gauge("idxl_verdict_cache_misses", "verdict cache lookup misses", nullptr,
+            [](const Runtime& rt) { return rt.verdict_cache_.counters().misses; }),
+      gauge("idxl_verdict_cache_uncacheable", "lookups skipped (opaque functor)", nullptr,
+            [](const Runtime& rt) { return rt.verdict_cache_.counters().uncacheable; }),
+      gauge("idxl_verdict_cache_entries", "verdicts currently cached", nullptr,
+            [](const Runtime& rt) { return uint64_t{rt.verdict_cache_.size()}; }),
+      gauge("idxl_interference_cache_hits", "pair-verdict cache lookup hits",
+            &S::interference_cache_hits,
+            [](const Runtime& rt) { return rt.interference_cache_.counters().hits; }),
+      gauge("idxl_interference_cache_misses", "pair-verdict cache lookup misses",
+            &S::interference_cache_misses,
+            [](const Runtime& rt) { return rt.interference_cache_.counters().misses; }),
+      gauge("idxl_interference_cache_imported", "pair certificates received from a driver",
+            &S::interference_imported,
+            [](const Runtime& rt) { return rt.interference_cache_.counters().imported; }),
+      gauge("idxl_interference_cache_validated",
+            "imported pair certificates that passed the checker", &S::interference_validated,
+            [](const Runtime& rt) { return rt.interference_cache_.counters().validated; }),
+      gauge("idxl_interference_cache_rejected",
+            "imported pair certificates refused by the checker", &S::interference_rejected,
+            [](const Runtime& rt) { return rt.interference_cache_.counters().rejected; }),
+      gauge("idxl_interference_cache_entries", "pair verdicts currently cached", nullptr,
+            [](const Runtime& rt) { return uint64_t{rt.interference_cache_.size()}; }),
+      gauge("idxl_pool_queue_depth", "ready tasks waiting for a worker", nullptr,
+            [](const Runtime& rt) { return uint64_t{rt.pool_->queue_depth()}; }),
+      gauge("idxl_pool_executing", "tasks mid-execution on workers", nullptr,
+            [](const Runtime& rt) { return uint64_t{rt.pool_->executing()}; }),
+      gauge("idxl_pool_workers", "worker threads", nullptr,
+            [](const Runtime& rt) { return uint64_t{rt.pool_->worker_count()}; }),
+      gauge("idxl_flight_recorder_events", "lifecycle events recorded (monotone)", nullptr,
+            [](const Runtime& rt) { return rt.event_log_.recorded(); }),
+      gauge("idxl_flight_recorder_overwritten", "lifecycle events lost to ring wraparound",
+            nullptr, [](const Runtime& rt) { return rt.event_log_.overwritten(); }),
+  };
+  return rows;
+}
+
 void Runtime::init_metrics() {
   obs::MetricsRegistry& m = metrics_;
-  cells_.runtime_calls =
-      m.counter("idxl_runtime_calls_total", "task issuance API calls");
-  cells_.single_launches = m.counter("idxl_launches_total", "launches by kind",
-                                     {{"kind", "single"}});
-  cells_.index_launches = m.counter("idxl_launches_total", "", {{"kind", "index"}});
-  cells_.point_tasks = m.counter("idxl_point_tasks_total", "point tasks issued");
-  cells_.tasks_completed =
-      m.counter("idxl_tasks_completed_total", "task bodies completed");
-  cells_.dependence_edges =
-      m.counter("idxl_dependence_edges_total", "dependence edges discovered");
-  const char* safety_help = "index-launch safety verdicts by outcome";
-  cells_.safe_static = m.counter("idxl_launch_safety_total", safety_help,
-                                 {{"outcome", "safe_static"}});
-  cells_.safe_dynamic = m.counter("idxl_launch_safety_total", safety_help,
-                                  {{"outcome", "safe_dynamic"}});
-  cells_.safe_unchecked = m.counter("idxl_launch_safety_total", safety_help,
-                                    {{"outcome", "safe_unchecked"}});
-  cells_.assumed_verified = m.counter("idxl_launch_safety_total", safety_help,
-                                      {{"outcome", "assumed_verified"}});
-  cells_.unsafe =
-      m.counter("idxl_launch_safety_total", safety_help, {{"outcome", "unsafe"}});
-  cells_.dynamic_check_points = m.counter(
-      "idxl_dynamic_check_points_total", "functor evaluations in dynamic checks");
-  cells_.traced_replayed = m.counter("idxl_traced_tasks_replayed_total",
-                                     "tasks replayed from captured traces");
-  cells_.cache_hit_launches =
-      m.counter("idxl_verdict_cache_launches_total",
-                "launches by verdict-cache result", {{"result", "hit"}});
-  cells_.cache_miss_launches =
-      m.counter("idxl_verdict_cache_launches_total", "", {{"result", "miss"}});
-  cells_.group_launches = m.counter("idxl_group_launches_total",
-                                    "index launches issued on the group path");
-  cells_.group_edges = m.counter("idxl_group_edges_total",
-                                 "launch-level summary conflicts (O(args))");
-  cells_.group_fallbacks = m.counter(
-      "idxl_group_fallbacks_total", "safe launches forced onto the per-point path");
-  cells_.group_materializations = m.counter(
-      "idxl_group_materializations_total", "trees flushed group -> per-point");
-  cells_.interference_pair_tests =
-      m.counter("idxl_interference_pair_tests_total",
-                "inter-launch pair analyses run (cache misses)");
-  cells_.interference_skips =
-      m.counter("idxl_interference_skips_total",
-                "group-walk skips authorized by checked pair certificates");
-  const char* fault_help = "terminally failed tasks by root cause";
-  cells_.fault_exception =
-      m.counter("idxl_fault_tasks_total", fault_help, {{"kind", "exception"}});
-  cells_.fault_explicit =
-      m.counter("idxl_fault_tasks_total", "", {{"kind", "explicit"}});
-  cells_.fault_injected =
-      m.counter("idxl_fault_tasks_total", "", {{"kind", "injected"}});
-  cells_.fault_timeout = m.counter("idxl_fault_tasks_total", "", {{"kind", "timeout"}});
-  cells_.fault_cancelled =
-      m.counter("idxl_fault_tasks_total", "", {{"kind", "cancelled"}});
-  cells_.fault_poisoned = m.counter(
-      "idxl_fault_poisoned_total", "tasks skipped because an upstream failure poisoned them");
-  cells_.fault_injections =
-      m.counter("idxl_fault_injections_total", "FaultPlan injections fired");
-  cells_.retry_attempts =
-      m.counter("idxl_retry_attempts_total", "failed attempts re-enqueued");
-  cells_.retry_succeeded = m.counter("idxl_retry_succeeded_total",
-                                     "tasks that succeeded after at least one retry");
+  for (const StatRow& r : stat_rows())
+    if (r.cell != nullptr) cells_.*r.cell = m.counter(r.series, r.help, r.labels());
   cells_.task_duration =
       m.histogram("idxl_task_duration_ns", "task body execution time");
   cells_.queue_wait =
       m.histogram("idxl_task_queue_wait_ns", "ready -> running scheduler latency");
-
-  // Externally-owned values surface as gauges refreshed by a collector at
-  // snapshot time — the trackers, verdict cache, pool and recorder keep
-  // their own (thread-safe) counters.
-  const obs::Gauge dep_tests = m.gauge(
-      "idxl_dependence_tests", "per-use conflict tests, both tiers (live)");
-  const obs::Gauge vc_hits =
-      m.gauge("idxl_verdict_cache_hits", "verdict cache lookup hits");
-  const obs::Gauge vc_misses =
-      m.gauge("idxl_verdict_cache_misses", "verdict cache lookup misses");
-  const obs::Gauge vc_uncacheable = m.gauge(
-      "idxl_verdict_cache_uncacheable", "lookups skipped (opaque functor)");
-  const obs::Gauge vc_entries =
-      m.gauge("idxl_verdict_cache_entries", "verdicts currently cached");
-  const obs::Gauge ic_hits =
-      m.gauge("idxl_interference_cache_hits", "pair-verdict cache lookup hits");
-  const obs::Gauge ic_misses =
-      m.gauge("idxl_interference_cache_misses", "pair-verdict cache lookup misses");
-  const obs::Gauge ic_imported = m.gauge("idxl_interference_cache_imported",
-                                         "pair certificates received from a driver");
-  const obs::Gauge ic_validated =
-      m.gauge("idxl_interference_cache_validated",
-              "imported pair certificates that passed the checker");
-  const obs::Gauge ic_rejected =
-      m.gauge("idxl_interference_cache_rejected",
-              "imported pair certificates refused by the checker");
-  const obs::Gauge ic_entries =
-      m.gauge("idxl_interference_cache_entries", "pair verdicts currently cached");
-  const obs::Gauge q_depth =
-      m.gauge("idxl_pool_queue_depth", "ready tasks waiting for a worker");
-  const obs::Gauge q_exec =
-      m.gauge("idxl_pool_executing", "tasks mid-execution on workers");
-  const obs::Gauge q_workers = m.gauge("idxl_pool_workers", "worker threads");
-  const obs::Gauge fr_events = m.gauge("idxl_flight_recorder_events",
-                                       "lifecycle events recorded (monotone)");
-  const obs::Gauge fr_over = m.gauge("idxl_flight_recorder_overwritten",
-                                     "lifecycle events lost to ring wraparound");
-  m.add_collector([this, dep_tests, vc_hits, vc_misses, vc_uncacheable,
-                   vc_entries, ic_hits, ic_misses, ic_imported, ic_validated,
-                   ic_rejected, ic_entries, q_depth, q_exec, q_workers, fr_events,
-                   fr_over] {
-    dep_tests.set(static_cast<int64_t>(tracker_.dependence_tests() +
-                                       group_.dependence_tests()));
-    const VerdictCache::Counters c = verdict_cache_.counters();
-    vc_hits.set(static_cast<int64_t>(c.hits));
-    vc_misses.set(static_cast<int64_t>(c.misses));
-    vc_uncacheable.set(static_cast<int64_t>(c.uncacheable));
-    vc_entries.set(static_cast<int64_t>(verdict_cache_.size()));
-    const InterferenceCache::Counters ic = interference_cache_.counters();
-    ic_hits.set(static_cast<int64_t>(ic.hits));
-    ic_misses.set(static_cast<int64_t>(ic.misses));
-    ic_imported.set(static_cast<int64_t>(ic.imported));
-    ic_validated.set(static_cast<int64_t>(ic.validated));
-    ic_rejected.set(static_cast<int64_t>(ic.rejected));
-    ic_entries.set(static_cast<int64_t>(interference_cache_.size()));
-    q_depth.set(static_cast<int64_t>(pool_->queue_depth()));
-    q_exec.set(static_cast<int64_t>(pool_->executing()));
-    q_workers.set(static_cast<int64_t>(pool_->worker_count()));
-    fr_events.set(static_cast<int64_t>(recorder_.recorded()));
-    fr_over.set(static_cast<int64_t>(recorder_.overwritten()));
+  std::vector<std::pair<obs::Gauge, uint64_t (*)(const Runtime&)>> gauges;
+  for (const StatRow& r : stat_rows())
+    if (r.read != nullptr) gauges.emplace_back(m.gauge(r.series, r.help), r.read);
+  m.add_collector([this, gauges = std::move(gauges)] {
+    for (const auto& [g, read] : gauges) g.set(static_cast<int64_t>(read(*this)));
   });
 }
 
 RuntimeStats Runtime::stats() const {
   const obs::MetricsSnapshot snap = metrics_.snapshot();
   RuntimeStats s;
-  s.runtime_calls = snap.value("idxl_runtime_calls_total");
-  s.single_launches = snap.value("idxl_launches_total", {{"kind", "single"}});
-  s.index_launches = snap.value("idxl_launches_total", {{"kind", "index"}});
-  s.point_tasks = snap.value("idxl_point_tasks_total");
-  s.tasks_completed = snap.value("idxl_tasks_completed_total");
-  s.dependence_edges = snap.value("idxl_dependence_edges_total");
-  s.launches_safe_static =
-      snap.value("idxl_launch_safety_total", {{"outcome", "safe_static"}});
-  s.launches_safe_dynamic =
-      snap.value("idxl_launch_safety_total", {{"outcome", "safe_dynamic"}});
-  s.launches_safe_unchecked =
-      snap.value("idxl_launch_safety_total", {{"outcome", "safe_unchecked"}});
-  s.launches_assumed_verified =
-      snap.value("idxl_launch_safety_total", {{"outcome", "assumed_verified"}});
-  s.launches_unsafe = snap.value("idxl_launch_safety_total", {{"outcome", "unsafe"}});
-  s.dynamic_check_points = snap.value("idxl_dynamic_check_points_total");
-  s.traced_tasks_replayed = snap.value("idxl_traced_tasks_replayed_total");
-  s.dependence_tests = snap.value("idxl_dependence_tests");
-  s.verdict_cache_hits =
-      snap.value("idxl_verdict_cache_launches_total", {{"result", "hit"}});
-  s.verdict_cache_misses =
-      snap.value("idxl_verdict_cache_launches_total", {{"result", "miss"}});
-  s.group_launches = snap.value("idxl_group_launches_total");
-  s.group_edges = snap.value("idxl_group_edges_total");
-  s.group_fallbacks = snap.value("idxl_group_fallbacks_total");
-  s.group_materializations = snap.value("idxl_group_materializations_total");
-  s.interference_pair_tests = snap.value("idxl_interference_pair_tests_total");
-  s.interference_skips = snap.value("idxl_interference_skips_total");
-  s.interference_cache_hits = snap.value("idxl_interference_cache_hits");
-  s.interference_cache_misses = snap.value("idxl_interference_cache_misses");
-  s.interference_imported = snap.value("idxl_interference_cache_imported");
-  s.interference_validated = snap.value("idxl_interference_cache_validated");
-  s.interference_rejected = snap.value("idxl_interference_cache_rejected");
-  for (const char* kind : {"exception", "explicit", "injected", "timeout", "cancelled"})
-    s.tasks_failed += snap.value("idxl_fault_tasks_total", {{"kind", kind}});
-  s.tasks_poisoned = snap.value("idxl_fault_poisoned_total");
-  s.fault_injections = snap.value("idxl_fault_injections_total");
-  s.retry_attempts = snap.value("idxl_retry_attempts_total");
-  s.retries_succeeded = snap.value("idxl_retry_succeeded_total");
+  for (const StatRow& r : stat_rows())
+    if (r.field != nullptr) s.*r.field += snap.value(r.series, r.labels());
   return s;
 }
 
@@ -333,24 +317,20 @@ obs::StallReport Runtime::stall_report() const {
             [](const obs::BlockedTask& a, const obs::BlockedTask& b) {
               return a.seq < b.seq;
             });
-  report.recent = recorder_.tail(config_.watchdog_tail_events);
+  report.recent = event_log_.tail(config_.watchdog_tail_events);
   report.metrics = metrics_.snapshot();
   return report;
 }
 
 void Runtime::record_ready(const TaskNode& node, uint64_t edge) {
-  if (rec_ == nullptr) return;
-  obs::FlightEvent ev;
-  ev.kind = obs::LifecycleEvent::kReady;
-  ev.seq = node.seq;
-  ev.launch = node.launch;
-  ev.edge = edge;
-  rec_->record(ev);
+  if (log_ != nullptr)
+    log_->record(
+        {.seq = node.seq, .launch = node.launch, .edge = edge, .kind = LifecycleEvent::kReady});
 }
 
 TaskFnId Runtime::register_task(std::string name, TaskFn fn) {
   IDXL_REQUIRE(static_cast<bool>(fn), "task body must be callable");
-  task_prof_names_.push_back(prof_ != nullptr ? prof_->intern(name) : 0);
+  task_log_names_.push_back(event_log_.intern(name));
   task_registry_.emplace_back(std::move(name), std::move(fn));
   return static_cast<TaskFnId>(task_registry_.size() - 1);
 }
@@ -382,7 +362,7 @@ void apply_remote_outcome(const RemoteOutcome& o,
 }  // namespace
 
 LaunchResult Runtime::execute(const TaskLauncher& launcher) {
-  ProfileScope issue_scope(prof_, ProfCategory::kIssue, Profiler::kNameIssue);
+  LogScope issue_scope(log_, ProfCategory::kIssue, obs::EventLog::kNameIssue);
   cells_.runtime_calls.inc();
   cells_.single_launches.inc();
   const uint64_t launch_id = next_launch_id_++;
@@ -464,13 +444,13 @@ bool Runtime::group_eligible(const IndexLauncher& launcher) {
 
 void Runtime::materialize_tree(uint32_t tree) {
   if (!group_.has_state(tree)) return;
-  ProfileScope scope(prof_, ProfCategory::kDependence, Profiler::kNameMaterialize);
+  LogScope scope(log_, ProfCategory::kDependence, obs::EventLog::kNameMaterialize);
   if (group_.materialize_into(tracker_, tree)) cells_.group_materializations.inc();
 }
 
 bool Runtime::history_certified_disjoint(uint32_t tree, const LaunchArgSummary& s,
                                          LazyFingerprint& fp) {
-  ProfileScope scope(prof_, ProfCategory::kSafety, Profiler::kNameSafetyCheck);
+  LogScope scope(log_, ProfCategory::kSafety, obs::EventLog::kNameSafetyCheck);
   uint64_t pair_tests = 0;
   const bool disjoint = interference_history_.certified_disjoint(
       tree, s, fp, interference_cache_, !config_.interference_import_only,
@@ -493,9 +473,9 @@ void Runtime::import_interference_bundle(const std::vector<std::byte>& bytes) {
 LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
   IDXL_REQUIRE(launcher.task < task_registry_.size(), "unknown task id");
   IDXL_REQUIRE(!launcher.domain.empty(), "index launch over an empty domain");
-  ProfileScope issue_scope(prof_, ProfCategory::kIssue,
-                           prof_ != nullptr ? task_prof_names_[launcher.task]
-                                            : Profiler::kNameIssue);
+  // The issue span is also the launch's kIssued record (at its start).
+  LogScope issue_scope(log_, ProfCategory::kIssue, task_log_names_[launcher.task],
+                       LifecycleEvent::kIssued);
 
   // Materialize every argument's subregion table before any expansion path
   // resolves points: region ids are assigned at first touch, and the paths
@@ -521,12 +501,7 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
       !launcher.trace_ctx.valid() || launcher.trace_ctx.launch == launch_id,
       "replicated launch id diverged from the descriptor's trace context");
   result.launch_id = launch_id;
-  if (rec_ != nullptr) {
-    obs::FlightEvent ev;
-    ev.kind = obs::LifecycleEvent::kIssued;
-    ev.launch = launch_id;
-    rec_->record(ev);
-  }
+  issue_scope.event().launch = launch_id;
 
   if (!config_.enable_index_launches) {
     // No-IDX mode: the launch group is issued as individual tasks. Safety
@@ -547,13 +522,10 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
   if (launcher.assume_verified) {
     cells_.assumed_verified.inc();
     result.safety.outcome = SafetyOutcome::kSafeUnchecked;
-    if (rec_ != nullptr) {
-      obs::FlightEvent ev;
-      ev.kind = obs::LifecycleEvent::kAnalyzed;
-      ev.launch = launch_id;
-      ev.detail = obs::LifecycleDetail::kAssumedVerified;
-      rec_->record(ev);
-    }
+    if (log_ != nullptr)
+      log_->record({.launch = launch_id,
+                    .kind = LifecycleEvent::kAnalyzed,
+                    .detail = obs::LifecycleDetail::kAssumedVerified});
   } else if (!replaying_) {
     // Hybrid safety analysis (§3/§4). When replaying a trace the launch was
     // already verified during capture.
@@ -574,7 +546,7 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
     AnalysisOptions options;
     options.enable_dynamic_checks = config_.enable_dynamic_checks;
     options.extended_static = config_.extended_static_analysis;
-    options.profiler = prof_;
+    options.log = log_;
     if (config_.enable_verdict_cache) options.verdict_cache = &verdict_cache_;
     auto pair_independent = [&](std::size_t i, std::size_t j) {
       return forest_->partitions_independent(launcher.args[i].parent,
@@ -583,10 +555,13 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
                                             launcher.args[j].partition);
     };
     {
-      ProfileScope safety_scope(prof_, ProfCategory::kSafety,
-                                Profiler::kNameSafetyCheck);
+      // The safety span is also the launch's kAnalyzed record (at its end).
+      LogScope safety_scope(log_, ProfCategory::kSafety, obs::EventLog::kNameSafetyCheck,
+                            LifecycleEvent::kAnalyzed);
+      safety_scope.event().launch = launch_id;
       result.safety = analyze_launch_safety(check_args, launcher.domain, options,
                                             pair_independent);
+      safety_scope.event().detail = detail_of(result.safety.outcome);
     }
     cells_.dynamic_check_points.inc(result.safety.dynamic_points);
     if (config_.enable_verdict_cache) {
@@ -594,13 +569,6 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
         cells_.cache_hit_launches.inc();
       else
         cells_.cache_miss_launches.inc();
-    }
-    if (rec_ != nullptr) {
-      obs::FlightEvent ev;
-      ev.kind = obs::LifecycleEvent::kAnalyzed;
-      ev.launch = launch_id;
-      ev.detail = detail_of(result.safety.outcome);
-      rec_->record(ev);
     }
 
     switch (result.safety.outcome) {
@@ -632,13 +600,10 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
       issue_point_task(launcher.task, p, launcher.domain, project_args(launcher, p),
                        launcher.scalar_args, launch_id, collect, rank++, policy);
     });
-    if (rec_ != nullptr) {
-      obs::FlightEvent ev;
-      ev.kind = obs::LifecycleEvent::kExpanded;
-      ev.launch = launch_id;
-      ev.detail = obs::LifecycleDetail::kReplay;
-      rec_->record(ev);
-    }
+    if (log_ != nullptr)
+      log_->record({.launch = launch_id,
+                    .kind = LifecycleEvent::kExpanded,
+                    .detail = obs::LifecycleDetail::kReplay});
     return result;
   }
 
@@ -649,21 +614,11 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
     cells_.group_launches.inc();
   } else if (config_.enable_group_analysis) {
     cells_.group_fallbacks.inc();
-    if (rec_ != nullptr) {
-      obs::FlightEvent ev;
-      ev.kind = obs::LifecycleEvent::kGroupFallback;
-      ev.launch = launch_id;
-      rec_->record(ev);
-    }
+    if (log_ != nullptr)
+      log_->record({.launch = launch_id, .kind = LifecycleEvent::kGroupFallback});
   }
   expand_index_launch(launcher, launch_id, collect, group_mode,
                       result.safety.outcome);
-  if (rec_ != nullptr) {
-    obs::FlightEvent ev;
-    ev.kind = obs::LifecycleEvent::kExpanded;
-    ev.launch = launch_id;
-    rec_->record(ev);
-  }
   return result;
 }
 
@@ -697,11 +652,11 @@ void Runtime::finalize_deps(const TaskNodePtr& node, std::vector<TaskNodePtr>& d
     graph_nodes_.emplace_back(node->seq, node->label);
     for (const TaskNodePtr& dep : deps) graph_edges_.emplace_back(dep->seq, node->seq);
   }
-  if (prof_ != nullptr) {
+  if (log_ != nullptr && log_->capturing()) {
     std::vector<uint64_t> dep_seqs;
     dep_seqs.reserve(deps.size());
     for (const TaskNodePtr& dep : deps) dep_seqs.push_back(dep->seq);
-    prof_->record_edges(node->seq, dep_seqs);
+    log_->record_edges(node->seq, dep_seqs);
   }
 }
 
@@ -709,8 +664,8 @@ void Runtime::capture_trace_step(TaskFnId fn, const Point& point,
                                  std::vector<uint32_t> ispaces,
                                  const std::vector<TaskNodePtr>& deps,
                                  const TaskNodePtr& node) {
-  ProfileScope capture_scope(prof_, ProfCategory::kTrace,
-                             Profiler::kNameTraceCapture, node->seq);
+  LogScope capture_scope(log_, ProfCategory::kTrace, obs::EventLog::kNameTraceCapture,
+                         LifecycleEvent::kSpan, node->seq);
   TraceStep step;
   step.fn = fn;
   step.point = point;
@@ -864,20 +819,22 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher,
     }
   }
 
-  ProfileScope dep_scope(prof_, ProfCategory::kDependence,
-                         group_mode ? Profiler::kNameGroupDependence
-                                    : Profiler::kNameDependence);
+  // The expansion span is also the launch's kExpanded record (at its end).
+  LogScope dep_scope(log_, ProfCategory::kDependence,
+                     group_mode ? obs::EventLog::kNameGroupDependence
+                                : obs::EventLog::kNameDependence,
+                     LifecycleEvent::kExpanded);
+  dep_scope.event().launch = launch_id;
 
-  const bool labeling = config_.record_task_graph || live_enabled_;
   const std::string& task_name = task_registry_[launcher.task].first;
-  const uint32_t prof_name = prof_ != nullptr ? task_prof_names_[launcher.task] : 0;
+  const uint32_t log_name = task_log_names_[launcher.task];
 
   // Per-point kIssued events share one timestamp (read here, on the issuing
   // thread) but are constructed and recorded inside the chunk jobs, from the
   // nodes the chunks already carry — the always-on recorder adds no
   // per-point work to the issue loop's critical path.
   constexpr std::size_t kChunk = 64;
-  const uint64_t issue_ts = rec_ != nullptr ? rec_->now_ns() : 0;
+  const uint64_t issue_ts = log_ != nullptr ? log_->now_ns() : 0;
 
   // Chunked deferred expansion: the issuing thread wires dependence edges
   // and holds a "closure guard" on each node's pending count; chunk jobs on
@@ -899,23 +856,21 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher,
     if (records.empty()) return;
     chunk_jobs.push_back([this, arena, issue_ts, recs = std::move(records),
                           cranks = std::move(records_cranks)]() mutable {
-      ProfileScope chunk_scope(prof_, ProfCategory::kIssue,
-                               Profiler::kNameExpandChunk);
-      if (rec_ != nullptr) {
+      LogScope chunk_scope(log_, ProfCategory::kIssue, obs::EventLog::kNameExpandChunk);
+      if (log_ != nullptr) {
         // One pre-stamped batch per chunk; ts-sorted snapshots still show
         // these kIssued events before the tasks' later lifecycle stages.
-        std::vector<obs::FlightEvent> issued;
+        std::vector<obs::Event> issued;
         issued.reserve(recs.size());
         for (const ChunkRecord& rec : recs) {
-          obs::FlightEvent ev;
-          ev.ts_ns = issue_ts;
-          ev.kind = obs::LifecycleEvent::kIssued;
-          ev.seq = rec.node->seq;
-          ev.launch = rec.node->launch;
+          obs::Event ev{.ts_ns = issue_ts,
+                        .seq = rec.node->seq,
+                        .launch = rec.node->launch,
+                        .kind = LifecycleEvent::kIssued};
           ev.set_point(rec.point.c.data(), rec.point.dim);
           issued.push_back(ev);
         }
-        rec_->record_batch(issued);
+        log_->record_batch(issued);
       }
       const std::size_t args = arena->n_args;
       for (std::size_t i = 0; i < recs.size(); ++i) {
@@ -964,7 +919,7 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher,
         // Release the closure guard; the node may become ready right here
         // when its dependence edges were already satisfied.
         if (rec.node->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          record_ready(*rec.node, obs::FlightEvent::kNone);
+          record_ready(*rec.node, obs::Event::kNone);
           make_ready(rec.node);
         }
       }
@@ -1004,12 +959,12 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher,
       auto node = std::make_shared<TaskNode>();
       node->seq = next_seq_++;
       node->launch = launch_id;
-      node->prof_name = prof_name;
+      node->log_name = log_name;
       node->point = p;
       node->max_retries = launcher.max_retries;
       node->backoff_ms = launcher.retry_backoff_ms;
       node->timeout_ms = launcher.timeout_ms;
-      if (labeling) node->label = task_name + "@" + p.to_string();
+      if (labeling()) node->label = task_name + "@" + p.to_string();
 
       deps.clear();
       for (std::size_t a = 0; a < n_args; ++a) {
@@ -1088,19 +1043,16 @@ void Runtime::issue_point_task(TaskFnId fn, const Point& point,
   node->seq = next_seq_++;
   node->launch = launch_id;
   node->internal = internal;
-  node->label = task_registry_[fn].first + "@" + point.to_string();
-  node->prof_name = prof_ != nullptr ? task_prof_names_[fn] : 0;
+  if (labeling()) node->label = task_registry_[fn].first + "@" + point.to_string();
+  node->log_name = task_log_names_[fn];
   node->point = point;
   node->max_retries = policy.retries;
   node->backoff_ms = policy.backoff_ms;
   node->timeout_ms = policy.timeout_ms;
-  if (rec_ != nullptr) {
-    obs::FlightEvent ev;
-    ev.kind = obs::LifecycleEvent::kIssued;
-    ev.seq = node->seq;
-    ev.launch = launch_id;
+  if (log_ != nullptr) {
+    obs::Event ev{.seq = node->seq, .launch = launch_id, .kind = LifecycleEvent::kIssued};
     ev.set_point(point.c.data(), point.dim);
-    rec_->record(ev);
+    log_->record(ev);
   }
 
   // Build the closure now; regions resolve to storage views at execution.
@@ -1153,8 +1105,8 @@ void Runtime::issue_point_task(TaskFnId fn, const Point& point,
   // --- dependence discovery: tracker scan, or trace replay ---
   std::vector<TaskNodePtr> deps;
   if (replaying_) {
-    ProfileScope replay_scope(prof_, ProfCategory::kTrace,
-                              Profiler::kNameTraceReplay, node->seq);
+    LogScope replay_scope(log_, ProfCategory::kTrace, obs::EventLog::kNameTraceReplay,
+                          LifecycleEvent::kSpan, node->seq);
     IDXL_REQUIRE(replay_cursor_ < active_trace_->steps.size(),
                  "trace replay issued more tasks than were captured");
     const TraceStep& step = active_trace_->steps[replay_cursor_];
@@ -1171,8 +1123,8 @@ void Runtime::issue_point_task(TaskFnId fn, const Point& point,
     trace_nodes_.push_back(node);
   } else {
     {
-      ProfileScope dep_scope(prof_, ProfCategory::kDependence,
-                             Profiler::kNameDependence, node->seq);
+      LogScope dep_scope(log_, ProfCategory::kDependence, obs::EventLog::kNameDependence,
+                         LifecycleEvent::kSpan, node->seq);
       for (const RegionArg& ra : args) {
         const RegionInfo& info = forest_->region(ra.region);
         // A per-point use makes any group summary of this tree stale: flush
@@ -1215,7 +1167,7 @@ void Runtime::issue_point_task(TaskFnId fn, const Point& point,
   schedule(node, deps);
   if (external &&
       node->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    record_ready(*node, obs::FlightEvent::kNone);
+    record_ready(*node, obs::Event::kNone);
     make_ready(node);
   }
 }
@@ -1272,19 +1224,17 @@ void Runtime::schedule(const TaskNodePtr& node, const std::vector<TaskNodePtr>& 
   }
   if (node->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Readied by the issuing thread itself — no completion edge to name.
-    record_ready(*node, obs::FlightEvent::kNone);
+    record_ready(*node, obs::Event::kNone);
     make_ready(node);
   }
 }
 
 std::function<void()> Runtime::node_job(TaskNodePtr node) {
   // `ready_ns` is taken here — the moment every dependence was satisfied —
-  // so the recorded queue wait is pure scheduler latency. The profiler and
-  // the flight recorder share one timebase, so a single pair of clock reads
-  // serves both.
-  const bool timed = prof_ != nullptr || rec_ != nullptr;
-  const uint64_t ready_ns = timed ? recorder_.now_ns() : 0;
-  return [this, node = std::move(node), ready_ns, timed] {
+  // so the recorded queue wait is pure scheduler latency.
+  obs::EventLog* log = log_;
+  const uint64_t ready_ns = log != nullptr ? log->now_ns() : 0;
+  return [this, node = std::move(node), ready_ns, log] {
     // --- external (remote-owned) node: apply the owner's outcome ---
     // The local fault gates and the injection plan deliberately do NOT run
     // here: the owner already made those decisions, and determinism across
@@ -1309,7 +1259,7 @@ std::function<void()> Runtime::node_job(TaskNodePtr node) {
       }
       node->work = nullptr;
       node->remote.reset();
-      fan_out(node, obs::FlightEvent::kNone);
+      fan_out(node, obs::Event::kNone);
       return;
     }
 
@@ -1347,7 +1297,7 @@ std::function<void()> Runtime::node_job(TaskNodePtr node) {
             },
             node->timeout_ms);
       }
-      const uint64_t start_ns = timed ? recorder_.now_ns() : 0;
+      const uint64_t start_ns = log != nullptr ? log->now_ns() : 0;
       try {
         FaultFrameScope frame(
             FaultFrame{&node->cancel_flag, &cancel_all_, node->attempt});
@@ -1367,22 +1317,18 @@ std::function<void()> Runtime::node_job(TaskNodePtr node) {
         msg = "unknown exception";
       }
       if (timer != 0) pool_->cancel_timer(timer);
-      if (fk == FaultKind::kNone && timed) {
-        const uint64_t end_ns = recorder_.now_ns();
-        if (prof_ != nullptr)
-          prof_->record(ProfCategory::kTask, node->prof_name, start_ns, end_ns,
-                        node->seq, start_ns - ready_ns, node->launch);
-        if (rec_ != nullptr) {
-          obs::FlightEvent run;
-          run.ts_ns = start_ns;
-          run.kind = obs::LifecycleEvent::kRunning;
-          run.seq = node->seq;
-          run.launch = node->launch;
-          obs::FlightEvent done = run;
-          done.ts_ns = end_ns;
-          done.kind = obs::LifecycleEvent::kComplete;
-          rec_->record2(run, done);
-        }
+      if (fk == FaultKind::kNone && log != nullptr) {
+        const uint64_t end_ns = log->now_ns();
+        // One record per executed body: the task span, which the lifecycle
+        // view reads as kRunning at its start and kComplete at its end.
+        log->record({.ts_ns = start_ns,
+                     .dur_ns = end_ns - start_ns,
+                     .seq = node->seq,
+                     .launch = node->launch,
+                     .queue_wait_ns = start_ns - ready_ns,
+                     .name = node->log_name,
+                     .kind = LifecycleEvent::kComplete,
+                     .cat = ProfCategory::kTask});
         cells_.task_duration.observe(end_ns - start_ns);
         cells_.queue_wait.observe(start_ns - ready_ns);
       }
@@ -1396,7 +1342,7 @@ std::function<void()> Runtime::node_job(TaskNodePtr node) {
         live_.erase(node->seq);
       }
       node->work = nullptr;  // release captured resources promptly
-      fan_out(node, obs::FlightEvent::kNone);
+      fan_out(node, obs::Event::kNone);
       return;
     }
 
@@ -1406,15 +1352,14 @@ std::function<void()> Runtime::node_job(TaskNodePtr node) {
     if (retryable && node->attempt < node->max_retries) {
       ++node->attempt;  // the executing worker owns this field
       cells_.retry_attempts.inc();
-      if (rec_ != nullptr) {
-        obs::FlightEvent ev;
-        ev.kind = obs::LifecycleEvent::kRetry;
-        ev.seq = node->seq;
-        ev.launch = node->launch;
-        ev.edge = node->attempt;  // attempt number about to run
-        ev.detail = detail_of(fk);
+      if (log_ != nullptr) {
+        obs::Event ev{.seq = node->seq,
+                      .launch = node->launch,
+                      .edge = node->attempt,  // attempt number about to run
+                      .kind = LifecycleEvent::kRetry,
+                      .detail = detail_of(fk)};
         ev.set_point(node->point.c.data(), node->point.dim);
-        rec_->record(ev);
+        log_->record(ev);
       }
       // Exponential backoff: backoff_ms, 2*backoff_ms, 4*backoff_ms, ...
       const uint64_t delay =
@@ -1463,17 +1408,16 @@ void Runtime::finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t roo
   else
     fault_cell(kind).inc();
 
-  if (rec_ != nullptr) {
-    obs::FlightEvent ev;
-    ev.kind = kind == FaultKind::kPoisoned    ? obs::LifecycleEvent::kPoisoned
-              : kind == FaultKind::kCancelled ? obs::LifecycleEvent::kCancelled
-                                              : obs::LifecycleEvent::kFailed;
-    ev.seq = node->seq;
-    ev.launch = node->launch;
-    ev.detail = detail_of(kind);
-    if (kind == FaultKind::kPoisoned) ev.edge = root;  // the culprit
+  if (log_ != nullptr) {
+    obs::Event ev{.seq = node->seq,
+                  .launch = node->launch,
+                  .edge = kind == FaultKind::kPoisoned ? root : obs::Event::kNone,
+                  .kind = kind == FaultKind::kPoisoned    ? LifecycleEvent::kPoisoned
+                          : kind == FaultKind::kCancelled ? LifecycleEvent::kCancelled
+                                                          : LifecycleEvent::kFailed,
+                  .detail = detail_of(kind)};
     ev.set_point(node->point.c.data(), node->point.dim);
-    rec_->record(ev);
+    log_->record(ev);
   }
 
   // A settled task is progress: terminal faults count toward the completed
@@ -1492,7 +1436,7 @@ void Runtime::fan_out(const TaskNodePtr& node, uint64_t poison) {
   // Fan out to every successor this completion readied, in one batch.
   std::vector<TaskNodePtr> ready;
   for (const TaskNodePtr& succ : node->complete()) {
-    if (poison != obs::FlightEvent::kNone) {
+    if (poison != obs::Event::kNone) {
       // Atomic-min CAS: a successor's poison root settles to the smallest
       // failed-ancestor seq. All marking happens before the successor's
       // pending count reaches zero, so the value is deterministic whatever
@@ -1505,22 +1449,19 @@ void Runtime::fan_out(const TaskNodePtr& node, uint64_t poison) {
     if (succ->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
       ready.push_back(succ);
   }
-  if (rec_ != nullptr && !ready.empty()) {
+  if (log_ != nullptr && !ready.empty()) {
     // This completion was the last unblocker of every task in `ready`:
     // the waits-for edge the stall report names is (succ <- node).
-    std::vector<obs::FlightEvent> events;
+    std::vector<obs::Event> events;
     events.reserve(ready.size());
-    const uint64_t ts = recorder_.now_ns();
-    for (const TaskNodePtr& succ : ready) {
-      obs::FlightEvent ev;
-      ev.ts_ns = ts;
-      ev.kind = obs::LifecycleEvent::kReady;
-      ev.seq = succ->seq;
-      ev.launch = succ->launch;
-      ev.edge = node->seq;
-      events.push_back(ev);
-    }
-    rec_->record_batch(events);
+    const uint64_t ts = log_->now_ns();
+    for (const TaskNodePtr& succ : ready)
+      events.push_back({.ts_ns = ts,
+                        .seq = succ->seq,
+                        .launch = succ->launch,
+                        .edge = node->seq,
+                        .kind = LifecycleEvent::kReady});
+    log_->record_batch(events);
   }
   if (ready.size() == 1) {
     make_ready(ready.front());
@@ -1541,12 +1482,10 @@ void Runtime::begin_trace(uint32_t trace_id) {
   group_.reset();
   interference_history_.clear();
   Trace& trace = traces_[trace_id];
-  if (rec_ != nullptr) {
-    obs::FlightEvent ev;
-    ev.kind = obs::LifecycleEvent::kTraceBegin;
-    if (trace.captured) ev.detail = obs::LifecycleDetail::kReplay;
-    rec_->record(ev);
-  }
+  if (log_ != nullptr)
+    log_->record({.kind = LifecycleEvent::kTraceBegin,
+                  .detail = trace.captured ? obs::LifecycleDetail::kReplay
+                                           : obs::LifecycleDetail::kNone});
   active_trace_ = &trace;
   replaying_ = trace.captured;
   replay_cursor_ = 0;
@@ -1587,11 +1526,7 @@ void Runtime::end_trace(uint32_t trace_id) {
   replaying_ = false;
   trace_nodes_.clear();
   trace_index_.clear();
-  if (rec_ != nullptr) {
-    obs::FlightEvent ev;
-    ev.kind = obs::LifecycleEvent::kTraceEnd;
-    rec_->record(ev);
-  }
+  if (log_ != nullptr) log_->record({.kind = LifecycleEvent::kTraceEnd});
   tracker_.reset();
   group_.reset();
   interference_history_.clear();
@@ -1654,12 +1589,11 @@ void Runtime::complete_external(uint64_t seq, RemoteOutcome outcome) {
   ext_cv_.notify_all();
 }
 
-std::vector<std::pair<uint64_t, std::string>> Runtime::pending_externals()
-    const {
-  std::vector<std::pair<uint64_t, std::string>> out;
+std::vector<uint64_t> Runtime::pending_externals() const {
+  std::vector<uint64_t> out;
   std::lock_guard<std::mutex> lock(ext_mu_);
   out.reserve(externals_.size());
-  for (const auto& [seq, node] : externals_) out.emplace_back(seq, node->label);
+  for (const auto& [seq, node] : externals_) out.push_back(seq);
   return out;
 }
 
@@ -1683,7 +1617,7 @@ void Runtime::abandon_externals(const std::string& why) {
 void Runtime::deliver_external(const TaskNodePtr& node, RemoteOutcome outcome) {
   node->remote = std::make_unique<RemoteOutcome>(std::move(outcome));
   if (node->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    record_ready(*node, obs::FlightEvent::kNone);
+    record_ready(*node, obs::Event::kNone);
     make_ready(node);
   }
 }
@@ -1706,7 +1640,9 @@ void Runtime::fill_bytes_region(RegionId r, FieldId f, const void* pattern,
 }
 
 void Runtime::wait_all() {
-  ProfileScope wait_scope(prof_, ProfCategory::kRuntime, Profiler::kNameWaitAll);
+  // The wait span is also the fence's kFence record (at its end).
+  LogScope wait_scope(log_, ProfCategory::kRuntime, obs::EventLog::kNameWaitAll,
+                      LifecycleEvent::kFence);
   // External nodes first: their pool jobs exist only once the owning process
   // delivers an outcome, so an idle pool does not imply quiescence. The recv
   // threads only ever *remove* entries (externals are registered by this —
@@ -1719,11 +1655,6 @@ void Runtime::wait_all() {
     pool_->wait_idle();
     std::lock_guard<std::mutex> lock(ext_mu_);
     if (externals_.empty()) break;
-  }
-  if (rec_ != nullptr) {
-    obs::FlightEvent ev;
-    ev.kind = obs::LifecycleEvent::kFence;
-    rec_->record(ev);
   }
   // First-responder dump: a quiesce that surfaces new failures writes the
   // stall-report bundle (waits-for graph is empty here, but the recorder
@@ -1753,8 +1684,7 @@ void Runtime::wait_all() {
 double Future::get(Runtime& rt) const {
   IDXL_REQUIRE(valid(), "get() on an empty Future");
   rt.wait_all();
-  ProfileScope reduce_scope(rt.prof_, ProfCategory::kReduce,
-                            Profiler::kNameFutureReduce);
+  LogScope reduce_scope(rt.log_, ProfCategory::kReduce, obs::EventLog::kNameFutureReduce);
   IDXL_ASSERT(!state_->values.empty());
   double acc = state_->values.front();
   for (std::size_t i = 1; i < state_->values.size(); ++i)

@@ -9,9 +9,8 @@
 
 #include "analysis/hybrid.hpp"
 #include "analysis/interference.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/watchdog.hpp"
 #include "runtime/api.hpp"
 #include "runtime/dependence.hpp"
@@ -43,9 +42,10 @@ struct RuntimeConfig {
   /// the Fig. 1-style task-graph inspector. Costs memory per task; off by
   /// default.
   bool record_task_graph = false;
-  /// Record per-event spans (issuance, dependence analysis, safety checks,
-  /// task execution, ...) into Runtime::profiler(). Off by default: the
-  /// disabled path costs one branch per instrumentation point.
+  /// Run the event log in capture mode: keep every record, with spans
+  /// (issuance, dependence analysis, safety checks, task execution, ...)
+  /// and dependence edges, for Runtime::profiler()'s span views. Off by
+  /// default: a pure span then costs one branch per instrumentation point.
   bool enable_profiling = false;
   /// Reuse safety verdicts across repeated launches of the same site (same
   /// functor fingerprints, domain, privileges): the common case in iterative
@@ -70,21 +70,23 @@ struct RuntimeConfig {
   /// skips. Distributed workers set this — the driver analyzes once and
   /// ships proofs, workers check instead of re-deriving (docs/ANALYSIS.md).
   bool interference_import_only = false;
-  /// Task-lifecycle flight recorder (obs/flight_recorder.hpp): per-worker
-  /// ring buffers of issued/analyzed/ready/running/complete events, the
-  /// always-on black box stall dumps read. Cheap (batched ring appends);
-  /// on by default. Env override: IDXL_FLIGHT_RECORDER=0/1.
+  /// Run the event log (obs/event_log.hpp) in bounded mode when not
+  /// profiling: per-thread rings of issued/analyzed/ready/running/complete
+  /// records, the always-on black box stall dumps read. Cheap (batched
+  /// appends); on by default. Env override: IDXL_FLIGHT_RECORDER=0/1.
   bool enable_flight_recorder = true;
-  /// Events retained per recording thread. Env: IDXL_FLIGHT_CAPACITY.
-  std::size_t flight_recorder_capacity = obs::FlightRecorder::kDefaultCapacity;
+  /// Records retained per recording thread in bounded mode.
+  /// Env: IDXL_FLIGHT_CAPACITY (1 to 2^32-1).
+  std::size_t flight_recorder_capacity = obs::EventLog::kDefaultCapacity;
   /// Stall watchdog: a monitor thread that dumps the waits-for graph,
-  /// flight-recorder tail and a metrics snapshot when tasks stay pending
+  /// lifecycle tail and a metrics snapshot when tasks stay pending
   /// with no completions for a whole stall window. Off by default (it adds
   /// a live-task table update per task). Env: IDXL_WATCHDOG=0/1.
   bool enable_watchdog = false;
-  /// Monitor sampling period. Env: IDXL_WATCHDOG_PERIOD_MS.
+  /// Monitor sampling period. Env: IDXL_WATCHDOG_PERIOD_MS (1 to 2^32-1).
   uint32_t watchdog_check_period_ms = 50;
-  /// No-progress window before a stall is declared. Env: IDXL_WATCHDOG_WINDOW_MS.
+  /// No-progress window before a stall is declared.
+  /// Env: IDXL_WATCHDOG_WINDOW_MS (1 to 2^32-1).
   uint32_t watchdog_stall_window_ms = 1000;
   /// Lifecycle events included in a stall dump.
   std::size_t watchdog_tail_events = 32;
@@ -183,9 +185,9 @@ class Runtime : public RuntimeApi {
   /// arrive. Idempotent; safe to call with no externals pending.
   void abandon_externals(const std::string& why);
 
-  /// Debug introspection: (seq, label) of every external node still waiting
-  /// for its remote outcome. Thread-safe snapshot.
-  std::vector<std::pair<uint64_t, std::string>> pending_externals() const;
+  /// Debug introspection: seq of every external node still waiting for its
+  /// remote outcome. Thread-safe snapshot.
+  std::vector<uint64_t> pending_externals() const;
 
   /// The launch id the next execute()/execute_index() will be assigned.
   /// Under control replication every rank issues the identical stream, so
@@ -230,18 +232,21 @@ class Runtime : public RuntimeApi {
   obs::MetricsRegistry& metrics() override { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// The task-lifecycle flight recorder (on by default; records nothing
-  /// when RuntimeConfig::enable_flight_recorder is false).
-  obs::FlightRecorder& flight_recorder() { return recorder_; }
-  const obs::FlightRecorder& flight_recorder() const { return recorder_; }
+  /// The runtime's one event log, under the name of each view family:
+  /// flight_recorder() for the lifecycle events (flight dump, watchdog
+  /// tail, counters), profiler() for the capture-mode spans (Chrome trace,
+  /// summary, critical path). Bounded and always on by default;
+  /// RuntimeConfig::enable_profiling switches it to capture mode.
+  obs::EventLog& flight_recorder() { return event_log_; }
+  const obs::EventLog& flight_recorder() const { return event_log_; }
+  obs::EventLog& profiler() { return event_log_; }
+  const obs::EventLog& profiler() const { return event_log_; }
 
-  /// Switch task-lifecycle recording on or off at run time (e.g. enable it
-  /// only around a suspect phase). Requires a quiescent runtime — call
-  /// after wait_all(); in-flight work reads the recorder unsynchronized.
-  /// Re-enabling requires the recorder to have been constructed enabled
-  /// (RuntimeConfig::enable_flight_recorder at build time).
-  void set_flight_recording(bool on) { rec_ = on ? &recorder_ : nullptr; }
-  bool flight_recording() const { return rec_ != nullptr; }
+  /// Switch event recording on or off at run time (e.g. enable it only
+  /// around a suspect phase). Requires a quiescent runtime — call after
+  /// wait_all(); in-flight work reads the switch unsynchronized. Recording
+  /// resumes only if the log was constructed enabled.
+  void set_flight_recording(bool on) { log_ = on ? &event_log_ : nullptr; }
 
   /// The stall watchdog, or nullptr unless RuntimeConfig::enable_watchdog
   /// (or IDXL_WATCHDOG=1) switched it on.
@@ -249,7 +254,7 @@ class Runtime : public RuntimeApi {
 
   /// Build a stall report on demand: the waits-for graph of issued-but-
   /// incomplete tasks (populated only while the watchdog is enabled), the
-  /// flight-recorder tail, and a metrics snapshot. The same dump the
+  /// event log's lifecycle tail, and a metrics snapshot. The same dump the
   /// watchdog emits, minus the progress-window fields.
   obs::StallReport stall_report() const;
 
@@ -278,12 +283,6 @@ class Runtime : public RuntimeApi {
   /// descriptors and rejects-and-erases forgeries. A malformed bundle is
   /// refused wholesale.
   void import_interference_bundle(const std::vector<std::byte>& bytes);
-
-  /// The observability subsystem: span events, Chrome-trace export,
-  /// critical-path analysis, summary reports. Always present; it records
-  /// nothing unless RuntimeConfig::enable_profiling was set.
-  Profiler& profiler() { return *profiler_; }
-  const Profiler& profiler() const { return *profiler_; }
 
   /// Graphviz DOT of every task issued so far and the dependence edges the
   /// analysis discovered (requires RuntimeConfig::record_task_graph).
@@ -376,14 +375,14 @@ class Runtime : public RuntimeApi {
                           const std::vector<TaskNodePtr>& deps,
                           const TaskNodePtr& node);
   /// Post-dependence bookkeeping shared by every issue path: dedupe (and
-  /// self-filter) `deps`, record graph/profiler edges, update stats.
+  /// self-filter) `deps`, record graph/event-log edges, update stats.
   void finalize_deps(const TaskNodePtr& node, std::vector<TaskNodePtr>& deps);
 
   /// Create the registry-backed stat cells and register the collector that
-  /// refreshes externally-owned gauges (trackers, cache, pool, recorder).
+  /// refreshes externally-owned gauges (trackers, caches, pool, event log).
   void init_metrics();
-  /// Flight-record a kReady lifecycle event for `node` (edge = predecessor
-  /// seq whose completion unblocked it last; kNone off the completion path).
+  /// Record a kReady lifecycle event for `node` (edge = predecessor seq
+  /// whose completion unblocked it last; kNone off the completion path).
   void record_ready(const TaskNode& node, uint64_t edge);
 
   void schedule(const TaskNodePtr& node, const std::vector<TaskNodePtr>& deps);
@@ -393,7 +392,7 @@ class Runtime : public RuntimeApi {
   std::function<void()> node_job(TaskNodePtr node);
 
   /// Settle `node` in a terminal fault state: record the TaskFault, emit
-  /// metrics + flight event, then complete the node so successors drain —
+  /// metrics + lifecycle event, then complete the node so successors drain —
   /// propagating `root` into their poison_root (atomic min) on the way.
   /// `attempts` is the number of body executions (0 when the body never ran).
   void finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t root,
@@ -404,8 +403,8 @@ class Runtime : public RuntimeApi {
   void fan_out(const TaskNodePtr& node, uint64_t poison);
   obs::Counter& fault_cell(FaultKind kind);
 
-  /// Registry-backed counter/gauge/histogram handles for every runtime
-  /// stat — the write side of stats(). Updates are relaxed atomic adds.
+  /// Registry-backed counter/histogram handles for every runtime stat —
+  /// the write side of stats(). Updates are relaxed atomic adds.
   struct StatsCells {
     obs::Counter runtime_calls, single_launches, index_launches, point_tasks,
         tasks_completed, dependence_edges, safe_static, safe_dynamic,
@@ -418,14 +417,22 @@ class Runtime : public RuntimeApi {
         retry_succeeded;
     obs::Histogram task_duration, queue_wait;
   };
+  /// One runtime series: its registry name, labels and help, and the
+  /// RuntimeStats field it projects into. Defined with the table in
+  /// runtime.cpp (stat_rows()), which init_metrics() and stats() share.
+  struct StatRow;
+  static std::span<const StatRow> stat_rows();
 
   /// One issued-but-incomplete task, for the watchdog's waits-for graph.
   /// Maintained only while the watchdog is enabled.
   struct LiveTask {
     std::string label;
-    uint64_t launch = obs::FlightEvent::kNone;
+    uint64_t launch = obs::Event::kNone;
     std::vector<uint64_t> deps;
   };
+
+  /// Format node labels? Only the task graph and the watchdog read them.
+  bool labeling() const { return config_.record_task_graph || live_enabled_; }
 
   /// Register `node` as external (remote-owned): mark it, add the remote
   /// guard to its pending count, and either adopt a buffered early outcome
@@ -448,14 +455,11 @@ class Runtime : public RuntimeApi {
   /// verdicts are properties of launch shapes, not of runtime state).
   InterferenceHistory interference_history_;
   // Observability members outlive the pool (declared first): workers
-  // record spans, lifecycle events and counters until the pool's
-  // destructor joins them.
+  // record events and counters until the pool's destructor joins them.
   obs::MetricsRegistry metrics_;
   StatsCells cells_;
-  std::unique_ptr<Profiler> profiler_;
-  Profiler* prof_ = nullptr;  ///< == profiler_.get() iff profiling is enabled
-  obs::FlightRecorder recorder_;
-  obs::FlightRecorder* rec_ = nullptr;  ///< == &recorder_ iff recording is on
+  obs::EventLog event_log_;
+  obs::EventLog* log_ = nullptr;  ///< == &event_log_ while recording is on
   std::unique_ptr<ThreadPool> pool_;
   // The watchdog thread reads members above; declared after the pool so it
   // is stopped/destroyed first (and explicitly stopped in ~Runtime).
@@ -464,7 +468,7 @@ class Runtime : public RuntimeApi {
   mutable std::mutex live_mu_;
   std::unordered_map<uint64_t, LiveTask> live_;
   std::vector<std::pair<std::string, TaskFn>> task_registry_;
-  std::vector<uint32_t> task_prof_names_;  ///< interned name per TaskFnId
+  std::vector<uint32_t> task_log_names_;  ///< interned span name per TaskFnId
   uint64_t next_seq_ = 0;
   uint64_t next_launch_id_ = 0;
   TaskFnId fill_task_ = UINT32_MAX;

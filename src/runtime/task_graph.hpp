@@ -52,10 +52,12 @@ struct RemoteOutcome {
 struct TaskNode {
   uint64_t seq = 0;            ///< global program-order sequence number
   /// Id of the launch this task expanded from — the cross-link key shared
-  /// by the flight recorder and the Chrome-trace export.
+  /// by the event log's lifecycle and span views.
   uint64_t launch = UINT64_MAX;
-  std::string label;           ///< "taskname@(point)" for diagnostics
-  uint32_t prof_name = 0;      ///< interned task name for profiling events
+  /// "taskname@(point)", formatted only when the task graph or the
+  /// watchdog will read it.
+  std::string label;
+  uint32_t log_name = 0;       ///< interned task name for event-log spans
   std::function<void()> work;
 
   /// Pending predecessor count plus one "issue guard" held while edges are

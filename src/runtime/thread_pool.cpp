@@ -2,7 +2,7 @@
 
 #include <iterator>
 
-#include "obs/profiler.hpp"
+#include "obs/event_log.hpp"
 #include "support/error.hpp"
 
 namespace idxl {
@@ -174,7 +174,7 @@ std::size_t ThreadPool::executing() const {
 }
 
 void ThreadPool::worker_loop(int worker_id) {
-  prof_set_current_worker(worker_id);
+  obs::set_current_worker(worker_id);
   for (;;) {
     std::function<void()> fn;
     {

@@ -16,7 +16,7 @@ namespace idxl {
 /// pool only ever sees *ready* tasks).
 class ThreadPool {
  public:
-  /// Workers report ids 0..workers-1 through prof_current_worker().
+  /// Workers tag their event-log lanes with ids 0..workers-1.
   explicit ThreadPool(unsigned workers);
   ~ThreadPool();
 

@@ -40,10 +40,11 @@ ServiceRuntime::ServiceRuntime(std::unique_ptr<RuntimeApi> backend,
                                ServiceConfig config)
     : config_(config),
       backend_(std::move(backend)),
-      recorder_(config.enable_flight_recorder, config.flight_recorder_capacity) {
+      log_(config.enable_flight_recorder ? obs::LogMode::kBounded : obs::LogMode::kOff,
+           config.flight_recorder_capacity) {
   IDXL_REQUIRE(backend_ != nullptr, "ServiceRuntime needs a backend");
   net_obs_.metrics = &metrics_;
-  net_obs_.recorder = config_.enable_flight_recorder ? &recorder_ : nullptr;
+  net_obs_.log = &log_;
   net_obs_.type_name = msg_name;
 
   sessions_opened_ = metrics_.counter("idxl_service_sessions_total",
@@ -387,12 +388,7 @@ void ServiceRuntime::resume_scheduler() {
 
 void ServiceRuntime::record_session_event(obs::LifecycleEvent ev, uint64_t sid,
                                           uint64_t edge) {
-  if (!config_.enable_flight_recorder) return;
-  obs::FlightEvent e;
-  e.kind = ev;
-  e.seq = sid;
-  e.edge = edge;
-  recorder_.record(e);
+  log_.record({.seq = sid, .edge = edge, .kind = ev});
 }
 
 // --- scheduler ----------------------------------------------------------

@@ -12,7 +12,7 @@
 
 #include "net/connection.hpp"
 #include "net/socket.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/api.hpp"
 #include "service/fair_share.hpp"
@@ -44,7 +44,7 @@ struct ServiceConfig {
   /// load, not by this constant.
   uint32_t epoch_max_unretired = 256;
   bool enable_flight_recorder = true;
-  std::size_t flight_recorder_capacity = obs::FlightRecorder::kDefaultCapacity;
+  std::size_t flight_recorder_capacity = obs::EventLog::kDefaultCapacity;
 };
 
 /// Long-lived multi-tenant front end over any RuntimeApi backend: accepts
@@ -106,7 +106,8 @@ class ServiceRuntime {
   /// quota trips, session lifecycle. Backend metrics live in
   /// backend().metrics() — distinct registries, no collisions.
   obs::MetricsRegistry& metrics() { return metrics_; }
-  obs::FlightRecorder& flight_recorder() { return recorder_; }
+  /// The service's bounded event log: session, admission and frame events.
+  obs::EventLog& flight_recorder() { return log_; }
   RuntimeApi& backend() { return *backend_; }
 
   /// Deterministic test gate: a paused scheduler admits and enqueues but
@@ -187,7 +188,7 @@ class ServiceRuntime {
   void finish_eviction(uint64_t sid, const std::string& reason, bool notify);
   void close_session_locked(const std::shared_ptr<Session>& s);
   void record_session_event(obs::LifecycleEvent ev, uint64_t sid,
-                            uint64_t edge = obs::FlightEvent::kNone);
+                            uint64_t edge = obs::Event::kNone);
   void reap_conns();
 
   Err translate_index(Session& s, IndexLauncher& l, std::string* why);
@@ -200,7 +201,7 @@ class ServiceRuntime {
   ServiceConfig config_;
   std::unique_ptr<RuntimeApi> backend_;
   obs::MetricsRegistry metrics_;
-  obs::FlightRecorder recorder_;
+  obs::EventLog log_;
   net::NetObs net_obs_;
 
   std::vector<TaskFnId> task_ids_;  ///< wire task index -> backend TaskFnId

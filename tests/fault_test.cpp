@@ -35,9 +35,9 @@ struct Fixture {
   }
 };
 
-bool has_event(const std::vector<obs::FlightEvent>& events,
+bool has_event(const std::vector<obs::Event>& events,
                obs::LifecycleEvent kind) {
-  for (const obs::FlightEvent& e : events)
+  for (const obs::Event& e : events)
     if (e.kind == kind) return true;
   return false;
 }
@@ -499,10 +499,10 @@ TEST(FaultTest, FaultsEmitMetricsAndFlightRecorderEvents) {
   EXPECT_EQ(snap.value("idxl_fault_poisoned_total"), 1u);
   EXPECT_EQ(snap.value("idxl_fault_injections_total"), 1u);
 
-  const std::vector<obs::FlightEvent> events = fx.rt.flight_recorder().snapshot();
+  const std::vector<obs::Event> events = fx.rt.flight_recorder().snapshot();
   EXPECT_TRUE(has_event(events, obs::LifecycleEvent::kFailed));
   EXPECT_TRUE(has_event(events, obs::LifecycleEvent::kPoisoned));
-  for (const obs::FlightEvent& e : events) {
+  for (const obs::Event& e : events) {
     if (e.kind == obs::LifecycleEvent::kFailed) {
       EXPECT_EQ(e.detail, obs::LifecycleDetail::kInjected);
     }
@@ -526,9 +526,9 @@ TEST(FaultTest, RetriesEmitMetricsAndFlightRecorderEvents) {
   const obs::MetricsSnapshot snap = fx.rt.metrics().snapshot();
   EXPECT_EQ(snap.value("idxl_retry_attempts_total"), 1u);
   EXPECT_EQ(snap.value("idxl_retry_succeeded_total"), 1u);
-  const std::vector<obs::FlightEvent> events = fx.rt.flight_recorder().snapshot();
+  const std::vector<obs::Event> events = fx.rt.flight_recorder().snapshot();
   bool saw_retry = false;
-  for (const obs::FlightEvent& e : events)
+  for (const obs::Event& e : events)
     if (e.kind == obs::LifecycleEvent::kRetry) {
       saw_retry = true;
       EXPECT_EQ(e.edge, 1u);  // the attempt number about to run

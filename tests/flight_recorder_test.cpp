@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/event_log.hpp"
 #include "obs/watchdog.hpp"
 #include "region/partition_ops.hpp"
 #include "runtime/mapping.hpp"
@@ -21,10 +21,11 @@
 namespace idxl {
 namespace {
 
-using obs::FlightEvent;
-using obs::FlightRecorder;
+using obs::EventLog;
 using obs::LifecycleDetail;
 using obs::LifecycleEvent;
+using obs::LogMode;
+using FlightEvent = obs::Event;
 using testjson::JsonParser;
 using testjson::JValue;
 
@@ -37,7 +38,7 @@ FlightEvent ev(LifecycleEvent kind, uint64_t ts, uint64_t seq = FlightEvent::kNo
 }
 
 TEST(FlightRecorderTest, RecordsEventsOldestFirst) {
-  FlightRecorder rec(true, 8);
+  EventLog rec(LogMode::kBounded, 8);
   rec.record(ev(LifecycleEvent::kIssued, 10, 1));
   rec.record(ev(LifecycleEvent::kRunning, 20, 1));
   rec.record(ev(LifecycleEvent::kComplete, 30, 1));
@@ -52,7 +53,7 @@ TEST(FlightRecorderTest, RecordsEventsOldestFirst) {
 }
 
 TEST(FlightRecorderTest, RingWrapsAroundKeepingTheNewest) {
-  FlightRecorder rec(true, 4);
+  EventLog rec(LogMode::kBounded, 4);
   for (uint64_t i = 0; i < 10; ++i)
     rec.record(ev(LifecycleEvent::kIssued, i + 1, i));
 
@@ -65,12 +66,11 @@ TEST(FlightRecorderTest, RingWrapsAroundKeepingTheNewest) {
 }
 
 TEST(FlightRecorderTest, DisabledRecorderRecordsNothing) {
-  FlightRecorder rec(false, 8);
+  EventLog rec(LogMode::kOff, 8);
   EXPECT_FALSE(rec.enabled());
   rec.record(ev(LifecycleEvent::kIssued, 1, 0));
   const FlightEvent pair[2] = {ev(LifecycleEvent::kRunning, 2, 0),
                                ev(LifecycleEvent::kComplete, 3, 0)};
-  rec.record2(pair[0], pair[1]);
   rec.record_batch(pair);
   EXPECT_TRUE(rec.snapshot().empty());
   EXPECT_EQ(rec.recorded(), 0u);
@@ -80,7 +80,7 @@ TEST(FlightRecorderTest, DisabledRecorderRecordsNothing) {
 TEST(FlightRecorderTest, PerWorkerRingsPreserveEachThreadsOrder) {
   constexpr int kThreads = 4;
   constexpr uint64_t kEvents = 200;
-  FlightRecorder rec(true, kEvents);
+  EventLog rec(LogMode::kBounded, kEvents);
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -109,22 +109,32 @@ TEST(FlightRecorderTest, PerWorkerRingsPreserveEachThreadsOrder) {
   }
 }
 
-TEST(FlightRecorderTest, Record2SharesOneTimestamp) {
-  FlightRecorder rec(true, 8);
-  FlightEvent a = ev(LifecycleEvent::kRunning, 0, 7);
-  FlightEvent b = ev(LifecycleEvent::kComplete, 0, 7);
-  rec.record2(a, b);
+TEST(FlightRecorderTest, TaskSpanReadsAsRunningThenComplete) {
+  EventLog rec(LogMode::kBounded, 8);
+  // One record per executed body: the task span.
+  rec.record({.ts_ns = 100,
+              .dur_ns = 25,
+              .seq = 7,
+              .launch = 3,
+              .name = EventLog::kNameIssue,
+              .kind = LifecycleEvent::kComplete,
+              .cat = ProfCategory::kTask});
 
   const std::vector<FlightEvent> snap = rec.snapshot();
   ASSERT_EQ(snap.size(), 2u);
-  // b's unset timestamp inherits a's: one clock read for the pair.
-  EXPECT_EQ(snap[0].ts_ns, snap[1].ts_ns);
   EXPECT_EQ(snap[0].kind, LifecycleEvent::kRunning);
+  EXPECT_EQ(snap[0].ts_ns, 100u);
   EXPECT_EQ(snap[1].kind, LifecycleEvent::kComplete);
+  EXPECT_EQ(snap[1].ts_ns, 125u);
+  for (const FlightEvent& e : snap) {
+    EXPECT_EQ(e.seq, 7u);
+    EXPECT_EQ(e.launch, 3u);
+  }
+  EXPECT_EQ(rec.recorded(), 2u);  // lifecycle events, not records
 }
 
 TEST(FlightRecorderTest, RecordBatchAppendsPreStampedEvents) {
-  FlightRecorder rec(true, 8);
+  EventLog rec(LogMode::kBounded, 8);
   std::vector<FlightEvent> batch;
   for (uint64_t i = 0; i < 5; ++i)
     batch.push_back(ev(LifecycleEvent::kIssued, 100 + i, i));
@@ -139,7 +149,7 @@ TEST(FlightRecorderTest, RecordBatchAppendsPreStampedEvents) {
 }
 
 TEST(FlightRecorderTest, TailReturnsTheMostRecentEventsOldestFirst) {
-  FlightRecorder rec(true, 16);
+  EventLog rec(LogMode::kBounded, 16);
   for (uint64_t i = 0; i < 10; ++i)
     rec.record(ev(LifecycleEvent::kIssued, i + 1, i));
 
@@ -152,15 +162,18 @@ TEST(FlightRecorderTest, TailReturnsTheMostRecentEventsOldestFirst) {
 }
 
 TEST(FlightRecorderTest, ResetDropsAllEvents) {
-  FlightRecorder rec(true, 8);
+  EventLog rec(LogMode::kBounded, 8);
   rec.record(ev(LifecycleEvent::kIssued, 1, 0));
   rec.reset();
   EXPECT_TRUE(rec.snapshot().empty());
-  EXPECT_EQ(rec.recorded(), 0u);
+  EXPECT_EQ(rec.recorded(), 1u);  // monotone: a reset drops events, not counts
+  rec.record(ev(LifecycleEvent::kIssued, 2, 1));
+  ASSERT_EQ(rec.snapshot().size(), 1u);
+  EXPECT_EQ(rec.snapshot()[0].seq, 1u);
 }
 
 TEST(FlightRecorderTest, JsonIsWellFormedAndCarriesEveryField) {
-  FlightRecorder rec(true, 8);
+  EventLog rec(LogMode::kBounded, 8);
   FlightEvent e = ev(LifecycleEvent::kReady, 42, 3);
   e.launch = 9;
   e.edge = 2;
@@ -355,6 +368,42 @@ TEST(FlightRecorderTest, EnvOverridesDisableRecorderAndSizeRing) {
   ::unsetenv("IDXL_FLIGHT_CAPACITY");
 }
 
+TEST(FlightRecorderTest, MalformedEnvOverridesAreRejected) {
+  // A sign, trailing text, zero or overflow used to wrap (-1 -> 2^64-1, so
+  // the first record threw from vector::reserve) or read silently as 0.
+  const std::pair<const char*, const char*> cases[] = {
+      {"IDXL_FLIGHT_CAPACITY", "-1"},        {"IDXL_FLIGHT_CAPACITY", "abc"},
+      {"IDXL_FLIGHT_CAPACITY", "0"},         {"IDXL_FLIGHT_CAPACITY", "12x"},
+      {"IDXL_FLIGHT_CAPACITY", "4294967296"}, {"IDXL_WATCHDOG_PERIOD_MS", "-1"},
+      {"IDXL_WATCHDOG_PERIOD_MS", "abc"},    {"IDXL_WATCHDOG_WINDOW_MS", "-1"},
+      {"IDXL_WATCHDOG_WINDOW_MS", "0"},
+  };
+  for (const auto& [var, value] : cases) {
+    ::setenv(var, value, 1);
+    try {
+      Runtime rt;
+      ADD_FAILURE() << var << "=" << value << " was accepted";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+    }
+    ::unsetenv(var);
+  }
+
+  // The largest accepted capacity costs nothing up front: lanes grow to it
+  // as records arrive, so no accepted value can make recording throw.
+  ::setenv("IDXL_FLIGHT_CAPACITY", "4294967295", 1);
+  {
+    Fixture fx(8, 1);
+    EXPECT_EQ(fx.rt.flight_recorder().capacity(), 4294967295u);
+    const TaskFnId noop = fx.rt.register_task("noop", [](TaskContext&) {});
+    fx.rt.execute(TaskLauncher::for_task(noop).region(fx.region, {fx.fv},
+                                                      Privilege::kWrite));
+    fx.rt.wait_all();
+    EXPECT_GT(fx.rt.flight_recorder().recorded(), 0u);
+  }
+  ::unsetenv("IDXL_FLIGHT_CAPACITY");
+}
+
 // ---------------------------------------------------------------------------
 // Stall watchdog: wedge a task and check the report names the blocked task,
 // the waits-for edge, and the recent lifecycle events.
@@ -458,6 +507,146 @@ TEST(FlightRecorderTest, WatchdogStaysQuietWhenWorkCompletes) {
     fx.rt.wait_all();
   }
   EXPECT_EQ(fx.rt.watchdog()->stalls_detected(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The one event log: spans and lifecycle events are views of one record
+// stream, bounded or captured.
+// ---------------------------------------------------------------------------
+
+TEST(EventLogTest, CapturedTaskRecordIsOneSpanAndOneRunningCompletePair) {
+  RuntimeConfig cfg;
+  cfg.enable_profiling = true;
+  cfg.workers = 2;
+  Fixture fx(32, 8, cfg);
+  const TaskFnId fill = fx.rt.register_task("fill", [](TaskContext& ctx) {
+    auto acc = ctx.region(0).accessor<double>(0);
+    ctx.region(0).domain().for_each([&](const Point& p) { acc.write(p, 1.0); });
+  });
+  for (int rep = 0; rep < 2; ++rep)
+    fx.rt.execute_index(IndexLauncher::over(Domain::line(8))
+                            .with_task(fill)
+                            .region(fx.region, fx.blocks,
+                                    ProjectionFunctor::identity(1), {fx.fv},
+                                    Privilege::kReadWrite));
+  fx.rt.execute(TaskLauncher::for_task(fill).region(fx.region, {fx.fv},
+                                                    Privilege::kReadWrite));
+  fx.rt.wait_all();
+  const uint64_t executed = fx.rt.stats().tasks_completed;
+  ASSERT_EQ(executed, 17u);
+
+  // Chrome view: exactly one task span per executed body.
+  JValue trace;
+  ASSERT_TRUE(JsonParser(fx.rt.profiler().chrome_trace_json()).parse(trace));
+  struct Span {
+    double ts_us = 0, dur_us = 0;
+    uint64_t launch = 0;
+  };
+  std::map<uint64_t, Span> spans;
+  for (const JValue& e : trace.get("traceEvents")->array) {
+    if (e.get("ph")->string != "X" || e.get("cat")->string != "task") continue;
+    const JValue* args = e.get("args");
+    const auto seq = static_cast<uint64_t>(args->get("seq")->number);
+    EXPECT_EQ(spans.count(seq), 0u) << "two task spans for seq " << seq;
+    spans[seq] = {e.get("ts")->number, e.get("dur")->number,
+                  static_cast<uint64_t>(args->get("launch")->number)};
+  }
+  ASSERT_EQ(spans.size(), executed);
+
+  // Flight view: the same record read as running at the span's start and
+  // complete at its end, with the same (launch, seq).
+  JValue flight;
+  ASSERT_TRUE(JsonParser(fx.rt.flight_recorder().json()).parse(flight));
+  std::map<uint64_t, int> running, complete;
+  for (const JValue& e : flight.array) {
+    const std::string& kind = e.get("event")->string;
+    if (kind != "running" && kind != "complete") continue;
+    const auto seq = static_cast<uint64_t>(e.get("seq")->number);
+    ASSERT_EQ(spans.count(seq), 1u) << kind << " for a seq with no task span";
+    const Span& sp = spans[seq];
+    EXPECT_EQ(static_cast<uint64_t>(e.get("launch")->number), sp.launch);
+    const double ts_us = e.get("ts_ns")->number / 1e3;
+    // Chrome timestamps are printed to the nanosecond (%.3f us).
+    EXPECT_NEAR(ts_us, kind == "running" ? sp.ts_us : sp.ts_us + sp.dur_us, 0.002) << kind;
+    ++(kind == "running" ? running : complete)[seq];
+  }
+  for (const auto& [seq, sp] : spans) {
+    EXPECT_EQ(running[seq], 1) << "seq " << seq;
+    EXPECT_EQ(complete[seq], 1) << "seq " << seq;
+  }
+}
+
+TEST(EventLogTest, BoundedLanesHoldAtMostCapacityWhileCaptureKeepsAll) {
+  constexpr std::size_t kCap = 16;
+  constexpr uint64_t kPerThread = 5 * kCap;
+  constexpr int kThreads = 3;
+  for (const LogMode mode : {LogMode::kBounded, LogMode::kCapture}) {
+    EventLog log(mode, kCap);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&log, t] {
+        for (uint64_t i = 0; i < kPerThread; ++i) {
+          FlightEvent e = ev(LifecycleEvent::kIssued, i + 1, i);
+          e.launch = static_cast<uint64_t>(t);  // tag the recording lane
+          log.record(e);
+        }
+      });
+    for (std::thread& t : threads) t.join();
+
+    const bool bounded = mode == LogMode::kBounded;
+    const uint64_t kept = bounded ? kCap : kPerThread;
+    std::map<uint64_t, uint64_t> per_lane;
+    for (const FlightEvent& e : log.snapshot()) {
+      ++per_lane[e.launch];
+      EXPECT_GE(e.seq, kPerThread - kept) << "a lane kept an overwritten record";
+    }
+    ASSERT_EQ(per_lane.size(), static_cast<std::size_t>(kThreads));
+    for (const auto& [lane, n] : per_lane) EXPECT_EQ(n, kept) << "lane " << lane;
+    EXPECT_EQ(log.recorded(), kThreads * kPerThread);
+    EXPECT_EQ(log.overwritten(), kThreads * (kPerThread - kept));
+  }
+}
+
+TEST(EventLogTest, TailIsSafeWhileWorkersRecordCaptureSpans) {
+  RuntimeConfig cfg;
+  cfg.enable_profiling = true;
+  cfg.workers = 3;
+  Fixture fx(64, 16, cfg);
+  const TaskFnId touch = fx.rt.register_task("touch", [](TaskContext& ctx) {
+    auto acc = ctx.region(0).accessor<double>(0);
+    ctx.region(0).domain().for_each([&](const Point& p) { acc.write(p, acc.read(p) + 1); });
+  });
+
+  // The watchdog's read: tail() mid-run, from another thread.
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<bool> unsorted{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const std::vector<FlightEvent> tail = fx.rt.flight_recorder().tail(32);
+      for (std::size_t i = 1; i < tail.size(); ++i)
+        if (tail[i].ts_ns < tail[i - 1].ts_ns) unsorted.store(true);
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  constexpr int kLaunches = 40;
+  for (int i = 0; i < kLaunches; ++i)
+    fx.rt.execute_index(IndexLauncher::over(Domain::line(16))
+                            .with_task(touch)
+                            .region(fx.region, fx.blocks,
+                                    ProjectionFunctor::identity(1), {fx.fv},
+                                    Privilege::kReadWrite));
+  fx.rt.wait_all();
+  while (reads.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_FALSE(unsorted.load());
+  EXPECT_EQ(fx.rt.flight_recorder().tail(32).size(), 32u);
+  uint64_t task_spans = 0;
+  for (const ProfileEvent& e : fx.rt.profiler().events())
+    task_spans += e.cat == ProfCategory::kTask ? 1 : 0;
+  EXPECT_EQ(task_spans, kLaunches * 16u);
 }
 
 }  // namespace

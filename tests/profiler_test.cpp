@@ -7,7 +7,7 @@
 #include <sstream>
 #include <thread>
 
-#include "obs/profiler.hpp"
+#include "obs/event_log.hpp"
 #include "region/partition_ops.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/serialize.hpp"
@@ -16,6 +16,9 @@
 namespace idxl {
 namespace {
 
+using obs::EventLog;
+using obs::LogMode;
+using Scope = EventLog::Scope;
 using testjson::JsonParser;
 using testjson::JValue;
 
@@ -46,14 +49,14 @@ struct Fixture {
 // ---------- profiler core ----------
 
 TEST(ProfilerTest, SpanNestingIsContained) {
-  Profiler prof(/*enabled=*/true);
+  EventLog prof(LogMode::kCapture);
   const uint32_t outer_name = prof.intern("outer");
   const uint32_t inner_name = prof.intern("inner");
   {
-    ProfileScope outer(&prof, ProfCategory::kPhase, outer_name);
+    Scope outer(&prof, ProfCategory::kPhase, outer_name);
     spin_for(std::chrono::microseconds(200));
     {
-      ProfileScope inner(&prof, ProfCategory::kPhase, inner_name);
+      Scope inner(&prof, ProfCategory::kPhase, inner_name);
       spin_for(std::chrono::microseconds(200));
     }
     spin_for(std::chrono::microseconds(200));
@@ -79,10 +82,10 @@ TEST(ProfilerTest, SpanNestingIsContained) {
 }
 
 TEST(ProfilerTest, ScopeCloseEndsSpanEarlyAndOnlyOnce) {
-  Profiler prof(/*enabled=*/true);
+  EventLog prof(LogMode::kCapture);
   const uint32_t name = prof.intern("early");
   {
-    ProfileScope s(&prof, ProfCategory::kPhase, name);
+    Scope s(&prof, ProfCategory::kPhase, name);
     s.close();
     spin_for(std::chrono::microseconds(500));
     s.close();  // second close is a no-op
@@ -94,21 +97,31 @@ TEST(ProfilerTest, ScopeCloseEndsSpanEarlyAndOnlyOnce) {
 }
 
 TEST(ProfilerTest, DisabledProfilerRecordsNothing) {
-  Profiler prof(/*enabled=*/false);
-  {
-    ProfileScope s(&prof, ProfCategory::kPhase, 0);
-    ProfileScope p = prof.phase("setup");
+  // Off records nothing; bounded keeps lifecycle records but no span view.
+  for (const LogMode mode : {LogMode::kOff, LogMode::kBounded}) {
+    EventLog prof(mode);
+    {
+      Scope s(&prof, ProfCategory::kPhase, 0);
+      Scope p = prof.phase("setup");
+    }
+    prof.record({.ts_ns = 1,
+                 .dur_ns = 99,
+                 .seq = 1,
+                 .name = 0,
+                 .kind = obs::LifecycleEvent::kComplete,
+                 .cat = ProfCategory::kTask});
+    const uint64_t deps[] = {0};
+    prof.record_edges(1, deps);
+    EXPECT_EQ(prof.event_count(), 0u);
+    EXPECT_TRUE(prof.events().empty());
+    EXPECT_TRUE(prof.task_samples().empty());
+    EXPECT_EQ(prof.snapshot().size(), mode == LogMode::kOff ? 0u : 2u);
   }
-  prof.record(ProfCategory::kTask, 0, 0, 100, 1);
-  const uint64_t deps[] = {0};
-  prof.record_edges(1, deps);
-  EXPECT_EQ(prof.event_count(), 0u);
-  EXPECT_TRUE(prof.task_samples().empty());
 }
 
 TEST(ProfilerTest, RuntimeWithProfilingDisabledStaysEmpty) {
   Fixture fx(32, 4);  // default config: enable_profiling = false
-  ASSERT_FALSE(fx.rt.profiler().enabled());
+  ASSERT_FALSE(fx.rt.profiler().capturing());
   const TaskFnId noop = fx.rt.register_task("noop", [](TaskContext&) {});
   fx.rt.execute_index(IndexLauncher::over(Domain::line(4))
                           .with_task(noop)
@@ -285,12 +298,12 @@ TEST(ProfilerTest, TaskEventsCarryWorkerAndQueueWait) {
 }
 
 TEST(ProfilerTest, ResetDropsEvents) {
-  Profiler prof(/*enabled=*/true);
-  { ProfileScope s = prof.phase("p"); }
+  EventLog prof(LogMode::kCapture);
+  { Scope s = prof.phase("p"); }
   EXPECT_EQ(prof.event_count(), 1u);
   prof.reset();
   EXPECT_EQ(prof.event_count(), 0u);
-  { ProfileScope s = prof.phase("q"); }
+  { Scope s = prof.phase("q"); }
   EXPECT_EQ(prof.event_count(), 1u);  // buffers still usable after reset
 }
 

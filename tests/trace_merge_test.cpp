@@ -325,7 +325,7 @@ TEST(TelemetryCodecTest, TelemetryRoundTripsEveryField) {
   ev.origin = 1;
   t.spans.push_back(ev);
   t.samples.push_back({30, 20, {10, 11}});
-  obs::FlightEvent fe;
+  obs::Event fe;
   fe.ts_ns = 99;
   fe.seq = 30;
   fe.launch = 7;
