@@ -322,10 +322,12 @@ obs::StallReport Runtime::stall_report() const {
   return report;
 }
 
-void Runtime::record_ready(const TaskNode& node, uint64_t edge) {
+void Runtime::release(const TaskNodePtr& node) {
+  if (node->pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  // Readied off the completion path: no predecessor edge to name.
   if (log_ != nullptr)
-    log_->record(
-        {.seq = node.seq, .launch = node.launch, .edge = edge, .kind = LifecycleEvent::kReady});
+    log_->record({.seq = node->seq, .launch = node->launch, .kind = LifecycleEvent::kReady});
+  pool_->submit(node_job(node));
 }
 
 TaskFnId Runtime::register_task(std::string name, TaskFn fn) {
@@ -359,10 +361,140 @@ void apply_remote_outcome(const RemoteOutcome& o,
   }
 }
 
+/// Dedupe `deps` (one argument pair can surface the same predecessor
+/// repeatedly) and drop self-edges: a launch whose arguments alias can
+/// surface the node's own earlier-argument use, and a self-edge would
+/// deadlock.
+void dedupe_deps(std::vector<TaskNodePtr>& deps, const TaskNodePtr& node) {
+  std::sort(deps.begin(), deps.end());
+  deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+  std::erase(deps, node);
+}
+
+/// Index space of each region argument: what trace replay validates.
+void append_ispaces(const RegionForest& forest, const std::vector<RegionArg>& args,
+                    std::vector<uint32_t>& out) {
+  for (const RegionArg& ra : args) {
+    IDXL_REQUIRE(ra.region.valid(), "launcher has an invalid region argument");
+    out.push_back(forest.region(ra.region).ispace.id);
+  }
+}
+
+/// Tasks a launch over `domain` issues (a single task's domain is empty).
+std::size_t task_count(const Domain& domain) {
+  return domain.empty() ? 1 : static_cast<std::size_t>(domain.volume());
+}
+
 }  // namespace
 
+/// Kept alive by shared_ptr from every task closure of the launch and every
+/// bulk-expansion chunk job.
+struct Runtime::LaunchArena {
+  TaskFn body;  // copied: the registry may grow while workers run
+  TaskFnId fn = UINT32_MAX;  // forwarded into TaskContext::fn for hooks
+  ArgBuffer scalar;
+  Domain launch_domain;
+  std::shared_ptr<Future::State> collect;  // Future slots, or null
+  uint64_t launch = 0;
+  uint32_t retries = 0;
+  uint32_t backoff_ms = 0;
+  uint32_t timeout_ms = 0;
+  bool internal = false;
+  /// Bulk expansion: one prototype table per region argument (slots are
+  /// filled by the issuing thread before the chunk jobs reading them are
+  /// submitted) and every point's color rank per argument, point-major.
+  std::vector<std::shared_ptr<ProtoTable>> protos;
+  std::vector<uint32_t> cranks;
+
+  /// Each task owns its slot; no synchronization needed beyond the
+  /// wait_all() barrier in Future::get().
+  void set_result(std::size_t rank, double value) {
+    if (collect == nullptr) return;
+    IDXL_ASSERT(rank < collect->values.size());
+    collect->values[rank] = value;
+  }
+};
+
+template <typename Launcher>
+Runtime::ArenaPtr Runtime::make_arena(const Launcher& launcher, const Domain& domain,
+                                      uint64_t launch, std::size_t future_slots) {
+  auto arena = std::make_shared<LaunchArena>();
+  arena->body = task_registry_[launcher.task].second;
+  arena->fn = launcher.task;
+  arena->scalar = launcher.scalar_args;
+  arena->launch_domain = domain;
+  arena->launch = launch;
+  arena->retries = launcher.max_retries;
+  arena->backoff_ms = launcher.retry_backoff_ms;
+  arena->timeout_ms = launcher.timeout_ms;
+  if (launcher.result_redop != ReductionOp::kNone) {
+    arena->collect = std::make_shared<Future::State>();
+    arena->collect->op = launcher.result_redop;
+    arena->collect->values.assign(future_slots, 0.0);
+  }
+  return arena;
+}
+
+TaskNodePtr Runtime::new_node(const LaunchArena& arena, const Point& point) {
+  cells_.point_tasks.inc();
+  auto node = std::make_shared<TaskNode>();
+  node->seq = next_seq_++;
+  node->launch = arena.launch;
+  node->log_name = task_log_names_[arena.fn];
+  node->point = point;
+  node->internal = arena.internal;
+  node->max_retries = arena.retries;
+  node->backoff_ms = arena.backoff_ms;
+  node->timeout_ms = arena.timeout_ms;
+  if (labeling()) node->label = task_registry_[arena.fn].first + "@" + point.to_string();
+  return node;
+}
+
+void Runtime::build_work(const ArenaPtr& arena, TaskNode& node, std::size_t rank,
+                         std::vector<PhysicalRegion> regions) {
+  // `self` is raw: node_job holds the shared_ptr while this runs, and a
+  // shared capture would cycle. `external` is settled before the node can
+  // run, so the closure reads it then.
+  node.work = [this, arena, rank, self = &node, regions = std::move(regions)]() mutable {
+    if (self->external) {
+      // Remote-owned point: apply the owner's outcome (written-region bytes
+      // + return value) instead of running the body.
+      apply_remote_outcome(*self->remote, regions);
+      arena->set_result(rank, self->remote->ret);
+      return;
+    }
+    TaskContext ctx;
+    ctx.point = self->point;
+    ctx.launch_domain = arena->launch_domain;
+    ctx.fn = arena->fn;
+    ctx.scalar_args = &arena->scalar;
+    ctx.regions = std::move(regions);
+    try {
+      arena->body(ctx);
+    } catch (...) {
+      regions = std::move(ctx.regions);  // a retried attempt maps them again
+      throw;
+    }
+    arena->set_result(rank, ctx.return_value);
+    // Ship the outcome while the mapped regions are still alive.
+    if (config_.on_task_success)
+      config_.on_task_success(self->seq, self->launch, self->point, ctx);
+  };
+}
+
 LaunchResult Runtime::execute(const TaskLauncher& launcher) {
+  IDXL_REQUIRE(launcher.task < task_registry_.size(), "unknown task id");
   LogScope issue_scope(log_, ProfCategory::kIssue, obs::EventLog::kNameIssue);
+  // A traced task is checked against (replay) or recorded into (capture)
+  // the trace before it has any effect.
+  TracedLaunch* traced = nullptr;
+  if (active_trace_ != nullptr) {
+    std::vector<uint32_t> ispaces;
+    append_ispaces(*forest_, launcher.args, ispaces);
+    traced = replaying_ ? &replay_launch(launcher.task, Domain{}, launcher.point)
+                        : &capture_launch(launcher.task, Domain{}, launcher.point, {});
+    trace_args(*traced, std::move(ispaces));
+  }
   cells_.runtime_calls.inc();
   cells_.single_launches.inc();
   const uint64_t launch_id = next_launch_id_++;
@@ -371,21 +503,14 @@ LaunchResult Runtime::execute(const TaskLauncher& launcher) {
   IDXL_REQUIRE(
       !launcher.trace_ctx.valid() || launcher.trace_ctx.launch == launch_id,
       "replicated launch id diverged from the descriptor's trace context");
+  const ArenaPtr arena = make_arena(launcher, launcher.launch_domain, launch_id, 1);
+  arena->internal = launcher.internal;
   LaunchResult result;  // single task: trivially safe, never an index launch
   result.launch_id = launch_id;
-  std::shared_ptr<Future::State> collect;
-  if (launcher.result_redop != ReductionOp::kNone) {
-    collect = std::make_shared<Future::State>();
-    collect->op = launcher.result_redop;
-    collect->values.assign(1, 0.0);
-    result.future.state_ = collect;
-  }
-  issue_point_task(launcher.task, launcher.point, launcher.launch_domain,
-                   launcher.args, launcher.scalar_args, launch_id, collect,
-                   collect != nullptr ? 0 : -1,
-                   RetryPolicy{launcher.max_retries, launcher.retry_backoff_ms,
-                               launcher.timeout_ms},
-                   launcher.internal);
+  result.future.state_ = arena->collect;
+  LogScope replay_scope(replaying_ ? log_ : nullptr, ProfCategory::kTrace,
+                        obs::EventLog::kNameTraceReplay);
+  issue_point_task(arena, launcher.point, launcher.args, 0, traced);
   return result;
 }
 
@@ -405,20 +530,25 @@ std::vector<RegionArg> Runtime::project_args(const IndexLauncher& launcher,
   return args;
 }
 
-void Runtime::expand_as_task_loop(const IndexLauncher& launcher,
-                                  uint64_t launch_id,
-                                  const std::shared_ptr<Future::State>& collect) {
+void Runtime::expand_as_task_loop(const IndexLauncher& launcher, const ArenaPtr& arena,
+                                  TracedLaunch* traced) {
   // The "original task loop" branch: |D| individual launches in program
   // order, each a separate runtime call (this is what the paper's No-IDX
   // configurations measure).
-  const RetryPolicy policy{launcher.max_retries, launcher.retry_backoff_ms,
-                           launcher.timeout_ms};
-  int64_t rank = 0;
+  if (traced != nullptr) {
+    // Resolve every point's arguments before the first one issues, so a
+    // divergent replay or a throwing functor leaves the launch unissued.
+    std::vector<uint32_t> ispaces;
+    launcher.domain.for_each([&](const Point& p) {
+      append_ispaces(*forest_, project_args(launcher, p), ispaces);
+    });
+    trace_args(*traced, std::move(ispaces));
+  }
+  std::size_t rank = 0;
   launcher.domain.for_each([&](const Point& p) {
     cells_.runtime_calls.inc();
     cells_.single_launches.inc();
-    issue_point_task(launcher.task, p, launcher.domain, project_args(launcher, p),
-                     launcher.scalar_args, launch_id, collect, rank++, policy);
+    issue_point_task(arena, p, project_args(launcher, p), rank++, traced);
   });
 }
 
@@ -470,9 +600,78 @@ void Runtime::import_interference_bundle(const std::vector<std::byte>& bytes) {
     interference_cache_.insert_unchecked(key, std::move(cert));
 }
 
+SafetyReport Runtime::analyze_safety(const IndexLauncher& launcher, uint64_t launch_id) {
+  SafetyReport safety;
+  if (launcher.assume_verified) {
+    cells_.assumed_verified.inc();
+    safety.outcome = SafetyOutcome::kSafeUnchecked;
+    if (log_ != nullptr)
+      log_->record({.launch = launch_id,
+                    .kind = LifecycleEvent::kAnalyzed,
+                    .detail = obs::LifecycleDetail::kAssumedVerified});
+    return safety;
+  }
+  // Hybrid safety analysis (§3/§4).
+  std::vector<CheckArg> check_args;
+  check_args.reserve(launcher.args.size());
+  for (const ProjectedArg& pa : launcher.args) {
+    CheckArg ca;
+    ca.functor = &pa.functor;
+    ca.color_space = forest_->color_space(pa.partition);
+    ca.partition_disjoint = forest_->is_disjoint(pa.partition);
+    ca.partition_uid = pa.partition.id;
+    ca.collection_uid = forest_->region(pa.parent).tree_id;
+    ca.field_mask = field_mask(pa.fields);
+    ca.priv = pa.privilege;
+    ca.redop = pa.redop;
+    check_args.push_back(ca);
+  }
+  AnalysisOptions options;
+  options.enable_dynamic_checks = config_.enable_dynamic_checks;
+  options.extended_static = config_.extended_static_analysis;
+  options.log = log_;
+  if (config_.enable_verdict_cache) options.verdict_cache = &verdict_cache_;
+  auto pair_independent = [&](std::size_t i, std::size_t j) {
+    return forest_->partitions_independent(launcher.args[i].parent,
+                                          launcher.args[i].partition,
+                                          launcher.args[j].parent,
+                                          launcher.args[j].partition);
+  };
+  {
+    // The safety span is also the launch's kAnalyzed record (at its end).
+    LogScope safety_scope(log_, ProfCategory::kSafety, obs::EventLog::kNameSafetyCheck,
+                          LifecycleEvent::kAnalyzed);
+    safety_scope.event().launch = launch_id;
+    safety = analyze_launch_safety(check_args, launcher.domain, options, pair_independent);
+    safety_scope.event().detail = detail_of(safety.outcome);
+  }
+  cells_.dynamic_check_points.inc(safety.dynamic_points);
+  if (config_.enable_verdict_cache) {
+    if (safety.cache_hit)
+      cells_.cache_hit_launches.inc();
+    else
+      cells_.cache_miss_launches.inc();
+  }
+  switch (safety.outcome) {
+    case SafetyOutcome::kSafeStatic: cells_.safe_static.inc(); break;
+    case SafetyOutcome::kSafeDynamic: cells_.safe_dynamic.inc(); break;
+    case SafetyOutcome::kSafeUnchecked: cells_.safe_unchecked.inc(); break;
+    case SafetyOutcome::kUnsafe:
+      cells_.unsafe.inc();
+      IDXL_REQUIRE(!config_.strict_unsafe,
+                   ("unsafe index launch: " + safety.reason).c_str());
+      break;
+  }
+  return safety;
+}
+
 LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
   IDXL_REQUIRE(launcher.task < task_registry_.size(), "unknown task id");
   IDXL_REQUIRE(!launcher.domain.empty(), "index launch over an empty domain");
+  // A replayed launch is checked against its capture before it has any
+  // effect (its region arguments once they are resolved, below).
+  TracedLaunch* traced =
+      replaying_ ? &replay_launch(launcher.task, launcher.domain, Point{}) : nullptr;
   // The issue span is also the launch's kIssued record (at its start).
   LogScope issue_scope(log_, ProfCategory::kIssue, task_log_names_[launcher.task],
                        LifecycleEvent::kIssued);
@@ -486,158 +685,73 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
   for (const ProjectedArg& pa : launcher.args)
     forest_->subregion_table(pa.parent, pa.partition);
 
-  LaunchResult result;
-  std::shared_ptr<Future::State> collect;
-  if (launcher.result_redop != ReductionOp::kNone) {
-    collect = std::make_shared<Future::State>();
-    collect->op = launcher.result_redop;
-    collect->values.assign(static_cast<std::size_t>(launcher.domain.volume()), 0.0);
-    result.future.state_ = collect;
-  }
-
   const uint64_t launch_id = next_launch_id_++;
   // See execute(): replicated descriptors assert launch-stream alignment.
   IDXL_REQUIRE(
       !launcher.trace_ctx.valid() || launcher.trace_ctx.launch == launch_id,
       "replicated launch id diverged from the descriptor's trace context");
-  result.launch_id = launch_id;
   issue_scope.event().launch = launch_id;
+  const ArenaPtr arena =
+      make_arena(launcher, launcher.domain, launch_id,
+                 static_cast<std::size_t>(launcher.domain.volume()));
+  LaunchResult result;
+  result.launch_id = launch_id;
+  result.future.state_ = arena->collect;
 
-  if (!config_.enable_index_launches) {
-    // No-IDX mode: the launch group is issued as individual tasks. Safety
-    // is the application's own program order, so no analysis runs.
-    expand_as_task_loop(launcher, launch_id, collect);
+  if (config_.enable_index_launches) {
+    cells_.runtime_calls.inc();  // one bulk issuance call (§5)
+    // A descriptor shipped from a driver may carry an interference-
+    // certificate bundle: adopt it (checker-gated, via lookup-time
+    // validation) so the group walk can skip pairs the driver already
+    // proved disjoint.
+    if (!launcher.analysis_bundle.empty())
+      import_interference_bundle(launcher.analysis_bundle);
+  }
+  if (traced != nullptr) {
+    // A replay returns what its capture returned; the launch was verified
+    // then.
+    result.ran_as_index_launch = traced->ran_as_index_launch;
+    result.safety.outcome = traced->outcome;
+  } else {
+    // No-IDX mode issues the launch group as individual tasks, in the
+    // application's own program order, so no analysis runs. An unsafe
+    // launch falls back to that task loop.
+    if (config_.enable_index_launches) result.safety = analyze_safety(launcher, launch_id);
+    result.ran_as_index_launch = config_.enable_index_launches &&
+                                 result.safety.outcome != SafetyOutcome::kUnsafe;
+    if (active_trace_ != nullptr)
+      traced = &capture_launch(launcher.task, launcher.domain, Point{}, result);
+  }
+
+  if (!result.ran_as_index_launch) {
+    LogScope replay_scope(replaying_ ? log_ : nullptr, ProfCategory::kTrace,
+                          obs::EventLog::kNameTraceReplay);
+    expand_as_task_loop(launcher, arena, traced);
     return result;
-  }
-
-  cells_.runtime_calls.inc();  // one bulk issuance call (§5)
-
-  // A descriptor shipped from a driver may carry an interference-certificate
-  // bundle: adopt it (checker-gated, via lookup-time validation) so the group
-  // walk can skip pairs the driver already proved disjoint.
-  if (!launcher.analysis_bundle.empty()) {
-    import_interference_bundle(launcher.analysis_bundle);
-  }
-
-  if (launcher.assume_verified) {
-    cells_.assumed_verified.inc();
-    result.safety.outcome = SafetyOutcome::kSafeUnchecked;
-    if (log_ != nullptr)
-      log_->record({.launch = launch_id,
-                    .kind = LifecycleEvent::kAnalyzed,
-                    .detail = obs::LifecycleDetail::kAssumedVerified});
-  } else if (!replaying_) {
-    // Hybrid safety analysis (§3/§4). When replaying a trace the launch was
-    // already verified during capture.
-    std::vector<CheckArg> check_args;
-    check_args.reserve(launcher.args.size());
-    for (const ProjectedArg& pa : launcher.args) {
-      CheckArg ca;
-      ca.functor = &pa.functor;
-      ca.color_space = forest_->color_space(pa.partition);
-      ca.partition_disjoint = forest_->is_disjoint(pa.partition);
-      ca.partition_uid = pa.partition.id;
-      ca.collection_uid = forest_->region(pa.parent).tree_id;
-      ca.field_mask = field_mask(pa.fields);
-      ca.priv = pa.privilege;
-      ca.redop = pa.redop;
-      check_args.push_back(ca);
-    }
-    AnalysisOptions options;
-    options.enable_dynamic_checks = config_.enable_dynamic_checks;
-    options.extended_static = config_.extended_static_analysis;
-    options.log = log_;
-    if (config_.enable_verdict_cache) options.verdict_cache = &verdict_cache_;
-    auto pair_independent = [&](std::size_t i, std::size_t j) {
-      return forest_->partitions_independent(launcher.args[i].parent,
-                                            launcher.args[i].partition,
-                                            launcher.args[j].parent,
-                                            launcher.args[j].partition);
-    };
-    {
-      // The safety span is also the launch's kAnalyzed record (at its end).
-      LogScope safety_scope(log_, ProfCategory::kSafety, obs::EventLog::kNameSafetyCheck,
-                            LifecycleEvent::kAnalyzed);
-      safety_scope.event().launch = launch_id;
-      result.safety = analyze_launch_safety(check_args, launcher.domain, options,
-                                            pair_independent);
-      safety_scope.event().detail = detail_of(result.safety.outcome);
-    }
-    cells_.dynamic_check_points.inc(result.safety.dynamic_points);
-    if (config_.enable_verdict_cache) {
-      if (result.safety.cache_hit)
-        cells_.cache_hit_launches.inc();
-      else
-        cells_.cache_miss_launches.inc();
-    }
-
-    switch (result.safety.outcome) {
-      case SafetyOutcome::kSafeStatic: cells_.safe_static.inc(); break;
-      case SafetyOutcome::kSafeDynamic: cells_.safe_dynamic.inc(); break;
-      case SafetyOutcome::kSafeUnchecked: cells_.safe_unchecked.inc(); break;
-      case SafetyOutcome::kUnsafe: {
-        cells_.unsafe.inc();
-        IDXL_REQUIRE(!config_.strict_unsafe,
-                     ("unsafe index launch: " + result.safety.reason).c_str());
-        expand_as_task_loop(launcher, launch_id, collect);
-        return result;
-      }
-    }
   }
 
   // Safe: expand into point tasks. In this in-process executor "expansion"
   // assigns work directly to the scheduler; the distributed pipeline's
-  // sharded/sliced distribution is modeled by src/sim.
-  result.ran_as_index_launch = true;
-  cells_.index_launches.inc();
-
-  if (replaying_) {
-    // Replay bypasses both dependence tiers: edges come from the capture.
-    const RetryPolicy policy{launcher.max_retries, launcher.retry_backoff_ms,
-                             launcher.timeout_ms};
-    int64_t rank = 0;
-    launcher.domain.for_each([&](const Point& p) {
-      issue_point_task(launcher.task, p, launcher.domain, project_args(launcher, p),
-                       launcher.scalar_args, launch_id, collect, rank++, policy);
-    });
-    if (log_ != nullptr)
-      log_->record({.launch = launch_id,
-                    .kind = LifecycleEvent::kExpanded,
-                    .detail = obs::LifecycleDetail::kReplay});
-    return result;
-  }
-
-  // Two-tier dependence analysis (§5): group-level when every argument is
-  // analyzable at whole-partition granularity, per-point otherwise.
-  const bool group_mode = config_.enable_group_analysis && group_eligible(launcher);
+  // sharded/sliced distribution is modeled by src/sim. Two-tier dependence
+  // analysis (§5): group-level when every argument is analyzable at
+  // whole-partition granularity, per-point otherwise; a replay reads the
+  // captured edges instead.
+  const bool group_mode =
+      !replaying_ && config_.enable_group_analysis && group_eligible(launcher);
   if (group_mode) {
     cells_.group_launches.inc();
-  } else if (config_.enable_group_analysis) {
+  } else if (!replaying_ && config_.enable_group_analysis) {
     cells_.group_fallbacks.inc();
     if (log_ != nullptr)
       log_->record({.launch = launch_id, .kind = LifecycleEvent::kGroupFallback});
   }
-  expand_index_launch(launcher, launch_id, collect, group_mode,
-                      result.safety.outcome);
+  expand_index_launch(launcher, arena, group_mode, result.safety.outcome, traced);
+  cells_.index_launches.inc();
   return result;
 }
 
-/// Per-launch state shared between the issuing thread and the chunk jobs
-/// that build point closures on pool workers. Kept alive by shared_ptr from
-/// every chunk job and every point closure.
-struct Runtime::LaunchArena {
-  TaskFn body;  // copied: the registry may grow while workers run
-  TaskFnId fn = UINT32_MAX;  // forwarded into TaskContext::fn for hooks
-  ArgBuffer scalar;
-  Domain launch_domain;
-  std::shared_ptr<Future::State> collect;
-  /// One prototype table per region argument; slots are filled by the
-  /// issuing thread before the chunk jobs reading them are submitted.
-  std::vector<std::shared_ptr<ProtoTable>> protos;
-  std::size_t n_args = 0;
-};
-
-void Runtime::finalize_deps(const TaskNodePtr& node, std::vector<TaskNodePtr>& deps) {
+void Runtime::wire_node(const LaunchArena& arena, const TaskNodePtr& node,
+                        const std::vector<TaskNodePtr>& deps) {
   cells_.dependence_edges.inc(deps.size());
   if (live_enabled_) {
     LiveTask lt;
@@ -658,42 +772,22 @@ void Runtime::finalize_deps(const TaskNodePtr& node, std::vector<TaskNodePtr>& d
     for (const TaskNodePtr& dep : deps) dep_seqs.push_back(dep->seq);
     log_->record_edges(node->seq, dep_seqs);
   }
+  // Closure guard BEFORE register_external: the latter publishes the node
+  // to the distributed recv threads, and the guard (held until the caller
+  // has built node->work) keeps an early remote outcome from readying a
+  // node that is not scheduled or has no closure yet.
+  node->pending.fetch_add(1, std::memory_order_relaxed);
+  if (config_.point_owned != nullptr &&
+      !config_.point_owned(arena.launch, node->point, arena.launch_domain))
+    register_external(node);
+  schedule(node, deps);
 }
 
-void Runtime::capture_trace_step(TaskFnId fn, const Point& point,
-                                 std::vector<uint32_t> ispaces,
-                                 const std::vector<TaskNodePtr>& deps,
-                                 const TaskNodePtr& node) {
-  LogScope capture_scope(log_, ProfCategory::kTrace, obs::EventLog::kNameTraceCapture,
-                         LifecycleEvent::kSpan, node->seq);
-  TraceStep step;
-  step.fn = fn;
-  step.point = point;
-  step.ispaces = std::move(ispaces);
-  for (const TaskNodePtr& d : deps) {
-    auto it = trace_index_.find(d.get());
-    // Pre-trace dependencies are dropped: traces are fenced, so they are
-    // satisfied by construction on replay.
-    if (it != trace_index_.end()) step.dep_indices.push_back(it->second);
-  }
-  active_trace_->steps.push_back(std::move(step));
-  trace_index_.emplace(node.get(), static_cast<uint32_t>(trace_nodes_.size()));
-  trace_nodes_.push_back(node);
-}
-
-void Runtime::expand_index_launch(const IndexLauncher& launcher,
-                                  uint64_t launch_id,
-                                  const std::shared_ptr<Future::State>& collect,
-                                  bool group_mode, SafetyOutcome outcome) {
+void Runtime::expand_index_launch(const IndexLauncher& launcher, const ArenaPtr& arena,
+                                  bool group_mode, SafetyOutcome outcome,
+                                  TracedLaunch* traced) {
+  const bool replay = replaying_;
   const std::size_t n_args = launcher.args.size();
-
-  auto arena = std::make_shared<LaunchArena>();
-  arena->body = task_registry_[launcher.task].second;
-  arena->fn = launcher.task;
-  arena->scalar = launcher.scalar_args;
-  arena->launch_domain = launcher.domain;
-  arena->collect = collect;
-  arena->n_args = n_args;
   arena->protos.reserve(n_args);
 
   // Per-argument launch plan: everything the per-point loop needs, resolved
@@ -809,7 +903,7 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher,
       for (std::size_t a = 0; a < n_args; ++a)
         interference_history_.record(plans[a].tree, std::move(summaries[a]),
                                      std::move(fps[a]));
-  } else {
+  } else if (!replay) {
     // Per-point mode: any summarized state on the touched trees must be
     // visible to the per-point tracker, and the trees stay per-point until
     // the next fence.
@@ -820,14 +914,44 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher,
   }
 
   // The expansion span is also the launch's kExpanded record (at its end).
-  LogScope dep_scope(log_, ProfCategory::kDependence,
-                     group_mode ? obs::EventLog::kNameGroupDependence
-                                : obs::EventLog::kNameDependence,
+  // A replayed launch's is one trace-replay span, so the dependence spans
+  // time live analysis only.
+  LogScope dep_scope(log_, replay ? ProfCategory::kTrace : ProfCategory::kDependence,
+                     replay       ? obs::EventLog::kNameTraceReplay
+                     : group_mode ? obs::EventLog::kNameGroupDependence
+                                  : obs::EventLog::kNameDependence,
                      LifecycleEvent::kExpanded);
-  dep_scope.event().launch = launch_id;
+  dep_scope.event().launch = arena->launch;
+  if (replay) dep_scope.event().detail = obs::LifecycleDetail::kReplay;
 
-  const std::string& task_name = task_registry_[launcher.task].first;
-  const uint32_t log_name = task_log_names_[launcher.task];
+  // Phase 1 — resolve every point before any side effect: evaluate the
+  // (compiled) functors, validate colors, fill prototypes, and check a
+  // replay's region arguments against its capture. A throw here leaves the
+  // launch unissued.
+  arena->cranks.resize(static_cast<std::size_t>(launcher.domain.volume()) * n_args);
+  std::vector<uint32_t> ispaces;
+  if (traced != nullptr) ispaces.reserve(arena->cranks.size());
+  std::size_t slot = 0;
+  launcher.domain.for_each([&](const Point& p) {
+    for (const ArgPlan& plan : plans) {
+      int64_t buf[kMaxDim] = {};
+      plan.functor->eval_into(p, buf);
+      Point color;
+      color.dim = plan.functor->output_dim();
+      for (int d = 0; d < color.dim; ++d) color[d] = buf[d];
+      IDXL_REQUIRE(plan.colors->contains(color),
+                   "projection functor selected a color outside the partition");
+      const auto crank = static_cast<std::size_t>(plan.colors->linearize(color));
+      arena->cranks[slot++] = static_cast<uint32_t>(crank);
+      std::optional<PhysicalRegion>& proto = (*plan.protos)[crank];
+      if (!proto.has_value())
+        proto.emplace(*forest_, (*plan.table)[crank], *plan.fields, plan.priv,
+                      plan.redop);
+      if (traced != nullptr)
+        ispaces.push_back(forest_->region((*plan.table)[crank]).ispace.id);
+    }
+  });
+  if (traced != nullptr) trace_args(*traced, std::move(ispaces));
 
   // Per-point kIssued events share one timestamp (read here, on the issuing
   // thread) but are constructed and recorded inside the chunk jobs, from the
@@ -838,289 +962,112 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher,
 
   // Chunked deferred expansion: the issuing thread wires dependence edges
   // and holds a "closure guard" on each node's pending count; chunk jobs on
-  // pool workers copy the prototype PhysicalRegions, install node->work and
+  // pool workers copy the prototype PhysicalRegions, build node->work and
   // release the guard. All chunks of a launch enqueue under one lock
   // (ThreadPool::submit_batch).
-  struct ChunkRecord {
-    TaskNodePtr node;
-    Point point;
-    int64_t rank = -1;
-  };
-  std::vector<ChunkRecord> records;
-  std::vector<uint32_t> records_cranks;  // n_args color ranks per record
+  std::vector<TaskNodePtr> chunk;  // consecutive points, from rank chunk_begin
+  std::size_t chunk_begin = 0;
   std::vector<std::function<void()>> chunk_jobs;
-  records.reserve(kChunk);
-  records_cranks.reserve(kChunk * n_args);
+  chunk.reserve(kChunk);
 
   auto flush_chunk = [&] {
-    if (records.empty()) return;
-    chunk_jobs.push_back([this, arena, issue_ts, recs = std::move(records),
-                          cranks = std::move(records_cranks)]() mutable {
+    if (chunk.empty()) return;
+    const std::size_t begin = chunk_begin;
+    chunk_begin += chunk.size();
+    chunk_jobs.push_back([this, arena, issue_ts, begin, nodes = std::move(chunk)] {
       LogScope chunk_scope(log_, ProfCategory::kIssue, obs::EventLog::kNameExpandChunk);
       if (log_ != nullptr) {
         // One pre-stamped batch per chunk; ts-sorted snapshots still show
         // these kIssued events before the tasks' later lifecycle stages.
         std::vector<obs::Event> issued;
-        issued.reserve(recs.size());
-        for (const ChunkRecord& rec : recs) {
+        issued.reserve(nodes.size());
+        for (const TaskNodePtr& node : nodes) {
           obs::Event ev{.ts_ns = issue_ts,
-                        .seq = rec.node->seq,
-                        .launch = rec.node->launch,
+                        .seq = node->seq,
+                        .launch = node->launch,
                         .kind = LifecycleEvent::kIssued};
-          ev.set_point(rec.point.c.data(), rec.point.dim);
+          ev.set_point(node->point.c.data(), node->point.dim);
           issued.push_back(ev);
         }
         log_->record_batch(issued);
       }
-      const std::size_t args = arena->n_args;
-      for (std::size_t i = 0; i < recs.size(); ++i) {
-        ChunkRecord& rec = recs[i];
+      const std::size_t args = arena->protos.size();
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const std::size_t rank = begin + i;
         std::vector<PhysicalRegion> regions;
         regions.reserve(args);
         for (std::size_t a = 0; a < args; ++a)
-          regions.push_back(*(*arena->protos[a])[cranks[i * args + a]]);
-        if (rec.node->external) {
-          // Remote-owned point: instead of the body, install the closure
-          // that applies the owner's outcome (written-region bytes + return
-          // value) once it arrives. `self` is raw: node_job holds the
-          // shared_ptr while this runs, and a shared capture would cycle.
-          rec.node->work = [arena, rank = rec.rank, self = rec.node.get(),
-                            regions = std::move(regions)]() mutable {
-            const RemoteOutcome& o = *self->remote;
-            apply_remote_outcome(o, regions);
-            if (arena->collect != nullptr) {
-              IDXL_ASSERT(rank >= 0 && rank < static_cast<int64_t>(
-                                                  arena->collect->values.size()));
-              arena->collect->values[static_cast<std::size_t>(rank)] = o.ret;
-            }
-          };
-        } else {
-        rec.node->work = [this, arena, point = rec.point, rank = rec.rank,
-                          self = rec.node.get(),
-                          regions = std::move(regions)]() mutable {
-          TaskContext ctx;
-          ctx.point = point;
-          ctx.launch_domain = arena->launch_domain;
-          ctx.fn = arena->fn;
-          ctx.scalar_args = &arena->scalar;
-          ctx.regions = std::move(regions);
-          arena->body(ctx);
-          if (arena->collect != nullptr) {
-            IDXL_ASSERT(rank >= 0 && rank < static_cast<int64_t>(
-                                                arena->collect->values.size()));
-            arena->collect->values[static_cast<std::size_t>(rank)] =
-                ctx.return_value;
-          }
-          // Ship the outcome while the mapped regions are still alive.
-          if (config_.on_task_success)
-            config_.on_task_success(self->seq, self->launch, point, ctx);
-        };
-        }
+          regions.push_back(*(*arena->protos[a])[arena->cranks[rank * args + a]]);
+        build_work(arena, *nodes[i], rank, std::move(regions));
         // Release the closure guard; the node may become ready right here
         // when its dependence edges were already satisfied.
-        if (rec.node->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          record_ready(*rec.node, obs::Event::kNone);
-          make_ready(rec.node);
-        }
+        release(nodes[i]);
       }
     });
-    records = {};
-    records_cranks = {};
-    records.reserve(kChunk);
-    records_cranks.reserve(kChunk * n_args);
+    chunk = {};
+    chunk.reserve(kChunk);
   };
 
+  // Phase 2 — no-throw: create the nodes, wire edges, schedule.
   std::vector<TaskNodePtr> deps;
-  std::vector<std::size_t> point_cranks(n_args);
-  int64_t rank = 0;
-  try {
-    launcher.domain.for_each([&](const Point& p) {
-      // Phase 1 — throw-prone resolution, no side effects on trackers:
-      // evaluate the (compiled) functors, validate colors, fill prototypes.
+  std::size_t rank = 0;
+  launcher.domain.for_each([&](const Point& p) {
+    TaskNodePtr node = new_node(*arena, p);
+    const uint32_t* cranks = arena->cranks.data() + rank * n_args;
+    deps.clear();
+    if (replay) {
+      trace_deps(*traced, rank, node, deps);
+    } else {
+      // While capturing a trace, keep cleanly-completed predecessors in
+      // the tracker and record their edges: replay re-executes them
+      // concurrently, so "already done" does not order the replayed run.
+      const bool keep_done = traced != nullptr;
       for (std::size_t a = 0; a < n_args; ++a) {
         const ArgPlan& plan = plans[a];
-        int64_t buf[kMaxDim] = {};
-        plan.functor->eval_into(p, buf);
-        Point color;
-        color.dim = plan.functor->output_dim();
-        for (int d = 0; d < color.dim; ++d) color[d] = buf[d];
-        IDXL_REQUIRE(plan.colors->contains(color),
-                     "projection functor selected a color outside the partition");
-        const auto crank = static_cast<std::size_t>(plan.colors->linearize(color));
-        point_cranks[a] = crank;
-        std::optional<PhysicalRegion>& slot = (*plan.protos)[crank];
-        if (!slot.has_value())
-          slot.emplace(*forest_, (*plan.table)[crank], *plan.fields, plan.priv,
-                       plan.redop);
-      }
-
-      // Phase 2 — no-throw: create the node, wire edges, schedule.
-      cells_.point_tasks.inc();
-      auto node = std::make_shared<TaskNode>();
-      node->seq = next_seq_++;
-      node->launch = launch_id;
-      node->log_name = log_name;
-      node->point = p;
-      node->max_retries = launcher.max_retries;
-      node->backoff_ms = launcher.retry_backoff_ms;
-      node->timeout_ms = launcher.timeout_ms;
-      if (labeling()) node->label = task_name + "@" + p.to_string();
-
-      deps.clear();
-      for (std::size_t a = 0; a < n_args; ++a) {
-        const ArgPlan& plan = plans[a];
-        // While capturing a trace, keep cleanly-completed predecessors in
-        // the tracker and record their edges: replay re-executes them
-        // concurrently, so "already done" does not order the replayed run.
-        const bool capturing = active_trace_ != nullptr;
         if (group_mode) {
-          group_.record_point_use(plan.tree, plan.partition, plan.n_colors,
-                                  point_cranks[a], plan.mask, plan.writes,
-                                  plan.scan, node, deps, capturing);
+          group_.record_point_use(plan.tree, plan.partition, plan.n_colors, cranks[a],
+                                  plan.mask, plan.writes, plan.scan, node, deps,
+                                  keep_done);
         } else {
-          const RegionInfo& info = forest_->region((*plan.table)[point_cranks[a]]);
+          const RegionInfo& info = forest_->region((*plan.table)[cranks[a]]);
           tracker_.record_use(plan.tree, info.ispace, plan.mask, plan.writes,
-                              plan.partition, plan.disjoint, node, deps, capturing);
+                              plan.partition, plan.disjoint, node, deps, keep_done);
         }
       }
-      // Dedupe; drop self-edges (a launch whose arguments alias can surface
-      // the node's own earlier-argument use — a self-edge would deadlock).
-      std::sort(deps.begin(), deps.end());
-      deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-      std::erase(deps, node);
-
-      if (active_trace_ != nullptr) {
-        std::vector<uint32_t> ispaces;
-        ispaces.reserve(n_args);
-        for (std::size_t a = 0; a < n_args; ++a)
-          ispaces.push_back(
-              forest_->region((*plans[a].table)[point_cranks[a]]).ispace.id);
-        capture_trace_step(launcher.task, p, std::move(ispaces), deps, node);
-      }
-      finalize_deps(node, deps);
-
-      // Closure guard BEFORE register_external: the latter publishes the
-      // node to the distributed recv threads, and the closure guard (held
-      // until the chunk job installs node->work) keeps an early remote
-      // outcome from readying a node that has no closure yet.
-      node->pending.fetch_add(1, std::memory_order_relaxed);  // closure guard
-      if (config_.point_owned != nullptr &&
-          !config_.point_owned(launch_id, p, launcher.domain))
-        register_external(node);
-      schedule(node, deps);
-
-      records.push_back(ChunkRecord{std::move(node), p, rank++});
-      for (std::size_t a = 0; a < n_args; ++a)
-        records_cranks.push_back(static_cast<uint32_t>(point_cranks[a]));
-      if (records.size() >= kChunk) flush_chunk();
-    });
-  } catch (...) {
-    // Nodes of completed points are scheduled and hold closure guards;
-    // their chunks must still run or wait_all would hang. The failing point
-    // itself had no side effects (phase 1 throws before phase 2 mutates).
-    flush_chunk();
-    pool_->submit_batch(std::move(chunk_jobs));
-    throw;
-  }
+      dedupe_deps(deps, node);
+      if (traced != nullptr) trace_deps(*traced, rank, node, deps);
+    }
+    wire_node(*arena, node, deps);
+    chunk.push_back(std::move(node));
+    if (chunk.size() == kChunk) flush_chunk();
+    ++rank;
+  });
   flush_chunk();
   dep_scope.close();
   pool_->submit_batch(std::move(chunk_jobs));
 }
 
-const Runtime::RetryPolicy Runtime::kNoRetry{};
-
-void Runtime::issue_point_task(TaskFnId fn, const Point& point,
-                               const Domain& launch_domain,
-                               const std::vector<RegionArg>& args,
-                               const ArgBuffer& scalar_args, uint64_t launch_id,
-                               const std::shared_ptr<Future::State>& collect,
-                               int64_t rank, const RetryPolicy& policy,
-                               bool internal) {
-  IDXL_REQUIRE(fn < task_registry_.size(), "unknown task id");
-  cells_.point_tasks.inc();
-
-  auto node = std::make_shared<TaskNode>();
-  node->seq = next_seq_++;
-  node->launch = launch_id;
-  node->internal = internal;
-  if (labeling()) node->label = task_registry_[fn].first + "@" + point.to_string();
-  node->log_name = task_log_names_[fn];
-  node->point = point;
-  node->max_retries = policy.retries;
-  node->backoff_ms = policy.backoff_ms;
-  node->timeout_ms = policy.timeout_ms;
-  if (log_ != nullptr) {
-    obs::Event ev{.seq = node->seq, .launch = launch_id, .kind = LifecycleEvent::kIssued};
-    ev.set_point(point.c.data(), point.dim);
-    log_->record(ev);
-  }
-
-  // Build the closure now; regions resolve to storage views at execution.
+void Runtime::issue_point_task(const ArenaPtr& arena, const Point& point,
+                               const std::vector<RegionArg>& args, std::size_t rank,
+                               TracedLaunch* traced) {
+  // Map the regions first: an invalid argument throws before any side effect.
   std::vector<PhysicalRegion> regions;
   regions.reserve(args.size());
   for (const RegionArg& ra : args) {
     IDXL_REQUIRE(ra.region.valid(), "launcher has an invalid region argument");
     regions.emplace_back(*forest_, ra.region, ra.fields, ra.privilege, ra.redop);
   }
-  const bool external = config_.point_owned != nullptr &&
-                        !config_.point_owned(launch_id, point, launch_domain);
-  if (external) {
-    // Remote-owned point — apply the owner's outcome instead of the body.
-    node->work = [self = node.get(), regions = std::move(regions), collect,
-                  rank]() mutable {
-      const RemoteOutcome& o = *self->remote;
-      apply_remote_outcome(o, regions);
-      if (collect != nullptr) {
-        IDXL_ASSERT(rank >= 0 &&
-                    rank < static_cast<int64_t>(collect->values.size()));
-        collect->values[static_cast<std::size_t>(rank)] = o.ret;
-      }
-    };
-  } else {
-  const TaskFn& body = task_registry_[fn].second;
-  ArgBuffer scalar_copy = scalar_args;
-  node->work = [this, body, point, launch_domain, fn, self = node.get(),
-                scalar = std::move(scalar_copy), regions = std::move(regions),
-                collect, rank]() mutable {
-    TaskContext ctx;
-    ctx.point = point;
-    ctx.launch_domain = launch_domain;
-    ctx.fn = fn;
-    ctx.scalar_args = &scalar;
-    ctx.regions = std::move(regions);
-    body(ctx);
-    if (collect != nullptr) {
-      IDXL_ASSERT(rank >= 0 &&
-                  rank < static_cast<int64_t>(collect->values.size()));
-      // Each task owns its slot; no synchronization needed beyond the
-      // wait_all() barrier in Future::get().
-      collect->values[static_cast<std::size_t>(rank)] = ctx.return_value;
-    }
-    // Ship the outcome while the mapped regions are still alive.
-    if (config_.on_task_success)
-      config_.on_task_success(self->seq, self->launch, point, ctx);
-  };
+  const TaskNodePtr node = new_node(*arena, point);
+  if (log_ != nullptr) {
+    obs::Event ev{.seq = node->seq, .launch = node->launch, .kind = LifecycleEvent::kIssued};
+    ev.set_point(point.c.data(), point.dim);
+    log_->record(ev);
   }
 
   // --- dependence discovery: tracker scan, or trace replay ---
   std::vector<TaskNodePtr> deps;
   if (replaying_) {
-    LogScope replay_scope(log_, ProfCategory::kTrace, obs::EventLog::kNameTraceReplay,
-                          LifecycleEvent::kSpan, node->seq);
-    IDXL_REQUIRE(replay_cursor_ < active_trace_->steps.size(),
-                 "trace replay issued more tasks than were captured");
-    const TraceStep& step = active_trace_->steps[replay_cursor_];
-    IDXL_REQUIRE(step.fn == fn && step.point == point,
-                 "trace replay diverged from the captured task sequence");
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      const RegionInfo& info = forest_->region(args[i].region);
-      IDXL_REQUIRE(i < step.ispaces.size() && step.ispaces[i] == info.ispace.id,
-                   "trace replay diverged in region arguments");
-    }
-    for (uint32_t dep_idx : step.dep_indices) deps.push_back(trace_nodes_[dep_idx]);
-    ++replay_cursor_;
-    cells_.traced_replayed.inc();
-    trace_nodes_.push_back(node);
+    trace_deps(*traced, rank, node, deps);
   } else {
     {
       LogScope dep_scope(log_, ProfCategory::kDependence, obs::EventLog::kNameDependence,
@@ -1136,40 +1083,16 @@ void Runtime::issue_point_task(TaskFnId fn, const Point& point,
         tracker_.record_use(info.tree_id, info.ispace, field_mask(ra.fields),
                             privilege_writes(ra.privilege), info.through,
                             through_disjoint, node, deps,
-                            /*keep_done=*/active_trace_ != nullptr);
+                            /*keep_done=*/traced != nullptr);
       }
-      // Dedupe (one arg pair can surface the same predecessor repeatedly);
-      // drop self-edges from aliasing argument pairs.
-      std::sort(deps.begin(), deps.end());
-      deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-      std::erase(deps, node);
+      dedupe_deps(deps, node);
     }
-
-    if (active_trace_ != nullptr)
-      capture_trace_step(fn, point,
-                         [&] {
-                           std::vector<uint32_t> ispaces;
-                           ispaces.reserve(args.size());
-                           for (const RegionArg& ra : args)
-                             ispaces.push_back(forest_->region(ra.region).ispace.id);
-                           return ispaces;
-                         }(),
-                         deps, node);
+    if (traced != nullptr) trace_deps(*traced, rank, node, deps);
   }
 
-  finalize_deps(node, deps);
-  if (external) {
-    // Registration guard: keeps a racing complete_external() from readying
-    // the node before schedule() has wired it into the graph.
-    node->pending.fetch_add(1, std::memory_order_relaxed);
-    register_external(node);
-  }
-  schedule(node, deps);
-  if (external &&
-      node->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    record_ready(*node, obs::Event::kNone);
-    make_ready(node);
-  }
+  wire_node(*arena, node, deps);
+  build_work(arena, *node, rank, std::move(regions));
+  release(node);  // the closure guard
 }
 
 std::string Runtime::export_task_graph_dot() const {
@@ -1222,11 +1145,7 @@ void Runtime::schedule(const TaskNodePtr& node, const std::vector<TaskNodePtr>& 
       node->pending.fetch_sub(1, std::memory_order_relaxed);
     }
   }
-  if (node->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Readied by the issuing thread itself — no completion edge to name.
-    record_ready(*node, obs::Event::kNone);
-    make_ready(node);
-  }
+  release(node);  // the issue guard
 }
 
 std::function<void()> Runtime::node_job(TaskNodePtr node) {
@@ -1252,14 +1171,7 @@ std::function<void()> Runtime::node_job(TaskNodePtr node) {
         finish_fault(node, FaultKind::kException, node->seq, 1, e.what());
         return;
       }
-      cells_.tasks_completed.inc();
-      if (live_enabled_) {
-        std::lock_guard<std::mutex> lock(live_mu_);
-        live_.erase(node->seq);
-      }
-      node->work = nullptr;
-      node->remote.reset();
-      fan_out(node, obs::Event::kNone);
+      settle(node, obs::Event::kNone);
       return;
     }
 
@@ -1336,13 +1248,7 @@ std::function<void()> Runtime::node_job(TaskNodePtr node) {
 
     if (fk == FaultKind::kNone) {
       if (node->attempt > 0) cells_.retry_succeeded.inc();
-      cells_.tasks_completed.inc();
-      if (live_enabled_) {
-        std::lock_guard<std::mutex> lock(live_mu_);
-        live_.erase(node->seq);
-      }
-      node->work = nullptr;  // release captured resources promptly
-      fan_out(node, obs::Event::kNone);
+      settle(node, obs::Event::kNone);
       return;
     }
 
@@ -1403,10 +1309,7 @@ void Runtime::finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t roo
   if (config_.on_task_fault && !node->external) config_.on_task_fault(fault);
   if (!node->internal) faults_.record(std::move(fault));
 
-  if (kind == FaultKind::kPoisoned)
-    cells_.fault_poisoned.inc();
-  else
-    fault_cell(kind).inc();
+  fault_cell(kind).inc();
 
   if (log_ != nullptr) {
     obs::Event ev{.seq = node->seq,
@@ -1423,13 +1326,18 @@ void Runtime::finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t roo
   // A settled task is progress: terminal faults count toward the completed
   // counter so pending drains to zero (no false watchdog stalls, fences
   // return). stats().tasks_failed/"poisoned" break the composition out.
+  settle(node, root);
+}
+
+void Runtime::settle(const TaskNodePtr& node, uint64_t poison) {
   cells_.tasks_completed.inc();
   if (live_enabled_) {
     std::lock_guard<std::mutex> lock(live_mu_);
     live_.erase(node->seq);
   }
-  node->work = nullptr;
-  fan_out(node, root);
+  node->work = nullptr;  // release captured resources promptly
+  node->remote.reset();
+  fan_out(node, poison);
 }
 
 void Runtime::fan_out(const TaskNodePtr& node, uint64_t poison) {
@@ -1464,7 +1372,7 @@ void Runtime::fan_out(const TaskNodePtr& node, uint64_t poison) {
     log_->record_batch(events);
   }
   if (ready.size() == 1) {
-    make_ready(ready.front());
+    pool_->submit(node_job(std::move(ready.front())));
   } else if (!ready.empty()) {
     std::vector<std::function<void()>> jobs;
     jobs.reserve(ready.size());
@@ -1473,24 +1381,20 @@ void Runtime::fan_out(const TaskNodePtr& node, uint64_t poison) {
   }
 }
 
-void Runtime::make_ready(const TaskNodePtr& node) { pool_->submit(node_job(node)); }
-
 void Runtime::begin_trace(uint32_t trace_id) {
-  IDXL_REQUIRE(active_trace_ == nullptr, "traces cannot nest");
-  wait_all();
-  tracker_.reset();  // the fence makes prior state irrelevant
-  group_.reset();
-  interference_history_.clear();
+  IDXL_REQUIRE(!trace_id_.has_value(), "traces cannot nest");
+  wait_all();  // the fence also drops both trackers' state
   Trace& trace = traces_[trace_id];
   if (log_ != nullptr)
     log_->record({.kind = LifecycleEvent::kTraceBegin,
                   .detail = trace.captured ? obs::LifecycleDetail::kReplay
                                            : obs::LifecycleDetail::kNone});
+  trace_id_ = trace_id;
   active_trace_ = &trace;
   replaying_ = trace.captured;
+  trace_first_seq_ = next_seq_;
   replay_cursor_ = 0;
   trace_nodes_.clear();
-  trace_index_.clear();
   // Faults recorded between here and end_trace invalidate the trace: a
   // capture containing a failed step must not be replayed (the poisoned
   // closure never ran, so its dependence record is not the real program's).
@@ -1498,38 +1402,95 @@ void Runtime::begin_trace(uint32_t trace_id) {
 }
 
 void Runtime::end_trace(uint32_t trace_id) {
-  IDXL_REQUIRE(active_trace_ == &traces_[trace_id], "end_trace without begin_trace");
-  // Quiesce before validating: every fault a traced task will ever produce
-  // is in the log once the fence returns (the trackers are reset below,
-  // after the trace bookkeeping — wait_all skips them mid-trace).
-  wait_all();
-  const bool faulted = faults_.epoch() != trace_fault_epoch_;
-  if (replaying_) {
-    IDXL_REQUIRE(replay_cursor_ == active_trace_->steps.size(),
-                 "trace replay issued fewer tasks than were captured");
-    if (faulted) {
-      // The replayed execution failed: drop the capture so the next
-      // begin_trace re-captures against the (possibly changed) program.
-      active_trace_->captured = false;
-      active_trace_->steps.clear();
-    }
-  } else if (faulted) {
-    // A trace containing a failed step is invalidated, not replayed: the
-    // poisoned closure never executed, so the captured dependence record
-    // does not describe a successful run. Next begin_trace re-captures.
-    active_trace_->captured = false;
-    active_trace_->steps.clear();
-  } else {
-    active_trace_->captured = true;
-  }
+  IDXL_REQUIRE(trace_id_ == trace_id, "end_trace without begin_trace");
+  Trace* trace = active_trace_;
+  const bool short_replay = replaying_ && replay_cursor_ != trace->launches.size();
+  trace_id_.reset();
   active_trace_ = nullptr;
   replaying_ = false;
   trace_nodes_.clear();
-  trace_index_.clear();
+  // Quiesce before validating: every fault a traced task will ever produce
+  // is in the log once the fence returns (which, outside a trace, also drops
+  // both trackers' state).
+  wait_all();
+  if (trace != nullptr) {
+    // A trace containing a failed step is dropped, not replayed: the
+    // poisoned closure never executed, so the captured record does not
+    // describe a successful run. So is a replay that stopped short of its
+    // capture. The next begin_trace captures afresh.
+    trace->captured = !short_replay && faults_.epoch() == trace_fault_epoch_;
+    if (!trace->captured) trace->launches.clear();
+  }
   if (log_ != nullptr) log_->record({.kind = LifecycleEvent::kTraceEnd});
-  tracker_.reset();
-  group_.reset();
-  interference_history_.clear();
+  IDXL_REQUIRE(!short_replay, "trace replay issued fewer launches than were captured");
+}
+
+Runtime::TracedLaunch& Runtime::capture_launch(TaskFnId fn, const Domain& domain,
+                                               const Point& point,
+                                               const LaunchResult& result) {
+  LogScope capture_scope(log_, ProfCategory::kTrace, obs::EventLog::kNameTraceCapture);
+  TracedLaunch& rec = active_trace_->launches.emplace_back();
+  rec.fn = fn;
+  rec.domain = domain;
+  rec.point = point;
+  rec.first = next_seq_ - trace_first_seq_;
+  rec.ran_as_index_launch = result.ran_as_index_launch;
+  rec.outcome = result.safety.outcome;
+  rec.dep_offsets.reserve(task_count(domain) + 1);
+  return rec;
+}
+
+Runtime::TracedLaunch& Runtime::replay_launch(TaskFnId fn, const Domain& domain,
+                                              const Point& point) {
+  if (replay_cursor_ == active_trace_->launches.size())
+    trace_diverged("trace replay issued more launches than were captured");
+  TracedLaunch& rec = active_trace_->launches[replay_cursor_++];
+  // The capture must have issued this launch whole, and the replay so far
+  // every task the capture did: a launch that threw part-way through either
+  // would shift the trace-local indices of everything after it.
+  if (rec.fn != fn || rec.domain != domain || rec.point != point ||
+      rec.first != next_seq_ - trace_first_seq_ ||
+      rec.dep_offsets.size() != task_count(domain) + 1)
+    trace_diverged("trace replay diverged from the captured task sequence");
+  return rec;
+}
+
+void Runtime::trace_args(TracedLaunch& rec, std::vector<uint32_t> ispaces) {
+  if (!replaying_)
+    rec.ispaces = std::move(ispaces);
+  else if (ispaces != rec.ispaces)
+    trace_diverged("trace replay diverged in region arguments");
+}
+
+void Runtime::trace_deps(TracedLaunch& rec, std::size_t task, const TaskNodePtr& node,
+                         std::vector<TaskNodePtr>& deps) {
+  if (replaying_) {
+    for (uint32_t k = rec.dep_offsets[task]; k < rec.dep_offsets[task + 1]; ++k)
+      deps.push_back(trace_nodes_[rec.deps[k]]);
+    trace_nodes_.push_back(node);
+    cells_.traced_replayed.inc();
+    return;
+  }
+  // Pre-trace predecessors are dropped: traces are fenced, so they are
+  // satisfied by construction on replay.
+  for (const TaskNodePtr& dep : deps)
+    if (dep->seq >= trace_first_seq_)
+      rec.deps.push_back(static_cast<uint32_t>(dep->seq - trace_first_seq_));
+  rec.dep_offsets.push_back(static_cast<uint32_t>(rec.deps.size()));
+}
+
+void Runtime::trace_diverged(const char* what) {
+  // Drop the capture the way a faulted trace is dropped, fence the tasks
+  // already replayed (they never touched the trackers, so the untraced
+  // rest of the scope starts from a clean fence), and leave the scope open
+  // for end_trace to close normally.
+  active_trace_->captured = false;
+  active_trace_->launches.clear();
+  active_trace_ = nullptr;
+  replaying_ = false;
+  trace_nodes_.clear();
+  wait_all();
+  throw RuntimeError(std::string("idxl: ") + what);
 }
 
 TaskFnId Runtime::fill_task() {
@@ -1558,8 +1519,8 @@ void Runtime::register_external(const TaskNodePtr& node) {
   }
   // A forwarded outcome can overtake the launch frame that issues its node;
   // apply the buffered one here. Releasing the remote guard is safe — the
-  // caller still holds a closure/registration guard, so the node cannot
-  // become ready under us.
+  // caller still holds the closure guard, so the node cannot become ready
+  // under us.
   if (early.has_value()) {
     node->remote = std::make_unique<RemoteOutcome>(std::move(*early));
     node->pending.fetch_sub(1, std::memory_order_relaxed);
@@ -1616,10 +1577,7 @@ void Runtime::abandon_externals(const std::string& why) {
 
 void Runtime::deliver_external(const TaskNodePtr& node, RemoteOutcome outcome) {
   node->remote = std::make_unique<RemoteOutcome>(std::move(outcome));
-  if (node->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    record_ready(*node, obs::Event::kNone);
-    make_ready(node);
-  }
+  release(node);
 }
 
 void Runtime::fill_bytes_region(RegionId r, FieldId f, const void* pattern,

@@ -159,6 +159,8 @@ class Runtime : public RuntimeApi {
   /// Dynamic tracing (Lee et al. [20]): capture the dependence analysis of
   /// the bracketed launches on first execution, replay it afterwards.
   /// Traces are fenced on both sides (a legal restriction of parallelism).
+  /// A launch that diverges from the capture throws RuntimeError; the
+  /// capture is dropped and the rest of the scope runs untraced.
   void begin_trace(uint32_t trace_id);
   void end_trace(uint32_t trace_id);
 
@@ -312,50 +314,65 @@ class Runtime : public RuntimeApi {
   /// Lazily registered internal task backing fill<T>().
   TaskFnId fill_task();
 
-  struct TraceStep {
+  /// One launch of a dynamic trace (recorded per launch, not per task):
+  /// what replay checks (task, domain or single-task point, each task's
+  /// region-argument index spaces), what the capture returned, and each
+  /// task's predecessors as trace-local indices (seq minus the first seq of
+  /// the trace), packed by task.
+  struct TracedLaunch {
     TaskFnId fn = 0;
-    Point point;
-    std::vector<uint32_t> ispaces;       // one per region arg, for validation
-    std::vector<uint32_t> dep_indices;   // trace-local predecessor indices
+    Domain domain;  ///< index launches; empty for single tasks
+    Point point;    ///< single tasks
+    uint64_t first = 0;  ///< trace-local index of the launch's first task
+    bool ran_as_index_launch = false;
+    SafetyOutcome outcome = SafetyOutcome::kSafeStatic;
+    std::vector<uint32_t> ispaces;  ///< per task, one per region argument
+    std::vector<uint32_t> dep_offsets{0};  ///< task i: deps[offsets[i], offsets[i+1])
+    std::vector<uint32_t> deps;
   };
   struct Trace {
     bool captured = false;
-    std::vector<TraceStep> steps;
+    std::vector<TracedLaunch> launches;
   };
 
-  /// Per-launch retry/timeout knobs, copied from the launcher onto every
-  /// TaskNode it expands into.
-  struct RetryPolicy {
-    uint32_t retries = 0;
-    uint32_t backoff_ms = 0;
-    uint32_t timeout_ms = 0;
-  };
-  static const RetryPolicy kNoRetry;
-
-  /// Issue one point task: map regions, discover dependencies (or replay
-  /// them from the active trace), hand to the scheduler. `collect`/`rank`
-  /// route the task's return value into a pending Future.
-  void issue_point_task(TaskFnId fn, const Point& point, const Domain& launch_domain,
-                        const std::vector<RegionArg>& args,
-                        const ArgBuffer& scalar_args, uint64_t launch_id,
-                        const std::shared_ptr<Future::State>& collect = nullptr,
-                        int64_t rank = -1, const RetryPolicy& policy = kNoRetry,
-                        bool internal = false);
-
-  void expand_as_task_loop(const IndexLauncher& launcher, uint64_t launch_id,
-                           const std::shared_ptr<Future::State>& collect);
-  std::vector<RegionArg> project_args(const IndexLauncher& launcher, const Point& p);
-
-  /// Bulk expansion of a safe index launch: the issuing thread walks the
-  /// domain once — wiring dependence edges through the group tracker
-  /// (group_mode) or the per-point tracker — while point closures
-  /// (PhysicalRegion vectors, argument copies) are built by chunk jobs on
-  /// pool workers, gated by an extra "closure guard" on each node's pending
-  /// count. Shares per-launch state with the workers through a LaunchArena.
+  /// Per-launch state every task closure of the launch shares (body, scalar
+  /// arguments, Future slots, retry policy); the bulk expansion also keeps
+  /// the chunk jobs' prototype regions and color ranks here.
   struct LaunchArena;
-  void expand_index_launch(const IndexLauncher& launcher, uint64_t launch_id,
-                           const std::shared_ptr<Future::State>& collect,
-                           bool group_mode, SafetyOutcome outcome);
+  using ArenaPtr = std::shared_ptr<LaunchArena>;
+  template <typename Launcher>
+  ArenaPtr make_arena(const Launcher& launcher, const Domain& domain, uint64_t launch,
+                      std::size_t future_slots);
+  /// Create the node of the launch's next task and count it.
+  TaskNodePtr new_node(const LaunchArena& arena, const Point& point);
+  /// The one builder of TaskNode::work: run the launch's body over
+  /// `regions` or, for a remote-owned node, apply the owner's outcome to
+  /// them; either way the return value fills Future slot `rank`.
+  void build_work(const ArenaPtr& arena, TaskNode& node, std::size_t rank,
+                  std::vector<PhysicalRegion> regions);
+
+  /// Issue one task outside the bulk expansion (single tasks, task-loop
+  /// points): map regions, discover dependencies (or replay them from
+  /// `traced`), hand to the scheduler. `rank` is the task's index in its
+  /// launch: its Future slot and its place in the trace record.
+  void issue_point_task(const ArenaPtr& arena, const Point& point,
+                        const std::vector<RegionArg>& args, std::size_t rank,
+                        TracedLaunch* traced);
+
+  void expand_as_task_loop(const IndexLauncher& launcher, const ArenaPtr& arena,
+                           TracedLaunch* traced);
+  std::vector<RegionArg> project_args(const IndexLauncher& launcher, const Point& p);
+  /// Hybrid safety analysis of an index launch (or its assume_verified
+  /// claim), with the verdict counted.
+  SafetyReport analyze_safety(const IndexLauncher& launcher, uint64_t launch_id);
+
+  /// Bulk expansion of a safe index launch: the issuing thread resolves
+  /// every point, then wires dependence edges through the group tracker
+  /// (group_mode), the per-point tracker, or the trace being replayed,
+  /// while point closures are built by chunk jobs on pool workers, gated by
+  /// an extra "closure guard" on each node's pending count.
+  void expand_index_launch(const IndexLauncher& launcher, const ArenaPtr& arena,
+                           bool group_mode, SafetyOutcome outcome, TracedLaunch* traced);
   /// Inter-launch short-circuit: is `s` certified kDisjoint against *every*
   /// summary recorded on `tree` since the last fence? Consults the
   /// interference cache first; analyzes (and caches) on a miss unless the
@@ -369,24 +386,38 @@ class Runtime : public RuntimeApi {
   /// Flush any group state on `tree` into the per-point tracker before a
   /// per-point use touches it.
   void materialize_tree(uint32_t tree);
-  /// Append a capture step for `node` to the active trace.
-  void capture_trace_step(TaskFnId fn, const Point& point,
-                          std::vector<uint32_t> ispaces,
-                          const std::vector<TaskNodePtr>& deps,
-                          const TaskNodePtr& node);
-  /// Post-dependence bookkeeping shared by every issue path: dedupe (and
-  /// self-filter) `deps`, record graph/event-log edges, update stats.
-  void finalize_deps(const TaskNodePtr& node, std::vector<TaskNodePtr>& deps);
+  /// Shared tail of every issue path once `deps` is known: record the
+  /// edges (stats, task graph, event log, watchdog), take the closure guard
+  /// the caller releases once node->work is built, publish a remote-owned
+  /// node to complete_external(), and schedule.
+  void wire_node(const LaunchArena& arena, const TaskNodePtr& node,
+                 const std::vector<TaskNodePtr>& deps);
+
+  // --- tracing, shared by every issue path ---
+  /// Replay: the next captured launch, checked against this one before it
+  /// has any effect; a mismatch abandons the trace (trace_diverged).
+  TracedLaunch& replay_launch(TaskFnId fn, const Domain& domain, const Point& point);
+  /// Capture: open the record of the launch being issued.
+  TracedLaunch& capture_launch(TaskFnId fn, const Domain& domain, const Point& point,
+                               const LaunchResult& result);
+  /// Capture the launch's region-argument index spaces (per task, per
+  /// argument), or check them against the capture on replay.
+  void trace_args(TracedLaunch& rec, std::vector<uint32_t> ispaces);
+  /// Replay: wire task `task` of `rec` to its captured predecessors.
+  /// Capture: record the in-trace members of `deps` as its predecessors.
+  void trace_deps(TracedLaunch& rec, std::size_t task, const TaskNodePtr& node,
+                  std::vector<TaskNodePtr>& deps);
+  /// A replay diverged from its capture: drop the capture, fence what was
+  /// replayed, run the rest of the trace scope untraced, and throw.
+  [[noreturn]] void trace_diverged(const char* what);
 
   /// Create the registry-backed stat cells and register the collector that
   /// refreshes externally-owned gauges (trackers, caches, pool, event log).
   void init_metrics();
-  /// Record a kReady lifecycle event for `node` (edge = predecessor seq
-  /// whose completion unblocked it last; kNone off the completion path).
-  void record_ready(const TaskNode& node, uint64_t edge);
+  /// Drop one guard from `node`'s pending count; the last one readies it.
+  void release(const TaskNodePtr& node);
 
   void schedule(const TaskNodePtr& node, const std::vector<TaskNodePtr>& deps);
-  void make_ready(const TaskNodePtr& node);
   /// The pool job that executes `node` then fans out to ready successors
   /// (batched through ThreadPool::submit_batch).
   std::function<void()> node_job(TaskNodePtr node);
@@ -397,6 +428,9 @@ class Runtime : public RuntimeApi {
   /// `attempts` is the number of body executions (0 when the body never ran).
   void finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t root,
                     uint32_t attempts, std::string message);
+  /// Count `node` done, drop it from the live table and its closure, then
+  /// fan out (`poison` as in fan_out). Every terminal path ends here.
+  void settle(const TaskNodePtr& node, uint64_t poison);
   /// Completion fan-out shared by the success and fault paths: complete the
   /// node, decrement successors (stamping `poison` into poison_root first
   /// when != kNone sentinel), record kReady events, submit newly ready jobs.
@@ -526,13 +560,14 @@ class Runtime : public RuntimeApi {
 
   // --- tracing state ---
   std::unordered_map<uint32_t, Trace> traces_;
+  std::optional<uint32_t> trace_id_;  ///< the open trace scope, if any
+  /// The trace being captured or replayed: null outside a scope, and for the
+  /// rest of a scope whose replay diverged (it runs untraced).
   Trace* active_trace_ = nullptr;
   bool replaying_ = false;
-  std::size_t replay_cursor_ = 0;
-  std::vector<TaskNodePtr> trace_nodes_;  // nodes of the current capture/replay
-  /// Trace-local index of each captured node (maintained alongside
-  /// trace_nodes_, so capture is O(deps) per task instead of O(tasks)).
-  std::unordered_map<const TaskNode*, uint32_t> trace_index_;
+  uint64_t trace_first_seq_ = 0;  ///< seq of the open scope's first task
+  std::size_t replay_cursor_ = 0;  ///< next launch record to replay
+  std::vector<TaskNodePtr> trace_nodes_;  ///< replayed nodes, by trace-local index
 };
 
 }  // namespace idxl

@@ -275,6 +275,30 @@ TEST(FaultTest, RetrySucceedsOnAttemptK) {
   EXPECT_DOUBLE_EQ(acc.read(Point::p1(0)), 1.0);  // others on attempt 0
 }
 
+// A body that throws keeps its mapped regions for the retried attempt, on
+// the bulk expansion and on the single-task path alike.
+TEST(FaultTest, RetriedBodyKeepsItsRegions) {
+  Fixture fx(8, 4);
+  const TaskFnId flaky = fx.rt.register_task("flaky", [](TaskContext& ctx) {
+    if (ctx.attempt() == 0) throw std::runtime_error("first attempt fails");
+    auto acc = ctx.region(0).accessor<double>(0);
+    ctx.region(0).domain().for_each([&](const Point& p) { acc.write(p, acc.read(p) + 1.0); });
+  });
+  fx.rt.fill(fx.grid, fx.fv, 1.0);
+  fx.rt.execute_index(IndexLauncher::over(Domain::line(4))
+                          .with_task(flaky)
+                          .retries(1)
+                          .region(fx.grid, fx.blocks, ProjectionFunctor::identity(1),
+                                  {fx.fv}, Privilege::kReadWrite));
+  fx.rt.execute(TaskLauncher::for_task(flaky).retries(1).region(fx.grid, {fx.fv},
+                                                                Privilege::kReadWrite));
+  fx.rt.wait_all();
+  EXPECT_TRUE(fx.rt.fault_report().ok());
+  EXPECT_EQ(fx.rt.stats().retries_succeeded, 5u);
+  auto acc = fx.rt.read_region<double>(fx.grid, fx.fv);
+  for (int64_t i = 0; i < 8; ++i) EXPECT_DOUBLE_EQ(acc.read(Point::p1(i)), 3.0) << i;
+}
+
 TEST(FaultTest, RetriesExhaustedReportsTerminalFault) {
   RuntimeConfig cfg;
   auto plan = std::make_shared<FaultPlan>();

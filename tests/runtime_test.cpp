@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <thread>
 
@@ -174,6 +176,26 @@ TEST(RuntimeTest, UnsafeLaunchFallsBackSequentially) {
   EXPECT_DOUBLE_EQ(acc.read(Point::p1(0)), 3.0);
   EXPECT_DOUBLE_EQ(acc.read(Point::p1(1)), 4.0);
   EXPECT_DOUBLE_EQ(acc.read(Point::p1(2)), 5.0);
+
+  // Traced: the capture runs the task loop, and every replay returns what
+  // the capture returned and runs the same loop.
+  for (int pass = 0; pass < 3; ++pass) {
+    fx.rt.begin_trace(1);
+    const LaunchResult traced = fx.rt.execute_index(
+        IndexLauncher::over(Domain::line(6))
+            .with_task(stamp)
+            .region(fx.region, fx.blocks, ProjectionFunctor::modular1d(0, 3),
+                    {fx.fv}, Privilege::kWrite));
+    fx.rt.end_trace(1);
+    EXPECT_FALSE(traced.ran_as_index_launch) << "pass " << pass;
+    EXPECT_EQ(traced.safety.outcome, SafetyOutcome::kUnsafe) << "pass " << pass;
+    EXPECT_EQ(fx.rt.stats().index_launches, 0u) << "pass " << pass;
+  }
+  EXPECT_EQ(fx.rt.stats().traced_tasks_replayed, 2u * 6u);
+  auto traced_acc = fx.rt.read_region<double>(fx.region, fx.fv);
+  EXPECT_DOUBLE_EQ(traced_acc.read(Point::p1(0)), 3.0);
+  EXPECT_DOUBLE_EQ(traced_acc.read(Point::p1(1)), 4.0);
+  EXPECT_DOUBLE_EQ(traced_acc.read(Point::p1(2)), 5.0);
 }
 
 TEST(RuntimeTest, StrictUnsafeThrows) {
@@ -419,6 +441,58 @@ TEST(RuntimeTest, TraceReplayDivergenceDetected) {
   fx.rt.begin_trace(1);
   EXPECT_THROW(fx.rt.execute(TaskLauncher::for_task(b)),
                RuntimeError);  // diverges from capture
+  // The divergent task issued nothing, and the runtime stays usable: the
+  // rest of the scope runs untraced, end_trace closes it, and the dropped
+  // capture is captured afresh by the next begin_trace.
+  EXPECT_EQ(fx.rt.stats().point_tasks, 1u);
+  EXPECT_EQ(fx.rt.stats().tasks_completed, 1u);
+  fx.rt.execute(TaskLauncher::for_task(b));
+  EXPECT_NO_THROW(fx.rt.end_trace(1));
+  EXPECT_NO_THROW(fx.rt.begin_trace(2));
+  EXPECT_NO_THROW(fx.rt.end_trace(2));
+  for (int pass = 0; pass < 2; ++pass) {
+    fx.rt.begin_trace(1);
+    fx.rt.execute(TaskLauncher::for_task(b));
+    fx.rt.end_trace(1);
+  }
+  fx.rt.wait_all();
+  EXPECT_EQ(fx.rt.stats().traced_tasks_replayed, 1u);
+  EXPECT_EQ(fx.rt.stats().point_tasks, 4u);
+  EXPECT_EQ(fx.rt.stats().tasks_completed, 4u);
+
+  // An index launch whose region arguments diverge is refused before any of
+  // its points issues.
+  const TaskFnId touch = fx.rt.register_task("touch", [](TaskContext&) {});
+  auto launch = [&](ProjectionFunctor f) {
+    return IndexLauncher::over(Domain::line(2))
+        .with_task(touch)
+        .region(fx.region, fx.blocks, std::move(f), {fx.fv}, Privilege::kReadWrite);
+  };
+  fx.rt.begin_trace(3);
+  fx.rt.execute_index(launch(ProjectionFunctor::identity(1)));
+  fx.rt.end_trace(3);
+  fx.rt.begin_trace(3);
+  EXPECT_THROW(fx.rt.execute_index(launch(ProjectionFunctor::affine1d(-1, 1))),
+               RuntimeError);
+  fx.rt.end_trace(3);
+  fx.rt.wait_all();
+  EXPECT_EQ(fx.rt.stats().point_tasks, 6u);
+  EXPECT_EQ(fx.rt.stats().tasks_completed, 6u);
+  EXPECT_EQ(fx.rt.stats().traced_tasks_replayed, 1u);
+
+  // A replay that stops short of its capture is refused at end_trace, which
+  // still closes the scope and drops the capture.
+  fx.rt.begin_trace(4);
+  fx.rt.execute(TaskLauncher::for_task(a));
+  fx.rt.execute(TaskLauncher::for_task(a));
+  fx.rt.end_trace(4);
+  fx.rt.begin_trace(4);
+  fx.rt.execute(TaskLauncher::for_task(a));
+  EXPECT_THROW(fx.rt.end_trace(4), RuntimeError);
+  EXPECT_NO_THROW(fx.rt.begin_trace(4));  // captures afresh
+  fx.rt.execute(TaskLauncher::for_task(a));
+  fx.rt.end_trace(4);
+  EXPECT_EQ(fx.rt.stats().traced_tasks_replayed, 2u);
 }
 
 // Regression: a predecessor that had already *completed* by the time a later
@@ -470,6 +544,138 @@ TEST(RuntimeTest, TraceCaptureKeepsEdgesToCompletedPredecessors) {
     for (const auto& [from, to] : fx.rt.task_graph_edges())
       EXPECT_EQ(to, from + 4) << "group=" << group;
   }
+}
+
+// A traced segment that mixes every issue path — a group-path launch, a
+// launch through an aliased partition (per-point path), a single task, a
+// fill and a launch with a Future reduction — replays exactly what it
+// captured: each replay's edge set is the capture's shifted by the seq
+// offset, and every Future value and the final region contents are
+// bit-identical to an untraced runtime running the same program.
+TEST(RuntimeTest, TraceReplayReproducesCaptureAcrossIssuePaths) {
+  constexpr int kIterations = 4;  // one capture, three replays
+  struct Run {
+    std::vector<double> futures;
+    std::vector<double> contents;
+    std::vector<std::vector<std::pair<uint64_t, uint64_t>>> edges;  // per iteration
+    std::vector<uint64_t> first_seq;                                // per iteration
+    RuntimeStats stats;
+  };
+  auto run = [](bool traced) {
+    RuntimeConfig cfg;
+    cfg.record_task_graph = true;
+    cfg.workers = 2;
+    Fixture fx(64, 8, cfg);
+    auto& forest = fx.rt.forest();
+    const FieldSpaceId fs = forest.create_field_space();
+    const FieldId fv = forest.allocate_field(fs, sizeof(double), "v");
+    const FieldId fw = forest.allocate_field(fs, sizeof(double), "w");
+    const RegionId region = forest.create_region(fx.is, fs);
+    const PartitionId halo = partition_halo(forest, fx.is, fx.blocks, 1);
+    const TaskFnId scale = fx.rt.register_task("scale", [fv](TaskContext& ctx) {
+      auto v = ctx.region(0).accessor<double>(fv);
+      ctx.region(0).domain().for_each([&](const Point& p) {
+        v.write(p, v.read(p) * 0.5 + static_cast<double>(ctx.point[0]));
+      });
+    });
+    const TaskFnId smooth = fx.rt.register_task("smooth", [fv, fw](TaskContext& ctx) {
+      auto in = ctx.region(0).accessor<double>(fv);
+      auto out = ctx.region(1).accessor<double>(fw);
+      double sum = 0.0;
+      ctx.region(0).domain().for_each([&](const Point& p) { sum += in.read(p); });
+      ctx.region(1).domain().for_each([&](const Point& p) { out.write(p, sum + p[0]); });
+    });
+    const TaskFnId mix = fx.rt.register_task("mix", [fv, fw](TaskContext& ctx) {
+      auto v = ctx.region(0).accessor<double>(fv);
+      auto w = ctx.region(1).accessor<double>(fw);
+      ctx.region(0).domain().for_each(
+          [&](const Point& p) { v.write(p, v.read(p) + w.read(p) * 0.25); });
+    });
+    const TaskFnId dot = fx.rt.register_task("dot", [fv, fw](TaskContext& ctx) {
+      auto v = ctx.region(0).accessor<double>(fv);
+      auto w = ctx.region(1).accessor<double>(fw);
+      double sum = 0.0;
+      ctx.region(0).domain().for_each([&](const Point& p) { sum += v.read(p) * w.read(p); });
+      ctx.return_value = sum;
+    });
+    fx.rt.fill(region, fv, 1.0);
+    fx.rt.wait_all();
+
+    Run out;
+    for (int it = 0; it < kIterations; ++it) {
+      const std::size_t nodes_before = fx.rt.task_graph_nodes().size();
+      const std::size_t edges_before = fx.rt.task_graph_edges().size();
+      if (traced) fx.rt.begin_trace(5);
+      fx.rt.execute_index(IndexLauncher::over(Domain::line(8))
+                              .with_task(scale)
+                              .region(region, fx.blocks, ProjectionFunctor::identity(1),
+                                      {fv}, Privilege::kReadWrite));
+      fx.rt.execute_index(IndexLauncher::over(Domain::line(8))
+                              .with_task(smooth)
+                              .region(region, halo, ProjectionFunctor::identity(1),
+                                      {fv}, Privilege::kRead)
+                              .region(region, fx.blocks, ProjectionFunctor::identity(1),
+                                      {fw}, Privilege::kWrite));
+      fx.rt.execute(TaskLauncher::for_task(mix)
+                        .region(region, {fv}, Privilege::kReadWrite)
+                        .region(region, {fw}, Privilege::kRead));
+      fx.rt.fill(region, fw, 0.75 + it);
+      const LaunchResult sum =
+          fx.rt.execute_index(IndexLauncher::over(Domain::line(8))
+                                  .with_task(dot)
+                                  .reduce(ReductionOp::kSum)
+                                  .region(region, fx.blocks,
+                                          ProjectionFunctor::identity(1), {fv},
+                                          Privilege::kRead)
+                                  .region(region, fx.blocks,
+                                          ProjectionFunctor::identity(1), {fw},
+                                          Privilege::kRead));
+      if (traced) fx.rt.end_trace(5);
+      out.futures.push_back(sum.future.get(fx.rt));
+      out.first_seq.push_back(fx.rt.task_graph_nodes()[nodes_before].first);
+      const auto& edges = fx.rt.task_graph_edges();
+      out.edges.emplace_back(edges.begin() + static_cast<std::ptrdiff_t>(edges_before),
+                             edges.end());
+    }
+    for (FieldId f : {fv, fw}) {
+      auto acc = fx.rt.read_region<double>(region, f);
+      Domain::line(64).for_each([&](const Point& p) { out.contents.push_back(acc.read(p)); });
+    }
+    out.stats = fx.rt.stats();
+    return out;
+  };
+
+  const Run plain = run(false);
+  const Run traced = run(true);
+  // The segment really mixes the issue paths.
+  EXPECT_EQ(plain.stats.group_launches, uint64_t{kIterations});
+  EXPECT_GE(plain.stats.group_fallbacks, uint64_t{2 * kIterations});
+  const uint64_t per_iteration = 8 + 8 + 1 + 1 + 8;
+  EXPECT_EQ(traced.stats.traced_tasks_replayed, (kIterations - 1) * per_iteration);
+
+  ASSERT_FALSE(traced.edges[0].empty());
+  auto shifted = [&](int it) {
+    std::vector<std::pair<uint64_t, uint64_t>> e = traced.edges[static_cast<std::size_t>(it)];
+    const uint64_t offset = traced.first_seq[static_cast<std::size_t>(it)] - traced.first_seq[0];
+    for (auto& [from, to] : e) {
+      from -= offset;
+      to -= offset;
+    }
+    std::sort(e.begin(), e.end());
+    return e;
+  };
+  for (int it = 1; it < kIterations; ++it) EXPECT_EQ(shifted(it), shifted(0)) << "replay " << it;
+
+  for (int it = 0; it < kIterations; ++it) {
+    const double a = traced.futures[static_cast<std::size_t>(it)];
+    const double b = plain.futures[static_cast<std::size_t>(it)];
+    EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "iteration " << it << ": " << a
+                                                      << " vs " << b;
+  }
+  ASSERT_EQ(traced.contents.size(), plain.contents.size());
+  EXPECT_EQ(std::memcmp(traced.contents.data(), plain.contents.data(),
+                        plain.contents.size() * sizeof(double)),
+            0);
 }
 
 TEST(RuntimeTest, TaskGraphExport) {
