@@ -219,7 +219,7 @@ class EventLog {
     kNameWaitAll,
     kNameGroupDependence,  ///< group-level (whole-partition) dependence pass
     kNameMaterialize,      ///< group state flushed into the per-point tracker
-    kNameExpandChunk,      ///< one bulk-expansion chunk building closures
+    kNameExpandChunk,      ///< one bulk-expansion chunk mapping point regions
     kWellKnownCount,
   };
 

@@ -30,6 +30,9 @@ struct RuntimeStats {
   uint64_t dynamic_check_points = 0;
   uint64_t traced_tasks_replayed = 0;
   uint64_t tasks_completed = 0;     ///< tasks whose body has returned (live)
+  /// Tasks a worker started right after its own completion readied them,
+  /// without a trip through the pool queue (live).
+  uint64_t tasks_inline = 0;
   uint64_t dependence_tests = 0;    ///< per-use conflict tests, both tiers (live)
   uint64_t verdict_cache_hits = 0;   ///< launches served from the verdict cache
   uint64_t verdict_cache_misses = 0; ///< cacheable launches analyzed afresh
@@ -75,6 +78,7 @@ class Future {
 
  private:
   friend class Runtime;
+  friend struct LaunchArena;  // fills the slots as the launch's tasks finish
   struct State {
     std::vector<double> values;  // indexed by launch-point rank
     ReductionOp op = ReductionOp::kNone;

@@ -162,6 +162,9 @@ std::span<const Runtime::StatRow> Runtime::stat_rows() {
               &C::point_tasks),
       counter("idxl_tasks_completed_total", "task bodies completed", &S::tasks_completed,
               &C::tasks_completed),
+      counter("idxl_tasks_inline_total",
+              "tasks started by the worker whose completion readied them",
+              &S::tasks_inline, &C::tasks_inline),
       counter("idxl_dependence_edges_total", "dependence edges discovered",
               &S::dependence_edges, &C::dependence_edges),
       counter("idxl_launch_safety_total", safety, &S::launches_safe_static,
@@ -387,11 +390,12 @@ std::size_t task_count(const Domain& domain) {
 
 }  // namespace
 
-/// Kept alive by shared_ptr from every task closure of the launch and every
-/// bulk-expansion chunk job.
-struct Runtime::LaunchArena {
+/// Kept alive by shared_ptr from every unsettled task of the launch and
+/// every bulk-expansion chunk job. Immutable once the launch is issued.
+struct LaunchArena {
   TaskFn body;  // copied: the registry may grow while workers run
   TaskFnId fn = UINT32_MAX;  // forwarded into TaskContext::fn for hooks
+  uint32_t log_name = 0;     // interned task name for event-log spans
   ArgBuffer scalar;
   Domain launch_domain;
   std::shared_ptr<Future::State> collect;  // Future slots, or null
@@ -399,16 +403,19 @@ struct Runtime::LaunchArena {
   uint32_t retries = 0;
   uint32_t backoff_ms = 0;
   uint32_t timeout_ms = 0;
+  /// Runtime-generated helper tasks (delta transfers): full dependence and
+  /// poison semantics, but finish_fault keeps them out of the FaultReport so
+  /// reports stay comparable across data-plane configurations.
   bool internal = false;
   /// Bulk expansion: one prototype table per region argument (slots are
   /// filled by the issuing thread before the chunk jobs reading them are
   /// submitted) and every point's color rank per argument, point-major.
-  std::vector<std::shared_ptr<ProtoTable>> protos;
+  std::vector<std::shared_ptr<Runtime::ProtoTable>> protos;
   std::vector<uint32_t> cranks;
 
   /// Each task owns its slot; no synchronization needed beyond the
   /// wait_all() barrier in Future::get().
-  void set_result(std::size_t rank, double value) {
+  void set_result(std::size_t rank, double value) const {
     if (collect == nullptr) return;
     IDXL_ASSERT(rank < collect->values.size());
     collect->values[rank] = value;
@@ -421,6 +428,7 @@ Runtime::ArenaPtr Runtime::make_arena(const Launcher& launcher, const Domain& do
   auto arena = std::make_shared<LaunchArena>();
   arena->body = task_registry_[launcher.task].second;
   arena->fn = launcher.task;
+  arena->log_name = task_log_names_[launcher.task];
   arena->scalar = launcher.scalar_args;
   arena->launch_domain = domain;
   arena->launch = launch;
@@ -440,46 +448,34 @@ TaskNodePtr Runtime::new_node(const LaunchArena& arena, const Point& point) {
   auto node = std::make_shared<TaskNode>();
   node->seq = next_seq_++;
   node->launch = arena.launch;
-  node->log_name = task_log_names_[arena.fn];
   node->point = point;
-  node->internal = arena.internal;
-  node->max_retries = arena.retries;
-  node->backoff_ms = arena.backoff_ms;
-  node->timeout_ms = arena.timeout_ms;
-  if (labeling()) node->label = task_registry_[arena.fn].first + "@" + point.to_string();
   return node;
 }
 
-void Runtime::build_work(const ArenaPtr& arena, TaskNode& node, std::size_t rank,
-                         std::vector<PhysicalRegion> regions) {
-  // `self` is raw: node_job holds the shared_ptr while this runs, and a
-  // shared capture would cycle. `external` is settled before the node can
-  // run, so the closure reads it then.
-  node.work = [this, arena, rank, self = &node, regions = std::move(regions)]() mutable {
-    if (self->external) {
-      // Remote-owned point: apply the owner's outcome (written-region bytes
-      // + return value) instead of running the body.
-      apply_remote_outcome(*self->remote, regions);
-      arena->set_result(rank, self->remote->ret);
-      return;
-    }
-    TaskContext ctx;
-    ctx.point = self->point;
-    ctx.launch_domain = arena->launch_domain;
-    ctx.fn = arena->fn;
-    ctx.scalar_args = &arena->scalar;
-    ctx.regions = std::move(regions);
-    try {
-      arena->body(ctx);
-    } catch (...) {
-      regions = std::move(ctx.regions);  // a retried attempt maps them again
-      throw;
-    }
-    arena->set_result(rank, ctx.return_value);
-    // Ship the outcome while the mapped regions are still alive.
-    if (config_.on_task_success)
-      config_.on_task_success(self->seq, self->launch, self->point, ctx);
-  };
+void Runtime::run_body(TaskNode& node) {
+  const LaunchArena& arena = *node.arena;
+  if (node.external) {
+    // Remote-owned point: apply the owner's outcome (written-region bytes
+    // + return value) instead of running the body.
+    apply_remote_outcome(*node.remote, node.regions);
+    arena.set_result(node.rank, node.remote->ret);
+    return;
+  }
+  TaskContext ctx;
+  ctx.point = node.point;
+  ctx.launch_domain = arena.launch_domain;
+  ctx.fn = arena.fn;
+  ctx.scalar_args = &arena.scalar;
+  ctx.regions = std::move(node.regions);
+  try {
+    arena.body(ctx);
+  } catch (...) {
+    node.regions = std::move(ctx.regions);  // a retried attempt maps them again
+    throw;
+  }
+  arena.set_result(node.rank, ctx.return_value);
+  // Ship the outcome while the mapped regions are still alive.
+  if (config_.on_task_success) config_.on_task_success(node.seq, node.launch, node.point, ctx);
 }
 
 LaunchResult Runtime::execute(const TaskLauncher& launcher) {
@@ -753,18 +749,22 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
 void Runtime::wire_node(const LaunchArena& arena, const TaskNodePtr& node,
                         const std::vector<TaskNodePtr>& deps) {
   cells_.dependence_edges.inc(deps.size());
-  if (live_enabled_) {
-    LiveTask lt;
-    lt.label = node->label;
-    lt.launch = node->launch;
-    lt.deps.reserve(deps.size());
-    for (const TaskNodePtr& dep : deps) lt.deps.push_back(dep->seq);
-    std::lock_guard<std::mutex> lock(live_mu_);
-    live_.emplace(node->seq, std::move(lt));
-  }
-  if (config_.record_task_graph) {
-    graph_nodes_.emplace_back(node->seq, node->label);
-    for (const TaskNodePtr& dep : deps) graph_edges_.emplace_back(dep->seq, node->seq);
+  if (config_.record_task_graph || live_enabled_) {
+    // "name@point", formatted only for the two readers of labels.
+    std::string label = task_registry_[arena.fn].first + "@" + node->point.to_string();
+    if (config_.record_task_graph) {
+      graph_nodes_.emplace_back(node->seq, label);
+      for (const TaskNodePtr& dep : deps) graph_edges_.emplace_back(dep->seq, node->seq);
+    }
+    if (live_enabled_) {
+      LiveTask lt;
+      lt.label = std::move(label);
+      lt.launch = node->launch;
+      lt.deps.reserve(deps.size());
+      for (const TaskNodePtr& dep : deps) lt.deps.push_back(dep->seq);
+      std::lock_guard<std::mutex> lock(live_mu_);
+      live_.emplace(node->seq, std::move(lt));
+    }
   }
   if (log_ != nullptr && log_->capturing()) {
     std::vector<uint64_t> dep_seqs;
@@ -774,8 +774,8 @@ void Runtime::wire_node(const LaunchArena& arena, const TaskNodePtr& node,
   }
   // Closure guard BEFORE register_external: the latter publishes the node
   // to the distributed recv threads, and the guard (held until the caller
-  // has built node->work) keeps an early remote outcome from readying a
-  // node that is not scheduled or has no closure yet.
+  // has attached the node's arena and regions) keeps an early remote
+  // outcome from readying a node that is not scheduled or cannot run yet.
   node->pending.fetch_add(1, std::memory_order_relaxed);
   if (config_.point_owned != nullptr &&
       !config_.point_owned(arena.launch, node->point, arena.launch_domain))
@@ -962,9 +962,13 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, const ArenaPtr&
 
   // Chunked deferred expansion: the issuing thread wires dependence edges
   // and holds a "closure guard" on each node's pending count; chunk jobs on
-  // pool workers copy the prototype PhysicalRegions, build node->work and
-  // release the guard. All chunks of a launch enqueue under one lock
-  // (ThreadPool::submit_batch).
+  // pool workers copy the prototype PhysicalRegions, attach them and the
+  // arena to the node and release the guard. All chunks of a launch
+  // enqueue under one lock (ThreadPool::submit_batch), after the last node
+  // is wired: a chunk submitted as it filled could finish the previous
+  // launch's tasks before this launch's edges exist, and its nodes would
+  // then be readied by chunk jobs, through the pool, instead of inline by
+  // the completions they wait for.
   std::vector<TaskNodePtr> chunk;  // consecutive points, from rank chunk_begin
   std::size_t chunk_begin = 0;
   std::vector<std::function<void()>> chunk_jobs;
@@ -993,12 +997,12 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, const ArenaPtr&
       }
       const std::size_t args = arena->protos.size();
       for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const std::size_t rank = begin + i;
-        std::vector<PhysicalRegion> regions;
-        regions.reserve(args);
+        TaskNode& node = *nodes[i];
+        node.arena = arena;
+        node.rank = begin + i;
+        node.regions.reserve(args);
         for (std::size_t a = 0; a < args; ++a)
-          regions.push_back(*(*arena->protos[a])[arena->cranks[rank * args + a]]);
-        build_work(arena, *nodes[i], rank, std::move(regions));
+          node.regions.push_back(*(*arena->protos[a])[arena->cranks[node.rank * args + a]]);
         // Release the closure guard; the node may become ready right here
         // when its dependence edges were already satisfied.
         release(nodes[i]);
@@ -1091,7 +1095,9 @@ void Runtime::issue_point_task(const ArenaPtr& arena, const Point& point,
   }
 
   wire_node(*arena, node, deps);
-  build_work(arena, *node, rank, std::move(regions));
+  node->arena = arena;
+  node->rank = rank;
+  node->regions = std::move(regions);
   release(node);  // the closure guard
 }
 
@@ -1149,145 +1155,141 @@ void Runtime::schedule(const TaskNodePtr& node, const std::vector<TaskNodePtr>& 
 }
 
 std::function<void()> Runtime::node_job(TaskNodePtr node) {
-  // `ready_ns` is taken here — the moment every dependence was satisfied —
+  // `ready_ns` is stamped here — the moment every dependence was satisfied —
   // so the recorded queue wait is pure scheduler latency.
-  obs::EventLog* log = log_;
-  const uint64_t ready_ns = log != nullptr ? log->now_ns() : 0;
-  return [this, node = std::move(node), ready_ns, log] {
-    // --- external (remote-owned) node: apply the owner's outcome ---
-    // The local fault gates and the injection plan deliberately do NOT run
-    // here: the owner already made those decisions, and determinism across
-    // processes requires every rank to record the owner's verdict verbatim
-    // (a poisoned remote point arrives as a kPoisoned outcome).
-    if (node->external) {
-      const RemoteOutcome& o = *node->remote;
-      if (o.kind != FaultKind::kNone) {
-        finish_fault(node, o.kind, o.root, o.attempts, o.message);
-        return;
-      }
-      try {
-        node->work();
-      } catch (const std::exception& e) {
-        finish_fault(node, FaultKind::kException, node->seq, 1, e.what());
-        return;
-      }
-      settle(node, obs::Event::kNone);
-      return;
-    }
-
-    // --- fault gates: settle without running the body ---
-    const uint64_t proot = node->poison_root.load(std::memory_order_acquire);
-    if (proot != UINT64_MAX) {
-      finish_fault(node, FaultKind::kPoisoned, proot, 0, {});
-      return;
-    }
-    if (cancel_all_.load(std::memory_order_acquire) ||
-        node->cancel_flag.load(std::memory_order_acquire)) {
-      finish_fault(node, FaultKind::kCancelled, node->seq, 0,
-                   "cancelled before start");
-      return;
-    }
-
-    // --- execute one attempt ---
-    FaultKind fk = FaultKind::kNone;
-    std::string msg;
-    if (fault_plan_ != nullptr &&
-        fault_plan_->should_fail(node->launch, node->point, node->attempt)) {
-      cells_.fault_injections.inc();
-      fk = FaultKind::kInjected;
-      msg = "injected fault";
-    } else {
-      uint64_t timer = 0;
-      if (node->timeout_ms > 0) {
-        // The timer fires on the pool's timer thread (never a worker), so a
-        // timeout lands even when every worker is stuck; the shared_ptr
-        // capture keeps the node alive if the task wins the race.
-        timer = pool_->submit_after(
-            [n = node] {
-              n->timed_out.store(true, std::memory_order_release);
-              n->cancel_flag.store(true, std::memory_order_release);
-            },
-            node->timeout_ms);
-      }
-      const uint64_t start_ns = log != nullptr ? log->now_ns() : 0;
-      try {
-        FaultFrameScope frame(
-            FaultFrame{&node->cancel_flag, &cancel_all_, node->attempt});
-        node->work();
-      } catch (const TaskCancelled&) {
-        fk = node->timed_out.load(std::memory_order_acquire) ? FaultKind::kTimeout
-                                                             : FaultKind::kCancelled;
-        msg = fk == FaultKind::kTimeout ? "timed out" : "cancelled";
-      } catch (const TaskFailure& e) {
-        fk = FaultKind::kExplicit;
-        msg = e.what();
-      } catch (const std::exception& e) {
-        fk = FaultKind::kException;
-        msg = e.what();
-      } catch (...) {
-        fk = FaultKind::kException;
-        msg = "unknown exception";
-      }
-      if (timer != 0) pool_->cancel_timer(timer);
-      if (fk == FaultKind::kNone && log != nullptr) {
-        const uint64_t end_ns = log->now_ns();
-        // One record per executed body: the task span, which the lifecycle
-        // view reads as kRunning at its start and kComplete at its end.
-        log->record({.ts_ns = start_ns,
-                     .dur_ns = end_ns - start_ns,
-                     .seq = node->seq,
-                     .launch = node->launch,
-                     .queue_wait_ns = start_ns - ready_ns,
-                     .name = node->log_name,
-                     .kind = LifecycleEvent::kComplete,
-                     .cat = ProfCategory::kTask});
-        cells_.task_duration.observe(end_ns - start_ns);
-        cells_.queue_wait.observe(start_ns - ready_ns);
-      }
-    }
-
-    if (fk == FaultKind::kNone) {
-      if (node->attempt > 0) cells_.retry_succeeded.inc();
-      settle(node, obs::Event::kNone);
-      return;
-    }
-
-    // --- failed attempt: retry under the launch policy, or settle ---
-    const bool retryable = fk == FaultKind::kException ||
-                           fk == FaultKind::kExplicit || fk == FaultKind::kInjected;
-    if (retryable && node->attempt < node->max_retries) {
-      ++node->attempt;  // the executing worker owns this field
-      cells_.retry_attempts.inc();
-      if (log_ != nullptr) {
-        obs::Event ev{.seq = node->seq,
-                      .launch = node->launch,
-                      .edge = node->attempt,  // attempt number about to run
-                      .kind = LifecycleEvent::kRetry,
-                      .detail = detail_of(fk)};
-        ev.set_point(node->point.c.data(), node->point.dim);
-        log_->record(ev);
-      }
-      // Exponential backoff: backoff_ms, 2*backoff_ms, 4*backoff_ms, ...
-      const uint64_t delay =
-          node->backoff_ms == 0
-              ? 0
-              : static_cast<uint64_t>(node->backoff_ms) << (node->attempt - 1);
-      if (delay == 0) {
-        pool_->submit(node_job(node));
-      } else {
-        // The pending timer holds the pool open (wait_idle waits for it).
-        pool_->submit_after(
-            [this, n = node]() mutable { pool_->submit(node_job(std::move(n))); },
-            delay);
-      }
-      return;
-    }
-    finish_fault(node, fk, node->seq, node->attempt + 1, std::move(msg));
+  node->ready_ns = log_ != nullptr ? log_->now_ns() : 0;
+  return [this, node = std::move(node)] {
+    // Each successor a completion keeps for this worker starts here, in a
+    // loop rather than by recursion, so a long chain does not grow the stack.
+    uint64_t inline_starts = 0;
+    for (TaskNodePtr next = run_node(node); next != nullptr; ++inline_starts)
+      next = run_node(next);
+    if (inline_starts != 0) cells_.tasks_inline.inc(inline_starts);
   };
 }
 
-void Runtime::finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t root,
-                           uint32_t attempts, std::string message) {
+TaskNodePtr Runtime::run_node(const TaskNodePtr& node) {
+  obs::EventLog* log = log_;
+  // Valid until the node settles, which is the last thing every path does.
+  const LaunchArena& arena = *node->arena;
+  // --- external (remote-owned) node: apply the owner's outcome ---
+  // The local fault gates and the injection plan deliberately do NOT run
+  // here: the owner already made those decisions, and determinism across
+  // processes requires every rank to record the owner's verdict verbatim
+  // (a poisoned remote point arrives as a kPoisoned outcome).
+  if (node->external) {
+    const RemoteOutcome& o = *node->remote;
+    if (o.kind != FaultKind::kNone)
+      return finish_fault(node, o.kind, o.root, o.attempts, o.message);
+    try {
+      run_body(*node);
+    } catch (const std::exception& e) {
+      return finish_fault(node, FaultKind::kException, node->seq, 1, e.what());
+    }
+    return settle(node, obs::Event::kNone);
+  }
+
+  // --- fault gates: settle without running the body ---
+  const uint64_t proot = node->poison_root.load(std::memory_order_acquire);
+  if (proot != UINT64_MAX) return finish_fault(node, FaultKind::kPoisoned, proot, 0, {});
+  if (cancel_all_.load(std::memory_order_acquire) ||
+      node->cancel_flag.load(std::memory_order_acquire))
+    return finish_fault(node, FaultKind::kCancelled, node->seq, 0, "cancelled before start");
+
+  // --- execute one attempt ---
+  FaultKind fk = FaultKind::kNone;
+  std::string msg;
+  if (fault_plan_ != nullptr &&
+      fault_plan_->should_fail(node->launch, node->point, node->attempt)) {
+    cells_.fault_injections.inc();
+    fk = FaultKind::kInjected;
+    msg = "injected fault";
+  } else {
+    uint64_t timer = 0;
+    if (arena.timeout_ms > 0) {
+      // The timer fires on the pool's timer thread (never a worker), so a
+      // timeout lands even when every worker is stuck; the shared_ptr
+      // capture keeps the node alive if the task wins the race.
+      timer = pool_->submit_after(
+          [n = node] {
+            n->timed_out.store(true, std::memory_order_release);
+            n->cancel_flag.store(true, std::memory_order_release);
+          },
+          arena.timeout_ms);
+    }
+    const uint64_t start_ns = log != nullptr ? log->now_ns() : 0;
+    try {
+      FaultFrameScope frame(FaultFrame{&node->cancel_flag, &cancel_all_, node->attempt});
+      run_body(*node);
+    } catch (const TaskCancelled&) {
+      fk = node->timed_out.load(std::memory_order_acquire) ? FaultKind::kTimeout
+                                                           : FaultKind::kCancelled;
+      msg = fk == FaultKind::kTimeout ? "timed out" : "cancelled";
+    } catch (const TaskFailure& e) {
+      fk = FaultKind::kExplicit;
+      msg = e.what();
+    } catch (const std::exception& e) {
+      fk = FaultKind::kException;
+      msg = e.what();
+    } catch (...) {
+      fk = FaultKind::kException;
+      msg = "unknown exception";
+    }
+    if (timer != 0) pool_->cancel_timer(timer);
+    if (fk == FaultKind::kNone && log != nullptr) {
+      const uint64_t end_ns = log->now_ns();
+      // One record per executed body: the task span, which the lifecycle
+      // view reads as kRunning at its start and kComplete at its end.
+      log->record({.ts_ns = start_ns,
+                   .dur_ns = end_ns - start_ns,
+                   .seq = node->seq,
+                   .launch = node->launch,
+                   .queue_wait_ns = start_ns - node->ready_ns,
+                   .name = arena.log_name,
+                   .kind = LifecycleEvent::kComplete,
+                   .cat = ProfCategory::kTask});
+      cells_.task_duration.observe(end_ns - start_ns);
+      cells_.queue_wait.observe(start_ns - node->ready_ns);
+    }
+  }
+
+  if (fk == FaultKind::kNone) {
+    if (node->attempt > 0) cells_.retry_succeeded.inc();
+    return settle(node, obs::Event::kNone);
+  }
+
+  // --- failed attempt: retry under the launch policy, or settle ---
+  const bool retryable = fk == FaultKind::kException || fk == FaultKind::kExplicit ||
+                         fk == FaultKind::kInjected;
+  if (!retryable || node->attempt >= arena.retries)
+    return finish_fault(node, fk, node->seq, node->attempt + 1, std::move(msg));
+  ++node->attempt;  // the executing worker owns this field
+  cells_.retry_attempts.inc();
+  if (log != nullptr) {
+    obs::Event ev{.seq = node->seq,
+                  .launch = node->launch,
+                  .edge = node->attempt,  // attempt number about to run
+                  .kind = LifecycleEvent::kRetry,
+                  .detail = detail_of(fk)};
+    ev.set_point(node->point.c.data(), node->point.dim);
+    log->record(ev);
+  }
+  // Exponential backoff: backoff_ms, 2*backoff_ms, 4*backoff_ms, ...
+  const uint64_t delay = arena.backoff_ms == 0
+                             ? 0
+                             : static_cast<uint64_t>(arena.backoff_ms) << (node->attempt - 1);
+  if (delay == 0) {
+    pool_->submit(node_job(node));
+  } else {
+    // The pending timer holds the pool open (wait_idle waits for it).
+    pool_->submit_after([this, n = node]() mutable { pool_->submit(node_job(std::move(n))); },
+                        delay);
+  }
+  return nullptr;
+}
+
+TaskNodePtr Runtime::finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t root,
+                                  uint32_t attempts, std::string message) {
   node->fault.store(static_cast<uint8_t>(kind), std::memory_order_release);
   // Publish the root for late edges (inherit_poison) before complete() —
   // by now every predecessor has fanned out, so no store can race this.
@@ -1307,7 +1309,7 @@ void Runtime::finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t roo
   // same downstream set — but stay out of the user-facing FaultReport so
   // reports compare equal across data-plane configurations.
   if (config_.on_task_fault && !node->external) config_.on_task_fault(fault);
-  if (!node->internal) faults_.record(std::move(fault));
+  if (!node->arena->internal) faults_.record(std::move(fault));
 
   fault_cell(kind).inc();
 
@@ -1326,43 +1328,51 @@ void Runtime::finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t roo
   // A settled task is progress: terminal faults count toward the completed
   // counter so pending drains to zero (no false watchdog stalls, fences
   // return). stats().tasks_failed/"poisoned" break the composition out.
-  settle(node, root);
+  return settle(node, root);
 }
 
-void Runtime::settle(const TaskNodePtr& node, uint64_t poison) {
+TaskNodePtr Runtime::settle(const TaskNodePtr& node, uint64_t poison) {
   cells_.tasks_completed.inc();
   if (live_enabled_) {
     std::lock_guard<std::mutex> lock(live_mu_);
     live_.erase(node->seq);
   }
-  node->work = nullptr;  // release captured resources promptly
+  // Release what the body ran with promptly: the trackers may hold the node
+  // itself until the next fence.
+  node->arena.reset();
+  node->regions = std::vector<PhysicalRegion>();
   node->remote.reset();
-  fan_out(node, poison);
+  return fan_out(node, poison);
 }
 
-void Runtime::fan_out(const TaskNodePtr& node, uint64_t poison) {
-  // Fan out to every successor this completion readied, in one batch.
-  std::vector<TaskNodePtr> ready;
-  for (const TaskNodePtr& succ : node->complete()) {
+TaskNodePtr Runtime::fan_out(const TaskNodePtr& node, uint64_t poison) {
+  // Move the successors this completion readied to the front, in place.
+  std::vector<TaskNodePtr> ready = node->complete();
+  std::size_t n_ready = 0;
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    TaskNode& succ = *ready[i];
     if (poison != obs::Event::kNone) {
       // Atomic-min CAS: a successor's poison root settles to the smallest
       // failed-ancestor seq. All marking happens before the successor's
       // pending count reaches zero, so the value is deterministic whatever
       // order the predecessors completed in.
-      uint64_t cur = succ->poison_root.load(std::memory_order_relaxed);
-      while (poison < cur && !succ->poison_root.compare_exchange_weak(
+      uint64_t cur = succ.poison_root.load(std::memory_order_relaxed);
+      while (poison < cur && !succ.poison_root.compare_exchange_weak(
                                  cur, poison, std::memory_order_acq_rel)) {
       }
     }
-    if (succ->pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      ready.push_back(succ);
+    if (succ.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      std::swap(ready[n_ready++], ready[i]);
   }
-  if (log_ != nullptr && !ready.empty()) {
+  if (n_ready == 0) return nullptr;
+  ready.resize(n_ready);
+
+  const uint64_t ts = log_ != nullptr ? log_->now_ns() : 0;
+  if (log_ != nullptr) {
     // This completion was the last unblocker of every task in `ready`:
     // the waits-for edge the stall report names is (succ <- node).
     std::vector<obs::Event> events;
-    events.reserve(ready.size());
-    const uint64_t ts = log_->now_ns();
+    events.reserve(n_ready);
     for (const TaskNodePtr& succ : ready)
       events.push_back({.ts_ns = ts,
                         .seq = succ->seq,
@@ -1371,14 +1381,21 @@ void Runtime::fan_out(const TaskNodePtr& node, uint64_t poison) {
                         .kind = LifecycleEvent::kReady});
     log_->record_batch(events);
   }
-  if (ready.size() == 1) {
-    pool_->submit(node_job(std::move(ready.front())));
-  } else if (!ready.empty()) {
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(ready.size());
-    for (TaskNodePtr& succ : ready) jobs.push_back(node_job(std::move(succ)));
-    pool_->submit_batch(std::move(jobs));
+
+  // Keep the first for this worker to run next: no queue round-trip. While
+  // the pool is paused no body may start, so every successor is queued.
+  TaskNodePtr next;
+  std::span<TaskNodePtr> rest(ready);
+  if (!pool_->paused()) {
+    next = std::move(ready.front());
+    next->ready_ns = ts;
+    rest = rest.subspan(1);
   }
+  std::vector<std::function<void()>> jobs;
+  jobs.reserve(rest.size());
+  for (TaskNodePtr& succ : rest) jobs.push_back(node_job(std::move(succ)));
+  pool_->submit_batch(std::move(jobs));
+  return next;
 }
 
 void Runtime::begin_trace(uint32_t trace_id) {

@@ -56,7 +56,7 @@ struct RuntimeConfig {
   /// region argument goes through a disjoint partition with an analyzable
   /// (symbolic) functor, order the *launch* with one summary test per
   /// argument and per-color list walks instead of |D| per-point tracker
-  /// scans, and build point closures on pool workers. Set false to force
+  /// scans, and map point regions on pool workers. Set false to force
   /// the per-point path everywhere (differential testing, perf baselines).
   bool enable_group_analysis = true;
   /// Inter-launch interference analysis: prove *pairs of launches* disjoint
@@ -335,21 +335,22 @@ class Runtime : public RuntimeApi {
     std::vector<TracedLaunch> launches;
   };
 
-  /// Per-launch state every task closure of the launch shares (body, scalar
+  /// Per-launch state every task of the launch shares (body, scalar
   /// arguments, Future slots, retry policy); the bulk expansion also keeps
-  /// the chunk jobs' prototype regions and color ranks here.
-  struct LaunchArena;
+  /// the chunk jobs' prototype regions and color ranks here. Defined in
+  /// runtime.cpp; a friend so it can hold ProtoTables.
+  friend struct LaunchArena;
   using ArenaPtr = std::shared_ptr<LaunchArena>;
   template <typename Launcher>
   ArenaPtr make_arena(const Launcher& launcher, const Domain& domain, uint64_t launch,
                       std::size_t future_slots);
   /// Create the node of the launch's next task and count it.
   TaskNodePtr new_node(const LaunchArena& arena, const Point& point);
-  /// The one builder of TaskNode::work: run the launch's body over
-  /// `regions` or, for a remote-owned node, apply the owner's outcome to
-  /// them; either way the return value fills Future slot `rank`.
-  void build_work(const ArenaPtr& arena, TaskNode& node, std::size_t rank,
-                  std::vector<PhysicalRegion> regions);
+  /// Run the launch's body over the node's regions or, for a remote-owned
+  /// node, apply the owner's outcome to them; either way the return value
+  /// fills the node's Future slot. A body that throws keeps its regions for
+  /// the retried attempt.
+  void run_body(TaskNode& node);
 
   /// Issue one task outside the bulk expansion (single tasks, task-loop
   /// points): map regions, discover dependencies (or replay them from
@@ -369,8 +370,8 @@ class Runtime : public RuntimeApi {
   /// Bulk expansion of a safe index launch: the issuing thread resolves
   /// every point, then wires dependence edges through the group tracker
   /// (group_mode), the per-point tracker, or the trace being replayed,
-  /// while point closures are built by chunk jobs on pool workers, gated by
-  /// an extra "closure guard" on each node's pending count.
+  /// while chunk jobs on pool workers map each point's regions, gated by an
+  /// extra "closure guard" on each node's pending count.
   void expand_index_launch(const IndexLauncher& launcher, const ArenaPtr& arena,
                            bool group_mode, SafetyOutcome outcome, TracedLaunch* traced);
   /// Inter-launch short-circuit: is `s` certified kDisjoint against *every*
@@ -388,8 +389,8 @@ class Runtime : public RuntimeApi {
   void materialize_tree(uint32_t tree);
   /// Shared tail of every issue path once `deps` is known: record the
   /// edges (stats, task graph, event log, watchdog), take the closure guard
-  /// the caller releases once node->work is built, publish a remote-owned
-  /// node to complete_external(), and schedule.
+  /// the caller releases once the node's arena and regions are attached,
+  /// publish a remote-owned node to complete_external(), and schedule.
   void wire_node(const LaunchArena& arena, const TaskNodePtr& node,
                  const std::vector<TaskNodePtr>& deps);
 
@@ -418,30 +419,39 @@ class Runtime : public RuntimeApi {
   void release(const TaskNodePtr& node);
 
   void schedule(const TaskNodePtr& node, const std::vector<TaskNodePtr>& deps);
-  /// The pool job that executes `node` then fans out to ready successors
-  /// (batched through ThreadPool::submit_batch).
+  /// The pool job for a ready `node`: run it, then each successor a
+  /// completion kept for this worker (fan_out), in a loop until none is
+  /// left.
   std::function<void()> node_job(TaskNodePtr node);
+  /// Execute one attempt of `node` (or settle it without running: poisoned,
+  /// cancelled, remote outcome). Returns the successor to run next on this
+  /// worker, if its completion kept one.
+  TaskNodePtr run_node(const TaskNodePtr& node);
 
   /// Settle `node` in a terminal fault state: record the TaskFault, emit
   /// metrics + lifecycle event, then complete the node so successors drain —
   /// propagating `root` into their poison_root (atomic min) on the way.
   /// `attempts` is the number of body executions (0 when the body never ran).
-  void finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t root,
-                    uint32_t attempts, std::string message);
-  /// Count `node` done, drop it from the live table and its closure, then
-  /// fan out (`poison` as in fan_out). Every terminal path ends here.
-  void settle(const TaskNodePtr& node, uint64_t poison);
+  /// Returns fan_out's kept successor.
+  TaskNodePtr finish_fault(const TaskNodePtr& node, FaultKind kind, uint64_t root,
+                           uint32_t attempts, std::string message);
+  /// Count `node` done, drop it from the live table and release what its
+  /// body ran with, then fan out (`poison` as in fan_out). Every terminal
+  /// path ends here.
+  TaskNodePtr settle(const TaskNodePtr& node, uint64_t poison);
   /// Completion fan-out shared by the success and fault paths: complete the
   /// node, decrement successors (stamping `poison` into poison_root first
-  /// when != kNone sentinel), record kReady events, submit newly ready jobs.
-  void fan_out(const TaskNodePtr& node, uint64_t poison);
+  /// when != kNone sentinel) and record kReady events. One newly ready
+  /// successor is returned for this worker to run next; the rest go to the
+  /// pool in one batch (all of them while the pool is paused).
+  TaskNodePtr fan_out(const TaskNodePtr& node, uint64_t poison);
   obs::Counter& fault_cell(FaultKind kind);
 
   /// Registry-backed counter/histogram handles for every runtime stat —
   /// the write side of stats(). Updates are relaxed atomic adds.
   struct StatsCells {
     obs::Counter runtime_calls, single_launches, index_launches, point_tasks,
-        tasks_completed, dependence_edges, safe_static, safe_dynamic,
+        tasks_completed, tasks_inline, dependence_edges, safe_static, safe_dynamic,
         safe_unchecked, assumed_verified, unsafe, dynamic_check_points,
         traced_replayed, cache_hit_launches, cache_miss_launches,
         group_launches, group_edges, group_fallbacks, group_materializations,
@@ -464,9 +474,6 @@ class Runtime : public RuntimeApi {
     uint64_t launch = obs::Event::kNone;
     std::vector<uint64_t> deps;
   };
-
-  /// Format node labels? Only the task graph and the watchdog read them.
-  bool labeling() const { return config_.record_task_graph || live_enabled_; }
 
   /// Register `node` as external (remote-owned): mark it, add the remote
   /// guard to its pending count, and either adopt a buffered early outcome

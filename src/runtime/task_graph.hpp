@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -9,8 +8,13 @@
 
 #include "region/point.hpp"
 #include "runtime/fault.hpp"
+#include "runtime/physical.hpp"
 
 namespace idxl {
+
+/// Per-launch state every task of a launch shares (body, scalar arguments,
+/// Future slots, retry policy); defined by the runtime that issues it.
+struct LaunchArena;
 
 /// The terminal state of a task that executed in another process, delivered
 /// through Runtime::complete_external(). A healthy outcome (kind == kNone)
@@ -47,18 +51,23 @@ struct RemoteOutcome {
 };
 
 /// One executable task instance in the real executor's dependence graph.
-/// Edges are discovered at issue time by the DependenceTracker; a node is
-/// handed to the thread pool once every predecessor has completed.
+/// Edges are discovered at issue time by the DependenceTracker; a node runs
+/// once every predecessor has completed, on the worker whose completion
+/// readied it or through the thread pool.
 struct TaskNode {
   uint64_t seq = 0;            ///< global program-order sequence number
   /// Id of the launch this task expanded from — the cross-link key shared
   /// by the event log's lifecycle and span views.
   uint64_t launch = UINT64_MAX;
-  /// "taskname@(point)", formatted only when the task graph or the
-  /// watchdog will read it.
-  std::string label;
-  uint32_t log_name = 0;       ///< interned task name for event-log spans
-  std::function<void()> work;
+
+  // --- what the body runs with: attached before the closure guard drops,
+  // released when the node settles -----------------------------------------
+  std::shared_ptr<const LaunchArena> arena;
+  std::size_t rank = 0;  ///< index in the launch: the node's Future slot
+  std::vector<PhysicalRegion> regions;
+  /// When the node became ready (event-log clock; 0 while the log is off),
+  /// stamped by whoever readied it before a worker starts it.
+  uint64_t ready_ns = 0;
 
   /// Pending predecessor count plus one "issue guard" held while edges are
   /// still being added; the node becomes ready when this reaches zero.
@@ -88,18 +97,10 @@ struct TaskNode {
   /// the dependence graph whose outcome arrives via complete_external(). An
   /// extra "remote guard" on `pending` keeps it from running until then.
   bool external = false;
-  /// Runtime-generated helper task (delta transfer): full dependence/poison
-  /// semantics, but finish_fault keeps it out of the FaultReport so reports
-  /// stay comparable across data-plane configurations.
-  bool internal = false;
   /// The delivered outcome; written before the remote guard is released, so
-  /// node_job reads it without locking.
+  /// run_node reads it without locking.
   std::unique_ptr<RemoteOutcome> remote;
 
-  // Retry policy, copied from the launcher at issue time (immutable after).
-  uint32_t max_retries = 0;
-  uint32_t backoff_ms = 0;
-  uint32_t timeout_ms = 0;
   /// Attempt counter; only the (single) executing worker mutates it.
   uint32_t attempt = 0;
 

@@ -138,13 +138,13 @@ void ThreadPool::timer_loop() {
 
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
-  IDXL_ASSERT_MSG(!paused_, "wait_idle on a paused pool would never return");
+  IDXL_ASSERT_MSG(!paused(), "wait_idle on a paused pool would never return");
   idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::pause() {
   std::unique_lock<std::mutex> lock(mu_);
-  paused_ = true;
+  paused_.store(true, std::memory_order_release);
   // Tasks already picked up run to completion; once executing_ hits zero
   // the pool is deterministically quiescent (the queue just holds).
   idle_cv_.wait(lock, [this] { return executing_ == 0; });
@@ -153,14 +153,9 @@ void ThreadPool::pause() {
 void ThreadPool::resume() {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    paused_ = false;
+    paused_.store(false, std::memory_order_release);
   }
   work_cv_.notify_all();
-}
-
-bool ThreadPool::paused() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return paused_;
 }
 
 std::size_t ThreadPool::queue_depth() const {
@@ -175,27 +170,23 @@ std::size_t ThreadPool::executing() const {
 
 void ThreadPool::worker_loop(int worker_id) {
   obs::set_current_worker(worker_id);
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> fn;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      // Shutdown overrides pause: the destructor drains the queue.
-      work_cv_.wait(lock, [this] {
-        return shutdown_ || (!paused_ && !queue_.empty());
-      });
-      if (queue_.empty()) return;  // shutdown with a drained queue
-      fn = std::move(queue_.front());
-      queue_.pop_front();
-      ++executing_;
-    }
+    // Shutdown overrides pause: the destructor drains the queue.
+    work_cv_.wait(lock, [this] { return shutdown_ || (!paused() && !queue_.empty()); });
+    if (queue_.empty()) return;  // shutdown with a drained queue
+    std::function<void()> fn = std::move(queue_.front());
+    queue_.pop_front();
+    ++executing_;
+    lock.unlock();
     fn();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --executing_;
-      --in_flight_;
-      // pause() waits on executing_ == 0; wait_idle() on in_flight_ == 0.
-      if (in_flight_ == 0 || executing_ == 0) idle_cv_.notify_all();
-    }
+    fn = nullptr;  // destroy captured state before re-locking
+    // One lock acquisition retires this job and dequeues the next.
+    lock.lock();
+    --executing_;
+    --in_flight_;
+    // pause() waits on executing_ == 0; wait_idle() on in_flight_ == 0.
+    if (in_flight_ == 0 || executing_ == 0) idle_cv_.notify_all();
   }
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -51,12 +52,16 @@ class ThreadPool {
   void wait_idle();
 
   /// Stop workers from dequeuing further tasks and block until every task
-  /// already mid-execution has finished. Submissions still enqueue; the
-  /// queue simply holds. The deterministic test gate: issue work against a
-  /// paused pool, assert on the runtime's issue-time state, then resume().
+  /// already mid-execution has finished: no task body starts until
+  /// `resume()`. Submissions still enqueue; the queue simply holds. A job
+  /// that would start a further task itself (the runtime's inline
+  /// successor) checks paused() and submits it instead. The deterministic
+  /// test gate: issue work against a paused pool, assert on the runtime's
+  /// issue-time state, then resume().
   void pause();
   void resume();
-  bool paused() const;
+  /// Lock-free read: cheap enough to check before every inline start.
+  bool paused() const { return paused_.load(std::memory_order_acquire); }
 
   unsigned worker_count() const { return static_cast<unsigned>(threads_.size()); }
   /// Tasks enqueued but not yet picked up (metrics gauge; takes the lock).
@@ -89,7 +94,9 @@ class ThreadPool {
   /// Destructor phase 1: stop the timer thread first, while submissions are
   /// still accepted, so a mid-fire timer callback can finish its submit().
   bool timers_stop_ = false;
-  bool paused_ = false;
+  /// Written under mu_ (so workers waiting on work_cv_ see it), read
+  /// without it by paused().
+  std::atomic<bool> paused_{false};
 };
 
 }  // namespace idxl

@@ -221,8 +221,12 @@ TEST(FaultTest, SeededRandomPlanIsAPureFunction) {
   EXPECT_TRUE(diverged);
 }
 
-FaultReport run_seeded_program(uint64_t seed) {
+// Which worker runs a poisoned chain depends on the worker count (a readied
+// successor starts on the worker that completed its predecessor), so the
+// reproducibility tests compare reports across worker counts too.
+FaultReport run_seeded_program(uint64_t seed, unsigned workers) {
   RuntimeConfig cfg;
+  cfg.workers = workers;
   cfg.fault_plan = std::make_shared<FaultPlan>(FaultPlan::random(seed, 0.15));
   Fixture fx(64, 16, cfg);
   const TaskFnId step = fx.rt.register_task("step", [](TaskContext& ctx) {
@@ -239,11 +243,14 @@ FaultReport run_seeded_program(uint64_t seed) {
 }
 
 TEST(FaultTest, SeededPlanIsBitForBitReproducible) {
-  const FaultReport first = run_seeded_program(1234);
-  const FaultReport second = run_seeded_program(1234);
+  const FaultReport first = run_seeded_program(1234, 4);
+  const FaultReport second = run_seeded_program(1234, 4);
   EXPECT_FALSE(first.ok());  // rate 0.15 over 48 tasks: essentially certain
   EXPECT_EQ(first, second);  // same failed points, same poisoned set
   EXPECT_EQ(first.to_string(), second.to_string());
+  const FaultReport serial = run_seeded_program(1234, 1);
+  EXPECT_EQ(first, serial);  // independent of the schedule
+  EXPECT_EQ(first.to_string(), serial.to_string());
 }
 
 // --- retry / timeout ------------------------------------------------------
@@ -767,9 +774,10 @@ TEST(FaultSoak, RandomPlansKeepReportsConsistentAndReproducible) {
   for (uint64_t i = 0; i < seeds; ++i) {
     const uint64_t seed = base + i;
     SCOPED_TRACE("IDXL_SOAK_BASE_SEED=" + std::to_string(seed));
-    const FaultReport report = run_seeded_program(seed);
+    const FaultReport report = run_seeded_program(seed, 4);
     check_report_invariants(report);
-    EXPECT_EQ(report, run_seeded_program(seed));  // deterministic replay
+    EXPECT_EQ(report, run_seeded_program(seed, 4));  // deterministic replay
+    EXPECT_EQ(report, run_seeded_program(seed, 1));  // and schedule-independent
   }
 }
 

@@ -930,6 +930,68 @@ TEST(RuntimeTest, RapidReissueStress) {
   EXPECT_EQ(fx.rt.stats().point_tasks, 50u * 64u);
 }
 
+TEST(RuntimeTest, PausedPoolStartsNoInlineSuccessor) {
+  // A completion that readies a successor while pause() is in progress must
+  // queue it, not start it on the completing worker: pause() promises that
+  // no task body starts until resume().
+  RuntimeConfig cfg;
+  cfg.workers = 2;
+  Fixture fx(8, 2, cfg);
+  std::atomic<bool> started{false}, released{false}, marker{false};
+  const TaskFnId gate = fx.rt.register_task("gate", [&](TaskContext&) {
+    started = true;
+    while (!released) std::this_thread::yield();
+  });
+  const TaskFnId mark = fx.rt.register_task("mark", [&](TaskContext&) { marker = true; });
+  fx.rt.execute(TaskLauncher::for_task(gate).region(fx.region, {fx.fv},
+                                                    Privilege::kReadWrite));
+  fx.rt.execute(TaskLauncher::for_task(mark).region(fx.region, {fx.fv},
+                                                    Privilege::kReadWrite));
+  while (!started) std::this_thread::yield();
+  std::thread pauser([&] { fx.rt.pool().pause(); });
+  while (!fx.rt.pool().paused()) std::this_thread::yield();
+  released = true;
+  pauser.join();  // pause() returns once the gate's job has finished
+  EXPECT_FALSE(marker);
+  fx.rt.pool().resume();
+  fx.rt.wait_all();
+  EXPECT_TRUE(marker);
+  EXPECT_EQ(fx.rt.stats().tasks_inline, 0u);
+}
+
+TEST(RuntimeTest, ChainedLaunchesRunSuccessorsInline) {
+  // One worker, four read-write launches over one 8-color partition issued
+  // against a paused pool: the chunk jobs run first, then each of launch 1's
+  // tasks starts a chain, and every task of launches 2-4 starts on the
+  // worker whose completion readied it instead of going through the queue.
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  Fixture fx(32, 8, cfg);
+  {
+    Accessor<double> init(fx.rt.forest(), fx.region, fx.fv, Privilege::kWrite);
+    for (int64_t i = 0; i < 32; ++i) init.write(Point::p1(i), static_cast<double>(i));
+  }
+  const TaskFnId inc = fx.rt.register_task("inc", [](TaskContext& ctx) {
+    auto acc = ctx.region(0).accessor<double>(0);
+    ctx.region(0).domain().for_each([&](const Point& p) { acc.write(p, acc.read(p) + 1); });
+  });
+  const IndexLauncher launcher =
+      IndexLauncher::over(Domain::line(8))
+          .with_task(inc)
+          .region(fx.region, fx.blocks, ProjectionFunctor::identity(1), {fx.fv},
+                  Privilege::kReadWrite);
+  fx.rt.pool().pause();
+  for (int i = 0; i < 4; ++i) fx.rt.execute_index(launcher);
+  fx.rt.pool().resume();
+  fx.rt.wait_all();
+  const RuntimeStats stats = fx.rt.stats();
+  EXPECT_EQ(stats.tasks_inline, 24u);
+  EXPECT_EQ(stats.tasks_completed, 32u);
+  auto acc = fx.rt.read_region<double>(fx.region, fx.fv);
+  for (int64_t i = 0; i < 32; ++i)
+    EXPECT_EQ(acc.read(Point::p1(i)), static_cast<double>(i) + 4) << "element " << i;
+}
+
 TEST(RuntimeTest, DisjointPartitionSkipsDomainTests) {
   // Whole-partition reasoning in the tracker: repeated launches over one
   // disjoint partition should need far fewer pairwise dependence tests
