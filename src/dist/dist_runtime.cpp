@@ -7,10 +7,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
-#include "dist/fill_task.hpp"
 #include "dist/task_registry.hpp"
 #include "dist/worker.hpp"
 #include "obs/aggregate.hpp"
@@ -166,7 +164,6 @@ std::vector<net::Socket> DistributedRuntime::start_local_workers() {
     driver_ends.push_back(std::move(driver_end));
     r.sock = std::move(worker_end);
     r.dp.delta = delta_;
-    r.dp.p2p = p2p;
     r.dp.fail_peer_links = config_.fail_peer_links;
     r.dp.xfer_task = xfer_task_;
   }
@@ -254,7 +251,7 @@ void DistributedRuntime::ensure_started() {
   const std::size_t nworkers = config_.ranks - 1;
   peer_errors_.assign(nworkers, "");
   worker_closed_.assign(nworkers, false);
-  worker_net_.assign(nworkers, DataPlaneCounters{});
+  worker_net_.assign(nworkers, DataPlaneStats{});
   worker_metrics_.assign(nworkers, obs::MetricsSnapshot{});
 
   // Cluster tracing: IDXL_TRACE overrides DistConfig::trace_path, and a
@@ -283,60 +280,19 @@ void DistributedRuntime::ensure_started() {
       : exec_mode   ? start_exec_workers()
                     : start_local_workers();
 
-  // The driver is rank 0 of the replicated run: same hooks as any worker,
-  // with outcomes broadcast instead of sent up.
-  RuntimeConfig rc = config_.runtime;
-  const uint32_t nranks = config_.ranks;
-  rc.point_owned = [nranks](uint64_t, const Point& p, const Domain& domain) {
-    return owner_of(domain, p, nranks) == 0;
-  };
-  rc.on_task_success = [this](uint64_t seq, uint64_t launch, const Point&,
-                              TaskContext& ctx) {
-    if (delta_ && ctx.fn == xfer_task_) {
-      send_xfer_data(seq, launch, ctx);
-      return;
-    }
-    TaskDone td;
-    td.seq = seq;
-    td.ctx = obs::TraceContext{launch, seq, 0};
-    td.outcome.ret = ctx.return_value;
-    if (!delta_ || needs_full_outcome(ctx) || full_launches_.contains(launch)) {
-      for (PhysicalRegion& pr : ctx.regions)
-        if (privilege_writes(pr.privilege())) pr.copy_out(td.outcome.region_bytes);
-    } else {
-      // Delta mode: the written data stays on rank 0; the coherence map
-      // routes it on demand.
-      td.outcome.has_data = false;
-    }
-    if (!td.outcome.region_bytes.empty())
-      net_.bytes_hub.fetch_add(td.outcome.region_bytes.size() * conns_.size(),
-                               std::memory_order_relaxed);
-    send_task_done(td);
-  };
-  rc.on_task_fault = [this](const TaskFault& fault) {
-    TaskDone td;
-    td.seq = fault.seq;
-    td.ctx = obs::TraceContext{fault.launch, fault.seq, 0};
-    td.outcome.kind = fault.kind;
-    td.outcome.root = fault.root;
-    td.outcome.attempts = fault.attempts;
-    td.outcome.message = fault.message;
-    send_task_done(td);
-  };
-  local_ = std::make_unique<Runtime>(std::move(rc), forest_);
-  for (const auto& [name, fn] : tasks_) local_->register_task(name, fn);
-  clocks_ = std::make_unique<net::ClockTable>(&local_->metrics());
-  name_xfer_apply_ = local_->profiler().intern("xfer-apply");
-  name_done_apply_ = local_->profiler().intern("done-apply");
+  // The driver is rank 0 of the replicated run: the same Replica as any
+  // worker, over links to every worker instead of one to the driver.
+  replica_ = std::make_unique<Replica>(0, config_.ranks, config_.runtime, forest_, tasks_,
+                                       delta_, xfer_task_);
   // Distributed watchdog: when the driver's own watchdog fires, follow the
   // local dump with the merged cross-rank view (worker watchdogs push their
   // stall state as kTelemetry; see distributed_stall_dump).
-  if (obs::Watchdog* wd = local_->watchdog())
+  if (obs::Watchdog* wd = local().watchdog())
     wd->set_on_stall([this](const obs::StallReport&) {
       std::fputs(distributed_stall_dump().c_str(), stderr);
     });
 
-  obs::MetricsRegistry& mreg = local_->metrics();
+  obs::MetricsRegistry& mreg = local().metrics();
   m_bytes_hub_ = mreg.counter("idxl_net_data_bytes_total",
                               "Data-plane payload bytes moved, by kind and route",
                               {{"kind", "full"}, {"route", "hub"}});
@@ -348,29 +304,33 @@ void DistributedRuntime::ensure_started() {
                               {{"kind", "delta"}, {"route", "p2p"}});
   m_transfers_ = mreg.counter("idxl_net_transfers_total",
                               "kRegionData transfer messages sent, run-wide");
-  m_xfer_size_ = mreg.histogram("idxl_net_transfer_bytes",
-                                "Per-transfer payload bytes (sender side)");
-  m_xfer_latency_ = mreg.histogram(
-      "idxl_net_transfer_latency_ns",
-      "Transfer send-to-apply latency, steady-clock ns (receiver side)");
 
   if (nworkers == 0) return;
 
   net::NetObs obs;
-  obs.metrics = &local_->metrics();
-  obs.log = &local_->flight_recorder();
+  obs.metrics = &local().metrics();
+  obs.log = &local().flight_recorder();
   obs.type_name = msg_name;
+  // Every link carries outcomes to its worker, and payloads bound for it:
+  // bytes the driver sends to a worker count as moved via the driver.
+  ReplicaLinks links;
+  links.direct_is_p2p = false;
   conns_.reserve(nworkers);
-  for (std::size_t i = 0; i < nworkers; ++i)
+  for (std::size_t i = 0; i < nworkers; ++i) {
     conns_.push_back(std::make_unique<net::Connection>(
         std::move(socks[i]), "rank-" + std::to_string(i + 1), obs));
+    const RankLink link{static_cast<uint32_t>(i + 1), conns_.back().get()};
+    links.outcomes.push_back(link);
+    links.direct.push_back(link);
+  }
+  replica_->attach(std::move(links));
 
   if (exec_mode) {
     const std::vector<std::byte> setup = encode_setup(make_setup());
     for (std::size_t i = 0; i < nworkers; ++i) {
       Hello h;
       h.rank = static_cast<uint32_t>(i + 1);
-      h.nranks = nranks;
+      h.nranks = config_.ranks;
       h.workers = config_.runtime.workers;
       h.heartbeat_period_ms = config_.heartbeat_period_ms;
       h.peer_stall_window_ms = config_.peer_stall_window_ms;
@@ -405,7 +365,7 @@ void DistributedRuntime::ensure_started() {
   monitor_ = std::make_unique<net::PeerMonitor>(
       std::move(peers), static_cast<uint8_t>(Msg::kPing),
       config_.heartbeat_period_ms, config_.peer_stall_window_ms,
-      &local_->metrics(), nullptr, &net::ClockTable::make_ping);
+      &local().metrics(), nullptr, &net::ClockTable::make_ping);
 }
 
 std::size_t DistributedRuntime::closed_count_locked() const {
@@ -416,17 +376,7 @@ std::size_t DistributedRuntime::closed_count_locked() const {
 }
 
 void DistributedRuntime::broadcast(Msg type, const std::vector<std::byte>& payload) {
-  for (auto& c : conns_) {
-    try {
-      c->send(static_cast<uint8_t>(type), payload);
-    } catch (const std::exception&) {
-      // Dead peer; fence() reports the loss.
-    }
-  }
-}
-
-void DistributedRuntime::send_task_done(const TaskDone& done) {
-  broadcast(Msg::kTaskDone, encode_task_done(done));
+  for (auto& c : conns_) try_send(*c, type, payload);
 }
 
 // --- delta data plane (driver side) ----------------------------------------
@@ -441,11 +391,11 @@ void DistributedRuntime::issue_transfer(const Transfer& t, uint32_t dest) {
   r.rect = t.rect;
   // The launch id the replicated transfer will be assigned — identical on
   // every rank, so receivers assert their streams stayed aligned.
-  r.launch = local_->peek_next_launch_id();
+  r.launch = local().peek_next_launch_id();
   // Directive first, on every connection, then the identical local issue:
   // all ranks observe the transfer at the same place in the launch stream.
   broadcast(Msg::kRoute, encode_route(r));
-  local_->execute(make_xfer_launcher(xfer_task_, r, config_.ranks));
+  replica_->execute_transfer(r);
 }
 
 void DistributedRuntime::plan_point_task(const Domain& domain, const Point& p,
@@ -466,7 +416,7 @@ void DistributedRuntime::plan_point_task(const Domain& domain, const Point& p,
     }
   }
   // Writes. A launch aliasing across ranks or a sparse footprint makes the
-  // owner broadcast the whole task outcome (full_launches_,
+  // owner broadcast the whole task outcome (Replica::execute_index,
   // needs_full_outcome) — mirror that here, or the map would claim data
   // that never shipped.
   bool full = full_launch;
@@ -515,50 +465,6 @@ void DistributedRuntime::plan_index_launch(const IndexLauncher& launcher,
   });
 }
 
-void DistributedRuntime::send_xfer_data(uint64_t seq, uint64_t launch,
-                                        TaskContext& ctx) {
-  const XferArgs xa = ctx.arg<XferArgs>();
-  IDXL_REQUIRE(xa.dest >= 1 && xa.dest <= conns_.size(),
-               "driver transfer task routed to an invalid destination");
-  RegionData rd;
-  rd.seq = seq;
-  rd.dest = xa.dest;
-  rd.sent_ns = steady_now_ns();
-  rd.ctx = obs::TraceContext{launch, seq, 0};
-  RegionPatch patch;
-  patch.arg = 0;
-  patch.field = xa.field;
-  patch.rect = xa.rect;
-  ctx.region(0).copy_out_rect(xa.field, xa.rect, patch.bytes);
-  const uint64_t nbytes = patch.bytes.size();
-  rd.patches.push_back(std::move(patch));
-  try {
-    conns_[xa.dest - 1]->send(static_cast<uint8_t>(Msg::kRegionData),
-                              encode_region_data(rd));
-    net_.bytes_relay.fetch_add(nbytes, std::memory_order_relaxed);
-    net_.transfers.fetch_add(1, std::memory_order_relaxed);
-    m_xfer_size_.observe(nbytes);
-  } catch (const std::exception&) {
-    // Dead peer; fence() reports the loss.
-  }
-  // Slim completion for every rank except the destination, whose copy of
-  // this outcome is the kRegionData payload above (FIFO on its connection).
-  TaskDone td;
-  td.seq = seq;
-  td.data_dest = xa.dest;
-  td.ctx = obs::TraceContext{launch, seq, 0};
-  td.outcome.ret = ctx.return_value;
-  td.outcome.has_data = false;
-  const std::vector<std::byte> payload = encode_task_done(td);
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
-    if (i + 1 == xa.dest) continue;
-    try {
-      conns_[i]->send(static_cast<uint8_t>(Msg::kTaskDone), payload);
-    } catch (const std::exception&) {
-    }
-  }
-}
-
 void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) {
   switch (static_cast<Msg>(frame.type)) {
     case Msg::kHelloAck: {
@@ -583,38 +489,30 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
       std::size_t relays = 0;
       for (std::size_t i = 0; i < conns_.size(); ++i) {
         if (i == worker || i == skip) continue;
-        try {
-          conns_[i]->send(frame.type, frame.payload);
-          ++relays;
-        } catch (const std::exception&) {
-        }
+        if (try_send(*conns_[i], Msg::kTaskDone, frame.payload)) ++relays;
       }
-      if (!td.outcome.region_bytes.empty())
-        net_.bytes_hub.fetch_add(td.outcome.region_bytes.size() * relays,
-                                 std::memory_order_relaxed);
-      // data_dest == 0: the driver itself was the destination; adopt the
-      // patches stashed by the kRegionData frame that preceded this one on
-      // the same FIFO. Completing here — not at kRegionData time — keeps
-      // the driver's wait_all() blocked until this handler ran, so the
-      // relays above are on every connection before any fence frame. (If
-      // wait_all() could pass on the kRegionData alone, a fence could
-      // overtake this relay and strand the other workers' externals behind
-      // their own fence handler.)
-      if (td.data_dest == 0) {
+      replica_->count_forwarded(td.outcome.region_bytes.size() * relays, 0);
+      if (td.data_dest != 0) {
+        replica_->apply_done(std::move(td));
+        break;
+      }
+      // The driver itself was the destination: apply the payload stashed by
+      // the kRegionData frame that preceded this one on the same FIFO.
+      // Completing here — not at kRegionData time — keeps the driver's
+      // wait_all() blocked until this handler ran, so the relays above are
+      // on every connection before any fence frame. (If wait_all() could
+      // pass on the kRegionData alone, a fence could overtake this relay and
+      // strand the other workers' externals behind their own fence handler.)
+      RegionData data;
+      {
         std::lock_guard<std::mutex> lock(xdata_mu_);
-        auto it = driver_patches_.find(td.seq);
-        IDXL_REQUIRE(it != driver_patches_.end(),
+        auto it = driver_data_.find(td.seq);
+        IDXL_REQUIRE(it != driver_data_.end(),
                      "transfer outcome arrived without its data payload");
-        td.outcome.patches = std::move(it->second);
-        driver_patches_.erase(it);
+        data = std::move(it->second);
+        driver_data_.erase(it);
       }
-      const uint64_t span_start = local_->profiler().now_ns();
-      const uint64_t seq = td.seq;
-      const bool adopted = td.data_dest == 0;
-      const obs::TraceContext ctx = td.ctx;
-      local_->complete_external(seq, std::move(td.outcome));
-      local_->profiler().record_remote_span(adopted ? name_xfer_apply_ : name_done_apply_,
-                                            seq, ctx, span_start);
+      replica_->apply_data(std::move(data));
       break;
     }
     case Msg::kRegionData: {
@@ -623,11 +521,9 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
         // Terminates here — but the node completes at the sender's slim
         // kTaskDone, the next frame on this FIFO (see there for why). Only
         // stash the payload.
-        const uint64_t now = steady_now_ns();
-        if (rd.sent_ns != 0 && now >= rd.sent_ns)
-          m_xfer_latency_.observe(now - rd.sent_ns);
         std::lock_guard<std::mutex> lock(xdata_mu_);
-        driver_patches_[rd.seq] = std::move(rd.patches);
+        const uint64_t seq = rd.seq;
+        driver_data_[seq] = std::move(rd);
         break;
       }
       // Relay leg of the fallback ladder: forward verbatim to the
@@ -637,11 +533,8 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
                    "region-data frame routed to an invalid destination");
       uint64_t nbytes = 0;
       for (const RegionPatch& p : rd.patches) nbytes += p.bytes.size();
-      try {
-        conns_[rd.dest - 1]->send(frame.type, frame.payload);
-        net_.bytes_relay.fetch_add(nbytes, std::memory_order_relaxed);
-      } catch (const std::exception&) {
-      }
+      if (try_send(*conns_[rd.dest - 1], Msg::kRegionData, frame.payload))
+        replica_->count_forwarded(0, nbytes);
       break;
     }
     case Msg::kFenceAck: {
@@ -666,20 +559,10 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
     }
     case Msg::kBye:
       break;  // the recv loop ends right after; on_worker_close records it
-    case Msg::kPing: {
-      // Heartbeat carrying a clock probe: answer pings with a stamped pong,
-      // fold pongs into this worker's offset estimate.
-      const std::vector<std::byte> reply =
-          clocks_->on_probe(static_cast<uint32_t>(worker + 1), frame.payload);
-      if (!reply.empty()) {
-        try {
-          conns_[worker]->send(static_cast<uint8_t>(Msg::kPing), reply);
-        } catch (const std::exception&) {
-          // Dead peer; fence() reports the loss.
-        }
-      }
+    case Msg::kPing:
+      replica_->answer_probe(static_cast<uint32_t>(worker + 1), *conns_[worker],
+                             frame.payload);
       break;
-    }
     default:
       // Throwing here lands in recv_loop's catch: the connection is
       // reported closed with this message.
@@ -704,35 +587,21 @@ void DistributedRuntime::on_worker_close(std::size_t worker,
     // externals as cancelled so wait_all()/teardown cannot hang. (Externals
     // owned by still-live workers are cancelled too — a lost rank ends the
     // run, matching the fence error below.)
-    local_->abandon_externals("worker rank " + std::to_string(worker + 1) +
+    local().abandon_externals("worker rank " + std::to_string(worker + 1) +
                               " lost: " +
                               (error.empty() ? "connection closed" : error));
   }
   fence_cv_.notify_all();
 }
 
-void DistributedRuntime::publish_net_metrics_locked() {
-  DataPlaneStats t;
-  t.bytes_hub = net_.bytes_hub.load(std::memory_order_relaxed);
-  t.bytes_relay = net_.bytes_relay.load(std::memory_order_relaxed);
-  t.bytes_p2p = net_.bytes_p2p.load(std::memory_order_relaxed);
-  t.transfers = net_.transfers.load(std::memory_order_relaxed);
-  for (const DataPlaneCounters& w : worker_net_) {
-    t.bytes_hub += w.bytes_hub;
-    t.bytes_relay += w.bytes_relay;
-    t.bytes_p2p += w.bytes_p2p;
-    t.transfers += w.transfers;
-  }
-  m_bytes_hub_.inc(t.bytes_hub - metrics_emitted_.bytes_hub);
-  m_bytes_relay_.inc(t.bytes_relay - metrics_emitted_.bytes_relay);
-  m_bytes_p2p_.inc(t.bytes_p2p - metrics_emitted_.bytes_p2p);
-  m_transfers_.inc(t.transfers - metrics_emitted_.transfers);
-  metrics_emitted_ = t;
+DataPlaneStats DistributedRuntime::data_plane_locked() const {
+  DataPlaneStats t = replica_->data_plane();
+  for (const DataPlaneStats& w : worker_net_) t += w;
+  return t;
 }
 
 bool DistributedRuntime::fence(bool nothrow) {
-  local_->wait_all();
-  full_launches_.clear();  // every success hook has run
+  replica_->quiesce();
   const std::size_t nworkers = conns_.size();
   if (nworkers == 0) return true;
   uint64_t id;
@@ -763,7 +632,12 @@ bool DistributedRuntime::fence(bool nothrow) {
       if (!ack.metrics.empty())
         worker_metrics_[worker] = deserialize_metrics_snapshot(ack.metrics);
     }
-    publish_net_metrics_locked();
+    const DataPlaneStats t = data_plane_locked();
+    m_bytes_hub_.inc(t.bytes_hub - metrics_emitted_.bytes_hub);
+    m_bytes_relay_.inc(t.bytes_relay - metrics_emitted_.bytes_relay);
+    m_bytes_p2p_.inc(t.bytes_p2p - metrics_emitted_.bytes_p2p);
+    m_transfers_.inc(t.transfers - metrics_emitted_.transfers);
+    metrics_emitted_ = t;
     for (std::size_t i = 0; i < nworkers; ++i) {
       if (acks.count(i) != 0) continue;
       problem = "worker rank " + std::to_string(i + 1) +
@@ -773,8 +647,8 @@ bool DistributedRuntime::fence(bool nothrow) {
       break;
     }
   }
-  if (problem.empty() && config_.verify_reports) {
-    const FaultReport mine = local_->fault_report();
+  if (problem.empty()) {
+    const FaultReport mine = local().fault_report();
     for (const auto& [worker, ack] : acks) {
       if (reports_equal(mine, ack.report)) continue;
       problem = "fault-report divergence at fence " + std::to_string(id) +
@@ -802,7 +676,7 @@ void DistributedRuntime::require_replicated_forest() const {
 
 LaunchResult DistributedRuntime::execute(const TaskLauncher& launcher) {
   ensure_started();
-  if (conns_.empty()) return local_->execute(launcher);
+  if (conns_.empty()) return local().execute(launcher);
   require_replicated_forest();
   // Serialize first: an unserializable launcher must throw before any
   // rank sees a frame, or the replicated streams diverge.
@@ -815,35 +689,32 @@ LaunchResult DistributedRuntime::execute(const TaskLauncher& launcher) {
   // Stamp the trace context after planning — the plan's transfer issues
   // consume launch ids, so only now is the next id this descriptor's.
   TaskLauncher annotated = launcher;
-  annotated.trace_ctx = obs::TraceContext{local_->peek_next_launch_id(),
+  annotated.trace_ctx = obs::TraceContext{local().peek_next_launch_id(),
                                           obs::TraceContext::kNone, 0};
   broadcast(Msg::kSingle, serialize_task_launcher(annotated));
-  return local_->execute(annotated);
+  return local().execute(annotated);
 }
 
 LaunchResult DistributedRuntime::execute_index(const IndexLauncher& launcher) {
   ensure_started();
-  if (conns_.empty()) return local_->execute_index(launcher);
+  if (conns_.empty()) return local().execute_index(launcher);
   require_replicated_forest();
   // Validate serializability before any rank (rank 0 included) observes the
   // launch: a throw here must leave every replicated stream untouched.
   (void)serialize_launcher(launcher);
-  if (delta_) {
-    const bool full = aliases_across_ranks(*forest_, launcher, config_.ranks);
-    plan_index_launch(launcher, full);
-    // The plan's transfers took their launch ids; the next one is this
-    // launch's, which every worker marks the same way on receipt.
-    if (full) full_launches_.mark(local_->peek_next_launch_id());
-  }
+  // Every worker marks a launch aliasing across ranks the same way on
+  // receipt; the plan's transfers take their launch ids before this one.
+  const bool full = delta_ && aliases_across_ranks(*forest_, launcher, config_.ranks);
+  if (delta_) plan_index_launch(launcher, full);
   // Issue on the driver first — rank 0's analysis populates the certificate
   // cache with this launch's pair verdicts — then ship the cache as a bundle
   // on the descriptor, so import-only workers validate the certificates
   // instead of re-running the analysis. Issue order is preserved: frames go
   // out on this thread in program order, and issuance is asynchronous, so
   // no task outcome can precede its launch frame.
-  LaunchResult result = local_->execute_index(launcher);
+  LaunchResult result = replica_->execute_index(launcher, full);
   IndexLauncher annotated = launcher;
-  annotated.analysis_bundle = local_->export_interference_bundle();
+  annotated.analysis_bundle = local().export_interference_bundle();
   // Replicas assert they assign the same launch id rank 0 just did.
   annotated.trace_ctx =
       obs::TraceContext{result.launch_id, obs::TraceContext::kNone, 0};
@@ -859,7 +730,7 @@ void DistributedRuntime::wait_all() {
 }
 
 void DistributedRuntime::sync_for_read() {
-  if (started_ && delta_ && local_ != nullptr && !conns_.empty()) {
+  if (started_ && delta_ && replica_ != nullptr && !conns_.empty()) {
     // Recall: route every span some worker produced back to rank 0 so a
     // direct read of the forest sees current data. Spans already current
     // here ship nothing.
@@ -881,28 +752,18 @@ void DistributedRuntime::sync_for_read() {
 
 DataPlaneStats DistributedRuntime::data_plane_stats() {
   // A fence pulls every worker's current counters in via its ack.
-  if (started_ && local_ != nullptr && !conns_.empty()) fence(/*nothrow=*/true);
+  if (started_ && replica_ != nullptr && !conns_.empty()) fence(/*nothrow=*/true);
+  if (replica_ == nullptr) return {};
   std::lock_guard<std::mutex> lock(fence_mu_);
-  DataPlaneStats t;
-  t.bytes_hub = net_.bytes_hub.load(std::memory_order_relaxed);
-  t.bytes_relay = net_.bytes_relay.load(std::memory_order_relaxed);
-  t.bytes_p2p = net_.bytes_p2p.load(std::memory_order_relaxed);
-  t.transfers = net_.transfers.load(std::memory_order_relaxed);
-  for (const DataPlaneCounters& w : worker_net_) {
-    t.bytes_hub += w.bytes_hub;
-    t.bytes_relay += w.bytes_relay;
-    t.bytes_p2p += w.bytes_p2p;
-    t.transfers += w.transfers;
-  }
-  return t;
+  return data_plane_locked();
 }
 
 obs::MetricsSnapshot DistributedRuntime::cluster_metrics() {
   ensure_started();
   // A fence refreshes every worker's snapshot via its ack.
-  if (local_ != nullptr && !conns_.empty()) fence(/*nothrow=*/true);
+  if (!conns_.empty()) fence(/*nothrow=*/true);
   std::vector<std::pair<uint32_t, obs::MetricsSnapshot>> ranks;
-  ranks.emplace_back(0, local_->metrics().snapshot());
+  ranks.emplace_back(0, local().metrics().snapshot());
   {
     std::lock_guard<std::mutex> lock(fence_mu_);
     for (std::size_t i = 0; i < worker_metrics_.size(); ++i)
@@ -937,22 +798,13 @@ obs::ClusterTrace DistributedRuntime::collect_cluster_trace() {
       return telemetry_.size() + closed_count_locked() >= conns_.size();
     });
   }
-  obs::RankTrace r0;
-  r0.rank = 0;
-  const obs::EventLog& log = local_->profiler();
-  r0.epoch_ns = log.epoch_ns();
-  if (log.capturing()) {
-    r0.names = log.names();
-    r0.spans = log.events();
-    r0.samples = log.task_samples();
-  }
-  r0.recent = log.tail(256);
-  trace.ranks.push_back(std::move(r0));
+  Telemetry mine = replica_->telemetry();
   std::lock_guard<std::mutex> lock(fence_mu_);
+  telemetry_[0] = std::move(mine);
   for (auto& [rank, t] : telemetry_) {
     obs::RankTrace rt;
     rt.rank = rank;
-    const net::ClockEstimate est = clocks_->estimate(rank);
+    const net::ClockEstimate est = replica_->clock_estimate(rank);
     rt.clock_offset_ns = est.valid ? est.offset_ns : 0;
     rt.rtt_ns = est.valid ? est.rtt_ns : 0;
     rt.epoch_ns = t.epoch_ns;
@@ -971,14 +823,11 @@ void DistributedRuntime::write_merged_trace(const std::string& path) {
 }
 
 std::string DistributedRuntime::distributed_stall_dump() {
+  Telemetry mine = replica_->stall_telemetry(local().stall_report());
   std::vector<obs::RankStall> ranks;
-  obs::RankStall mine;
-  mine.rank = 0;
-  mine.report = local_->stall_report();
-  mine.pending_externals = local_->pending_externals();
-  ranks.push_back(std::move(mine));
   {
     std::lock_guard<std::mutex> lock(fence_mu_);
+    stall_push_[0] = std::move(mine);
     for (const auto& [rank, t] : stall_push_) {
       obs::RankStall rs;
       rs.rank = rank;
@@ -996,40 +845,31 @@ std::string DistributedRuntime::distributed_stall_dump() {
 }
 
 FaultReport DistributedRuntime::fault_report() const {
-  return local_ != nullptr ? local_->fault_report() : FaultReport{};
+  return replica_ != nullptr ? replica_->runtime().fault_report() : FaultReport{};
 }
 
 RuntimeStats DistributedRuntime::stats() const {
-  return local_ != nullptr ? local_->stats() : RuntimeStats{};
+  return replica_ != nullptr ? replica_->runtime().stats() : RuntimeStats{};
 }
 
 obs::MetricsRegistry& DistributedRuntime::metrics() {
   ensure_started();
-  return local_->metrics();
+  return local().metrics();
 }
+
 
 void DistributedRuntime::fill_bytes_region(RegionId r, FieldId f,
                                            const void* pattern,
                                            std::size_t size) {
-  DistFillArgs args{};
-  IDXL_REQUIRE(size > 0 && size <= sizeof(args.pattern),
-               "fill pattern too large");
-  IDXL_REQUIRE(forest_->field(forest_->region(r).fspace, f).size == size,
-               "fill value type does not match the field size");
-  args.field = f;
-  args.size = size;
-  std::memcpy(args.pattern, pattern, size);
-  TaskLauncher launcher;
+  TaskLauncher launcher = make_fill_launcher(*forest_, r, f, pattern, size);
   launcher.task = fill_task_;
-  launcher.scalar_args = ArgBuffer::of(args);
-  launcher.args = {{r, {f}, Privilege::kWrite, ReductionOp::kNone}};
   execute(launcher);
 }
 
 void DistributedRuntime::shutdown() {
   // Startup may have failed before the driver runtime existed; any worker
   // already started then lost its driver link and is exiting on its own.
-  if (started_ && local_ != nullptr) {
+  if (started_ && replica_ != nullptr) {
     try {
       stop_workers();
     } catch (const std::exception&) {
@@ -1045,7 +885,7 @@ void DistributedRuntime::shutdown() {
   children_.clear();
   for (std::thread& t : rank_threads_) t.join();
   rank_threads_.clear();
-  local_.reset();
+  replica_.reset();
   started_ = false;
 }
 

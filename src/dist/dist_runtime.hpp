@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -13,6 +12,7 @@
 #include "net/clock.hpp"
 #include "net/connection.hpp"
 #include "dist/protocol.hpp"
+#include "dist/replica.hpp"
 #include "dist/version_map.hpp"
 #include "obs/trace_merge.hpp"
 #include "runtime/runtime.hpp"
@@ -60,9 +60,6 @@ struct DistConfig {
   uint32_t heartbeat_period_ms = 1000;
   /// A peer silent past this window raises idxl_net_peer_stalls_total.
   uint32_t peer_stall_window_ms = 10000;
-  /// Cross-check every rank's FaultReport at each fence; a divergence (a
-  /// replication bug) throws RuntimeError.
-  bool verify_reports = true;
   /// Delta data plane (docs/DISTRIBUTED.md "Data plane"): the driver tracks
   /// which version of each (region, field, sub-rectangle) every rank holds
   /// and ships only stale spans to the rank that actually reads them. Off =
@@ -84,28 +81,18 @@ struct DistConfig {
   std::string trace_path;
 };
 
-/// Aggregated data-plane accounting across the whole run: the driver's own
-/// sends plus every worker's counters (piggybacked on fence acks, so direct
-/// worker↔worker bytes the driver never sees are still counted).
-struct DataPlaneStats {
-  uint64_t bytes_hub = 0;    ///< full-block outcome payload bytes
-  uint64_t bytes_relay = 0;  ///< delta patch bytes moved via the driver
-  uint64_t bytes_p2p = 0;    ///< delta patch bytes on direct worker links
-  uint64_t transfers = 0;    ///< kRegionData messages sent
-
-  uint64_t bytes_delta() const { return bytes_relay + bytes_p2p; }
-  uint64_t bytes_total() const { return bytes_hub + bytes_relay + bytes_p2p; }
-};
-
 /// Dynamic control replication over ranks that are forked processes,
 /// remote daemons or threads of this process (DistConfig::in_process). The
 /// driver (rank 0) broadcasts every launch as its O(1) serialized
-/// descriptor; every rank issues the identical stream into a local Runtime
+/// descriptor; every rank issues the identical stream into its Replica,
 /// whose point_owned hook carves out the rank's block of each launch
 /// domain. Non-owned points become external graph nodes completed by
 /// kTaskDone messages, so dependences, retries, poison propagation and
 /// fault injection all run with full fidelity on the owning rank and
-/// replicate as data everywhere else.
+/// replicate as data everywhere else. The driver runs as rank 0 of the
+/// same Replica every worker runs; this class adds what only rank 0 does:
+/// starting ranks, delta planning, the launch broadcast, the outcome and
+/// payload relay, fences and the cluster views.
 ///
 /// Setup (forest construction, register_task) must happen before the first
 /// launch: the first launch freezes setup, starts/handshakes the workers and
@@ -137,7 +124,8 @@ class DistributedRuntime : public RuntimeApi {
   /// Effective data-plane mode (delta can be auto-disabled; see DistConfig).
   bool delta_transfers() const { return delta_; }
 
-  /// Fence, then return run-wide data-plane byte counters (bench/CI gate).
+  /// Fence, then return run-wide data-plane byte counters (bench/CI gate):
+  /// the driver's own plus every worker's, from the fence acks.
   DataPlaneStats data_plane_stats();
 
   /// Fence, then aggregate every rank's metrics into one snapshot: each
@@ -166,12 +154,12 @@ class DistributedRuntime : public RuntimeApi {
   /// Clock-offset estimate for a worker rank (heartbeat probes; invalid
   /// until the first pong or for rank 0 / unknown ranks).
   net::ClockEstimate clock_estimate(uint32_t rank) const {
-    return clocks_ != nullptr ? clocks_->estimate(rank) : net::ClockEstimate{};
+    return replica_ != nullptr ? replica_->clock_estimate(rank) : net::ClockEstimate{};
   }
 
   /// The driver's local runtime (tests: counters, event log).
   /// Valid only after the first launch.
-  Runtime& local() { return *local_; }
+  Runtime& local() { return replica_->runtime(); }
 
  private:
   void ensure_started();
@@ -183,7 +171,6 @@ class DistributedRuntime : public RuntimeApi {
   void on_worker_frame(std::size_t worker, net::Frame& frame);
   void on_worker_close(std::size_t worker, const std::string& error);
   void broadcast(Msg type, const std::vector<std::byte>& payload);
-  void send_task_done(const TaskDone& done);
   /// Fence all ranks; returns false (instead of throwing) on peer loss or
   /// report divergence when `nothrow` — the destructor path.
   bool fence(bool nothrow);
@@ -209,11 +196,9 @@ class DistributedRuntime : public RuntimeApi {
                        const std::vector<RegionArg>& args, bool full_launch);
   void plan_index_launch(const IndexLauncher& launcher, bool full_launch);
   void issue_transfer(const Transfer& t, uint32_t dest);
-  /// on_task_success arm for the driver-owned transfer task: extract the
-  /// rect, ship it to the destination, announce a slim outcome.
-  void send_xfer_data(uint64_t seq, uint64_t launch, TaskContext& ctx);
-  /// Fold current totals into the idxl_net_* metric series (fence_mu_ held).
-  void publish_net_metrics_locked();
+  /// Run-wide data-plane totals: rank 0's counters plus the latest from
+  /// every worker (fence_mu_ held).
+  DataPlaneStats data_plane_locked() const;
 
   DistConfig config_;
   std::shared_ptr<RegionForest> forest_;
@@ -226,33 +211,22 @@ class DistributedRuntime : public RuntimeApi {
   /// Forest setup-journal length every rank has replayed or mirrored.
   std::size_t replicated_setup_ops_ = 0;
   std::string trace_path_;  ///< effective (config + IDXL_TRACE), see DistConfig
-  std::unique_ptr<Runtime> local_;
+  std::unique_ptr<Replica> replica_;  ///< rank 0
   std::vector<std::unique_ptr<net::Connection>> conns_;  // worker rank r -> [r-1]
   std::unique_ptr<net::PeerMonitor> monitor_;
-  std::unique_ptr<net::ClockTable> clocks_;  ///< per-worker offset estimates
-  uint32_t name_xfer_apply_ = 0;  ///< interned remote-parent span names
-  uint32_t name_done_apply_ = 0;
   std::vector<pid_t> children_;        ///< fork mode
   std::vector<std::thread> rank_threads_;  ///< in-process mode
 
   /// Driver-only coherence map; every plan_* call runs on the issuing
   /// thread, so the map needs no lock.
   std::unique_ptr<VersionMap> vmap_;
-  FullOutcomeLaunches full_launches_;
-  /// The driver's own data-plane sends (task workers + recv threads write).
-  struct NetCells {
-    std::atomic<uint64_t> bytes_hub{0};
-    std::atomic<uint64_t> bytes_relay{0};
-    std::atomic<uint64_t> bytes_p2p{0};
-    std::atomic<uint64_t> transfers{0};
-  } net_;
+  /// Run-wide idxl_net_* series, published at fences.
   obs::Counter m_bytes_hub_, m_bytes_relay_, m_bytes_p2p_, m_transfers_;
-  obs::Histogram m_xfer_size_, m_xfer_latency_;
 
   /// Driver-bound transfer payloads (kRegionData, dest 0) parked until the
   /// sender's slim kTaskDone completes the node (see on_worker_frame).
   std::mutex xdata_mu_;
-  std::unordered_map<uint64_t, std::vector<RegionPatch>> driver_patches_;
+  std::unordered_map<uint64_t, RegionData> driver_data_;
 
   std::mutex fence_mu_;
   std::condition_variable fence_cv_;
@@ -260,12 +234,14 @@ class DistributedRuntime : public RuntimeApi {
   /// fence id -> acks received (worker index -> ack)
   std::map<uint64_t, std::map<std::size_t, FenceAck>> fence_acks_;
   /// Latest cumulative per-worker counters (fence_mu_).
-  std::vector<DataPlaneCounters> worker_net_;
+  std::vector<DataPlaneStats> worker_net_;
   /// Latest metrics snapshot per worker index, from fence acks (fence_mu_).
   std::vector<obs::MetricsSnapshot> worker_metrics_;
-  /// Shutdown-pull telemetry by rank, answering kTelemetryReq (fence_mu_).
+  /// Shutdown-pull telemetry by rank, answering kTelemetryReq; rank 0's
+  /// own joins it at collection (fence_mu_).
   std::map<uint32_t, Telemetry> telemetry_;
-  /// Latest stall push per rank from worker watchdogs (fence_mu_).
+  /// Latest stall push per rank from worker watchdogs; rank 0's own is
+  /// taken at each dump (fence_mu_).
   std::map<uint32_t, Telemetry> stall_push_;
   /// Totals already folded into the metric counters (fence_mu_).
   DataPlaneStats metrics_emitted_;

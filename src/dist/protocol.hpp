@@ -189,20 +189,30 @@ struct RegionData {
 std::vector<std::byte> encode_region_data(const RegionData& r);
 RegionData decode_region_data(const std::vector<std::byte>& bytes);
 
-/// Cumulative per-process data-plane byte counters, piggybacked on every
-/// FenceAck so the driver can aggregate bytes-moved across all ranks
-/// (including direct worker->worker legs it never sees).
-struct DataPlaneCounters {
-  uint64_t bytes_hub = 0;    ///< full-block outcome payload bytes sent
-  uint64_t bytes_relay = 0;  ///< delta patch bytes sent via the driver
-  uint64_t bytes_p2p = 0;    ///< delta patch bytes sent on direct links
+/// Data-plane byte counters: one rank's cumulative sends, piggybacked on
+/// every FenceAck, or the driver's run-wide sum of every rank's (so direct
+/// worker->worker legs the driver never sees are counted too).
+struct DataPlaneStats {
+  uint64_t bytes_hub = 0;    ///< full-block outcome payload bytes
+  uint64_t bytes_relay = 0;  ///< delta patch bytes moved via the driver
+  uint64_t bytes_p2p = 0;    ///< delta patch bytes on direct worker links
   uint64_t transfers = 0;    ///< kRegionData messages sent
+
+  uint64_t bytes_delta() const { return bytes_relay + bytes_p2p; }
+  uint64_t bytes_total() const { return bytes_hub + bytes_relay + bytes_p2p; }
+  DataPlaneStats& operator+=(const DataPlaneStats& o) {
+    bytes_hub += o.bytes_hub;
+    bytes_relay += o.bytes_relay;
+    bytes_p2p += o.bytes_p2p;
+    transfers += o.transfers;
+    return *this;
+  }
 };
 
 struct FenceAck {
   uint64_t fence = 0;
   FaultReport report;
-  DataPlaneCounters net;
+  DataPlaneStats net;
   /// Serialized MetricsSnapshot of the worker's registry (may be empty):
   /// fences are rare and snapshots small, so every ack refreshes the
   /// driver's per-rank metrics view for cluster aggregation.

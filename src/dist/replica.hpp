@@ -1,0 +1,136 @@
+#pragma once
+
+#include <atomic>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "net/clock.hpp"
+#include "net/connection.hpp"
+#include "dist/protocol.hpp"
+#include "runtime/runtime.hpp"
+
+namespace idxl::dist {
+
+/// Send one frame; false when the link is down. Its owner reports the lost
+/// peer (the driver at its next fence, a worker when its receive loop ends).
+bool try_send(net::Connection& conn, Msg type, const std::vector<std::byte>& payload);
+
+/// A connection and the rank at its far end.
+struct RankLink {
+  uint32_t rank = 0;
+  net::Connection* conn = nullptr;
+};
+
+/// The connections one rank's replica sends over. A driver replica and a
+/// worker replica differ only in these.
+struct ReplicaLinks {
+  /// Every task outcome (kTaskDone) goes out on each of these: the driver's
+  /// links to its workers, or a worker's link to the driver.
+  std::vector<RankLink> outcomes;
+  /// The outcome link that forwards to every other rank (a worker's driver
+  /// link), or null. A transfer's slim outcome skips the outcome link to the
+  /// payload's destination, whose copy is the payload, unless it relays.
+  net::Connection* relay = nullptr;
+  /// Links that carry a transfer payload straight to its destination rank:
+  /// the driver's worker links, or a worker's direct peer links. A payload
+  /// whose destination has no live direct link goes to `relay`.
+  std::vector<RankLink> direct;
+  /// Whether a payload sent on a `direct` link counts as p2p bytes (a
+  /// worker's peer links) or relay bytes (the driver's links, which carry
+  /// data moved via the driver). Payloads sent to `relay` count as relay.
+  bool direct_is_p2p = true;
+};
+
+/// One rank's half of dynamic control replication, the same on the driver
+/// (rank 0) and on every worker: the local Runtime issued from the
+/// replicated launch stream, with hooks that keep the points this rank owns
+/// and ship their outcomes — full or slim kTaskDone, and the routed rects
+/// of transfer tasks down the direct-link-then-relay ladder — plus the
+/// completion of remote outcomes, clock-probe answers, the rank's
+/// data-plane byte counters and its telemetry.
+class Replica {
+ public:
+  /// Builds the local Runtime over `forest` and registers `tasks` in order.
+  /// `delta` selects the delta data plane; `xfer_task` is the id of the
+  /// replicated transfer task on it.
+  Replica(uint32_t rank, uint32_t nranks, RuntimeConfig config,
+          std::shared_ptr<RegionForest> forest,
+          const std::vector<std::pair<std::string, TaskFn>>& tasks, bool delta,
+          TaskFnId xfer_task);
+  Replica(const Replica&) = delete;
+  Replica& operator=(const Replica&) = delete;
+
+  /// Set the links outcomes and payloads go out on. Call once, before the
+  /// first launch; the links must outlive every task this replica runs.
+  void attach(ReplicaLinks links) { links_ = std::move(links); }
+
+  Runtime& runtime() { return *rt_; }
+  bool delta() const { return delta_; }
+
+  /// Issue a replicated index launch. With `full_outcomes` (the launch
+  /// aliases across ranks) every owned point ships its full outcome.
+  LaunchResult execute_index(const IndexLauncher& launcher, bool full_outcomes);
+  /// Issue the replicated transfer task a routing directive describes.
+  LaunchResult execute_transfer(const Route& route);
+  /// wait_all(); every success hook has then run, so the full-outcome
+  /// launch set is dropped.
+  void quiesce();
+
+  /// Complete the external node a kTaskDone names (`done-apply` span).
+  void apply_done(TaskDone done);
+  /// Complete a transfer node from its payload (`xfer-apply` span, and the
+  /// send-to-apply latency histogram).
+  void apply_data(RegionData data);
+  /// Answer a clock probe riding a kPing from `peer_rank` on `conn`: a ping
+  /// gets a stamped pong back, a pong updates that peer's offset estimate.
+  void answer_probe(uint32_t peer_rank, net::Connection& conn,
+                    const std::vector<std::byte>& payload);
+  net::ClockEstimate clock_estimate(uint32_t peer_rank) const {
+    return clocks_->estimate(peer_rank);
+  }
+
+  /// Count bytes this rank forwarded on others' behalf (the driver's relay
+  /// legs): route labels measure bytes on wires, once per hop.
+  void count_forwarded(uint64_t hub_bytes, uint64_t relay_bytes);
+  /// This rank's cumulative data-plane counters.
+  DataPlaneStats data_plane() const;
+
+  /// This rank's observability state: event-log spans (when capturing), the
+  /// lifecycle tail, a metrics snapshot and the outcomes it is still owed.
+  Telemetry telemetry() const;
+  /// The same for a declared stall, built from the watchdog's report.
+  Telemetry stall_telemetry(const obs::StallReport& report) const;
+
+ private:
+  void on_success(uint64_t seq, uint64_t launch, TaskContext& ctx);
+  /// Transfer task: extract the routed rect, push it to the destination,
+  /// then announce a slim outcome.
+  void send_transfer(uint64_t seq, uint64_t launch, TaskContext& ctx);
+  void send_outcome(const TaskDone& done);
+
+  const uint32_t rank_;
+  const uint32_t nranks_;
+  const bool delta_;
+  const TaskFnId xfer_task_;
+  ReplicaLinks links_;
+  FullOutcomeLaunches full_launches_;
+  std::unique_ptr<net::ClockTable> clocks_;  ///< per-peer offset estimates
+  /// Interned event-log names of the remote-parent apply spans.
+  uint32_t name_xfer_apply_ = 0;
+  uint32_t name_done_apply_ = 0;
+
+  /// Data-plane accounting. Atomics: success hooks fire on pool threads,
+  /// forwarding on link receive threads.
+  std::atomic<uint64_t> bytes_hub_{0};
+  std::atomic<uint64_t> bytes_relay_{0};
+  std::atomic<uint64_t> bytes_p2p_{0};
+  std::atomic<uint64_t> transfers_{0};
+  obs::Histogram xfer_size_, xfer_latency_;
+  /// Last member, so it is destroyed first: its final wait_all may still
+  /// run the hooks, which use everything above.
+  std::unique_ptr<Runtime> rt_;
+};
+
+}  // namespace idxl::dist

@@ -4,7 +4,7 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "dist/fill_task.hpp"
+#include "runtime/api.hpp"
 #include "support/error.hpp"
 
 namespace idxl::dist {
@@ -54,12 +54,11 @@ TaskRegistration::TaskRegistration(const char* name, TaskFn fn) {
 
 namespace {
 
-void dist_fill_body(TaskContext& ctx) {
-  const auto& args = ctx.arg<DistFillArgs>();
-  ctx.region(0).fill_bytes(args.field, args.pattern, args.size);
-}
-
-IDXL_DIST_REGISTER_TASK(idxl_dist_fill, dist_fill_body);
+// Registered here — the one translation unit every binary that touches the
+// registry links — so archive linking cannot drop the registration.
+// Fork-mode children inherit the fill through the driver's task table;
+// exec-mode daemons resolve it by name like any user task.
+IDXL_DIST_REGISTER_TASK(idxl_dist_fill, fill_task_body);
 
 // The delta-transfer task is deliberately a no-op: it exists to occupy a
 // replicated slot in every rank's task graph (ordered after the producer

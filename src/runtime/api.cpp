@@ -1,5 +1,7 @@
 #include "runtime/api.hpp"
 
+#include <cstring>
+
 namespace idxl {
 
 double Future::resolve() const {
@@ -21,6 +23,26 @@ double RuntimeApi::get(const Future& future) {
   IDXL_REQUIRE(future.valid(), "get() on an empty Future");
   wait_all();
   return future.resolve();
+}
+
+void fill_task_body(TaskContext& ctx) {
+  const auto& args = ctx.arg<FillArgs>();
+  ctx.region(0).fill_bytes(args.field, args.pattern, args.size);
+}
+
+TaskLauncher make_fill_launcher(const RegionForest& forest, RegionId r, FieldId f,
+                                const void* pattern, std::size_t size) {
+  FillArgs args{};
+  IDXL_REQUIRE(size > 0 && size <= sizeof(args.pattern), "fill pattern too large");
+  IDXL_REQUIRE(forest.field(forest.region(r).fspace, f).size == size,
+               "fill value type does not match the field size");
+  args.field = f;
+  args.size = size;
+  std::memcpy(args.pattern, pattern, size);
+  TaskLauncher launcher;
+  launcher.scalar_args = ArgBuffer::of(args);
+  launcher.args = {{r, {f}, Privilege::kWrite, ReductionOp::kNone}};
+  return launcher;
 }
 
 }  // namespace idxl

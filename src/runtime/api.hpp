@@ -187,4 +187,21 @@ class RuntimeApi {
   }
 };
 
+/// Scalar arguments of the fill task every backend lowers
+/// fill_bytes_region to.
+struct FillArgs {
+  FieldId field = 0;
+  std::size_t size = 0;
+  unsigned char pattern[16] = {};
+};
+
+/// The fill task's body: writes the pattern over one field of region 0.
+void fill_task_body(TaskContext& ctx);
+
+/// The single-task launcher of a fill, its task id left for the backend to
+/// set. Throws RuntimeError unless the pattern fits FillArgs and matches
+/// the field's size: the pattern can be client bytes (idxl-served's kFill).
+TaskLauncher make_fill_launcher(const RegionForest& forest, RegionId r, FieldId f,
+                                const void* pattern, std::size_t size);
+
 }  // namespace idxl

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <unordered_set>
@@ -626,7 +625,7 @@ SafetyReport Runtime::analyze_safety(const IndexLauncher& launcher, uint64_t lau
   options.enable_dynamic_checks = config_.enable_dynamic_checks;
   options.extended_static = config_.extended_static_analysis;
   options.log = log_;
-  if (config_.enable_verdict_cache) options.verdict_cache = &verdict_cache_;
+  options.verdict_cache = &verdict_cache_;
   auto pair_independent = [&](std::size_t i, std::size_t j) {
     return forest_->partitions_independent(launcher.args[i].parent,
                                           launcher.args[i].partition,
@@ -642,12 +641,10 @@ SafetyReport Runtime::analyze_safety(const IndexLauncher& launcher, uint64_t lau
     safety_scope.event().detail = detail_of(safety.outcome);
   }
   cells_.dynamic_check_points.inc(safety.dynamic_points);
-  if (config_.enable_verdict_cache) {
-    if (safety.cache_hit)
-      cells_.cache_hit_launches.inc();
-    else
-      cells_.cache_miss_launches.inc();
-  }
+  if (safety.cache_hit)
+    cells_.cache_hit_launches.inc();
+  else
+    cells_.cache_miss_launches.inc();
   switch (safety.outcome) {
     case SafetyOutcome::kSafeStatic: cells_.safe_static.inc(); break;
     case SafetyOutcome::kSafeDynamic: cells_.safe_dynamic.inc(); break;
@@ -1510,16 +1507,6 @@ void Runtime::trace_diverged(const char* what) {
   throw RuntimeError(std::string("idxl: ") + what);
 }
 
-TaskFnId Runtime::fill_task() {
-  if (fill_task_ == UINT32_MAX) {
-    fill_task_ = register_task("idxl_fill", [](TaskContext& ctx) {
-      const auto& args = ctx.arg<FillArgs>();
-      ctx.region(0).fill_bytes(args.field, args.pattern, args.size);
-    });
-  }
-  return fill_task_;
-}
-
 void Runtime::register_external(const TaskNodePtr& node) {
   node->external = true;
   node->pending.fetch_add(1, std::memory_order_relaxed);  // remote guard
@@ -1599,18 +1586,9 @@ void Runtime::deliver_external(const TaskNodePtr& node, RemoteOutcome outcome) {
 
 void Runtime::fill_bytes_region(RegionId r, FieldId f, const void* pattern,
                                 std::size_t size) {
-  FillArgs args{};
-  IDXL_REQUIRE(size > 0 && size <= sizeof(args.pattern),
-               "fill pattern too large");
-  IDXL_REQUIRE(forest_->field(forest_->region(r).fspace, f).size == size,
-               "fill value type does not match the field size");
-  args.field = f;
-  args.size = size;
-  std::memcpy(args.pattern, pattern, size);
-  TaskLauncher launcher;
-  launcher.task = fill_task();
-  launcher.scalar_args = ArgBuffer::of(args);
-  launcher.args = {{r, {f}, Privilege::kWrite, ReductionOp::kNone}};
+  TaskLauncher launcher = make_fill_launcher(*forest_, r, f, pattern, size);
+  if (fill_task_ == UINT32_MAX) fill_task_ = register_task("idxl_fill", fill_task_body);
+  launcher.task = fill_task_;
   execute(launcher);
 }
 

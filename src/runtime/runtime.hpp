@@ -47,11 +47,6 @@ struct RuntimeConfig {
   /// and dependence edges, for Runtime::profiler()'s span views. Off by
   /// default: a pure span then costs one branch per instrumentation point.
   bool enable_profiling = false;
-  /// Reuse safety verdicts across repeated launches of the same site (same
-  /// functor fingerprints, domain, privileges): the common case in iterative
-  /// workloads, where re-running even the static analysis per launch is
-  /// pure overhead. Opaque functors are never cached.
-  bool enable_verdict_cache = true;
   /// Group-level dependence analysis (§5): when a safe index launch's every
   /// region argument goes through a disjoint partition with an analyzable
   /// (symbolic) functor, order the *launch* with one summary test per
@@ -266,8 +261,9 @@ class Runtime : public RuntimeApi {
   /// analyzed — no timing assumptions.
   ThreadPool& pool() { return *pool_; }
 
-  /// The launch-site verdict cache (populated only when
-  /// RuntimeConfig::enable_verdict_cache is set).
+  /// The launch-site verdict cache: safety verdicts reused across repeated
+  /// launches of the same site (functor fingerprints, domain, privileges).
+  /// Opaque functors are never cached.
   VerdictCache& verdict_cache() { return verdict_cache_; }
   const VerdictCache& verdict_cache() const { return verdict_cache_; }
 
@@ -304,15 +300,6 @@ class Runtime : public RuntimeApi {
 
  private:
   friend class Future;  // Future::get records its reduction span
-
-  struct FillArgs {
-    FieldId field = 0;
-    std::size_t size = 0;
-    unsigned char pattern[16] = {};
-  };
-
-  /// Lazily registered internal task backing fill<T>().
-  TaskFnId fill_task();
 
   /// One launch of a dynamic trace (recorded per launch, not per task):
   /// what replay checks (task, domain or single-task point, each task's
@@ -512,7 +499,7 @@ class Runtime : public RuntimeApi {
   std::vector<uint32_t> task_log_names_;  ///< interned span name per TaskFnId
   uint64_t next_seq_ = 0;
   uint64_t next_launch_id_ = 0;
-  TaskFnId fill_task_ = UINT32_MAX;
+  TaskFnId fill_task_ = UINT32_MAX;  ///< registered on the first fill
 
   // --- fault tolerance ---
   FaultLog faults_;

@@ -270,20 +270,25 @@ TEST(DataPlaneTest, ThreeConfigurationsBitIdentical) {
   std::vector<double> ref_fin;
   const std::vector<double> ref_fout =
       local_reference(nullptr, &ref_fin, nullptr);
+  constexpr uint32_t kRanks = 3;
+  // Each iteration's two launches write the whole grid once each.
+  constexpr uint64_t kWrittenBytes = kIters * 2 * kNx * kNy * sizeof(double);
 
+  std::vector<DataPlaneStats> by_placement[2];
   for (const bool in_process : kPlacements) {
     SCOPED_TRACE(placement_name(in_process));
     const PlaneRun hub =
-        run_plane(in_process, 3, /*delta=*/false, /*p2p=*/false, false);
+        run_plane(in_process, kRanks, /*delta=*/false, /*p2p=*/false, false);
     const PlaneRun relay =
-        run_plane(in_process, 3, /*delta=*/true, /*p2p=*/false, false);
+        run_plane(in_process, kRanks, /*delta=*/true, /*p2p=*/false, false);
     const PlaneRun p2p =
-        run_plane(in_process, 3, /*delta=*/true, /*p2p=*/true, false);
+        run_plane(in_process, kRanks, /*delta=*/true, /*p2p=*/true, false);
 
     for (const PlaneRun* r : {&hub, &relay, &p2p}) {
       EXPECT_TRUE(r->report.ok());
       EXPECT_EQ(r->fout, ref_fout);
       EXPECT_EQ(r->fin, ref_fin);
+      by_placement[in_process].push_back(r->stats);
     }
 
     // Every byte on the expected route and nowhere else.
@@ -293,10 +298,30 @@ TEST(DataPlaneTest, ThreeConfigurationsBitIdentical) {
     EXPECT_EQ(relay.stats.bytes_p2p, 0u);
     EXPECT_GT(p2p.stats.bytes_p2p, 0u);
 
+    // Exact accounting, counted once per wire hop: every written byte
+    // reaches each of the other ranks over one hop (the driver's own
+    // outcomes) or two (a worker's, relayed by the driver).
+    EXPECT_EQ(hub.stats.bytes_hub, (kRanks - 1) * kWrittenBytes);
+    // Both delta configurations plan the same transfers, and a payload
+    // relayed via the driver crosses two wires where a direct one crosses one.
+    EXPECT_EQ(relay.stats.transfers, p2p.stats.transfers);
+    EXPECT_EQ(relay.stats.bytes_relay,
+              p2p.stats.bytes_relay + 2 * p2p.stats.bytes_p2p);
+
     // The point of the delta plane: strictly fewer payload bytes than the
     // star-hub broadcast of every written block to every rank.
     EXPECT_LT(relay.stats.bytes_total(), hub.stats.bytes_total());
     EXPECT_LT(p2p.stats.bytes_total(), hub.stats.bytes_total());
+  }
+
+  // Forked and in-process ranks run the same wire code over the same links.
+  ASSERT_EQ(by_placement[0].size(), by_placement[1].size());
+  for (std::size_t i = 0; i < by_placement[0].size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(by_placement[0][i].bytes_hub, by_placement[1][i].bytes_hub);
+    EXPECT_EQ(by_placement[0][i].bytes_relay, by_placement[1][i].bytes_relay);
+    EXPECT_EQ(by_placement[0][i].bytes_p2p, by_placement[1][i].bytes_p2p);
+    EXPECT_EQ(by_placement[0][i].transfers, by_placement[1][i].transfers);
   }
 }
 

@@ -14,7 +14,6 @@
 #include "obs/event_log.hpp"
 #include "obs/watchdog.hpp"
 #include "region/partition_ops.hpp"
-#include "runtime/mapping.hpp"
 #include "runtime/runtime.hpp"
 #include "test_json.hpp"
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
+#include <cstddef>
 #include <cstdlib>
 #include <vector>
 
@@ -225,6 +227,53 @@ TEST(RuntimeApiTest, RunContractOnEveryBackend) {
         rt->run([&](RuntimeApi& api) { got = run_workload(api); });
     EXPECT_TRUE(report.ok()) << dist::backend_name(backend);
     EXPECT_EQ(got, expected()) << dist::backend_name(backend);
+  }
+}
+
+TEST(RuntimeApiTest, BadFillPatternThrowsOnEveryBackend) {
+  // fill_bytes_region takes raw bytes (idxl-served forwards a client's
+  // kFill pattern), so every backend refuses a pattern that does not match
+  // the field's size or does not fit the fill task's arguments — before any
+  // rank sees the fill — and keeps running.
+  for (const dist::Backend backend : kBackends) {
+    SCOPED_TRACE(dist::backend_name(backend));
+    dist::BackendConfig config;
+    config.backend = backend;
+    config.runtime.workers = 2;
+    config.dist.ranks = 3;
+    const auto rt = dist::make_runtime(config);
+    auto& forest = rt->forest();
+    const IndexSpaceId is = forest.create_index_space(Domain::line(kElements));
+    const FieldSpaceId fs = forest.create_field_space();
+    const FieldId value = forest.allocate_field(fs, sizeof(double), "value");
+    const FieldId wide = forest.allocate_field(fs, 32, "wide");
+    const RegionId region = forest.create_region(is, fs);
+    const PartitionId pieces = partition_equal(forest, is, Rect::line(kPieces));
+    const TaskFnId write_idx = rt->register_task("write_idx", [](TaskContext& ctx) {
+      auto acc = ctx.region(0).accessor<double>(0);
+      ctx.region(0).domain().for_each([&](const Point& p) {
+        acc.write(p, static_cast<double>(ctx.point[0] + 1));
+      });
+    });
+
+    rt->fill(region, value, -1.0);
+    const int32_t narrow = 7;
+    EXPECT_THROW(rt->fill_bytes_region(region, value, &narrow, sizeof(narrow)),
+                 RuntimeError);
+    const std::array<std::byte, 32> oversize{};
+    EXPECT_THROW(rt->fill_bytes_region(region, wide, oversize.data(), oversize.size()),
+                 RuntimeError);
+
+    rt->execute_index(IndexLauncher::over(Domain::line(kPieces))
+                          .with_task(write_idx)
+                          .region(region, pieces, ProjectionFunctor::identity(1),
+                                  {value}, Privilege::kWrite));
+    rt->wait_all();
+    EXPECT_TRUE(rt->fault_report().ok());
+    auto acc = rt->read_region<double>(region, value);
+    for (int64_t i = 0; i < kElements; ++i)
+      EXPECT_EQ(acc.read(Point::p1(i)),
+                static_cast<double>(i / (kElements / kPieces) + 1));
   }
 }
 

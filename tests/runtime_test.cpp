@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "region/partition_ops.hpp"
-#include "runtime/mapping.hpp"
 #include "runtime/runtime.hpp"
 
 namespace idxl {
@@ -892,25 +891,6 @@ TEST(RuntimeTest, RepeatedLaunchesHitVerdictCache) {
   EXPECT_EQ(fx.rt.verdict_cache().counters().hits, 4u);
 }
 
-TEST(RuntimeTest, VerdictCacheCanBeDisabled) {
-  RuntimeConfig cfg;
-  cfg.enable_verdict_cache = false;
-  Fixture fx(40, 10, cfg);
-  const TaskFnId noop = fx.rt.register_task("noop", [](TaskContext&) {});
-  for (int i = 0; i < 3; ++i) {
-    const LaunchResult r = fx.rt.execute_index(
-        IndexLauncher::over(Domain::line(10))
-            .with_task(noop)
-            .region(fx.region, fx.blocks, ProjectionFunctor::modular1d(3, 10),
-                    {fx.fv}, Privilege::kWrite));
-    EXPECT_FALSE(r.safety.cache_hit);
-    EXPECT_EQ(r.safety.dynamic_points, 10u);  // re-analyzed every launch
-  }
-  fx.rt.wait_all();
-  EXPECT_EQ(fx.rt.stats().verdict_cache_hits, 0u);
-  EXPECT_EQ(fx.rt.verdict_cache().size(), 0u);
-}
-
 TEST(RuntimeTest, RapidReissueStress) {
   // Regression test for an issuance race: a dependency that completes the
   // instant its successor edge is published must not double-trigger the
@@ -1037,54 +1017,6 @@ TEST(RuntimeTest, LaunchStreamDivergenceDetected) {
   EXPECT_NO_THROW(fx.rt.execute(single));
   fx.rt.wait_all();
   EXPECT_TRUE(fx.rt.fault_report().ok());
-}
-
-// ---------- slicing functors ----------
-
-TEST(MappingTest, BinarySlicingCoversDomainExactly) {
-  BinarySlicingFunctor slicer;
-  Slice root;
-  root.domain = Domain(Rect::box2(16, 16));
-  root.node_lo = 0;
-  root.node_hi = 7;
-
-  // Recursively expand to leaves and verify the leaves tile the domain with
-  // one leaf per node.
-  std::vector<Slice> leaves;
-  auto expand = [&](auto&& self, const Slice& s) -> void {
-    const auto children = slicer.slice(s);
-    if (children.size() == 1 && children[0].node_lo == s.node_lo &&
-        children[0].node_hi == s.node_hi) {
-      leaves.push_back(s);
-      return;
-    }
-    for (const Slice& c : children) self(self, c);
-  };
-  expand(expand, root);
-
-  ASSERT_EQ(leaves.size(), 8u);
-  int64_t total = 0;
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    EXPECT_EQ(leaves[i].node_lo, leaves[i].node_hi);
-    total += leaves[i].domain.volume();
-    for (std::size_t j = i + 1; j < leaves.size(); ++j)
-      EXPECT_TRUE(leaves[i].domain.disjoint_from(leaves[j].domain));
-  }
-  EXPECT_EQ(total, 256);
-}
-
-TEST(MappingTest, BinarySlicingSparseDomain) {
-  BinarySlicingFunctor slicer;
-  std::vector<Point> pts;
-  for (int i = 0; i < 7; ++i) pts.push_back(Point::p1(i * 3));
-  Slice root;
-  root.domain = Domain::from_points(pts);
-  root.node_lo = 0;
-  root.node_hi = 1;
-  const auto children = slicer.slice(root);
-  ASSERT_EQ(children.size(), 2u);
-  EXPECT_EQ(children[0].domain.volume() + children[1].domain.volume(), 7);
-  EXPECT_TRUE(children[0].domain.disjoint_from(children[1].domain));
 }
 
 }  // namespace
