@@ -1,5 +1,8 @@
 #pragma once
 
+#include <span>
+#include <type_traits>
+
 #include "region/accessor.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/types.hpp"
@@ -11,27 +14,22 @@ namespace idxl {
 /// raw pointers, so task bodies never race with concurrent issuance
 /// mutating the forest (subregion creation). Accessors enforce the declared
 /// privilege and field set.
+///
+/// Trivially copyable: the resolved field list is a span of the forest's
+/// interned copy (RegionForest::resolve_fields), so copying a view, as the
+/// bulk expansion does once per point and argument, allocates nothing.
 class PhysicalRegion {
  public:
+  /// An unmapped view; launch arenas size their region tables with it.
+  PhysicalRegion() = default;
   PhysicalRegion(RegionForest& forest, RegionId region, const std::vector<FieldId>& fields,
                  Privilege priv, ReductionOp redop)
       : region_(region),
         domain_(&forest.region_domain(region)),
         storage_bounds_(forest.storage_bounds(region)),
+        resolved_(forest.resolve_fields(region, fields)),
         priv_(priv),
-        redop_(redop) {
-    const FieldSpaceId fspace = forest.region(region).fspace;
-    resolved_.reserve(fields.size());
-    for (FieldId f : fields)
-      resolved_.push_back(
-          ResolvedField{f, forest.field_data(region, f), forest.field(fspace, f).size});
-  }
-
-  struct ResolvedField {
-    FieldId id;
-    std::byte* data;
-    std::size_t size;
-  };
+        redop_(redop) {}
 
   template <typename T>
   Accessor<T> accessor(FieldId f) const {
@@ -133,24 +131,31 @@ class PhysicalRegion {
   }
 
   RegionId region_;
-  const Domain* domain_;
+  const Domain* domain_ = nullptr;
   Rect storage_bounds_;
-  std::vector<ResolvedField> resolved_;
-  Privilege priv_;
-  ReductionOp redop_;
+  std::span<const ResolvedField> resolved_;
+  Privilege priv_ = Privilege::kRead;
+  ReductionOp redop_ = ReductionOp::kNone;
 };
+static_assert(std::is_trivially_copyable_v<PhysicalRegion>);
 
 /// Everything a task body receives: its launch point, the launch domain,
-/// by-value arguments and mapped regions.
+/// by-value arguments and mapped regions. The runtime builds one per attempt;
+/// what it points at belongs to the launch and outlives the body.
 struct TaskContext {
   Point point = Point::p1(0);
-  Domain launch_domain = Domain::line(1);
+  /// The launch's domain (for a single task, its launcher's launch_domain).
+  /// Refers to the launch's one copy: a sparse domain is a point list, and
+  /// copying it into every task would make a launch cost O(|D|^2).
+  const Domain* launch_domain = nullptr;
   /// The executing task's function id — lets post-execution hooks
   /// (on_task_success) dispatch on *what* ran, e.g. the distributed
   /// runtime's transfer task vs. an application body.
   TaskFnId fn = UINT32_MAX;
   const ArgBuffer* scalar_args = nullptr;
-  std::vector<PhysicalRegion> regions;
+  /// The mapped region arguments in launcher order: this task's slice of
+  /// its launch's region table. A retried attempt sees the same views.
+  std::span<PhysicalRegion> regions;
   /// Scalar result of this task; collected by index launches issued with a
   /// result_redop (ignored otherwise).
   double return_value = 0.0;

@@ -8,12 +8,12 @@
 
 #include "region/point.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/physical.hpp"
 
 namespace idxl {
 
 /// Per-launch state every task of a launch shares (body, scalar arguments,
-/// Future slots, retry policy); defined by the runtime that issues it.
+/// Future slots, retry policy, the tasks' mapped regions); defined by the
+/// runtime that issues it.
 struct LaunchArena;
 
 /// The terminal state of a task that executed in another process, delivered
@@ -54,6 +54,10 @@ struct RemoteOutcome {
 /// Edges are discovered at issue time by the DependenceTracker; a node runs
 /// once every predecessor has completed, on the worker whose completion
 /// readied it or through the thread pool.
+///
+/// Nodes are allocated in blocks, one per run of consecutive tasks of a
+/// launch (Runtime::new_node); every TaskNodePtr aliases its block, which
+/// is freed with its last node.
 struct TaskNode {
   uint64_t seq = 0;            ///< global program-order sequence number
   /// Id of the launch this task expanded from — the cross-link key shared
@@ -62,9 +66,10 @@ struct TaskNode {
 
   // --- what the body runs with: attached before the closure guard drops,
   // released when the node settles -----------------------------------------
-  std::shared_ptr<const LaunchArena> arena;
-  std::size_t rank = 0;  ///< index in the launch: the node's Future slot
-  std::vector<PhysicalRegion> regions;
+  std::shared_ptr<LaunchArena> arena;
+  /// Index in the launch: the node's Future slot and its slice of the
+  /// arena's region table.
+  std::size_t rank = 0;
   /// When the node became ready (event-log clock; 0 while the log is off),
   /// stamped by whoever readied it before a worker starts it.
   uint64_t ready_ns = 0;
@@ -108,8 +113,16 @@ struct TaskNode {
     return static_cast<FaultKind>(fault.load(std::memory_order_acquire));
   }
 
-  std::mutex mu;                                   // guards successors
-  std::vector<std::shared_ptr<TaskNode>> successors;
+  std::mutex mu;  // guards the successor list until complete()
+  /// Successors in registration order: the first inline, since most nodes
+  /// have at most one, and only the rest in a vector.
+  std::shared_ptr<TaskNode> first_successor;
+  std::vector<std::shared_ptr<TaskNode>> later_successors;
+
+  /// The pool's reference while a job for this node is queued. The job
+  /// captures a raw pointer, so std::function stores it without a heap
+  /// block, and takes this reference back when it starts.
+  std::shared_ptr<TaskNode> queued;
 
   /// Register `succ` as a successor. Returns false (and adds nothing) when
   /// this node already completed — the dependence is then trivially
@@ -117,15 +130,24 @@ struct TaskNode {
   bool add_successor(const std::shared_ptr<TaskNode>& succ) {
     std::lock_guard<std::mutex> lock(mu);
     if (done.load(std::memory_order_acquire)) return false;
-    successors.push_back(succ);
+    if (first_successor == nullptr)
+      first_successor = succ;
+    else
+      later_successors.push_back(succ);
     return true;
   }
 
-  /// Mark complete and return the successors to notify.
-  std::vector<std::shared_ptr<TaskNode>> complete() {
+  /// Mark complete. No successor is added after this, so the completing
+  /// thread reads the list (successor_count, successor) without the lock.
+  void complete() {
     std::lock_guard<std::mutex> lock(mu);
     done.store(true, std::memory_order_release);
-    return std::move(successors);
+  }
+  std::size_t successor_count() const {
+    return first_successor == nullptr ? 0 : 1 + later_successors.size();
+  }
+  std::shared_ptr<TaskNode>& successor(std::size_t i) {
+    return i == 0 ? first_successor : later_successors[i - 1];
   }
 };
 

@@ -132,6 +132,9 @@ void ServiceClient::fill(RegionId r, FieldId f, const void* pattern,
 }
 
 LaunchAck ServiceClient::await_ack(uint64_t tag) {
+  if (tag < fenced_below_)
+    throw ServiceError(Err::kBadMessage,
+                       "ack of tag " + std::to_string(tag) + " was consumed by a fence");
   while (acks_.find(tag) == acks_.end()) pump_one();
   LaunchAck ack = std::move(acks_[tag]);
   acks_.erase(tag);
@@ -145,6 +148,13 @@ FaultReport ServiceClient::fence() {
   while (fence_acks_.find(tag) == fence_acks_.end()) pump_one();
   FenceAck ack = std::move(fence_acks_[tag]);
   fence_acks_.erase(tag);
+  // The server answers one connection in order: rejects before it reads
+  // the fence frame, admitted items in session order. Every launch issued
+  // before this fence is acknowledged by now, so its ack is consumed here;
+  // a launch() + fence() loop that never awaits would otherwise keep one
+  // per launch for the session's life.
+  acks_.erase(acks_.begin(), acks_.lower_bound(tag));
+  fenced_below_ = tag;
   return std::move(ack.report);
 }
 

@@ -26,7 +26,8 @@ namespace idxl::service {
 /// (identity / symbolic), since opaque callables cannot cross the wire.
 ///
 /// Launches pipeline: launch() fires and returns a tag without waiting; acks
-/// are pumped whenever the client next reads (await_ack, fence, read_field).
+/// are pumped whenever the client next reads (await_ack, fence, read_field),
+/// and a fence consumes the acks of every launch issued before it.
 /// launch_checked() waits for the ack and throws ServiceError on a typed
 /// reject — what the quota tests assert on. Any kError frame from the server
 /// (eviction, drain) surfaces as a thrown ServiceError from whatever call
@@ -82,11 +83,13 @@ class ServiceClient {
     fill(r, f, &value, sizeof(T));
   }
 
-  /// Block until the ack for `tag` arrives (pumping other frames).
+  /// Block until the ack for `tag` arrives (pumping other frames). Throws
+  /// ServiceError when a fence issued after `tag` already consumed it.
   LaunchAck await_ack(uint64_t tag);
 
   /// Quiesce this session's launches server-side; returns the session-scoped
-  /// cumulative FaultReport.
+  /// cumulative FaultReport. Consumes the acks of every earlier launch: a
+  /// launch's rejection still counts in rejects().
   FaultReport fence();
 
   /// Fetch the raw bytes of `field` of root region `r` (server fences
@@ -119,6 +122,7 @@ class ServiceClient {
   std::size_t outstanding_ = 0;
   uint64_t rejects_ = 0;
   std::map<uint64_t, LaunchAck> acks_;
+  uint64_t fenced_below_ = 0;  ///< acks of lower tags were consumed by a fence
   std::map<uint64_t, SetupAck> setup_acks_;
   std::map<uint64_t, FenceAck> fence_acks_;
   std::map<uint64_t, Data> datas_;

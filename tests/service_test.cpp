@@ -302,6 +302,27 @@ TEST(ServiceFairShare, WeightedIssueOrderUnderContention) {
   light.goodbye();
 }
 
+TEST(ServiceQuota, FenceConsumesEarlierAcks) {
+  ServiceRuntime server(local_backend());
+  const uint16_t port = server.listen_tcp();
+  ServiceClient client = ServiceClient::connect_tcp("127.0.0.1", port);
+  const ClientRegion r = setup_region(client, 64, 4, 0.0);
+
+  // Pipelined launches that are never awaited: the fence answers for them,
+  // and the client keeps no ack of theirs afterwards.
+  std::vector<uint64_t> tags;
+  for (int i = 0; i < 8; ++i) tags.push_back(client.launch(increment_launch(client, r, 4)));
+  ASSERT_TRUE(client.fence().ok());
+  EXPECT_EQ(client.outstanding(), 0u);
+  for (const uint64_t tag : tags) EXPECT_THROW(client.await_ack(tag), ServiceError);
+
+  // A launch after the fence is still acknowledged normally.
+  const uint64_t later = client.launch(increment_launch(client, r, 4));
+  EXPECT_EQ(client.await_ack(later).code, Err::kOk);
+  ASSERT_TRUE(client.fence().ok());
+  client.goodbye();
+}
+
 // --- graceful drain -------------------------------------------------------
 
 TEST(ServiceDrain, DrainCompletesInFlightLaunches) {
