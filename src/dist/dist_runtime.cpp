@@ -678,9 +678,11 @@ LaunchResult DistributedRuntime::execute(const TaskLauncher& launcher) {
   ensure_started();
   if (conns_.empty()) return local().execute(launcher);
   require_replicated_forest();
-  // Serialize first: an unserializable launcher must throw before any
-  // rank sees a frame, or the replicated streams diverge.
+  // Serialize and check first: an unserializable launcher, or a region
+  // argument naming a field twice, must throw before any rank sees a
+  // frame, or the replicated streams diverge.
   (void)serialize_task_launcher(launcher);
+  for (const RegionArg& a : launcher.args) require_distinct_fields(a.fields);
   // Plan before the consumer's frame goes out: its kRoute directives must
   // precede it on every connection so all replicated streams agree.
   if (delta_ && !launcher.internal)
@@ -699,9 +701,11 @@ LaunchResult DistributedRuntime::execute_index(const IndexLauncher& launcher) {
   ensure_started();
   if (conns_.empty()) return local().execute_index(launcher);
   require_replicated_forest();
-  // Validate serializability before any rank (rank 0 included) observes the
-  // launch: a throw here must leave every replicated stream untouched.
+  // Validate serializability and field lists before any rank (rank 0
+  // included) observes the launch: a throw here must leave every replicated
+  // stream untouched.
   (void)serialize_launcher(launcher);
+  for (const ProjectedArg& a : launcher.args) require_distinct_fields(a.fields);
   // Every worker marks a launch aliasing across ranks the same way on
   // receipt; the plan's transfers take their launch ids before this one.
   const bool full = delta_ && aliases_across_ranks(*forest_, launcher, config_.ranks);

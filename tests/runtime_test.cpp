@@ -939,6 +939,52 @@ TEST(RuntimeTest, PausedPoolStartsNoInlineSuccessor) {
   EXPECT_EQ(fx.rt.stats().tasks_inline, 0u);
 }
 
+TEST(RuntimeTest, SingleTasksShareOneInternedFieldList) {
+  // A region argument's resolved fields are interned once per (root region,
+  // field list): repeating a single task with the same list adds no entry;
+  // the same fields in another order are another list.
+  Runtime rt;
+  auto& forest = rt.forest();
+  const IndexSpaceId is = forest.create_index_space(Domain::line(8));
+  const FieldSpaceId fs = forest.create_field_space();
+  const FieldId fa = forest.allocate_field(fs, sizeof(double), "a");
+  const FieldId fb = forest.allocate_field(fs, sizeof(double), "b");
+  const RegionId region = forest.create_region(is, fs);
+  const TaskFnId noop = rt.register_task("noop", [](TaskContext&) {});
+  auto run = [&](const std::vector<FieldId>& fields) {
+    rt.execute(TaskLauncher::for_task(noop).region(region, fields, Privilege::kRead));
+  };
+  run({fa, fb});
+  const std::size_t lists = forest.field_list_count();
+  EXPECT_EQ(lists, 1u);
+  for (int i = 0; i < 100; ++i) run({fa, fb});
+  EXPECT_EQ(forest.field_list_count(), lists);
+  run({fb, fa});
+  EXPECT_EQ(forest.field_list_count(), lists + 1);
+  rt.wait_all();
+  EXPECT_EQ(rt.stats().point_tasks, 102u);
+}
+
+TEST(RuntimeTest, DuplicateFieldIsRejected) {
+  // A region argument that names a field twice throws before the launch
+  // has any effect, on both launch paths, and interns nothing.
+  Fixture fx(8, 2);
+  const TaskFnId noop = fx.rt.register_task("noop", [](TaskContext&) {});
+  EXPECT_THROW(fx.rt.execute(TaskLauncher::for_task(noop).region(fx.region, {fx.fv, fx.fv},
+                                                                 Privilege::kRead)),
+               RuntimeError);
+  EXPECT_THROW(fx.rt.execute_index(IndexLauncher::over(Domain::line(2))
+                                       .with_task(noop)
+                                       .region(fx.region, fx.blocks,
+                                               ProjectionFunctor::identity(1),
+                                               {fx.fv, fx.fv}, Privilege::kRead)),
+               RuntimeError);
+  EXPECT_EQ(fx.rt.forest().field_list_count(), 0u);
+  fx.rt.execute(TaskLauncher::for_task(noop).region(fx.region, {fx.fv}, Privilege::kRead));
+  fx.rt.wait_all();
+  EXPECT_EQ(fx.rt.stats().point_tasks, 1u);
+}
+
 TEST(RuntimeTest, ChainedLaunchesRunSuccessorsInline) {
   // One worker, four read-write launches over one 8-color partition issued
   // against a paused pool: the chunk jobs run first, then each of launch 1's
