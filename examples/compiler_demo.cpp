@@ -65,7 +65,7 @@ int main() {
 
   // An ineligible loop: a loop-carried scalar assignment.
   ForLoop carried = loop_with({make_coord(0)}, 6);
-  carried.body.insert(carried.body.begin(), CarriedAssignStmt{"x", make_coord(0)});
+  carried.body = {CarriedAssignStmt{"x", make_coord(0)}, carried.body.front()};
   const CompiledLoop rejected = compile_loop(carried, forest);
   std::printf("----\nsource:   for i = 0, 6 do x = i; stamp(q[i]) end\n%s\n",
               rejected.explain().c_str());

@@ -107,8 +107,8 @@ bool AbsVal::contains(int64_t v) const {
 }
 
 std::string AbsVal::to_string() const {
-  if (mod == 0) return "{" + std::to_string(rem) + "}";
-  std::string s = "[" + std::to_string(lo) + "," + std::to_string(hi) + "]";
+  if (mod == 0) return std::string("{") + std::to_string(rem) + "}";
+  std::string s = std::string("[") + std::to_string(lo) + "," + std::to_string(hi) + "]";
   if (mod > 1) s += " mod " + std::to_string(mod) + " == " + std::to_string(rem);
   return s;
 }

@@ -1,6 +1,7 @@
 #include "analysis/certificate.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "functor/expr.hpp"
 
@@ -326,99 +327,11 @@ bool roots_separated(const CertVal& a, const CertVal& b) {
   return floor_rem(a.rem, g) != floor_rem(b.rem, g);
 }
 
-// --- wire form ---
-
-constexpr uint32_t kCertMagic = 0x43584449;  // "IDXC"
-constexpr uint8_t kCertVersion = 1;
-constexpr std::size_t kMaxSteps = 65536;
-
-void put_u8(std::vector<std::byte>& out, uint8_t v) {
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u32(std::vector<std::byte>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::byte>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void put_i64(std::vector<std::byte>& out, int64_t v) {
-  put_u64(out, static_cast<uint64_t>(v));
-}
-
-uint64_t cert_checksum(const std::byte* data, std::size_t size) {
-  uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<uint64_t>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Bounds-checked little-endian reader; any structural violation flips
-/// `ok` and the caller returns nullopt.
-struct CertReader {
-  const std::byte* data;
-  std::size_t size;
-  std::size_t pos = 0;
-  bool ok = true;
-
-  uint8_t u8() {
-    if (pos + 1 > size) {
-      ok = false;
-      return 0;
-    }
-    return static_cast<uint8_t>(data[pos++]);
-  }
-  uint32_t u32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-  uint64_t u64() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(u8()) << (8 * i);
-    return v;
-  }
-  int64_t i64() { return static_cast<int64_t>(u64()); }
-};
-
-void put_steps(std::vector<std::byte>& out, const std::vector<CertStep>& steps) {
-  put_u32(out, static_cast<uint32_t>(steps.size()));
-  for (const CertStep& s : steps) {
-    put_u8(out, static_cast<uint8_t>(s.op));
-    put_i64(out, s.value);
-    put_i64(out, s.val.lo);
-    put_i64(out, s.val.hi);
-    put_i64(out, s.val.mod);
-    put_i64(out, s.val.rem);
-  }
-}
-
-bool get_steps(CertReader& r, std::vector<CertStep>& steps) {
-  const uint32_t n = r.u32();
-  if (!r.ok || n > kMaxSteps) return false;
-  steps.resize(n);
-  for (CertStep& s : steps) {
-    const uint8_t op = r.u8();
-    if (op > static_cast<uint8_t>(CertOp::kNeg)) return false;
-    s.op = static_cast<CertOp>(op);
-    s.value = r.i64();
-    s.val.lo = r.i64();
-    s.val.hi = r.i64();
-    s.val.mod = r.i64();
-    s.val.rem = r.i64();
-  }
-  return r.ok;
-}
-
 }  // namespace
 
 std::string CertVal::to_string() const {
-  if (mod == 0) return "{" + std::to_string(rem) + "}";
-  std::string s = "[" + std::to_string(lo) + "," + std::to_string(hi) + "]";
+  if (mod == 0) return std::string("{") + std::to_string(rem) + "}";
+  std::string s = std::string("[") + std::to_string(lo) + "," + std::to_string(hi) + "]";
   if (mod > 1) s += " mod " + std::to_string(mod) + " == " + std::to_string(rem);
   return s;
 }
@@ -476,39 +389,6 @@ bool CertificateChecker::validate(const Certificate& cert, const CertSide& a,
     return fail(why, "root values " + root_a.to_string() + " and " +
                          root_b.to_string() + " are not separated");
   return true;
-}
-
-std::vector<std::byte> encode_certificate(const Certificate& cert) {
-  std::vector<std::byte> out;
-  out.reserve(16 + 41 * (cert.lhs.size() + cert.rhs.size()));
-  put_u32(out, kCertMagic);
-  put_u8(out, kCertVersion);
-  put_u8(out, static_cast<uint8_t>(cert.kind));
-  put_u32(out, cert.component);
-  put_steps(out, cert.lhs);
-  put_steps(out, cert.rhs);
-  put_u64(out, cert_checksum(out.data(), out.size()));
-  return out;
-}
-
-std::optional<Certificate> decode_certificate(const std::byte* data,
-                                              std::size_t size) {
-  if (data == nullptr || size < 8) return std::nullopt;
-  const uint64_t want = cert_checksum(data, size - 8);
-  CertReader tail{data, size, size - 8, true};
-  if (tail.u64() != want) return std::nullopt;
-  CertReader r{data, size - 8, 0, true};
-  if (r.u32() != kCertMagic) return std::nullopt;
-  if (r.u8() != kCertVersion) return std::nullopt;
-  const uint8_t kind = r.u8();
-  if (!r.ok || kind > static_cast<uint8_t>(CertKind::kImageSeparation))
-    return std::nullopt;
-  Certificate cert;
-  cert.kind = static_cast<CertKind>(kind);
-  cert.component = r.u32();
-  if (!get_steps(r, cert.lhs) || !get_steps(r, cert.rhs)) return std::nullopt;
-  if (r.pos != r.size) return std::nullopt;  // trailing bytes
-  return cert;
 }
 
 }  // namespace idxl

@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,7 +12,7 @@ namespace idxl {
 
 /// Proof certificates for inter-launch disjointness (the "verified" half of
 /// a verified/unverified speculation gate): every kDisjoint verdict the
-/// interference analyzer emits is backed by a small serializable term that a
+/// interference analyzer emits is backed by a small term that a
 /// *separate, arithmetic-only* checker re-validates before the runtime is
 /// allowed to skip a dynamic pair test. The checker deliberately shares no
 /// code with the abstract interpreter (analysis/absint.*) — it re-derives
@@ -105,13 +103,5 @@ class CertificateChecker {
   static bool validate(const Certificate& cert, const CertSide& a,
                        const CertSide& b, std::string* why = nullptr);
 };
-
-/// Wire form: fixed-width little-endian fields followed by an FNV-1a-64
-/// checksum, so any bit flip in transit fails decode deterministically (the
-/// checker — not the checksum — remains the soundness authority; the
-/// checksum only turns corruption into a clean reject).
-std::vector<std::byte> encode_certificate(const Certificate& cert);
-std::optional<Certificate> decode_certificate(const std::byte* data,
-                                              std::size_t size);
 
 }  // namespace idxl

@@ -1,6 +1,6 @@
 #include "analysis/interference.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "analysis/absint.hpp"
 
@@ -275,142 +275,22 @@ std::string make_interference_key(const std::string& fp_a, const std::string& fp
   return k;
 }
 
-namespace {
-
-constexpr uint32_t kBundleMagic = 0x42584449;  // "IDXB"
-constexpr uint32_t kBundleVersion = 1;
-
-void bundle_put_u32(std::vector<std::byte>& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-}
-
-bool bundle_get_u32(const std::byte* data, std::size_t size, std::size_t& pos,
-                    uint32_t& v) {
-  if (size - pos < 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<uint32_t>(std::to_integer<uint8_t>(data[pos + i])) << (8 * i);
-  pos += 4;
-  return true;
-}
-
-}  // namespace
-
-std::vector<std::byte> encode_interference_bundle(
-    std::vector<std::pair<std::string, std::vector<std::byte>>> entries) {
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::byte> out;
-  bundle_put_u32(out, kBundleMagic);
-  bundle_put_u32(out, kBundleVersion);
-  bundle_put_u32(out, static_cast<uint32_t>(entries.size()));
-  for (const auto& [key, cert] : entries) {
-    bundle_put_u32(out, static_cast<uint32_t>(key.size()));
-    for (char c : key) out.push_back(static_cast<std::byte>(c));
-    bundle_put_u32(out, static_cast<uint32_t>(cert.size()));
-    out.insert(out.end(), cert.begin(), cert.end());
-  }
-  return out;
-}
-
-std::optional<std::vector<std::pair<std::string, std::vector<std::byte>>>>
-decode_interference_bundle(const std::byte* data, std::size_t size) {
-  std::size_t pos = 0;
-  uint32_t magic = 0, version = 0, count = 0;
-  if (!bundle_get_u32(data, size, pos, magic) || magic != kBundleMagic)
-    return std::nullopt;
-  if (!bundle_get_u32(data, size, pos, version) || version != kBundleVersion)
-    return std::nullopt;
-  if (!bundle_get_u32(data, size, pos, count)) return std::nullopt;
-  std::vector<std::pair<std::string, std::vector<std::byte>>> entries;
-  entries.reserve(std::min<uint32_t>(count, 4096));
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t key_len = 0, cert_len = 0;
-    if (!bundle_get_u32(data, size, pos, key_len) || size - pos < key_len)
-      return std::nullopt;
-    std::string key(reinterpret_cast<const char*>(data + pos), key_len);
-    pos += key_len;
-    if (!bundle_get_u32(data, size, pos, cert_len) || size - pos < cert_len)
-      return std::nullopt;
-    std::vector<std::byte> cert(data + pos, data + pos + cert_len);
-    pos += cert_len;
-    entries.emplace_back(std::move(key), std::move(cert));
-  }
-  if (pos != size) return std::nullopt;  // trailing bytes: refuse
-  return entries;
-}
-
-std::optional<PairVerdict> InterferenceCache::lookup(const std::string& k,
-                                                     const LaunchArgSummary& a,
-                                                     const LaunchArgSummary& b) {
+std::optional<PairVerdict> InterferenceCache::lookup(const std::string& k) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = map_.find(k);
   if (it == map_.end()) {
     ++counters_.misses;
     return std::nullopt;
   }
-  Entry& e = it->second;
-  if (e.verdict == PairVerdict::kDisjoint && !e.checked) {
-    // Imported entry: the certificate must validate against the *live*
-    // launch descriptors before it may authorize anything.
-    const auto cert = decode_certificate(e.cert.data(), e.cert.size());
-    const bool ok =
-        cert && (CertificateChecker::validate(*cert, a.side(), b.side()) ||
-                 CertificateChecker::validate(*cert, b.side(), a.side()));
-    if (!ok) {
-      ++counters_.rejected;
-      ++counters_.misses;
-      map_.erase(it);
-      return std::nullopt;
-    }
-    ++counters_.validated;
-    e.checked = true;
-  }
   ++counters_.hits;
-  return e.verdict;
+  return it->second;
 }
 
 void InterferenceCache::insert(const std::string& k, const InterferenceResult& r) {
   // A kDisjoint result without its certificate must never enter the cache.
   if (r.verdict == PairVerdict::kDisjoint && !r.certificate.has_value()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  Entry e;
-  e.verdict = r.verdict;
-  if (r.certificate) e.cert = encode_certificate(*r.certificate);
-  e.checked = true;
-  map_.insert_or_assign(k, std::move(e));
-}
-
-void InterferenceCache::insert_unchecked(const std::string& k,
-                                         std::vector<std::byte> cert) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry e;
-  e.verdict = PairVerdict::kDisjoint;
-  e.cert = std::move(cert);
-  e.checked = false;
-  ++counters_.imported;
-  map_.insert_or_assign(k, std::move(e));
-}
-
-std::vector<std::pair<std::string, std::vector<std::byte>>>
-InterferenceCache::exportable() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, std::vector<std::byte>>> out;
-  for (const auto& [k, e] : map_)
-    if (e.verdict == PairVerdict::kDisjoint && e.checked && !e.cert.empty())
-      out.emplace_back(k, e.cert);
-  return out;
-}
-
-void InterferenceCache::note_uncacheable() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.uncacheable;
-}
-
-void InterferenceCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
+  map_.insert_or_assign(k, r.verdict);
 }
 
 std::size_t InterferenceCache::size() const {
@@ -442,7 +322,7 @@ bool InterferenceHistory::certified_disjoint(uint32_t tree,
                                              const LaunchArgSummary& s,
                                              LazyFingerprint& fp,
                                              InterferenceCache& cache,
-                                             bool analyze, uint64_t* pair_tests) {
+                                             uint64_t* pair_tests) {
   // No recorded launches on this tree: the walk would traverse empty lists,
   // which costs nothing — don't claim a certificate-backed skip.
   const auto it = trees_.find(tree);
@@ -460,13 +340,9 @@ bool InterferenceHistory::certified_disjoint(uint32_t tree,
     std::optional<std::string> key;
     if (h.fp.has_value() && sfp.has_value()) {
       key = make_interference_key(*h.fp, *sfp);
-      v = cache.lookup(*key, h.summary, s);
-    } else {
-      cache.note_uncacheable();
+      v = cache.lookup(*key);
     }
     if (!v.has_value()) {
-      // Import-only ranks never analyze: an unresolved pair fails closed.
-      if (!analyze) return false;
       if (pair_tests != nullptr) ++*pair_tests;
       const InterferenceResult r = analyze_interference(h.summary, s);
       if (key.has_value()) cache.insert(*key, r);

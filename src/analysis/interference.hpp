@@ -6,7 +6,6 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "analysis/certificate.hpp"
@@ -83,70 +82,31 @@ std::optional<std::string> interference_key(const LaunchArgSummary& a,
 /// pair test).
 std::string make_interference_key(const std::string& fp_a, const std::string& fp_b);
 
-/// Deterministic wire form of (key, certificate-bytes) entries — the payload
-/// a driver ships so workers validate certificates instead of re-analyzing.
-/// Entries are sorted by key; each certificate blob carries its own
-/// checksum, so the bundle itself is plain length-prefixed framing.
-std::vector<std::byte> encode_interference_bundle(
-    std::vector<std::pair<std::string, std::vector<std::byte>>> entries);
-
-/// nullopt on any framing violation (bad magic/version, truncation, trailing
-/// bytes). Certificate payloads are NOT validated here — that happens
-/// against live launch descriptors at first lookup.
-std::optional<std::vector<std::pair<std::string, std::vector<std::byte>>>>
-decode_interference_bundle(const std::byte* data, std::size_t size);
-
-/// Pair-verdict cache, shared across distributed ranks via the
-/// export/import surface. Keys are full-fidelity fingerprints (never
-/// hashes: a collision would reuse the wrong verdict, which is a soundness
-/// bug). Entries imported from a remote rank carry their certificate bytes
-/// but are *unchecked*: the first lookup re-decodes
-/// and re-validates the certificate against the live launch descriptors and
-/// either promotes the entry or rejects-and-erases it, so a poisoned
-/// certificate can never authorize a skip.
+/// Pair-verdict cache. Keys are full-fidelity fingerprints (never hashes: a
+/// collision would reuse the wrong verdict, which is a soundness bug).
+/// Every entry was produced by analyze_interference on this rank, so a
+/// kDisjoint entry stands for a certificate the checker has already
+/// validated. Under control replication each rank fills its own cache from
+/// its own copy of the launch stream; nothing crosses the wire.
 class InterferenceCache {
  public:
   struct Counters {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t uncacheable = 0;  ///< lookups skipped (opaque functor present)
-    uint64_t imported = 0;     ///< entries received from a remote rank
-    uint64_t validated = 0;    ///< imported certificates that passed the checker
-    uint64_t rejected = 0;     ///< imported certificates refused by the checker
   };
 
-  /// Verdict for `k`, validating a pending imported certificate against the
-  /// two live sides first. kDisjoint is only ever returned checked.
-  std::optional<PairVerdict> lookup(const std::string& k,
-                                    const LaunchArgSummary& a,
-                                    const LaunchArgSummary& b);
+  std::optional<PairVerdict> lookup(const std::string& k);
 
-  /// Record a locally analyzed result (certificates were already validated
-  /// by analyze_interference).
+  /// Record a locally analyzed result; a kDisjoint result without its
+  /// (checker-validated) certificate is dropped.
   void insert(const std::string& k, const InterferenceResult& r);
 
-  /// Record an imported kDisjoint entry whose certificate has NOT been
-  /// validated on this rank yet.
-  void insert_unchecked(const std::string& k, std::vector<std::byte> cert);
-
-  /// All checked kDisjoint entries as (key, certificate bytes) — the
-  /// payload a driver ships to worker ranks.
-  std::vector<std::pair<std::string, std::vector<std::byte>>> exportable() const;
-
-  void note_uncacheable();
-  void clear();
   std::size_t size() const;
   Counters counters() const;
 
  private:
-  struct Entry {
-    PairVerdict verdict = PairVerdict::kUnknown;
-    std::vector<std::byte> cert;  ///< encoded certificate (kDisjoint only)
-    bool checked = false;         ///< certificate validated on this rank
-  };
-
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Entry> map_;
+  std::unordered_map<std::string, PairVerdict> map_;
   Counters counters_;
 };
 
@@ -185,15 +145,14 @@ class InterferenceHistory {
  public:
   /// True iff `s` is certified kDisjoint against *every* summary recorded on
   /// `tree` (empty history: false — there is nothing to skip). Verdicts come
-  /// from `cache` when fingerprints allow; unresolved pairs run the analyzer
-  /// only when `analyze` is set (import-only worker ranks fail closed
-  /// instead), bumping *pair_tests once per fresh analysis. The memo is
+  /// from `cache` when fingerprints allow; unresolved pairs run the
+  /// analyzer, bumping *pair_tests once per fresh analysis. The memo is
   /// sound because verdicts are properties of launch shapes: a fingerprint
   /// that tested disjoint against every record stays disjoint until a new
   /// record arrives (which bumps the epoch and invalidates the hit).
   bool certified_disjoint(uint32_t tree, const LaunchArgSummary& s,
                           LazyFingerprint& fp, InterferenceCache& cache,
-                          bool analyze, uint64_t* pair_tests);
+                          uint64_t* pair_tests);
 
   /// Record one issued argument. Cheap by design: the fingerprint build and
   /// the dedup it enables are deferred to the next certified_disjoint() on

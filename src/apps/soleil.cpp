@@ -47,7 +47,7 @@ SoleilApp::SoleilApp(Runtime& rt, const SoleilParams& p) : rt_(rt), params_(p) {
   f_source_ = forest.allocate_field(block_fs, sizeof(double), "source");
   for (int d = 0; d < 8; ++d)
     f_intensity_[static_cast<std::size_t>(d)] =
-        forest.allocate_field(block_fs, sizeof(double), "I" + std::to_string(d));
+        forest.allocate_field(block_fs, sizeof(double), std::string("I") + std::to_string(d));
   blockq_ = forest.create_region(block_is, block_fs);
   block_cells_ = partition_equal(forest, block_is, block_rect);  // one block per color
 

@@ -710,15 +710,15 @@ LaunchResult DistributedRuntime::execute_index(const IndexLauncher& launcher) {
   // receipt; the plan's transfers take their launch ids before this one.
   const bool full = delta_ && aliases_across_ranks(*forest_, launcher, config_.ranks);
   if (delta_) plan_index_launch(launcher, full);
-  // Issue on the driver first — rank 0's analysis populates the certificate
-  // cache with this launch's pair verdicts — then ship the cache as a bundle
-  // on the descriptor, so import-only workers validate the certificates
-  // instead of re-running the analysis. Issue order is preserved: frames go
-  // out on this thread in program order, and issuance is asynchronous, so
-  // no task outcome can precede its launch frame.
+  // Issue on rank 0 before the broadcast, so a throw during rank 0's issue
+  // (a strict-unsafe launch, a replay divergence) leaves every worker's
+  // stream untouched. The descriptor carries no analysis: every rank runs
+  // the pair analysis on its own copy of the stream and takes the same
+  // skips. Issue order is preserved: frames go out on this thread in
+  // program order, and issuance is asynchronous, so no task outcome can
+  // precede its launch frame.
   LaunchResult result = replica_->execute_index(launcher, full);
   IndexLauncher annotated = launcher;
-  annotated.analysis_bundle = local().export_interference_bundle();
   // Replicas assert they assign the same launch id rank 0 just did.
   annotated.trace_ctx =
       obs::TraceContext{result.launch_id, obs::TraceContext::kNone, 0};

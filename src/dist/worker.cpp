@@ -18,11 +18,6 @@ WorkerSession::WorkerSession(net::Socket sock, uint32_t rank, uint32_t nranks,
       fail_peer_links_(data_plane.fail_peer_links),
       heartbeat_ms_(heartbeat_period_ms),
       window_ms_(stall_window_ms) {
-  // Workers never run the interference analysis themselves: pair verdicts
-  // arrive as certificate bundles on launch descriptors and are re-validated
-  // by the arithmetic checker before any probe is skipped. An uncertified
-  // pair falls back to the full dependence walk (fail closed).
-  config.interference_import_only = true;
   replica_ = std::make_unique<Replica>(rank, nranks, std::move(config), std::move(forest),
                                        tasks, data_plane.delta, data_plane.xfer_task);
   net::NetObs obs;
@@ -203,6 +198,10 @@ void WorkerSession::serve(net::Socket sock) {
     tasks.emplace_back(name, *fn);
   }
 
+  // Hello carries only the pool width, profiling and the fault plan; every
+  // other knob keeps its default here, the interference analysis (on)
+  // included. A pair skip only elides a dependence walk that would find no
+  // edge, so it never changes this rank's edges or region contents.
   RuntimeConfig rc;
   rc.workers = hello.workers;
   rc.enable_profiling = hello.enable_profiling != 0;

@@ -18,7 +18,7 @@ ProjectionFunctor ProjectionFunctor::symbolic(std::vector<ExprPtr> exprs,
   f.out_dim_ = static_cast<int>(exprs.size());
   f.exprs_ = std::move(exprs);
   if (name.empty()) {
-    name = "[";
+    name.assign(1, '[');
     for (std::size_t i = 0; i < f.exprs_.size(); ++i) {
       if (i) name += ", ";
       name += f.exprs_[i]->to_string();

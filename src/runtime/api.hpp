@@ -46,9 +46,6 @@ struct RuntimeStats {
   uint64_t interference_skips = 0;   ///< group walks skipped on a checked certificate
   uint64_t interference_cache_hits = 0;
   uint64_t interference_cache_misses = 0;
-  uint64_t interference_imported = 0;   ///< certificates received from a driver
-  uint64_t interference_validated = 0;  ///< imported certificates that passed the checker
-  uint64_t interference_rejected = 0;   ///< imported certificates refused by the checker
   // --- fault tolerance ---
   uint64_t tasks_failed = 0;        ///< terminal root-cause failures, all kinds
   uint64_t tasks_poisoned = 0;      ///< tasks skipped due to upstream failure

@@ -218,7 +218,10 @@ std::string FaultPlan::to_string() const {
   for (const auto& k : keys) {
     if (!s.empty()) s += ";";
     s += std::to_string(k.launch) + "@" + k.point.to_string();
-    if (k.attempt != 0) s += ":" + std::to_string(k.attempt);
+    if (k.attempt != 0) {
+      s += ':';
+      s += std::to_string(k.attempt);
+    }
   }
   if (rate_ > 0.0) {
     if (!s.empty()) s += ";";

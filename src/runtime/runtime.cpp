@@ -236,15 +236,6 @@ std::span<const Runtime::StatRow> Runtime::stat_rows() {
       gauge("idxl_interference_cache_misses", "pair-verdict cache lookup misses",
             &S::interference_cache_misses,
             [](const Runtime& rt) { return rt.interference_cache_.counters().misses; }),
-      gauge("idxl_interference_cache_imported", "pair certificates received from a driver",
-            &S::interference_imported,
-            [](const Runtime& rt) { return rt.interference_cache_.counters().imported; }),
-      gauge("idxl_interference_cache_validated",
-            "imported pair certificates that passed the checker", &S::interference_validated,
-            [](const Runtime& rt) { return rt.interference_cache_.counters().validated; }),
-      gauge("idxl_interference_cache_rejected",
-            "imported pair certificates refused by the checker", &S::interference_rejected,
-            [](const Runtime& rt) { return rt.interference_cache_.counters().rejected; }),
       gauge("idxl_interference_cache_entries", "pair verdicts currently cached", nullptr,
             [](const Runtime& rt) { return uint64_t{rt.interference_cache_.size()}; }),
       gauge("idxl_pool_queue_depth", "ready tasks waiting for a worker", nullptr,
@@ -611,21 +602,9 @@ bool Runtime::history_certified_disjoint(uint32_t tree, const LaunchArgSummary& 
   LogScope scope(log_, ProfCategory::kSafety, obs::EventLog::kNameSafetyCheck);
   uint64_t pair_tests = 0;
   const bool disjoint = interference_history_.certified_disjoint(
-      tree, s, fp, interference_cache_, !config_.interference_import_only,
-      &pair_tests);
+      tree, s, fp, interference_cache_, &pair_tests);
   cells_.interference_pair_tests.inc(pair_tests);
   return disjoint;
-}
-
-std::vector<std::byte> Runtime::export_interference_bundle() const {
-  return encode_interference_bundle(interference_cache_.exportable());
-}
-
-void Runtime::import_interference_bundle(const std::vector<std::byte>& bytes) {
-  auto entries = decode_interference_bundle(bytes.data(), bytes.size());
-  if (!entries.has_value()) return;  // malformed framing: refuse wholesale
-  for (auto& [key, cert] : *entries)
-    interference_cache_.insert_unchecked(key, std::move(cert));
 }
 
 SafetyReport Runtime::analyze_safety(const IndexLauncher& launcher, uint64_t launch_id) {
@@ -724,15 +703,8 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
   result.launch_id = launch_id;
   result.future.state_ = arena->collect;
 
-  if (config_.enable_index_launches) {
-    cells_.runtime_calls.inc();  // one bulk issuance call (§5)
-    // A descriptor shipped from a driver may carry an interference-
-    // certificate bundle: adopt it (checker-gated, via lookup-time
-    // validation) so the group walk can skip pairs the driver already
-    // proved disjoint.
-    if (!launcher.analysis_bundle.empty())
-      import_interference_bundle(launcher.analysis_bundle);
-  }
+  // One bulk issuance call (§5).
+  if (config_.enable_index_launches) cells_.runtime_calls.inc();
   if (traced != nullptr) {
     // A replay returns what its capture returned; the launch was verified
     // then.

@@ -60,12 +60,9 @@ struct RuntimeConfig {
   /// group tracker skips its per-color dependence walks across launches.
   /// Every skip is backed by a certificate the independent CertificateChecker
   /// re-validated — the runtime refuses uncertified skips by construction.
+  /// Each distributed rank analyzes its own replicated launch stream under
+  /// its own setting of this flag; exec-mode workers use the default.
   bool enable_interference_analysis = true;
-  /// Never run the pair analyzer locally: only certificates imported through
-  /// import_interference_bundle() (and re-validated here) may authorize
-  /// skips. Distributed workers set this — the driver analyzes once and
-  /// ships proofs, workers check instead of re-deriving (docs/ANALYSIS.md).
-  bool interference_import_only = false;
   /// Run the event log (obs/event_log.hpp) in bounded mode when not
   /// profiling: per-thread rings of issued/analyzed/ready/running/complete
   /// records, the always-on black box stall dumps read. Cheap (batched
@@ -224,7 +221,7 @@ class Runtime : public RuntimeApi {
 
   /// The metrics registry backing stats(): every runtime counter, the
   /// verdict-cache and dependence-tracker counters, pool gauges and task
-  /// latency histograms, one `snapshot()` away — exportable as Prometheus
+  /// latency histograms, one `snapshot()` away — exported as Prometheus
   /// text or JSON. Per-runtime (concurrent runtimes never share series);
   /// obs::MetricsRegistry::global() is the place for application metrics.
   obs::MetricsRegistry& metrics() override { return metrics_; }
@@ -268,20 +265,11 @@ class Runtime : public RuntimeApi {
   VerdictCache& verdict_cache() { return verdict_cache_; }
   const VerdictCache& verdict_cache() const { return verdict_cache_; }
 
-  /// The inter-launch pair-verdict cache (populated only when
-  /// RuntimeConfig::enable_interference_analysis is set). Shared-safe:
-  /// internal mutex, like VerdictCache.
+  /// The inter-launch pair-verdict cache, filled only by this runtime's own
+  /// analysis (RuntimeConfig::enable_interference_analysis) and kept across
+  /// fences. Shared-safe: internal mutex, like VerdictCache.
   InterferenceCache& interference_cache() { return interference_cache_; }
   const InterferenceCache& interference_cache() const { return interference_cache_; }
-
-  /// Serialize every checked kDisjoint pair certificate for shipping to a
-  /// worker rank (see encode_interference_bundle).
-  std::vector<std::byte> export_interference_bundle() const;
-  /// Install certificates from a remote driver. Entries go in *unchecked*;
-  /// the first lookup re-validates each certificate against the live launch
-  /// descriptors and rejects-and-erases forgeries. A malformed bundle is
-  /// refused wholesale.
-  void import_interference_bundle(const std::vector<std::byte>& bytes);
 
   /// Graphviz DOT of every task issued so far and the dependence edges the
   /// analysis discovered (requires RuntimeConfig::record_task_graph).
@@ -371,8 +359,8 @@ class Runtime : public RuntimeApi {
                            bool group_mode, SafetyOutcome outcome, TracedLaunch* traced);
   /// Inter-launch short-circuit: is `s` certified kDisjoint against *every*
   /// summary recorded on `tree` since the last fence? Consults the
-  /// interference cache first; analyzes (and caches) on a miss unless the
-  /// runtime is import-only. `fp` is s's memoized fingerprint. Thin stats-
+  /// interference cache first; analyzes (and caches) on a miss. `fp` is
+  /// s's memoized fingerprint. Thin stats-
   /// and-profiling wrapper over InterferenceHistory::certified_disjoint.
   bool history_certified_disjoint(uint32_t tree, const LaunchArgSummary& s,
                                   LazyFingerprint& fp);

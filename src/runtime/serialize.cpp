@@ -196,9 +196,6 @@ std::vector<std::byte> serialize_launcher(const IndexLauncher& launcher) {
     for (FieldId f : arg.fields) s.put_u32(f);
   }
   s.put_blob(launcher.scalar_args.raw());
-  // v2: the analysis payload (interference-certificate bundle) rides the
-  // descriptor so workers validate pair proofs instead of re-deriving them.
-  s.put_blob(launcher.analysis_bundle);
   // v4: trace context — origin rank + the launch id the driver assigned.
   s.put_u32(launcher.trace_ctx.origin);
   s.put_u64(launcher.trace_ctx.launch);
@@ -234,7 +231,6 @@ IndexLauncher deserialize_launcher(const std::vector<std::byte>& bytes) {
     launcher.args.push_back(std::move(arg));
   }
   launcher.scalar_args = ArgBuffer::from_bytes(d.get_blob());
-  launcher.analysis_bundle = d.get_blob();
   launcher.trace_ctx.origin = d.get_u32();
   launcher.trace_ctx.launch = d.get_u64();
   launcher.trace_ctx.span = d.get_u64();

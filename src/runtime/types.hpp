@@ -200,11 +200,6 @@ struct IndexLauncher {
   uint32_t max_retries = 0;
   uint32_t retry_backoff_ms = 0;
   uint32_t timeout_ms = 0;
-  /// Opaque analysis payload riding the descriptor: an interference-
-  /// certificate bundle (encode_interference_bundle) the driver attaches so
-  /// worker ranks *validate* inter-launch proofs instead of re-deriving
-  /// them. Empty for local launches; ignored by the safety analysis itself.
-  std::vector<std::byte> analysis_bundle;
   /// Distributed-tracing context (wire v4); see TaskLauncher::trace_ctx.
   obs::TraceContext trace_ctx;
 

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "analysis/certificate.hpp"
@@ -624,84 +623,6 @@ TEST_P(PairOracleFuzz, PairVerdictsNeverContradictExhaustiveCheck) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PairOracleFuzz, ::testing::Range<uint64_t>(1, 6));
-
-// ---------------------------------------------------------------------------
-// Certificate wire-format fuzz: every certificate the analyzer emits must
-// survive an encode/decode round trip bit-exactly and still satisfy the
-// checker, and *any* single-bit corruption of the encoded form must fail
-// decode (the FNV-1a checksum turns transit corruption into a clean
-// reject). The same holds one level up for certificate bundles: a flipped
-// bit either breaks the framing outright or corrupts an entry whose
-// certificate blob then refuses to decode — corruption is never silent.
-// ---------------------------------------------------------------------------
-
-class CertificateFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(CertificateFuzz, RoundTripsSurviveAndBitFlipsAreRejected) {
-  Rng rng(GetParam() * 7561);
-  int certs = 0;
-  std::vector<std::pair<std::string, std::vector<std::byte>>> entries;
-  std::unordered_set<std::string> keys;
-  for (int trial = 0; trial < 300; ++trial) {
-    const int out_dim = rng.next_below(4) == 0 ? 2 : 1;
-    LaunchArgSummary a = random_pair_summary(rng, out_dim);
-    LaunchArgSummary b = random_pair_summary(rng, out_dim);
-    const InterferenceResult r = analyze_interference(a, b);
-    if (r.verdict != PairVerdict::kDisjoint) continue;
-    ++certs;
-
-    const std::vector<std::byte> bytes = encode_certificate(*r.certificate);
-    const auto decoded = decode_certificate(bytes.data(), bytes.size());
-    ASSERT_TRUE(decoded.has_value()) << "round trip failed";
-    EXPECT_EQ(encode_certificate(*decoded), bytes) << "re-encode not canonical";
-    EXPECT_TRUE(CertificateChecker::validate(*decoded, a.side(), b.side()))
-        << "decoded certificate no longer validates";
-
-    for (int flip = 0; flip < 16; ++flip) {
-      std::vector<std::byte> bad = bytes;
-      const std::size_t i = rng.next_below(bad.size());
-      bad[i] ^= std::byte{static_cast<unsigned char>(1u << rng.next_below(8))};
-      EXPECT_FALSE(decode_certificate(bad.data(), bad.size()).has_value())
-          << "bit flip at byte " << i << " survived decode";
-    }
-    EXPECT_FALSE(decode_certificate(bytes.data(), bytes.size() - 1).has_value())
-        << "truncation survived decode";
-
-    const auto key = interference_key(a, b);
-    if (key && keys.insert(*key).second) entries.emplace_back(*key, bytes);
-  }
-  ASSERT_GT(certs, 20) << "too few certificates generated to exercise the format";
-
-  // Bundle framing round trip (entries come back sorted by key)...
-  const std::vector<std::byte> bundle = encode_interference_bundle(entries);
-  const auto dec = decode_interference_bundle(bundle.data(), bundle.size());
-  ASSERT_TRUE(dec.has_value());
-  std::sort(entries.begin(), entries.end());
-  EXPECT_EQ(*dec, entries);
-
-  // ...and corruption: a flip may land in the header/lengths (framing
-  // reject), a key (entry mismatch), or a certificate blob (which must then
-  // fail decode_certificate). It must never decode back to the original.
-  for (int flip = 0; flip < 64; ++flip) {
-    std::vector<std::byte> bad = bundle;
-    const std::size_t i = rng.next_below(bad.size());
-    bad[i] ^= std::byte{static_cast<unsigned char>(1u << rng.next_below(8))};
-    const auto d2 = decode_interference_bundle(bad.data(), bad.size());
-    if (!d2) continue;
-    EXPECT_NE(*d2, entries) << "bit flip at byte " << i << " vanished";
-    if (d2->size() != entries.size()) continue;
-    for (std::size_t e = 0; e < entries.size(); ++e) {
-      const auto& cert_bytes = (*d2)[e].second;
-      if (cert_bytes != entries[e].second) {
-        EXPECT_FALSE(
-            decode_certificate(cert_bytes.data(), cert_bytes.size()).has_value())
-            << "corrupted certificate blob in entry " << e << " still decodes";
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CertificateFuzz, ::testing::Range<uint64_t>(1, 5));
 
 }  // namespace
 }  // namespace idxl

@@ -1,10 +1,8 @@
 // Runtime wiring of the inter-launch interference analysis: certified
-// kDisjoint pair verdicts short-circuit the group-tier dependence walk, the
-// verdicts are cached across fences, and the certificate bundle travels
-// between runtimes (driver exports, worker validates — never trusts).
+// kDisjoint pair verdicts short-circuit the group-tier dependence walk, and
+// the verdicts are cached across fences.
 #include <gtest/gtest.h>
 
-#include "analysis/interference.hpp"
 #include "region/partition_ops.hpp"
 #include "runtime/runtime.hpp"
 
@@ -157,120 +155,6 @@ TEST(InterferenceRuntimeTest, VerdictsPersistAcrossFences) {
   EXPECT_EQ(stats.interference_pair_tests, 1u);  // analyzed once, ever
   EXPECT_EQ(stats.interference_skips, 3u);       // skipped every epoch
   EXPECT_EQ(stats.interference_cache_hits, 2u);  // epochs 2 and 3
-}
-
-// ---------- import/export (the dist-facing surface) ----------
-
-// A worker-style runtime (import_only) never analyzes: without an imported
-// bundle the pair stays unresolved and the walk runs.
-TEST(InterferenceRuntimeTest, ImportOnlyModeNeverAnalyzes) {
-  RuntimeConfig cfg;
-  cfg.interference_import_only = true;
-  Fixture fx(64, 16, cfg);
-  const TaskFnId store = register_store(fx.rt);
-  fx.rt.pool().pause();
-  fx.rt.execute_index(writer(fx, store, fx.fv, ProjectionFunctor::identity(1)));
-  fx.rt.execute_index(writer(fx, store, fx.fw, ProjectionFunctor::identity(1)));
-  const RuntimeStats stats = fx.rt.stats();
-  fx.rt.pool().resume();
-  fx.rt.wait_all();
-
-  EXPECT_EQ(stats.interference_pair_tests, 0u);
-  EXPECT_EQ(stats.interference_skips, 0u);
-  EXPECT_EQ(stats.dependence_tests, 16u);
-}
-
-// Driver analyzes and exports; an import_only worker adopts the bundle off
-// the launch descriptor, validates the certificate against its own live
-// summaries, and skips — without ever running the analyzer.
-TEST(InterferenceRuntimeTest, BundleOnDescriptorAuthorizesWorkerSkip) {
-  Fixture driver(64, 16);
-  const TaskFnId d_store = register_store(driver.rt);
-  driver.rt.execute_index(
-      writer(driver, d_store, driver.fv, ProjectionFunctor::identity(1)));
-  driver.rt.execute_index(
-      writer(driver, d_store, driver.fw, ProjectionFunctor::identity(1)));
-  driver.rt.wait_all();
-  const std::vector<std::byte> bundle = driver.rt.export_interference_bundle();
-  ASSERT_FALSE(bundle.empty());
-
-  RuntimeConfig cfg;
-  cfg.interference_import_only = true;
-  Fixture worker(64, 16, cfg);
-  const TaskFnId w_store = register_store(worker.rt);
-  IndexLauncher first =
-      writer(worker, w_store, worker.fv, ProjectionFunctor::identity(1));
-  first.analysis_bundle = bundle;  // rides the descriptor, as in dist mode
-  worker.rt.execute_index(first);
-  worker.rt.execute_index(
-      writer(worker, w_store, worker.fw, ProjectionFunctor::identity(1)));
-  worker.rt.wait_all();
-
-  const RuntimeStats stats = worker.rt.stats();
-  EXPECT_EQ(stats.interference_pair_tests, 0u);  // worker never analyzed
-  EXPECT_EQ(stats.interference_skips, 1u);
-  EXPECT_GE(stats.interference_imported, 1u);
-  EXPECT_GE(stats.interference_validated, 1u);
-  EXPECT_EQ(stats.interference_rejected, 0u);
-  EXPECT_EQ(stats.dependence_tests, 0u);
-}
-
-// A poisoned certificate — valid framing, corrupt payload — must be refused
-// at first lookup: the entry is rejected, no skip happens, and the walk runs
-// exactly as if nothing had been imported.
-TEST(InterferenceRuntimeTest, PoisonedCertificateIsRejectedNotTrusted) {
-  Fixture driver(64, 16);
-  const TaskFnId d_store = register_store(driver.rt);
-  driver.rt.execute_index(
-      writer(driver, d_store, driver.fv, ProjectionFunctor::identity(1)));
-  driver.rt.execute_index(
-      writer(driver, d_store, driver.fw, ProjectionFunctor::identity(1)));
-  driver.rt.wait_all();
-
-  auto entries = driver.rt.interference_cache().exportable();
-  ASSERT_EQ(entries.size(), 1u);
-  ASSERT_FALSE(entries[0].second.empty());
-  entries[0].second.back() ^= std::byte{0x01};  // flip one certificate bit
-  const std::vector<std::byte> poisoned =
-      encode_interference_bundle(std::move(entries));
-
-  RuntimeConfig cfg;
-  cfg.interference_import_only = true;
-  Fixture worker(64, 16, cfg);
-  const TaskFnId w_store = register_store(worker.rt);
-  worker.rt.import_interference_bundle(poisoned);
-  worker.rt.pool().pause();
-  worker.rt.execute_index(
-      writer(worker, w_store, worker.fv, ProjectionFunctor::identity(1)));
-  worker.rt.execute_index(
-      writer(worker, w_store, worker.fw, ProjectionFunctor::identity(1)));
-  const RuntimeStats stats = worker.rt.stats();
-  worker.rt.pool().resume();
-  worker.rt.wait_all();
-
-  EXPECT_EQ(stats.interference_skips, 0u);
-  EXPECT_GE(stats.interference_rejected, 1u);
-  EXPECT_EQ(stats.interference_validated, 0u);
-  EXPECT_EQ(stats.dependence_tests, 16u);  // fell back to the walk
-}
-
-// Malformed framing (truncation) refuses the whole bundle instead of
-// importing a prefix.
-TEST(InterferenceRuntimeTest, TruncatedBundleIsRefusedWholesale) {
-  Fixture driver(64, 16);
-  const TaskFnId store = register_store(driver.rt);
-  driver.rt.execute_index(
-      writer(driver, store, driver.fv, ProjectionFunctor::identity(1)));
-  driver.rt.execute_index(
-      writer(driver, store, driver.fw, ProjectionFunctor::identity(1)));
-  driver.rt.wait_all();
-  std::vector<std::byte> bundle = driver.rt.export_interference_bundle();
-  bundle.resize(bundle.size() - 3);
-
-  Fixture worker(64, 16);
-  worker.rt.import_interference_bundle(bundle);
-  EXPECT_EQ(worker.rt.stats().interference_imported, 0u);
-  EXPECT_EQ(worker.rt.interference_cache().size(), 0u);
 }
 
 }  // namespace

@@ -33,9 +33,8 @@ LaunchArgSummary make_arg(ProjectionFunctor f, Domain d,
   return s;
 }
 
-/// A kDisjoint verdict is only acceptable with a certificate that (a) the
-/// independent checker validates and (b) survives an encode/decode round
-/// trip and validates again — the exact path a worker rank runs.
+/// A kDisjoint verdict is only acceptable with a certificate the
+/// independent checker validates.
 void expect_certified_disjoint(const LaunchArgSummary& a,
                                const LaunchArgSummary& b) {
   const InterferenceResult r = analyze_interference(a, b);
@@ -43,11 +42,6 @@ void expect_certified_disjoint(const LaunchArgSummary& a,
   ASSERT_TRUE(r.certificate.has_value());
   std::string why;
   EXPECT_TRUE(CertificateChecker::validate(*r.certificate, a.side(), b.side(), &why))
-      << why;
-  const auto bytes = encode_certificate(*r.certificate);
-  const auto decoded = decode_certificate(bytes.data(), bytes.size());
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(CertificateChecker::validate(*decoded, a.side(), b.side(), &why))
       << why;
 }
 
@@ -292,35 +286,6 @@ TEST(CertificateChecker, RejectsNonDisjointPartitionForImageSeparation) {
                                             aliased_b.side()));
 }
 
-TEST(Certificate, EveryBitFlipFailsDecode) {
-  const auto f = sym1(make_mul(make_const(2), make_coord(0)));
-  const auto g = sym1(make_add(make_mul(make_const(2), make_coord(0)), make_const(1)));
-  InterferenceResult r =
-      analyze_interference(make_arg(f, Domain::line(8)), make_arg(g, Domain::line(8)));
-  ASSERT_EQ(r.verdict, PairVerdict::kDisjoint);
-  const auto bytes = encode_certificate(*r.certificate);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      auto corrupt = bytes;
-      corrupt[i] ^= static_cast<std::byte>(1 << bit);
-      EXPECT_FALSE(decode_certificate(corrupt.data(), corrupt.size()).has_value())
-          << "byte " << i << " bit " << bit;
-    }
-  }
-}
-
-TEST(Certificate, TruncationAndEmptyFailDecode) {
-  const auto f = sym1(make_coord(0));
-  InterferenceResult r = analyze_interference(
-      make_arg(f, Domain::line(8)),
-      make_arg(sym1(make_add(make_coord(0), make_const(1000))), Domain::line(8)));
-  ASSERT_EQ(r.verdict, PairVerdict::kDisjoint);
-  const auto bytes = encode_certificate(*r.certificate);
-  for (std::size_t n = 0; n < bytes.size(); ++n)
-    EXPECT_FALSE(decode_certificate(bytes.data(), n).has_value());
-  EXPECT_FALSE(decode_certificate(nullptr, 0).has_value());
-}
-
 // --- InterferenceCache ---
 
 TEST(InterferenceCache, KeyIsOrderCanonical) {
@@ -350,86 +315,14 @@ TEST(InterferenceCache, InsertThenLookupHits) {
   const auto key = interference_key(a, b);
   ASSERT_TRUE(key.has_value());
   InterferenceCache cache;
-  EXPECT_FALSE(cache.lookup(*key, a, b).has_value());
+  EXPECT_FALSE(cache.lookup(*key).has_value());
   cache.insert(*key, analyze_interference(a, b));
-  const auto v = cache.lookup(*key, a, b);
+  const auto v = cache.lookup(*key);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, PairVerdict::kDisjoint);
   EXPECT_EQ(cache.counters().hits, 1u);
   EXPECT_EQ(cache.counters().misses, 1u);
   EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(InterferenceCache, ImportedCertificateValidatedOnFirstUse) {
-  const auto a = make_arg(sym1(make_mul(make_const(2), make_coord(0))), Domain::line(8));
-  const auto b = make_arg(
-      sym1(make_add(make_mul(make_const(2), make_coord(0)), make_const(1))),
-      Domain::line(8));
-  const auto key = interference_key(a, b);
-  const InterferenceResult r = analyze_interference(a, b);
-  ASSERT_EQ(r.verdict, PairVerdict::kDisjoint);
-
-  InterferenceCache cache;
-  cache.insert_unchecked(*key, encode_certificate(*r.certificate));
-  EXPECT_EQ(cache.counters().imported, 1u);
-  // Lookup in *swapped* order must still validate (the shipped lhs/rhs
-  // orientation is not guaranteed to match the local one).
-  const auto v = cache.lookup(*key, b, a);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, PairVerdict::kDisjoint);
-  EXPECT_EQ(cache.counters().validated, 1u);
-  // Second lookup: already promoted, no re-validation.
-  ASSERT_TRUE(cache.lookup(*key, a, b).has_value());
-  EXPECT_EQ(cache.counters().validated, 1u);
-  EXPECT_EQ(cache.counters().hits, 2u);
-}
-
-TEST(InterferenceCache, PoisonedCertificateRejectedAndErased) {
-  const auto a = make_arg(sym1(make_mul(make_const(2), make_coord(0))), Domain::line(8));
-  const auto b = make_arg(
-      sym1(make_add(make_mul(make_const(2), make_coord(0)), make_const(1))),
-      Domain::line(8));
-  const auto key = interference_key(a, b);
-  const InterferenceResult r = analyze_interference(a, b);
-  auto bytes = encode_certificate(*r.certificate);
-  bytes[bytes.size() / 2] ^= std::byte{0x40};  // poisoned in transit
-
-  InterferenceCache cache;
-  cache.insert_unchecked(*key, bytes);
-  EXPECT_FALSE(cache.lookup(*key, a, b).has_value());
-  EXPECT_EQ(cache.counters().rejected, 1u);
-  EXPECT_EQ(cache.size(), 0u);  // erased, later lookups are plain misses
-}
-
-TEST(InterferenceCache, ForgedCertificateForWrongPairRejected) {
-  // A checksum-valid certificate for (2i, 2i+1) imported under the key of
-  // an *interfering* pair (2i, 2i) must be refused by the checker.
-  const auto a = make_arg(sym1(make_mul(make_const(2), make_coord(0))), Domain::line(8));
-  const auto b = make_arg(
-      sym1(make_add(make_mul(make_const(2), make_coord(0)), make_const(1))),
-      Domain::line(8));
-  const InterferenceResult r = analyze_interference(a, b);
-  const auto self_key = interference_key(a, a);
-  InterferenceCache cache;
-  cache.insert_unchecked(*self_key, encode_certificate(*r.certificate));
-  EXPECT_FALSE(cache.lookup(*self_key, a, a).has_value());
-  EXPECT_EQ(cache.counters().rejected, 1u);
-}
-
-TEST(InterferenceCache, ExportableCarriesOnlyCheckedDisjointEntries) {
-  const auto a = make_arg(sym1(make_mul(make_const(2), make_coord(0))), Domain::line(8));
-  const auto b = make_arg(
-      sym1(make_add(make_mul(make_const(2), make_coord(0)), make_const(1))),
-      Domain::line(8));
-  InterferenceCache cache;
-  cache.insert(*interference_key(a, b), analyze_interference(a, b));
-  cache.insert(*interference_key(a, a), analyze_interference(a, a));  // kInterferes
-  const auto out = cache.exportable();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].first, *interference_key(a, b));
-  const auto cert = decode_certificate(out[0].second.data(), out[0].second.size());
-  ASSERT_TRUE(cert.has_value());
-  EXPECT_TRUE(CertificateChecker::validate(*cert, a.side(), b.side()));
 }
 
 }  // namespace
