@@ -31,55 +31,6 @@ struct LocalRank {
 
 }  // namespace
 
-bool aliases_across_ranks(const RegionForest& forest,
-                          const IndexLauncher& launcher, uint32_t nranks) {
-  // The planner's own footprints (plan_point_task: reads before writes,
-  // sparse writes broadcast), taken from index spaces so no subregion has
-  // to exist yet on the rank asking.
-  struct Write {
-    uint32_t owner;
-    uint32_t root;
-    FieldId field;
-    Rect rect;
-  };
-  std::vector<Write> writes;
-  std::vector<Rect> rects(launcher.args.size());
-  bool aliased = false;
-  launcher.domain.for_each([&](const Point& p) {
-    if (aliased) return;
-    const uint32_t owner = owner_of(launcher.domain, p, nranks);
-    bool full = false;
-    for (std::size_t a = 0; a < launcher.args.size(); ++a) {
-      const ProjectedArg& pa = launcher.args[a];
-      const Domain& dom =
-          forest.domain(forest.subspace(pa.partition, pa.functor(p)));
-      rects[a] = dom.bounds();
-      full = full || full_outcome_footprint(pa.privilege, dom);
-    }
-    for (std::size_t a = 0; a < launcher.args.size() && !aliased; ++a) {
-      const ProjectedArg& pa = launcher.args[a];
-      if (pa.privilege == Privilege::kWrite) continue;  // no read half
-      const uint32_t root = forest.region(pa.parent).root.id;
-      for (const Write& w : writes) {
-        if (w.owner != owner && w.root == root && w.rect.overlaps(rects[a]) &&
-            std::find(pa.fields.begin(), pa.fields.end(), w.field) !=
-                pa.fields.end()) {
-          aliased = true;
-          break;
-        }
-      }
-    }
-    if (full) return;  // current everywhere: no later read is routed
-    for (std::size_t a = 0; a < launcher.args.size(); ++a) {
-      const ProjectedArg& pa = launcher.args[a];
-      if (!privilege_writes(pa.privilege)) continue;
-      const uint32_t root = forest.region(pa.parent).root.id;
-      for (FieldId f : pa.fields) writes.push_back({owner, root, f, rects[a]});
-    }
-  });
-  return aliased;
-}
-
 DistributedRuntime::DistributedRuntime(DistConfig config)
     : config_(std::move(config)), forest_(std::make_shared<RegionForest>()) {
   IDXL_REQUIRE(config_.ranks >= 1, "DistConfig::ranks must be >= 1");
@@ -271,7 +222,6 @@ void DistributedRuntime::ensure_started() {
   // and at most 64 ranks (the coherence map's currency bitmask). The
   // star-hub baseline has no such limits.
   delta_ = config_.delta_transfers && nworkers > 0 && config_.ranks <= 64;
-  if (delta_) vmap_ = std::make_unique<VersionMap>(config_.ranks);
 
   replicated_setup_ops_ = forest_->setup_journal().size();
   const bool exec_mode = !config_.workers.empty();
@@ -335,7 +285,6 @@ void DistributedRuntime::ensure_started() {
       h.heartbeat_period_ms = config_.heartbeat_period_ms;
       h.peer_stall_window_ms = config_.peer_stall_window_ms;
       h.delta_transfers = delta_ ? 1 : 0;
-      h.p2p = 0;  // exec daemons have no route to each other
       h.enable_profiling = config_.runtime.enable_profiling ? 1 : 0;
       h.fault_plan = fault_plan_spec();
       conns_[i]->send(static_cast<uint8_t>(Msg::kHello), encode_hello(h));
@@ -377,92 +326,6 @@ std::size_t DistributedRuntime::closed_count_locked() const {
 
 void DistributedRuntime::broadcast(Msg type, const std::vector<std::byte>& payload) {
   for (auto& c : conns_) try_send(*c, type, payload);
-}
-
-// --- delta data plane (driver side) ----------------------------------------
-
-void DistributedRuntime::issue_transfer(const Transfer& t, uint32_t dest) {
-  Route r;
-  r.src = t.src;
-  r.dest = dest;
-  r.producer = t.producer;
-  r.field = t.field;
-  r.version = t.version;
-  r.rect = t.rect;
-  // The launch id the replicated transfer will be assigned — identical on
-  // every rank, so receivers assert their streams stayed aligned.
-  r.launch = local().peek_next_launch_id();
-  // Directive first, on every connection, then the identical local issue:
-  // all ranks observe the transfer at the same place in the launch stream.
-  broadcast(Msg::kRoute, encode_route(r));
-  replica_->execute_transfer(r);
-}
-
-void DistributedRuntime::plan_point_task(const Domain& domain, const Point& p,
-                                         const std::vector<RegionArg>& args,
-                                         bool full_launch) {
-  const uint32_t owner = owner_of(domain, p, config_.ranks);
-  // Reads first: every transfer the consumer depends on must enter the
-  // stream (kRoute + replicated issue) before the consumer itself.
-  std::vector<Transfer> transfers;
-  for (const RegionArg& ra : args) {
-    if (ra.privilege == Privilege::kWrite) continue;  // no read half
-    const RegionInfo& info = forest_->region(ra.region);
-    const Rect bounds = forest_->region_domain(ra.region).bounds();
-    for (FieldId f : ra.fields) {
-      transfers.clear();
-      vmap_->plan_read(info.root, f, bounds, owner, transfers);
-      for (const Transfer& t : transfers) issue_transfer(t, owner);
-    }
-  }
-  // Writes. A launch aliasing across ranks or a sparse footprint makes the
-  // owner broadcast the whole task outcome (Replica::execute_index,
-  // needs_full_outcome) — mirror that here, or the map would claim data
-  // that never shipped.
-  bool full = full_launch;
-  for (const RegionArg& ra : args)
-    if (full_outcome_footprint(ra.privilege, forest_->region_domain(ra.region)))
-      full = true;
-  for (const RegionArg& ra : args) {
-    if (!privilege_writes(ra.privilege)) continue;
-    const RegionInfo& info = forest_->region(ra.region);
-    const Domain& dom = forest_->region_domain(ra.region);
-    for (FieldId f : ra.fields) {
-      if (!full) {
-        vmap_->note_write(info.root, f, dom.bounds(), owner, ra.region);
-      } else if (dom.dense()) {
-        vmap_->note_write_everywhere(info.root, f, dom.bounds(), owner,
-                                     ra.region);
-      } else {
-        // A sparse footprint's bounding box would erase records of newer
-        // data the task never touched — record the exact points instead.
-        dom.for_each([&](const Point& q) {
-          vmap_->note_write_everywhere(info.root, f, Rect(q, q), owner,
-                                       ra.region);
-        });
-      }
-    }
-  }
-}
-
-void DistributedRuntime::plan_index_launch(const IndexLauncher& launcher,
-                                           bool full_launch) {
-  // Planning runs before the launch is broadcast, so any subregion the plan
-  // is first to touch gets its RegionId here, on the driver only. Force the
-  // same argument-major table order Runtime::execute_index uses, or the
-  // lazily-assigned ids diverge from the workers' and the RegionIds shipped
-  // in kRoute directives resolve to the wrong subregion remotely.
-  for (const ProjectedArg& pa : launcher.args)
-    forest_->subregion_table(pa.parent, pa.partition);
-  launcher.domain.for_each([&](const Point& p) {
-    std::vector<RegionArg> args;
-    args.reserve(launcher.args.size());
-    for (const ProjectedArg& pa : launcher.args)
-      args.push_back(RegionArg{
-          forest_->subregion(pa.parent, pa.partition, pa.functor(p)),
-          pa.fields, pa.privilege, pa.redop});
-    plan_point_task(launcher.domain, p, args, full_launch);
-  });
 }
 
 void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) {
@@ -679,22 +542,15 @@ LaunchResult DistributedRuntime::execute(const TaskLauncher& launcher) {
   if (conns_.empty()) return local().execute(launcher);
   require_replicated_forest();
   // Serialize and check first: an unserializable launcher, or a region
-  // argument naming a field twice, must throw before any rank sees a
-  // frame, or the replicated streams diverge.
+  // argument naming a field twice, must throw before any rank sees it.
   (void)serialize_task_launcher(launcher);
   for (const RegionArg& a : launcher.args) require_distinct_fields(a.fields);
-  // Plan before the consumer's frame goes out: its kRoute directives must
-  // precede it on every connection so all replicated streams agree.
-  if (delta_ && !launcher.internal)
-    plan_point_task(launcher.launch_domain, launcher.point, launcher.args,
-                    /*full_launch=*/false);
-  // Stamp the trace context after planning — the plan's transfer issues
-  // consume launch ids, so only now is the next id this descriptor's.
+  // Rank 0 plans and issues before the broadcast, as execute_index does.
+  LaunchResult result = replica_->execute(launcher);
   TaskLauncher annotated = launcher;
-  annotated.trace_ctx = obs::TraceContext{local().peek_next_launch_id(),
-                                          obs::TraceContext::kNone, 0};
+  annotated.trace_ctx = obs::TraceContext{result.launch_id, obs::TraceContext::kNone, 0};
   broadcast(Msg::kSingle, serialize_task_launcher(annotated));
-  return local().execute(annotated);
+  return result;
 }
 
 LaunchResult DistributedRuntime::execute_index(const IndexLauncher& launcher) {
@@ -706,24 +562,22 @@ LaunchResult DistributedRuntime::execute_index(const IndexLauncher& launcher) {
   // stream untouched.
   (void)serialize_launcher(launcher);
   for (const ProjectedArg& a : launcher.args) require_distinct_fields(a.fields);
-  // Every worker marks a launch aliasing across ranks the same way on
-  // receipt; the plan's transfers take their launch ids before this one.
-  const bool full = delta_ && aliases_across_ranks(*forest_, launcher, config_.ranks);
-  if (delta_) plan_index_launch(launcher, full);
-  // Issue on rank 0 before the broadcast, so a throw during rank 0's issue
-  // (a strict-unsafe launch, a replay divergence) leaves every worker's
-  // stream untouched. The descriptor carries no analysis: every rank runs
-  // the pair analysis on its own copy of the stream and takes the same
-  // skips. Issue order is preserved: frames go out on this thread in
+  // Issue on rank 0 before the broadcast, so a throw during rank 0's plan
+  // or issue (a functor selecting a color outside its partition, a
+  // strict-unsafe launch, a replay divergence) leaves every worker's stream
+  // untouched. The descriptor carries no plan and no analysis: every rank
+  // plans the delta plane and runs the pair analysis on its own copy of the
+  // stream. Issue order is preserved: frames go out on this thread in
   // program order, and issuance is asynchronous, so no task outcome can
   // precede its launch frame.
-  LaunchResult result = replica_->execute_index(launcher, full);
+  LaunchResult result = replica_->execute_index(launcher);
   IndexLauncher annotated = launcher;
-  // Replicas assert they assign the same launch id rank 0 just did.
+  // Replicas assert they assign the same launch id rank 0 just did, which
+  // also catches a rank whose plan issued a different number of transfers.
   annotated.trace_ctx =
       obs::TraceContext{result.launch_id, obs::TraceContext::kNone, 0};
   broadcast(Msg::kLaunch, serialize_launcher(annotated));
-  // Every rank creates this launch's subregion tables in the same order.
+  // Every rank creates this launch's subregions in the same order.
   replicated_setup_ops_ = forest_->setup_journal().size();
   return result;
 }
@@ -734,22 +588,12 @@ void DistributedRuntime::wait_all() {
 }
 
 void DistributedRuntime::sync_for_read() {
-  if (started_ && delta_ && replica_ != nullptr && !conns_.empty()) {
-    // Recall: route every span some worker produced back to rank 0 so a
-    // direct read of the forest sees current data. Spans already current
-    // here ship nothing.
-    for (uint32_t i = 0; i < forest_->region_count(); ++i) {
-      const RegionId r{i};
-      const RegionInfo& info = forest_->region(r);
-      if (info.root != info.handle) continue;
-      const Rect bounds = forest_->storage_bounds(r);
-      std::vector<Transfer> transfers;
-      for (const FieldInfo& fi : forest_->fields(info.fspace)) {
-        transfers.clear();
-        vmap_->plan_read(r, fi.id, bounds, /*dest=*/0, transfers);
-        for (const Transfer& t : transfers) issue_transfer(t, /*dest=*/0);
-      }
-    }
+  if (started_ && delta_ && !conns_.empty()) {
+    // Recall: bring every span some worker produced back to rank 0 so a
+    // direct read of the forest sees current data. Every rank plans the
+    // same transfers from its own map; spans current here ship nothing.
+    replica_->recall();
+    broadcast(Msg::kRecall, {});
   }
   wait_all();
 }

@@ -13,7 +13,6 @@
 #include "net/connection.hpp"
 #include "dist/protocol.hpp"
 #include "dist/replica.hpp"
-#include "dist/version_map.hpp"
 #include "obs/trace_merge.hpp"
 #include "runtime/runtime.hpp"
 
@@ -28,16 +27,6 @@ inline uint32_t owner_of(const Domain& domain, const Point& p, uint32_t nranks) 
   const int64_t idx = domain.linear_index(p);
   return static_cast<uint32_t>(idx * static_cast<int64_t>(nranks) / vol);
 }
-
-/// Does a point of `launcher` read data an earlier point of the same launch
-/// writes on another rank? Points that fold into one color do, as do the
-/// aliased points of an unsafe launch. The delta planner cannot route such
-/// a read — the transfer would be issued ahead of the launch producing its
-/// data — so the owners broadcast full outcomes for that launch instead.
-/// Computed from index spaces and the descriptor alone, identically by the
-/// driver before planning and by every worker on receipt.
-bool aliases_across_ranks(const RegionForest& forest,
-                          const IndexLauncher& launcher, uint32_t nranks);
 
 struct DistConfig {
   /// Total process count, the driver included. 1 = degenerate local run.
@@ -60,7 +49,7 @@ struct DistConfig {
   uint32_t heartbeat_period_ms = 1000;
   /// A peer silent past this window raises idxl_net_peer_stalls_total.
   uint32_t peer_stall_window_ms = 10000;
-  /// Delta data plane (docs/DISTRIBUTED.md "Data plane"): the driver tracks
+  /// Delta data plane (docs/DISTRIBUTED.md "Data plane"): every rank tracks
   /// which version of each (region, field, sub-rectangle) every rank holds
   /// and ships only stale spans to the rank that actually reads them. Off =
   /// the star-hub baseline: every task outcome carries its full written
@@ -89,10 +78,12 @@ struct DistConfig {
 /// domain. Non-owned points become external graph nodes completed by
 /// kTaskDone messages, so dependences, retries, poison propagation and
 /// fault injection all run with full fidelity on the owning rank and
-/// replicate as data everywhere else. The driver runs as rank 0 of the
-/// same Replica every worker runs; this class adds what only rank 0 does:
-/// starting ranks, delta planning, the launch broadcast, the outcome and
-/// payload relay, fences and the cluster views.
+/// replicate as data everywhere else. On the delta data plane every Replica
+/// also plans the launch's transfers from its own version map, so the plan
+/// costs no message. The driver runs as rank 0 of the same Replica every
+/// worker runs; this class adds what only rank 0 does: starting ranks, the
+/// launch broadcast, the outcome and payload relay, fences and the cluster
+/// views.
 ///
 /// Setup (forest construction, register_task) must happen before the first
 /// launch: the first launch freezes setup, starts/handshakes the workers and
@@ -112,8 +103,8 @@ class DistributedRuntime : public RuntimeApi {
   RuntimeStats stats() const override;
   obs::MetricsRegistry& metrics() override;
   /// Recall before a direct read: in delta mode most root data lives only on
-  /// the rank that produced it — plan transfers bringing every stale span
-  /// back to rank 0, then fence.
+  /// the rank that produced it. One payload-free kRecall has every rank plan
+  /// the transfers bringing each stale span back to rank 0; then fence.
   void sync_for_read() override;
   void fill_bytes_region(RegionId r, FieldId f, const void* pattern,
                          std::size_t size) override;
@@ -186,16 +177,6 @@ class DistributedRuntime : public RuntimeApi {
   /// Throw unless the driver's forest still matches every worker's.
   void require_replicated_forest() const;
 
-  // --- delta data plane (driver side) ---
-  /// Update the coherence map for one point task about to be issued: plan
-  /// the transfers its reads need (broadcasting kRoute + issuing the local
-  /// transfer task for each) and record its writes — as current everywhere
-  /// when its outcome is broadcast in full (`full_launch`, or a sparse
-  /// footprint).
-  void plan_point_task(const Domain& domain, const Point& p,
-                       const std::vector<RegionArg>& args, bool full_launch);
-  void plan_index_launch(const IndexLauncher& launcher, bool full_launch);
-  void issue_transfer(const Transfer& t, uint32_t dest);
   /// Run-wide data-plane totals: rank 0's counters plus the latest from
   /// every worker (fence_mu_ held).
   DataPlaneStats data_plane_locked() const;
@@ -217,9 +198,6 @@ class DistributedRuntime : public RuntimeApi {
   std::vector<pid_t> children_;        ///< fork mode
   std::vector<std::thread> rank_threads_;  ///< in-process mode
 
-  /// Driver-only coherence map; every plan_* call runs on the issuing
-  /// thread, so the map needs no lock.
-  std::unique_ptr<VersionMap> vmap_;
   /// Run-wide idxl_net_* series, published at fences.
   obs::Counter m_bytes_hub_, m_bytes_relay_, m_bytes_p2p_, m_transfers_;
 

@@ -26,7 +26,7 @@ const char* msg_name(uint8_t type) {
     case Msg::kShutdown: return "shutdown";
     case Msg::kBye: return "bye";
     case Msg::kPing: return "ping";
-    case Msg::kRoute: return "route";
+    case Msg::kRecall: return "recall";
     case Msg::kRegionData: return "region-data";
     case Msg::kTelemetryReq: return "telemetry-req";
     case Msg::kTelemetry: return "telemetry";
@@ -43,7 +43,6 @@ std::vector<std::byte> encode_hello(const Hello& h) {
   s.put_u32(h.heartbeat_period_ms);
   s.put_u32(h.peer_stall_window_ms);
   s.put_u8(h.delta_transfers);
-  s.put_u8(h.p2p);
   s.put_u8(h.enable_profiling);
   s.put_string(h.fault_plan);
   return s.take();
@@ -59,7 +58,6 @@ Hello decode_hello(const std::vector<std::byte>& bytes) {
   h.heartbeat_period_ms = d.get_u32();
   h.peer_stall_window_ms = d.get_u32();
   h.delta_transfers = d.get_u8();
-  h.p2p = d.get_u8();
   h.enable_profiling = d.get_u8();
   h.fault_plan = d.get_string();
   return h;
@@ -191,49 +189,6 @@ TaskDone decode_task_done(const std::vector<std::byte>& bytes) {
   t.outcome.region_bytes = d.get_blob();
   IDXL_REQUIRE(d.done(), "trailing bytes after task-done message");
   return t;
-}
-
-std::vector<std::byte> encode_route(const Route& r) {
-  Serializer s;
-  s.put_header();
-  s.put_u32(r.src);
-  s.put_u32(r.dest);
-  s.put_u32(r.producer.id);
-  s.put_u32(r.field);
-  s.put_u64(r.version);
-  put_rect(s, r.rect);
-  s.put_u64(r.launch);
-  return s.take();
-}
-
-Route decode_route(const std::vector<std::byte>& bytes) {
-  Deserializer d(bytes);
-  d.check_header("route message");
-  Route r;
-  r.src = d.get_u32();
-  r.dest = d.get_u32();
-  r.producer.id = d.get_u32();
-  r.field = d.get_u32();
-  r.version = d.get_u64();
-  r.rect = get_rect(d);
-  r.launch = d.get_u64();
-  IDXL_REQUIRE(d.done(), "trailing bytes after route message");
-  return r;
-}
-
-TaskLauncher make_xfer_launcher(TaskFnId task, const Route& r, uint32_t nranks) {
-  XferArgs args;
-  args.field = r.field;
-  args.dest = r.dest;
-  args.version = r.version;
-  args.rect = r.rect;
-  // owner_of(line(n), p1(src), n) == src: the launch-domain trick that pins
-  // the no-op body (and its on_task_success data push) to the source rank.
-  return TaskLauncher::for_task(task)
-      .region(r.producer, {r.field}, Privilege::kReadWrite)
-      .scalars(ArgBuffer::of(args))
-      .at(Point::p1(r.src), Domain::line(static_cast<int64_t>(nranks)))
-      .as_internal();
 }
 
 std::vector<std::byte> encode_region_data(const RegionData& r) {

@@ -21,11 +21,11 @@ namespace idxl::dist {
 /// Steady-clock nanoseconds; stamps RegionData::sent_ns (same-host latency).
 uint64_t steady_now_ns();
 
-/// Delta mode ships written bytes only for footprints the driver can mirror
-/// in its coherence map: dense write domains. A sparse write domain makes
-/// the whole task fall back to a full-block broadcast outcome. This must
-/// compute identically on the owning rank (from the mapped regions) and on
-/// the driver's planner (from the forest), or currency tracking diverges.
+/// Delta mode ships written bytes only for footprints every rank's version
+/// map can mirror: dense write domains. A sparse write domain makes the
+/// whole task fall back to a full-block broadcast outcome. This must compute
+/// identically on the owning rank (from the mapped regions) and in every
+/// rank's planner (from the forest), or currency tracking diverges.
 inline bool full_outcome_footprint(Privilege priv, const Domain& domain) {
   return privilege_writes(priv) && !domain.dense();
 }
@@ -36,10 +36,11 @@ inline bool needs_full_outcome(const TaskContext& ctx) {
   return false;
 }
 
-/// Launches whose every point ships a full-block outcome on the delta plane
-/// (see aliases_across_ranks in dist_runtime.hpp). The issuing thread marks
-/// a launch before issuing it; success hooks on pool threads look it up.
-/// Cleared at fences, when no task of a marked launch is still running.
+/// Launches whose every point ships a full-block outcome on the delta plane:
+/// those whose points alias across ranks (Replica::execute_index). The
+/// issuing thread marks a launch before issuing it; success hooks on pool
+/// threads look it up. Cleared at fences, when no task of a marked launch is
+/// still running.
 class FullOutcomeLaunches {
  public:
   void mark(uint64_t launch) {
@@ -76,7 +77,7 @@ enum class Msg : uint8_t {
   kShutdown,    ///< driver -> worker: drain and exit
   kBye,         ///< worker -> driver: teardown complete
   kPing,          ///< heartbeat + clock probe, either direction (net/clock.hpp)
-  kRoute,         ///< driver -> worker: delta-transfer directive (v3)
+  kRecall,        ///< driver -> worker: plan the recall to rank 0 (v6)
   kRegionData,    ///< src rank -> dest rank, direct or driver-relayed (v3)
   kTelemetryReq,  ///< driver -> worker: ship your trace + metrics (v4)
   kTelemetry,     ///< worker -> driver: spans, lifecycle tail, metrics (v4)
@@ -94,7 +95,6 @@ struct Hello {
   uint32_t heartbeat_period_ms = 1000;
   uint32_t peer_stall_window_ms = 10000;
   uint8_t delta_transfers = 1;    ///< 0 = star-hub full-block baseline
-  uint8_t p2p = 0;                ///< direct worker links available (fork mode)
   uint8_t enable_profiling = 0;   ///< record spans for the cluster trace (v4)
   std::string fault_plan;         ///< FaultPlan::to_string spec; "" = none
 };
@@ -140,39 +140,6 @@ struct TaskDone {
 };
 std::vector<std::byte> encode_task_done(const TaskDone& t);
 TaskDone decode_task_done(const std::vector<std::byte>& bytes);
-
-/// Scalar argument of the replicated no-op transfer task ("idxl_xfer").
-/// Must stay trivially copyable: it ships inside the launcher's ArgBuffer.
-struct XferArgs {
-  FieldId field = 0;
-  uint32_t dest = 0;
-  uint64_t version = 0;
-  Rect rect;
-};
-
-/// Routing directive (wire v3): every rank must issue the same replicated
-/// transfer task, pinned to `src`, pushing `rect` x `field` of the root
-/// behind `producer` to `dest`. Payload-free — the bytes move as
-/// kRegionData from src directly (or via driver relay on peer-link loss).
-struct Route {
-  uint32_t src = 0;
-  uint32_t dest = 0;
-  RegionId producer;  ///< subregion argument of the transfer task
-  FieldId field = 0;
-  uint64_t version = 0;
-  Rect rect;
-  /// Launch id the replicated transfer task will be assigned — identical
-  /// on every rank by control replication, so receivers assert equality
-  /// (a mismatch means the launch streams diverged) and spans correlate.
-  uint64_t launch = UINT64_MAX;
-};
-std::vector<std::byte> encode_route(const Route& r);
-Route decode_route(const std::vector<std::byte>& bytes);
-
-/// The launcher every rank builds from a Route — identical by construction,
-/// so seq numbers and launch ids stay replicated. `.at(p1(src), line(n))`
-/// pins execution to rank src under owner_of.
-TaskLauncher make_xfer_launcher(TaskFnId task, const Route& r, uint32_t nranks);
 
 /// Delta payload: the patches completing external node `seq` on rank
 /// `dest`. Travels src -> dest on a direct worker link when one is up,

@@ -9,6 +9,7 @@
 #include "net/clock.hpp"
 #include "net/connection.hpp"
 #include "dist/protocol.hpp"
+#include "dist/version_map.hpp"
 #include "runtime/runtime.hpp"
 
 namespace idxl::dist {
@@ -46,10 +47,17 @@ struct ReplicaLinks {
 /// One rank's half of dynamic control replication, the same on the driver
 /// (rank 0) and on every worker: the local Runtime issued from the
 /// replicated launch stream, with hooks that keep the points this rank owns
-/// and ship their outcomes — full or slim kTaskDone, and the routed rects
+/// and ship their outcomes — full or slim kTaskDone, and the planned rects
 /// of transfer tasks down the direct-link-then-relay ladder — plus the
 /// completion of remote outcomes, clock-probe answers, the rank's
 /// data-plane byte counters and its telemetry.
+///
+/// On the delta data plane each replica also plans: it keeps its own
+/// VersionMap and, from its copy of the launch stream, issues the transfer
+/// tasks every launch's reads need ahead of the launch. Every rank runs the
+/// same plan, so no rank sends another a routing message. A rank whose plan
+/// issued a different number of transfers fails at its next replicated
+/// descriptor, which carries the launch id rank 0 assigned.
 class Replica {
  public:
   /// Builds the local Runtime over `forest` and registers `tasks` in order.
@@ -67,13 +75,18 @@ class Replica {
   void attach(ReplicaLinks links) { links_ = std::move(links); }
 
   Runtime& runtime() { return *rt_; }
-  bool delta() const { return delta_; }
 
-  /// Issue a replicated index launch. With `full_outcomes` (the launch
-  /// aliases across ranks) every owned point ships its full outcome.
-  LaunchResult execute_index(const IndexLauncher& launcher, bool full_outcomes);
-  /// Issue the replicated transfer task a routing directive describes.
-  LaunchResult execute_transfer(const Route& route);
+  /// Issue a replicated index launch. On the delta plane: decide whether
+  /// its points alias across ranks (then every owned point ships its full
+  /// outcome), plan every point, issue the planned transfers, then the
+  /// launch.
+  LaunchResult execute_index(const IndexLauncher& launcher);
+  /// Issue a replicated single task, planned the same way.
+  LaunchResult execute(const TaskLauncher& launcher);
+  /// Delta plane: issue the transfers bringing every span another rank
+  /// produced back to rank 0, so a direct read of rank 0's forest sees
+  /// current data.
+  void recall();
   /// wait_all(); every success hook has then run, so the full-outcome
   /// launch set is dropped.
   void quiesce();
@@ -104,8 +117,11 @@ class Replica {
   Telemetry stall_telemetry(const obs::StallReport& report) const;
 
  private:
+  /// Issue the transfer task of each planned transfer, in order.
+  void issue(const std::vector<Transfer>& transfers);
+
   void on_success(uint64_t seq, uint64_t launch, TaskContext& ctx);
-  /// Transfer task: extract the routed rect, push it to the destination,
+  /// Transfer task: extract the planned rect, push it to the destination,
   /// then announce a slim outcome.
   void send_transfer(uint64_t seq, uint64_t launch, TaskContext& ctx);
   void send_outcome(const TaskDone& done);
@@ -117,6 +133,9 @@ class Replica {
   ReplicaLinks links_;
   FullOutcomeLaunches full_launches_;
   std::unique_ptr<net::ClockTable> clocks_;  ///< per-peer offset estimates
+  /// Delta plane: this rank's coherence map. Only the issuing thread plans,
+  /// so it needs no lock.
+  std::unique_ptr<VersionMap> vmap_;
   /// Interned event-log names of the remote-parent apply spans.
   uint32_t name_xfer_apply_ = 0;
   uint32_t name_done_apply_ = 0;

@@ -6,21 +6,22 @@ namespace idxl::dist {
 
 namespace {
 
-/// Append the up-to-2·dim rectangles of `a` \ `b` (slab decomposition).
-/// Precondition: a and b overlap.
-void subtract(const Rect& a, const Rect& b, std::vector<Rect>& out) {
+/// Call `fn` on each of the up-to-2·dim rectangles of `a` \ `b` (slab
+/// decomposition). Precondition: a and b overlap.
+template <typename Fn>
+void for_each_piece(const Rect& a, const Rect& b, Fn&& fn) {
   Rect rem = a;
   for (int d = 0; d < a.dim(); ++d) {
     if (rem.lo[d] < b.lo[d]) {
       Rect piece = rem;
       piece.hi[d] = b.lo[d] - 1;
-      out.push_back(piece);
+      fn(piece);
       rem.lo[d] = b.lo[d];
     }
     if (rem.hi[d] > b.hi[d]) {
       Rect piece = rem;
       piece.lo[d] = b.hi[d] + 1;
-      out.push_back(piece);
+      fn(piece);
       rem.hi[d] = b.hi[d];
     }
   }
@@ -38,30 +39,35 @@ void VersionMap::note(RegionId root, FieldId field, const Rect& rect,
                       uint32_t owner, RegionId producer, uint64_t current) {
   if (rect.empty()) return;
   std::vector<Entry>& entries = fields_[{root.id, field}];
-  std::vector<Entry> next;
-  next.reserve(entries.size() + 1);
-  std::vector<Rect> pieces;
-  for (Entry& e : entries) {
-    if (!e.rect.overlaps(rect)) {
-      next.push_back(std::move(e));
+  // Entries [0, n) are the ones to visit. An entry keeps its first
+  // remainder piece and appends the others past n (they miss `rect`); an
+  // entry `rect` covers is replaced by the last unvisited one.
+  std::size_t n = entries.size();
+  for (std::size_t i = 0; i < n;) {
+    if (!entries[i].rect.overlaps(rect)) {
+      ++i;
       continue;
     }
-    pieces.clear();
-    subtract(e.rect, rect, pieces);
-    for (const Rect& p : pieces) {
-      Entry keep = e;
-      keep.rect = p;
-      next.push_back(std::move(keep));
+    const Entry old = entries[i];
+    bool kept = false;
+    for_each_piece(old.rect, rect, [&](const Rect& piece) {
+      if (!kept) {
+        entries[i].rect = piece;
+        kept = true;
+      } else {
+        entries.push_back(old);
+        entries.back().rect = piece;
+      }
+    });
+    if (kept) {
+      ++i;
+      continue;
     }
+    entries[i] = entries[--n];
+    entries[n] = entries.back();
+    entries.pop_back();
   }
-  Entry fresh;
-  fresh.rect = rect;
-  fresh.version = ++next_version_;
-  fresh.owner = owner;
-  fresh.current = current;
-  fresh.producer = producer;
-  next.push_back(std::move(fresh));
-  entries = std::move(next);
+  entries.push_back(Entry{rect, ++next_version_, owner, current, producer});
 }
 
 void VersionMap::note_write(RegionId root, FieldId field, const Rect& rect,
@@ -82,41 +88,31 @@ void VersionMap::plan_read(RegionId root, FieldId field, const Rect& rect,
   if (it == fields_.end()) return;  // version 0 everywhere: current
   const uint64_t bit = uint64_t{1} << dest;
   std::vector<Entry>& entries = it->second;
-  std::vector<Entry> next;
-  next.reserve(entries.size());
-  std::vector<Rect> pieces;
-  for (Entry& e : entries) {
-    const Rect ov = e.rect.intersection(rect);
-    if ((e.current & bit) != 0 || ov.empty()) {
-      next.push_back(std::move(e));
-      continue;
-    }
-    IDXL_ASSERT(e.owner != dest);
-    Transfer t;
-    t.src = e.owner;
-    t.version = e.version;
-    t.producer = e.producer;
-    t.field = field;
-    t.rect = ov;
-    out.push_back(std::move(t));
+  // Split pieces are appended and stay stale at dest: only [0, n) is read.
+  const std::size_t n = entries.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if ((entries[i].current & bit) != 0) continue;
+    const Rect ov = entries[i].rect.intersection(rect);
+    if (ov.empty()) continue;
+    IDXL_ASSERT(entries[i].owner != dest);
+    out.push_back(Transfer{entries[i].owner, dest, entries[i].version,
+                           entries[i].producer, field, ov});
     // Split the entry: only the shipped overlap becomes current at dest.
-    pieces.clear();
-    subtract(e.rect, ov, pieces);
-    for (const Rect& p : pieces) {
-      Entry stale = e;
-      stale.rect = p;
-      next.push_back(std::move(stale));
-    }
-    e.rect = ov;
-    e.current |= bit;
-    next.push_back(std::move(e));
+    const Entry old = entries[i];
+    for_each_piece(old.rect, ov, [&](const Rect& piece) {
+      entries.push_back(old);
+      entries.back().rect = piece;
+    });
+    entries[i].rect = ov;
+    entries[i].current |= bit;
   }
-  entries = std::move(next);
 }
 
-std::size_t VersionMap::entry_count(RegionId root, FieldId field) const {
+const std::vector<VersionMap::Entry>& VersionMap::entries(RegionId root,
+                                                          FieldId field) const {
+  static const std::vector<Entry> kNone;
   const auto it = fields_.find({root.id, field});
-  return it == fields_.end() ? 0 : it->second.size();
+  return it == fields_.end() ? kNone : it->second;
 }
 
 }  // namespace idxl::dist

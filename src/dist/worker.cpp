@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "dist/dist_runtime.hpp"
 #include "dist/task_registry.hpp"
 #include "support/error.hpp"
 
@@ -14,8 +13,7 @@ WorkerSession::WorkerSession(net::Socket sock, uint32_t rank, uint32_t nranks,
                              const std::vector<std::pair<std::string, TaskFn>>& tasks,
                              uint32_t heartbeat_period_ms, uint32_t stall_window_ms,
                              WorkerDataPlane data_plane)
-    : nranks_(nranks),
-      fail_peer_links_(data_plane.fail_peer_links),
+    : fail_peer_links_(data_plane.fail_peer_links),
       heartbeat_ms_(heartbeat_period_ms),
       window_ms_(stall_window_ms) {
   replica_ = std::make_unique<Replica>(rank, nranks, std::move(config), std::move(forest),
@@ -94,26 +92,15 @@ void WorkerSession::run() {
 void WorkerSession::on_frame(net::Frame& frame) {
   Runtime& rt = replica_->runtime();
   switch (static_cast<Msg>(frame.type)) {
-    case Msg::kLaunch: {
-      const IndexLauncher launcher = deserialize_launcher(frame.payload);
-      // The driver marked this launch the same way before planning it.
-      replica_->execute_index(
-          launcher, replica_->delta() && aliases_across_ranks(rt.forest(), launcher, nranks_));
+    case Msg::kLaunch:
+      replica_->execute_index(deserialize_launcher(frame.payload));
       break;
-    }
     case Msg::kSingle:
-      rt.execute(deserialize_task_launcher(frame.payload));
+      replica_->execute(deserialize_task_launcher(frame.payload));
       break;
-    case Msg::kRoute: {
-      // Replicated transfer issuance: every rank builds the identical
-      // launcher, so seq numbers stay aligned; only `src` runs the body.
-      const Route r = decode_route(frame.payload);
-      IDXL_REQUIRE(r.launch == UINT64_MAX || r.launch == rt.peek_next_launch_id(),
-                   "transfer launch id diverged from the routing directive "
-                   "(control replication bug)");
-      replica_->execute_transfer(r);
+    case Msg::kRecall:
+      replica_->recall();
       break;
-    }
     case Msg::kRegionData:
       // Driver-relayed delta payload for this rank.
       replica_->apply_data(decode_region_data(frame.payload));
@@ -210,7 +197,7 @@ void WorkerSession::serve(net::Socket sock) {
         std::make_shared<const FaultPlan>(FaultPlan::parse(hello.fault_plan));
 
   // Exec daemons have no direct route to each other: delta payloads always
-  // relay through the driver (hello.p2p is informative only today).
+  // relay through the driver.
   WorkerDataPlane dp;
   dp.delta = hello.delta_transfers != 0;
   if (dp.delta) {

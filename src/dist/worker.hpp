@@ -17,7 +17,7 @@ namespace idxl::dist {
 /// has no route between daemons and leaves it empty (payloads relay via
 /// the driver).
 struct WorkerDataPlane {
-  bool delta = false;            ///< slim outcomes + kRoute/kRegionData
+  bool delta = false;            ///< replicated planning, slim outcomes, kRegionData
   bool fail_peer_links = false;  ///< test hook: sever links before first use
   TaskFnId xfer_task = UINT32_MAX;
   /// (peer worker rank, socket) — one end of each of this worker's links.
@@ -30,11 +30,11 @@ struct WorkerDataPlane {
 /// this way.
 std::shared_ptr<RegionForest> rebuild_forest(const Setup& setup);
 
-/// One worker rank's half of the protocol: the rank's Replica, issued from
-/// the driver's replicated launch stream. The receive loop runs on the
-/// calling thread and doubles as the issuing thread, so issuance stays
-/// single-threaded by construction; owned-task outcomes flow back through
-/// the connection's async send queue.
+/// One worker rank's half of the protocol: the rank's Replica, issued and,
+/// on the delta plane, planned from the driver's replicated launch stream.
+/// The receive loop runs on the calling thread and doubles as the issuing
+/// thread, so issuance stays single-threaded by construction; owned-task
+/// outcomes flow back through the connection's async send queue.
 class WorkerSession {
  public:
   /// Fork mode: forest and task bodies were inherited from the parent.
@@ -56,7 +56,6 @@ class WorkerSession {
  private:
   void on_frame(net::Frame& frame);
 
-  uint32_t nranks_;
   bool fail_peer_links_;
   std::unique_ptr<Replica> replica_;
   std::unique_ptr<net::Connection> conn_;

@@ -5,7 +5,7 @@
 namespace idxl::obs {
 
 /// Compact causal context carried on wire messages (launch descriptors,
-/// kRoute/kRegionData, TaskDone) so a span recorded on one rank can name
+/// kRegionData, TaskDone) so a span recorded on one rank can name
 /// the span that caused it on another. Control replication keeps launch
 /// ids and task sequence numbers identical on every rank, so (origin,
 /// span-seq) is enough to find the parent in the origin rank's trace.

@@ -8,7 +8,7 @@ Domain Domain::from_points(std::vector<Point> pts) {
   Domain d;
   if (pts.empty()) {
     d.bounds_ = Rect();  // canonical empty
-    d.points_ = std::move(pts);
+    d.sparse_ = true;
     return d;
   }
   const int dim = pts.front().dim;
@@ -29,6 +29,7 @@ Domain Domain::from_points(std::vector<Point> pts) {
     return Domain(bounds);
   }
   d.points_ = std::move(pts);
+  d.sparse_ = true;
   return d;
 }
 
@@ -36,7 +37,7 @@ bool Domain::contains(const Point& p) const {
   if (p.dim != dim()) return false;
   if (!bounds_.contains(p)) return false;
   if (dense()) return true;
-  return std::binary_search(points_->begin(), points_->end(), p);
+  return std::binary_search(points_.begin(), points_.end(), p);
 }
 
 bool Domain::disjoint_from(const Domain& other) const {
@@ -80,12 +81,12 @@ Domain Domain::intersection(const Domain& other) const {
 int64_t Domain::linear_index(const Point& p) const {
   IDXL_ASSERT_MSG(contains(p), "linear_index of a point outside the domain");
   if (dense()) return bounds_.linearize(p);
-  const auto it = std::lower_bound(points_->begin(), points_->end(), p);
-  return static_cast<int64_t>(it - points_->begin());
+  const auto it = std::lower_bound(points_.begin(), points_.end(), p);
+  return static_cast<int64_t>(it - points_.begin());
 }
 
 std::vector<Point> Domain::points() const {
-  if (!dense()) return *points_;
+  if (!dense()) return points_;
   std::vector<Point> pts;
   pts.reserve(static_cast<std::size_t>(bounds_.volume()));
   for (const Point& p : bounds_) pts.push_back(p);
@@ -96,7 +97,7 @@ bool operator==(const Domain& a, const Domain& b) {
   if (a.empty() && b.empty()) return a.dim() == b.dim();
   if (a.dense() != b.dense()) return false;
   if (a.dense()) return a.bounds_ == b.bounds_;
-  return *a.points_ == *b.points_;
+  return a.points_ == b.points_;
 }
 
 std::string Domain::to_string() const {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "region/point.hpp"
@@ -29,11 +28,11 @@ class Domain {
   static Domain line(int64_t n) { return Domain(Rect::line(n)); }
 
   int dim() const { return bounds_.dim(); }
-  bool dense() const { return !points_.has_value(); }
+  bool dense() const { return !sparse_; }
   const Rect& bounds() const { return bounds_; }
 
   int64_t volume() const {
-    return dense() ? bounds_.volume() : static_cast<int64_t>(points_->size());
+    return dense() ? bounds_.volume() : static_cast<int64_t>(points_.size());
   }
   bool empty() const { return volume() == 0; }
 
@@ -61,7 +60,7 @@ class Domain {
     if (dense()) {
       for (const Point& p : bounds_) fn(p);
     } else {
-      for (const Point& p : *points_) fn(p);
+      for (const Point& p : points_) fn(p);
     }
   }
 
@@ -70,8 +69,9 @@ class Domain {
   std::string to_string() const;
 
  private:
-  Rect bounds_;                               // tight bounding box
-  std::optional<std::vector<Point>> points_;  // sorted & unique when sparse
+  Rect bounds_;                 // tight bounding box
+  std::vector<Point> points_;  // sorted & unique when sparse, else empty
+  bool sparse_ = false;
 };
 
 }  // namespace idxl

@@ -685,8 +685,9 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
   // resolves points: region ids are assigned at first touch, and the paths
   // below touch subregions in different orders (table-at-once vs per-point).
   // Pinning creation to argument-major table order keeps lazily-created ids
-  // identical across replicated issue streams — the distributed runtime
-  // ships RegionIds in routing directives, so every rank must agree.
+  // identical across replicated issue streams whichever path each rank
+  // takes — a replicated single-task descriptor names its regions by id, so
+  // every rank must agree.
   for (const ProjectedArg& pa : launcher.args)
     forest_->subregion_table(pa.parent, pa.partition);
 

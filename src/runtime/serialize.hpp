@@ -16,9 +16,10 @@ namespace idxl {
 /// descriptors cross process boundaries (src/net frames carry their own
 /// transport-level magic; this one covers the descriptor payload itself).
 inline constexpr uint32_t kWireMagic = 0x4C584449;  // "IDXL", little-endian
-inline constexpr uint8_t kWireVersion = 5;  // v5: no analysis payload on
-                                            // launchers (v4: trace context;
-                                            // v3: Route/RegionData)
+inline constexpr uint8_t kWireVersion = 6;  // v6: no routing directive,
+                                            // no Hello::p2p (v5: no analysis
+                                            // payload on launchers; v4: trace
+                                            // context; v3: RegionData)
 
 /// Wire format for launch descriptors.
 ///

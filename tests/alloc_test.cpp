@@ -37,22 +37,29 @@ void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
 
 }  // namespace
 
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
+// Kept out of line, news and deletes alike: GCC pairs what it sees inlined
+// at a call site, and std::malloc inlined on one side with operator delete,
+// or operator new with std::free, reads to it as a mismatched pair.
+[[gnu::noinline]] void* operator new(std::size_t size) { return counted_alloc(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) { return counted_alloc(size); }
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, align);
 }
-void* operator new[](std::size_t size, std::align_val_t align) {
+[[gnu::noinline]] void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace idxl {
 namespace {

@@ -445,7 +445,7 @@ TEST(TransformTest, ImperfectNestStopsFlattening) {
 TEST(TransformTest, SimpleStatementsAreHoisted) {
   NestedLoopStmt inner;
   inner.domain = Domain::line(3);
-  inner.body->push_back(OpaqueStmt{"inner work"});
+  inner.body->emplace_back(OpaqueStmt{"inner work"});
   ForLoop outer;
   outer.domain = Domain::line(2);
   outer.body = {VarDeclStmt{"tmp", make_coord(0)}, inner};

@@ -169,6 +169,37 @@ TEST(InProcessRanksTest, HaloReadsMoveDataAcrossRanks) {
   EXPECT_EQ(delta.values(48), hub.values(48));
 }
 
+TEST(InProcessRanksTest, TransfersNeedNoDirective) {
+  // Every rank plans the delta plane from its own copy of the launch
+  // stream, so a transfer costs the driver no frame: besides outcomes,
+  // relayed payloads, heartbeats and fences, rank 1 receives exactly one
+  // frame per launch, its descriptor.
+  const int64_t pieces = 4;
+  HaloFixture fx(in_process(2, /*delta=*/true), 24, pieces);
+  fx.issue_program(fx.rt, pieces, 3);
+  fx.rt.wait_all();
+  const uint64_t launches = 1 + 3 * 2;
+
+  const obs::MetricsSnapshot snap = fx.rt.metrics().snapshot();
+  const obs::FamilySnapshot* frames = snap.family("idxl_net_frames_sent_total");
+  ASSERT_NE(frames, nullptr);
+  const std::set<std::string> per_outcome = {"task-done", "region-data", "ping", "fence"};
+  std::map<std::string, uint64_t> control;  // frame type -> frames to rank 1
+  for (const obs::SeriesSnapshot& s : frames->series) {
+    const obs::Labels& l = s.labels;
+    const auto label = [&](const std::string& key) {
+      const auto it = std::find_if(l.begin(), l.end(),
+                                   [&](const auto& kv) { return kv.first == key; });
+      return it == l.end() ? std::string() : it->second;
+    };
+    if (label("peer") == "rank-1" && per_outcome.count(label("type")) == 0)
+      control[label("type")] += s.counter;
+  }
+  EXPECT_EQ(control, (std::map<std::string, uint64_t>{{"launch", launches}}));
+  EXPECT_GT(fx.rt.data_plane_stats().transfers, 0u);
+  EXPECT_EQ(fx.values(24), serial_reference(24, 3));
+}
+
 TEST(InProcessRanksTest, CrossRankDependenciesExist) {
   // Halo reads cross block boundaries, so under block placement some
   // dependence edges of the replicated task graph run from a task executed
