@@ -541,11 +541,10 @@ LaunchResult DistributedRuntime::execute(const TaskLauncher& launcher) {
   ensure_started();
   if (conns_.empty()) return local().execute(launcher);
   require_replicated_forest();
-  // Serialize and check first: an unserializable launcher, or a region
-  // argument naming a field twice, must throw before any rank sees it.
+  // An unserializable launcher must throw before any rank sees it.
   (void)serialize_task_launcher(launcher);
-  for (const RegionArg& a : launcher.args) require_distinct_fields(a.fields);
-  // Rank 0 plans and issues before the broadcast, as execute_index does.
+  // Rank 0 maps, plans and issues before the broadcast, as execute_index
+  // does.
   LaunchResult result = replica_->execute(launcher);
   TaskLauncher annotated = launcher;
   annotated.trace_ctx = obs::TraceContext{result.launch_id, obs::TraceContext::kNone, 0};
@@ -557,19 +556,16 @@ LaunchResult DistributedRuntime::execute_index(const IndexLauncher& launcher) {
   ensure_started();
   if (conns_.empty()) return local().execute_index(launcher);
   require_replicated_forest();
-  // Validate serializability and field lists before any rank (rank 0
-  // included) observes the launch: a throw here must leave every replicated
-  // stream untouched.
+  // An unserializable launcher must throw before any rank (rank 0
+  // included) observes the launch.
   (void)serialize_launcher(launcher);
-  for (const ProjectedArg& a : launcher.args) require_distinct_fields(a.fields);
-  // Issue on rank 0 before the broadcast, so a throw during rank 0's plan
-  // or issue (a functor selecting a color outside its partition, a
-  // strict-unsafe launch, a replay divergence) leaves every worker's stream
-  // untouched. The descriptor carries no plan and no analysis: every rank
-  // plans the delta plane and runs the pair analysis on its own copy of the
-  // stream. Issue order is preserved: frames go out on this thread in
-  // program order, and issuance is asynchronous, so no task outcome can
-  // precede its launch frame.
+  // Issue on rank 0 before the broadcast. Rank 0 resolves the launch first:
+  // a launcher it refuses (a color outside a partition, an unknown field)
+  // throws before rank 0 takes a launch id, plans a transfer or creates a
+  // subregion, and no worker sees it. The descriptor carries no plan and no
+  // analysis: every rank resolves, plans and analyzes its own copy of the
+  // stream. Frames go out on this thread in program order, and issuance is
+  // asynchronous, so no task outcome can precede its launch frame.
   LaunchResult result = replica_->execute_index(launcher);
   IndexLauncher annotated = launcher;
   // Replicas assert they assign the same launch id rank 0 just did, which

@@ -38,28 +38,31 @@ TaskLauncher xfer_launcher(TaskFnId task, const Transfer& t, uint32_t nranks) {
 /// outcome (full_outcome_footprint), so its writes are current everywhere.
 bool has_read_half(Privilege p) { return p != Privilege::kWrite; }
 
-/// One region argument of a point task being planned.
+/// One region argument of a point task being planned; with `nargs`
+/// arguments per point, the i-th point's are `args[i * nargs, (i + 1) * nargs)`.
 struct PlanArg {
   RegionId region;
   Privilege privilege = Privilege::kRead;
   const std::vector<FieldId>* fields = nullptr;
 };
 
-/// One point task being planned; with `nargs` arguments per point, the i-th
-/// point's are `args[i * nargs, (i + 1) * nargs)`.
-struct PlanPoint {
-  uint32_t owner = 0;
-  bool sparse_write = false;
-};
+/// Whether a point with arguments `arg[0, nargs)` has a sparse write footprint.
+bool sparse_write(const RegionForest& forest, const PlanArg* arg, std::size_t nargs) {
+  return std::any_of(arg, arg + nargs, [&](const PlanArg& pa) {
+    return full_outcome_footprint(pa.privilege, forest.region_domain(pa.region));
+  });
+}
 
-/// Plan `points` in order on `map`, each point's reads before its writes,
-/// appending the transfers the reads need to `out`. `full_launch`: the
-/// launch aliases across ranks, so every point ships its full outcome.
+/// Plan the points `owners` own, in order, on `map`, each point's reads
+/// before its writes, appending the transfers the reads need to `out`.
+/// `full_launch`: the launch aliases across ranks, so every point ships its
+/// full outcome.
 void plan_points(const RegionForest& forest, VersionMap& map,
-                 const std::vector<PlanPoint>& points, const std::vector<PlanArg>& args,
-                 std::size_t nargs, bool full_launch, std::vector<Transfer>& out) {
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const PlanPoint& point = points[i];
+                 const std::vector<uint32_t>& owners, const std::vector<PlanArg>& args,
+                 bool full_launch, std::vector<Transfer>& out) {
+  const std::size_t nargs = args.size() / owners.size();
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    const uint32_t owner = owners[i];
     const PlanArg* arg = args.data() + i * nargs;
     // Reads first: every transfer the point consumes enters the stream
     // ahead of it.
@@ -67,27 +70,27 @@ void plan_points(const RegionForest& forest, VersionMap& map,
       if (!has_read_half(arg[a].privilege)) continue;
       const RegionId root = forest.region(arg[a].region).root;
       const Rect& bounds = forest.region_domain(arg[a].region).bounds();
-      for (FieldId f : *arg[a].fields) map.plan_read(root, f, bounds, point.owner, out);
+      for (FieldId f : *arg[a].fields) map.plan_read(root, f, bounds, owner, out);
     }
     // Writes. A launch aliasing across ranks or a sparse write footprint
     // makes the owner broadcast the whole task outcome (on_success); the map
     // records those writes as current everywhere, or it would claim data
     // that never shipped.
-    const bool everywhere = full_launch || point.sparse_write;
+    const bool everywhere = full_launch || sparse_write(forest, arg, nargs);
     for (std::size_t a = 0; a < nargs; ++a) {
       if (!privilege_writes(arg[a].privilege)) continue;
       const RegionId root = forest.region(arg[a].region).root;
       const Domain& dom = forest.region_domain(arg[a].region);
       for (FieldId f : *arg[a].fields) {
         if (!everywhere) {
-          map.note_write(root, f, dom.bounds(), point.owner, arg[a].region);
+          map.note_write(root, f, dom.bounds(), owner, arg[a].region);
         } else if (dom.dense()) {
-          map.note_write_everywhere(root, f, dom.bounds(), point.owner, arg[a].region);
+          map.note_write_everywhere(root, f, dom.bounds(), owner, arg[a].region);
         } else {
           // A sparse footprint's bounding box would erase records of newer
           // data the task never touched — record the exact points instead.
           dom.for_each([&](const Point& q) {
-            map.note_write_everywhere(root, f, Rect(q, q), point.owner, arg[a].region);
+            map.note_write_everywhere(root, f, Rect(q, q), owner, arg[a].region);
           });
         }
       }
@@ -143,18 +146,19 @@ Replica::Replica(uint32_t rank, uint32_t nranks, RuntimeConfig config,
 
 LaunchResult Replica::execute_index(const IndexLauncher& launcher) {
   if (!delta_) return rt_->execute_index(launcher);
-  // One walk resolves every point's subregions, before anything is planned
-  // (a functor that throws does so before this rank's map or stream has
-  // changed, and every rank creates lazily-made subregions in this order),
-  // and decides whether the launch aliases across ranks: whether a point
-  // reads data an earlier point of the same launch writes on another rank.
-  // Points that fold into one color do, as do the aliased points of an
-  // unsafe launch. Such a read cannot be planned — its transfer would be
-  // issued ahead of the launch producing its data — so the owners ship full
-  // outcomes for that launch instead.
-  RegionForest& forest = rt_->forest();
+  // The runtime resolves the launch first: a launcher it refuses throws
+  // before this rank's map or stream has changed.
+  Runtime::Resolution res = rt_->resolve(launcher);
+  // Plan every point from the resolution's subregions, and decide whether
+  // the launch aliases across ranks: whether a point reads data an earlier
+  // point of the same launch writes on another rank. Points that fold into
+  // one color do, as do the aliased points of an unsafe launch. Such a read
+  // cannot be planned — its transfer would be issued ahead of the launch
+  // producing its data — so the owners ship full outcomes for that launch
+  // instead.
+  const RegionForest& forest = rt_->forest();
   const std::size_t nargs = launcher.args.size();
-  std::vector<PlanPoint> points;
+  std::vector<uint32_t> owners;
   std::vector<PlanArg> args;
   struct Write {
     uint32_t owner;
@@ -165,58 +169,50 @@ LaunchResult Replica::execute_index(const IndexLauncher& launcher) {
   std::vector<Write> writes;
   bool aliased = false;
   launcher.domain.for_each([&](const Point& p) {
-    PlanPoint point{owner_of(launcher.domain, p, nranks_), false};
-    for (const ProjectedArg& pa : launcher.args) {
-      const RegionId r = forest.subregion(pa.parent, pa.partition, pa.functor(p));
-      point.sparse_write = point.sparse_write ||
-                           full_outcome_footprint(pa.privilege, forest.region_domain(r));
-      args.push_back({r, pa.privilege, &pa.fields});
-    }
-    points.push_back(point);
+    const std::size_t i = owners.size();
+    const uint32_t owner = owners.emplace_back(owner_of(launcher.domain, p, nranks_));
+    for (std::size_t a = 0; a < nargs; ++a)
+      args.push_back({res.region(i, a), launcher.args[a].privilege, &launcher.args[a].fields});
     if (aliased) return;
-    const PlanArg* arg = args.data() + args.size() - nargs;
+    const PlanArg* arg = args.data() + i * nargs;
     for (std::size_t a = 0; a < nargs && !aliased; ++a) {
       if (!has_read_half(arg[a].privilege)) continue;
       const RegionId root = forest.region(arg[a].region).root;
       const Rect& rect = forest.region_domain(arg[a].region).bounds();
       const std::vector<FieldId>& fields = *arg[a].fields;
       for (const Write& w : writes)
-        if (w.owner != point.owner && w.root == root && w.rect.overlaps(rect) &&
+        if (w.owner != owner && w.root == root && w.rect.overlaps(rect) &&
             std::find(fields.begin(), fields.end(), w.field) != fields.end()) {
           aliased = true;
           break;
         }
     }
-    if (point.sparse_write) return;  // current everywhere: no read moves it
+    if (sparse_write(forest, arg, nargs)) return;  // current everywhere: no read moves it
     for (std::size_t a = 0; a < nargs; ++a) {
       if (!privilege_writes(arg[a].privilege)) continue;
       const RegionId root = forest.region(arg[a].region).root;
       const Rect& rect = forest.region_domain(arg[a].region).bounds();
-      for (FieldId f : *arg[a].fields) writes.push_back({point.owner, root, f, rect});
+      for (FieldId f : *arg[a].fields) writes.push_back({owner, root, f, rect});
     }
   });
   std::vector<Transfer> transfers;
-  plan_points(forest, *vmap_, points, args, nargs, aliased, transfers);
+  plan_points(forest, *vmap_, owners, args, aliased, transfers);
   issue(transfers);
   if (aliased) full_launches_.mark(rt_->peek_next_launch_id());
-  return rt_->execute_index(launcher);
+  return rt_->execute_index(launcher, std::move(res));
 }
 
 LaunchResult Replica::execute(const TaskLauncher& launcher) {
-  if (delta_) {
-    const RegionForest& forest = rt_->forest();
-    PlanPoint point{owner_of(launcher.launch_domain, launcher.point, nranks_), false};
-    std::vector<PlanArg> args;
-    for (const RegionArg& ra : launcher.args) {
-      point.sparse_write = point.sparse_write ||
-                           full_outcome_footprint(ra.privilege, forest.region_domain(ra.region));
-      args.push_back({ra.region, ra.privilege, &ra.fields});
-    }
-    std::vector<Transfer> transfers;
-    plan_points(forest, *vmap_, {point}, args, args.size(), /*full_launch=*/false, transfers);
-    issue(transfers);
-  }
-  return rt_->execute(launcher);
+  if (!delta_) return rt_->execute(launcher);
+  // Mapped before anything is planned, like an index launch's resolution.
+  Runtime::Resolution res = rt_->resolve(launcher);
+  std::vector<PlanArg> args;
+  for (const RegionArg& ra : launcher.args) args.push_back({ra.region, ra.privilege, &ra.fields});
+  std::vector<Transfer> transfers;
+  plan_points(rt_->forest(), *vmap_, {owner_of(launcher.launch_domain, launcher.point, nranks_)},
+              args, /*full_launch=*/false, transfers);
+  issue(transfers);
+  return rt_->execute(launcher, std::move(res));
 }
 
 void Replica::recall() {

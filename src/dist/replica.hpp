@@ -76,12 +76,13 @@ class Replica {
 
   Runtime& runtime() { return *rt_; }
 
-  /// Issue a replicated index launch. On the delta plane: decide whether
-  /// its points alias across ranks (then every owned point ships its full
-  /// outcome), plan every point, issue the planned transfers, then the
-  /// launch.
+  /// Issue a replicated index launch. The runtime resolves it first
+  /// (Runtime::resolve), so a launcher it refuses throws before any effect.
+  /// On the delta plane, from that resolution: decide whether its points
+  /// alias across ranks (then every owned point ships its full outcome),
+  /// plan every point, issue the planned transfers, then the launch.
   LaunchResult execute_index(const IndexLauncher& launcher);
-  /// Issue a replicated single task, planned the same way.
+  /// Issue a replicated single task, resolved and planned the same way.
   LaunchResult execute(const TaskLauncher& launcher);
   /// Delta plane: issue the transfers bringing every span another rank
   /// produced back to rank 0, so a direct read of rank 0's forest sees

@@ -46,7 +46,7 @@ FieldId RegionForest::allocate_field(FieldSpaceId fs, std::size_t field_size,
 
 const FieldInfo& RegionForest::field(FieldSpaceId fs, FieldId f) const {
   IDXL_ASSERT(fs.valid() && fs.id < field_spaces_.size());
-  IDXL_ASSERT(f < field_spaces_[fs.id].size());
+  IDXL_REQUIRE(f < field_spaces_[fs.id].size(), "unknown field for the field space");
   return field_spaces_[fs.id][f];
 }
 
@@ -241,7 +241,7 @@ std::byte* RegionForest::field_data(RegionId r, FieldId f) {
   auto& store = storage_[info.root.id];
   IDXL_ASSERT(store != nullptr);
   auto it = store->data.find(f);
-  IDXL_ASSERT_MSG(it != store->data.end(), "unknown field for region");
+  IDXL_REQUIRE(it != store->data.end(), "unknown field for region");
   return it->second.data();
 }
 
@@ -250,7 +250,7 @@ const std::byte* RegionForest::field_data(RegionId r, FieldId f) const {
   const auto& store = storage_[info.root.id];
   IDXL_ASSERT(store != nullptr);
   auto it = store->data.find(f);
-  IDXL_ASSERT_MSG(it != store->data.end(), "unknown field for region");
+  IDXL_REQUIRE(it != store->data.end(), "unknown field for region");
   return it->second.data();
 }
 
@@ -283,13 +283,6 @@ void RegionForest::replay_setup(const std::vector<SetupOp>& ops) {
   }
 }
 
-void require_distinct_fields(const std::vector<FieldId>& fields) {
-  for (std::size_t i = 1; i < fields.size(); ++i)
-    IDXL_REQUIRE(std::find(fields.begin(), fields.begin() + i, fields[i]) ==
-                     fields.begin() + i,
-                 "region argument names a field twice");
-}
-
 std::size_t RegionForest::FieldListHash::operator()(
     const std::vector<FieldId>& fields) const {
   std::size_t h = fields.size();
@@ -302,7 +295,10 @@ std::span<const ResolvedField> RegionForest::resolve_fields(
   const RegionInfo& info = region(r);
   auto& interned = storage_[info.root.id]->resolved;
   if (auto it = interned.find(fields); it != interned.end()) return it->second;
-  require_distinct_fields(fields);
+  for (std::size_t i = 1; i < fields.size(); ++i)
+    IDXL_REQUIRE(std::find(fields.begin(), fields.begin() + i, fields[i]) ==
+                     fields.begin() + i,
+                 "region argument names a field twice");
   std::vector<ResolvedField> resolved;
   resolved.reserve(fields.size());
   for (FieldId f : fields)

@@ -75,11 +75,6 @@ struct ResolvedField {
   std::size_t size = 0;
 };
 
-/// Throws RuntimeError when `fields` names a field twice. A region argument
-/// maps each field once, and its field list is interned per root
-/// (RegionForest::resolve_fields), so launch paths check before any effect.
-void require_distinct_fields(const std::vector<FieldId>& fields);
-
 /// One recorded forest-construction call. The journal of these ops is the
 /// portable description of the forest: replaying it into an empty forest
 /// yields identical handles (ids are assigned sequentially), which is how a
@@ -178,7 +173,8 @@ class RegionForest {
   /// the same field list shares one span, which stays valid and unchanged
   /// for the forest's lifetime. Interning is a mutation: call it from the
   /// thread that creates regions, like the create_* calls. Throws
-  /// RuntimeError when `fields` names a field twice.
+  /// RuntimeError, interning nothing, when `fields` names a field twice or
+  /// a field r's field space lacks.
   std::span<const ResolvedField> resolve_fields(RegionId r,
                                                 const std::vector<FieldId>& fields);
   /// Field lists interned by resolve_fields, over every root.

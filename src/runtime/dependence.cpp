@@ -86,16 +86,14 @@ void DependenceTracker::candidates(TreeState& ts, const Rect& bounds,
 void DependenceTracker::record_use(uint32_t tree, IndexSpaceId ispace, uint64_t fields,
                                    bool writes, PartitionId through,
                                    bool through_disjoint, const TaskNodePtr& node,
-                                   std::vector<TaskNodePtr>& out_deps, bool keep_done,
-                                   bool scan) {
+                                   std::vector<TaskNodePtr>& out_deps, bool keep_done) {
   TreeState& ts = trees_[tree];
 
   // Candidate entries by bounding-box overlap (BVH + fresh list); exact
   // domain tests follow below, so bounding boxes of sparse domains are a
-  // sound over-approximation. Certificate-backed skips (`scan` = false)
-  // bypass the probe and the prune but still record the use below.
+  // sound over-approximation.
   std::vector<Entry*> nearby;
-  if (scan) candidates(ts, forest_->domain(ispace).bounds(), nearby);
+  candidates(ts, forest_->domain(ispace).bounds(), nearby);
 
   for (Entry* entry : nearby) {
     // Whole-partition disjointness: distinct colors of one disjoint

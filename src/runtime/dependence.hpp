@@ -66,15 +66,9 @@ class DependenceTracker {
   /// `keep_done` must be true while a trace is being captured (see
   /// collect_conflicting_uses): edges to already-completed predecessors
   /// have to land in the capture, or replay loses the ordering.
-  ///
-  /// `scan` = false records the use without probing for conflicts (no edges,
-  /// no prune): the caller holds a checked inter-launch certificate proving
-  /// no recorded use can conflict. The use itself must still be recorded —
-  /// uncertified later launches depend on finding it.
   void record_use(uint32_t tree, IndexSpaceId ispace, uint64_t fields, bool writes,
                   PartitionId through, bool through_disjoint, const TaskNodePtr& node,
-                  std::vector<TaskNodePtr>& out_deps, bool keep_done = false,
-                  bool scan = true);
+                  std::vector<TaskNodePtr>& out_deps, bool keep_done = false);
 
   /// Install a fully-formed entry without scanning for conflicts — the
   /// GroupDependenceTracker materializing one summarized color into

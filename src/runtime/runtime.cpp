@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <optional>
 #include <span>
-#include <unordered_set>
 
 #include "support/env.hpp"
 
@@ -363,15 +362,6 @@ void dedupe_deps(std::vector<TaskNodePtr>& deps, const TaskNodePtr& node) {
   std::erase(deps, node);
 }
 
-/// Index space of each region argument: what trace replay validates.
-void append_ispaces(const RegionForest& forest, const std::vector<RegionArg>& args,
-                    std::vector<uint32_t>& out) {
-  for (const RegionArg& ra : args) {
-    IDXL_REQUIRE(ra.region.valid(), "launcher has an invalid region argument");
-    out.push_back(forest.region(ra.region).ispace.id);
-  }
-}
-
 /// `n` task nodes in one allocation. Default-initialization runs every
 /// TaskNode member initializer; the value-initializing make_shared<T[]>
 /// would also require TaskNode to be copyable.
@@ -501,73 +491,60 @@ void Runtime::run_body(TaskNode& node) {
   if (config_.on_task_success) config_.on_task_success(node.seq, node.launch, node.point, ctx);
 }
 
-LaunchResult Runtime::execute(const TaskLauncher& launcher) {
+uint64_t Runtime::take_launch_id(const obs::TraceContext& ctx) {
+  IDXL_REQUIRE(!ctx.valid() || ctx.launch == next_launch_id_,
+               "replicated launch id diverged from the descriptor's trace context");
+  return next_launch_id_++;
+}
+
+Runtime::Resolution Runtime::resolve(const TaskLauncher& launcher) {
   IDXL_REQUIRE(launcher.task < task_registry_.size(), "unknown task id");
-  LogScope issue_scope(log_, ProfCategory::kIssue, obs::EventLog::kNameIssue);
-  // A traced task is checked against (replay) or recorded into (capture)
-  // the trace before it has any effect.
-  TracedLaunch* traced = nullptr;
-  if (active_trace_ != nullptr) {
-    std::vector<uint32_t> ispaces;
-    append_ispaces(*forest_, launcher.args, ispaces);
-    traced = replaying_ ? &replay_launch(launcher.task, Domain{}, launcher.point)
-                        : &capture_launch(launcher.task, Domain{}, launcher.point, {});
-    trace_args(*traced, std::move(ispaces));
+  Resolution res;
+  std::vector<uint32_t> ispaces;
+  for (const RegionArg& ra : launcher.args) {
+    IDXL_REQUIRE(ra.region.valid(), "launcher has an invalid region argument");
+    res.masks_.push_back(field_mask(ra.fields));
+    res.regions_.emplace_back(*forest_, ra.region, ra.fields, ra.privilege, ra.redop);
+    if (active_trace_ != nullptr) ispaces.push_back(forest_->region(ra.region).ispace.id);
   }
+  res.trace_ = trace_launch(launcher.task, Domain{}, launcher.point, std::move(ispaces));
+  return res;
+}
+
+LaunchResult Runtime::execute(const TaskLauncher& launcher, Resolution res) {
+  TracedLaunch* traced = trace_record(res);
+  LogScope issue_scope(log_, ProfCategory::kIssue, obs::EventLog::kNameIssue);
+  const uint64_t launch_id = take_launch_id(launcher.trace_ctx);
   cells_.runtime_calls.inc();
   cells_.single_launches.inc();
-  const uint64_t launch_id = next_launch_id_++;
-  // A replicated descriptor carries the launch id its origin assigned; a
-  // disagreement means this rank's issue stream diverged from the driver's.
-  IDXL_REQUIRE(
-      !launcher.trace_ctx.valid() || launcher.trace_ctx.launch == launch_id,
-      "replicated launch id diverged from the descriptor's trace context");
   const ArenaPtr arena = make_arena(launcher, launcher.launch_domain, launch_id, 1);
   arena->internal = launcher.internal;
+  std::copy(res.regions_.begin(), res.regions_.end(), arena->regions.begin());
   LaunchResult result;  // single task: trivially safe, never an index launch
   result.launch_id = launch_id;
   result.future.state_ = arena->collect;
   LogScope replay_scope(replaying_ ? log_ : nullptr, ProfCategory::kTrace,
                         obs::EventLog::kNameTraceReplay);
-  issue_point_task(arena, launcher.point, launcher.args, 0, traced);
+  issue_point_task(arena, launcher.point, res.masks_, 0, traced);
   return result;
 }
 
-std::vector<RegionArg> Runtime::project_args(const IndexLauncher& launcher,
-                                             const Point& p) {
-  std::vector<RegionArg> args;
-  args.reserve(launcher.args.size());
-  for (const ProjectedArg& pa : launcher.args) {
-    const Point color = pa.functor(p);
-    RegionArg ra;
-    ra.region = forest_->subregion(pa.parent, pa.partition, color);
-    ra.fields = pa.fields;
-    ra.privilege = pa.privilege;
-    ra.redop = pa.redop;
-    args.push_back(std::move(ra));
-  }
-  return args;
-}
-
-void Runtime::expand_as_task_loop(const IndexLauncher& launcher, const ArenaPtr& arena,
-                                  TracedLaunch* traced) {
+void Runtime::expand_as_task_loop(const IndexLauncher& launcher, const Resolution& res,
+                                  const ArenaPtr& arena, TracedLaunch* traced) {
   // The "original task loop" branch: |D| individual launches in program
   // order, each a separate runtime call (this is what the paper's No-IDX
   // configurations measure).
-  if (traced != nullptr) {
-    // Resolve every point's arguments before the first one issues, so a
-    // divergent replay or a throwing functor leaves the launch unissued.
-    std::vector<uint32_t> ispaces;
-    launcher.domain.for_each([&](const Point& p) {
-      append_ispaces(*forest_, project_args(launcher, p), ispaces);
-    });
-    trace_args(*traced, std::move(ispaces));
-  }
   std::size_t rank = 0;
   launcher.domain.for_each([&](const Point& p) {
     cells_.runtime_calls.inc();
     cells_.single_launches.inc();
-    issue_point_task(arena, p, project_args(launcher, p), rank++, traced);
+    const std::span<PhysicalRegion> regions = arena->regions_of(rank);
+    for (std::size_t a = 0; a < regions.size(); ++a) {
+      const ProjectedArg& pa = launcher.args[a];
+      regions[a] =
+          PhysicalRegion(*forest_, res.region(rank, a), pa.fields, pa.privilege, pa.redop);
+    }
+    issue_point_task(arena, p, res.masks_, rank++, traced);
   });
 }
 
@@ -607,7 +584,8 @@ bool Runtime::history_certified_disjoint(uint32_t tree, const LaunchArgSummary& 
   return disjoint;
 }
 
-SafetyReport Runtime::analyze_safety(const IndexLauncher& launcher, uint64_t launch_id) {
+SafetyReport Runtime::analyze_safety(const IndexLauncher& launcher,
+                                     std::span<const uint64_t> masks, uint64_t launch_id) {
   SafetyReport safety;
   if (launcher.assume_verified) {
     cells_.assumed_verified.inc();
@@ -621,14 +599,15 @@ SafetyReport Runtime::analyze_safety(const IndexLauncher& launcher, uint64_t lau
   // Hybrid safety analysis (§3/§4).
   std::vector<CheckArg> check_args;
   check_args.reserve(launcher.args.size());
-  for (const ProjectedArg& pa : launcher.args) {
+  for (std::size_t a = 0; a < launcher.args.size(); ++a) {
+    const ProjectedArg& pa = launcher.args[a];
     CheckArg ca;
     ca.functor = &pa.functor;
     ca.color_space = forest_->color_space(pa.partition);
     ca.partition_disjoint = forest_->is_disjoint(pa.partition);
     ca.partition_uid = pa.partition.id;
     ca.collection_uid = forest_->region(pa.parent).tree_id;
-    ca.field_mask = field_mask(pa.fields);
+    ca.field_mask = masks[a];
     ca.priv = pa.privilege;
     ca.redop = pa.redop;
     check_args.push_back(ca);
@@ -661,41 +640,65 @@ SafetyReport Runtime::analyze_safety(const IndexLauncher& launcher, uint64_t lau
     case SafetyOutcome::kSafeStatic: cells_.safe_static.inc(); break;
     case SafetyOutcome::kSafeDynamic: cells_.safe_dynamic.inc(); break;
     case SafetyOutcome::kSafeUnchecked: cells_.safe_unchecked.inc(); break;
-    case SafetyOutcome::kUnsafe:
-      cells_.unsafe.inc();
-      IDXL_REQUIRE(!config_.strict_unsafe,
-                   ("unsafe index launch: " + safety.reason).c_str());
-      break;
+    case SafetyOutcome::kUnsafe: cells_.unsafe.inc(); break;
   }
   return safety;
 }
 
-LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
+Runtime::Resolution Runtime::resolve(const IndexLauncher& launcher) {
   IDXL_REQUIRE(launcher.task < task_registry_.size(), "unknown task id");
   IDXL_REQUIRE(!launcher.domain.empty(), "index launch over an empty domain");
-  // A replayed launch is checked against its capture before it has any
-  // effect (its region arguments once they are resolved, below).
-  TracedLaunch* traced =
-      replaying_ ? &replay_launch(launcher.task, launcher.domain, Point{}) : nullptr;
+  LogScope scope(log_, ProfCategory::kIssue, obs::EventLog::kNameIssue);
+  const std::size_t n_args = launcher.args.size();
+  Resolution res;
+  // 1. Every functor (compiled) at every point, and the color it selects.
+  std::vector<const Rect*> colors;
+  colors.reserve(n_args);
+  for (const ProjectedArg& pa : launcher.args) {
+    IDXL_REQUIRE(forest_->partition_parent(pa.partition) == forest_->region(pa.parent).ispace,
+                 "partition does not partition this region's index space");
+    pa.functor.ensure_compiled();
+    colors.push_back(&forest_->color_space(pa.partition));
+  }
+  res.cranks_.resize(static_cast<std::size_t>(launcher.domain.volume()) * n_args);
+  std::vector<uint32_t> ispaces;
+  std::size_t slot = 0;
+  launcher.domain.for_each([&](const Point& p) {
+    for (std::size_t a = 0; a < n_args; ++a) {
+      const ProjectionFunctor& functor = launcher.args[a].functor;
+      Point color;
+      color.dim = functor.output_dim();
+      functor.eval_into(p, color.c.data());
+      IDXL_REQUIRE(colors[a]->contains(color),
+                   "projection functor selected a color outside the partition");
+      res.cranks_[slot++] = static_cast<uint32_t>(colors[a]->linearize(color));
+      if (active_trace_ != nullptr)
+        ispaces.push_back(forest_->subspace(launcher.args[a].partition, color).id);
+    }
+  });
+  // 2. Each argument's field list (interned per root, so no forest change).
+  res.masks_.reserve(n_args);
+  for (const ProjectedArg& pa : launcher.args) {
+    res.masks_.push_back(field_mask(pa.fields));
+    forest_->resolve_fields(pa.parent, pa.fields);
+  }
+  res.trace_ = trace_launch(launcher.task, launcher.domain, Point{}, std::move(ispaces));
+  // 3. The subregion tables: the launch's first forest change. Each
+  // argument's partition was checked against its parent above, so it
+  // cannot throw. Every rank of a replicated run creates the launch's
+  // subregions here, in table order, whichever path then issues it.
+  res.tables_.reserve(n_args);
+  for (const ProjectedArg& pa : launcher.args)
+    res.tables_.push_back(&forest_->subregion_table(pa.parent, pa.partition));
+  return res;
+}
+
+LaunchResult Runtime::execute_index(const IndexLauncher& launcher, Resolution res) {
+  TracedLaunch* traced = trace_record(res);
   // The issue span is also the launch's kIssued record (at its start).
   LogScope issue_scope(log_, ProfCategory::kIssue, task_log_names_[launcher.task],
                        LifecycleEvent::kIssued);
-
-  // Materialize every argument's subregion table before any expansion path
-  // resolves points: region ids are assigned at first touch, and the paths
-  // below touch subregions in different orders (table-at-once vs per-point).
-  // Pinning creation to argument-major table order keeps lazily-created ids
-  // identical across replicated issue streams whichever path each rank
-  // takes — a replicated single-task descriptor names its regions by id, so
-  // every rank must agree.
-  for (const ProjectedArg& pa : launcher.args)
-    forest_->subregion_table(pa.parent, pa.partition);
-
-  const uint64_t launch_id = next_launch_id_++;
-  // See execute(): replicated descriptors assert launch-stream alignment.
-  IDXL_REQUIRE(
-      !launcher.trace_ctx.valid() || launcher.trace_ctx.launch == launch_id,
-      "replicated launch id diverged from the descriptor's trace context");
+  const uint64_t launch_id = take_launch_id(launcher.trace_ctx);
   issue_scope.event().launch = launch_id;
   const ArenaPtr arena =
       make_arena(launcher, launcher.domain, launch_id,
@@ -706,7 +709,7 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
 
   // One bulk issuance call (§5).
   if (config_.enable_index_launches) cells_.runtime_calls.inc();
-  if (traced != nullptr) {
+  if (replaying_) {
     // A replay returns what its capture returned; the launch was verified
     // then.
     result.ran_as_index_launch = traced->ran_as_index_launch;
@@ -715,17 +718,20 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
     // No-IDX mode issues the launch group as individual tasks, in the
     // application's own program order, so no analysis runs. An unsafe
     // launch falls back to that task loop.
-    if (config_.enable_index_launches) result.safety = analyze_safety(launcher, launch_id);
+    if (config_.enable_index_launches)
+      result.safety = analyze_safety(launcher, res.masks_, launch_id);
     result.ran_as_index_launch = config_.enable_index_launches &&
                                  result.safety.outcome != SafetyOutcome::kUnsafe;
-    if (active_trace_ != nullptr)
-      traced = &capture_launch(launcher.task, launcher.domain, Point{}, result);
+    if (traced != nullptr) {
+      traced->ran_as_index_launch = result.ran_as_index_launch;
+      traced->outcome = result.safety.outcome;
+    }
   }
 
   if (!result.ran_as_index_launch) {
     LogScope replay_scope(replaying_ ? log_ : nullptr, ProfCategory::kTrace,
                           obs::EventLog::kNameTraceReplay);
-    expand_as_task_loop(launcher, arena, traced);
+    expand_as_task_loop(launcher, res, arena, traced);
     return result;
   }
 
@@ -744,7 +750,7 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher) {
     if (log_ != nullptr)
       log_->record({.launch = launch_id, .kind = LifecycleEvent::kGroupFallback});
   }
-  expand_index_launch(launcher, arena, group_mode, result.safety.outcome, traced);
+  expand_index_launch(launcher, res, arena, group_mode, result.safety.outcome, traced);
   cells_.index_launches.inc();
   return result;
 }
@@ -786,22 +792,17 @@ void Runtime::wire_node(const LaunchArena& arena, const TaskNodePtr& node,
   schedule(node, deps);
 }
 
-void Runtime::expand_index_launch(const IndexLauncher& launcher, const ArenaPtr& arena,
-                                  bool group_mode, SafetyOutcome outcome,
-                                  TracedLaunch* traced) {
+void Runtime::expand_index_launch(const IndexLauncher& launcher, Resolution& res,
+                                  const ArenaPtr& arena, bool group_mode,
+                                  SafetyOutcome outcome, TracedLaunch* traced) {
   const bool replay = replaying_;
   const std::size_t n_args = launcher.args.size();
   arena->protos.reserve(n_args);
 
-  // Per-argument launch plan: everything the per-point loop needs, resolved
-  // once. The subregion table memoizes forest lookups per color; prototype
-  // PhysicalRegions are filled per color on first touch so chunk jobs never
-  // read the forest from worker threads.
+  // Per-argument launch plan: everything the per-point loop needs, once.
   struct ArgPlan {
     const std::vector<RegionId>* table = nullptr;  // subregion by color rank
-    const Rect* colors = nullptr;
     const std::vector<FieldId>* fields = nullptr;
-    const ProjectionFunctor* functor = nullptr;
     ProtoTable* protos = nullptr;
     std::size_t n_colors = 0;
     uint32_t tree = 0;
@@ -815,18 +816,16 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, const ArenaPtr&
   };
   std::vector<ArgPlan> plans;
   plans.reserve(n_args);
-  for (const ProjectedArg& pa : launcher.args) {
-    pa.functor.ensure_compiled();
+  for (std::size_t a = 0; a < n_args; ++a) {
+    const ProjectedArg& pa = launcher.args[a];
     ArgPlan plan;
-    plan.table = &forest_->subregion_table(pa.parent, pa.partition);
-    plan.colors = &forest_->color_space(pa.partition);
+    plan.table = res.tables_[a];
     plan.fields = &pa.fields;
-    plan.functor = &pa.functor;
     plan.n_colors = plan.table->size();
     plan.tree = forest_->region(pa.parent).tree_id;
     plan.partition = pa.partition;
     plan.disjoint = forest_->is_disjoint(pa.partition);
-    plan.mask = field_mask(pa.fields);
+    plan.mask = res.masks_[a];
     plan.writes = privilege_writes(pa.privilege);
     plan.priv = pa.privilege;
     plan.redop = pa.redop;
@@ -838,6 +837,19 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, const ArenaPtr&
     plan.protos = it->second.get();
     plans.push_back(std::move(plan));
   }
+
+  // Fill the prototype of every color a point selects, so chunk jobs never
+  // read the forest from worker threads. resolve() checked every color and
+  // field list, so nothing from here on can refuse the launch.
+  arena->cranks = std::move(res.cranks_);
+  const std::size_t n_points = static_cast<std::size_t>(launcher.domain.volume());
+  for (std::size_t slot = 0; slot < n_points * n_args;)
+    for (const ArgPlan& plan : plans) {
+      const uint32_t crank = arena->cranks[slot++];
+      std::optional<PhysicalRegion>& proto = (*plan.protos)[crank];
+      if (!proto.has_value())
+        proto.emplace(*forest_, (*plan.table)[crank], *plan.fields, plan.priv, plan.redop);
+    }
 
   if (group_mode) {
     // Launch-level summary tests: one O(1) field-mask test per argument is
@@ -871,7 +883,7 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, const ArenaPtr&
         LaunchArgSummary s;
         s.functor = launcher.args[a].functor;
         s.domain = launcher.domain;
-        s.color_space = *plan.colors;
+        s.color_space = forest_->color_space(plan.partition);
         s.partition_uid = plan.partition.id;
         s.partition_disjoint = plan.disjoint;
         s.collection_uid = plan.tree;
@@ -926,35 +938,6 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, const ArenaPtr&
                      LifecycleEvent::kExpanded);
   dep_scope.event().launch = arena->launch;
   if (replay) dep_scope.event().detail = obs::LifecycleDetail::kReplay;
-
-  // Phase 1 — resolve every point before any side effect: evaluate the
-  // (compiled) functors, validate colors, fill prototypes, and check a
-  // replay's region arguments against its capture. A throw here leaves the
-  // launch unissued.
-  arena->cranks.resize(static_cast<std::size_t>(launcher.domain.volume()) * n_args);
-  std::vector<uint32_t> ispaces;
-  if (traced != nullptr) ispaces.reserve(arena->cranks.size());
-  std::size_t slot = 0;
-  launcher.domain.for_each([&](const Point& p) {
-    for (const ArgPlan& plan : plans) {
-      int64_t buf[kMaxDim] = {};
-      plan.functor->eval_into(p, buf);
-      Point color;
-      color.dim = plan.functor->output_dim();
-      for (int d = 0; d < color.dim; ++d) color[d] = buf[d];
-      IDXL_REQUIRE(plan.colors->contains(color),
-                   "projection functor selected a color outside the partition");
-      const auto crank = static_cast<std::size_t>(plan.colors->linearize(color));
-      arena->cranks[slot++] = static_cast<uint32_t>(crank);
-      std::optional<PhysicalRegion>& proto = (*plan.protos)[crank];
-      if (!proto.has_value())
-        proto.emplace(*forest_, (*plan.table)[crank], *plan.fields, plan.priv,
-                      plan.redop);
-      if (traced != nullptr)
-        ispaces.push_back(forest_->region((*plan.table)[crank]).ispace.id);
-    }
-  });
-  if (traced != nullptr) trace_args(*traced, std::move(ispaces));
 
   // Per-point kIssued events share one timestamp (read here, on the issuing
   // thread) but are constructed and recorded inside the chunk jobs, from the
@@ -1017,8 +1000,7 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, const ArenaPtr&
     chunk_begin = end;
   };
 
-  // Phase 2 — no-throw: create the nodes, wire edges, schedule.
-  const std::size_t n_points = static_cast<std::size_t>(launcher.domain.volume());
+  // Create the nodes, wire edges, schedule.
   std::vector<TaskNodePtr> deps;
   std::size_t rank = 0;
   launcher.domain.for_each([&](const Point& p) {
@@ -1058,16 +1040,8 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, const ArenaPtr&
 }
 
 void Runtime::issue_point_task(const ArenaPtr& arena, const Point& point,
-                               const std::vector<RegionArg>& args, std::size_t rank,
+                               std::span<const uint64_t> masks, std::size_t rank,
                                TracedLaunch* traced) {
-  // Map the regions into the task's slice first: an invalid argument throws
-  // before any side effect.
-  const std::span<PhysicalRegion> regions = arena->regions_of(rank);
-  for (std::size_t a = 0; a < args.size(); ++a) {
-    const RegionArg& ra = args[a];
-    IDXL_REQUIRE(ra.region.valid(), "launcher has an invalid region argument");
-    regions[a] = PhysicalRegion(*forest_, ra.region, ra.fields, ra.privilege, ra.redop);
-  }
   const TaskNodePtr node = new_node(node_block(1), 0, *arena, point);
   if (log_ != nullptr) {
     obs::Event ev{.seq = node->seq, .launch = node->launch, .kind = LifecycleEvent::kIssued};
@@ -1083,16 +1057,17 @@ void Runtime::issue_point_task(const ArenaPtr& arena, const Point& point,
     {
       LogScope dep_scope(log_, ProfCategory::kDependence, obs::EventLog::kNameDependence,
                          LifecycleEvent::kSpan, node->seq);
-      for (const RegionArg& ra : args) {
-        const RegionInfo& info = forest_->region(ra.region);
+      const std::span<const PhysicalRegion> regions = arena->regions_of(rank);
+      for (std::size_t a = 0; a < regions.size(); ++a) {
+        const RegionInfo& info = forest_->region(regions[a].region_id());
         // A per-point use makes any group summary of this tree stale: flush
         // it first, and keep the tree per-point until the next fence.
         materialize_tree(info.tree_id);
         group_.mark_per_point(info.tree_id);
         const bool through_disjoint =
             info.through.valid() && forest_->is_disjoint(info.through);
-        tracker_.record_use(info.tree_id, info.ispace, field_mask(ra.fields),
-                            privilege_writes(ra.privilege), info.through,
+        tracker_.record_use(info.tree_id, info.ispace, masks[a],
+                            privilege_writes(regions[a].privilege()), info.through,
                             through_disjoint, node, deps,
                             /*keep_done=*/traced != nullptr);
       }
@@ -1488,41 +1463,42 @@ void Runtime::end_trace(uint32_t trace_id) {
   IDXL_REQUIRE(!short_replay, "trace replay issued fewer launches than were captured");
 }
 
-Runtime::TracedLaunch& Runtime::capture_launch(TaskFnId fn, const Domain& domain,
-                                               const Point& point,
-                                               const LaunchResult& result) {
-  LogScope capture_scope(log_, ProfCategory::kTrace, obs::EventLog::kNameTraceCapture);
-  TracedLaunch& rec = active_trace_->launches.emplace_back();
-  rec.fn = fn;
-  rec.domain = domain;
-  rec.point = point;
-  rec.first = next_seq_ - trace_first_seq_;
-  rec.ran_as_index_launch = result.ran_as_index_launch;
-  rec.outcome = result.safety.outcome;
-  rec.dep_offsets.reserve(task_count(domain) + 1);
-  return rec;
-}
-
-Runtime::TracedLaunch& Runtime::replay_launch(TaskFnId fn, const Domain& domain,
-                                              const Point& point) {
-  if (replay_cursor_ == active_trace_->launches.size())
+std::optional<std::size_t> Runtime::trace_launch(TaskFnId fn, const Domain& domain,
+                                                 const Point& point,
+                                                 std::vector<uint32_t> ispaces) {
+  if (active_trace_ == nullptr) return std::nullopt;
+  std::vector<TracedLaunch>& launches = active_trace_->launches;
+  const uint64_t first = next_seq_ - trace_first_seq_;
+  if (!replaying_) {
+    LogScope capture_scope(log_, ProfCategory::kTrace, obs::EventLog::kNameTraceCapture);
+    TracedLaunch& rec = launches.emplace_back();
+    rec.fn = fn;
+    rec.domain = domain;
+    rec.point = point;
+    rec.first = first;
+    rec.ispaces = std::move(ispaces);
+    rec.dep_offsets.reserve(task_count(domain) + 1);
+    return launches.size() - 1;
+  }
+  if (replay_cursor_ == launches.size())
     trace_diverged("trace replay issued more launches than were captured");
-  TracedLaunch& rec = active_trace_->launches[replay_cursor_++];
+  TracedLaunch& rec = launches[replay_cursor_++];
   // The capture must have issued this launch whole, and the replay so far
   // every task the capture did: a launch that threw part-way through either
   // would shift the trace-local indices of everything after it.
-  if (rec.fn != fn || rec.domain != domain || rec.point != point ||
-      rec.first != next_seq_ - trace_first_seq_ ||
+  if (rec.fn != fn || rec.domain != domain || rec.point != point || rec.first != first ||
       rec.dep_offsets.size() != task_count(domain) + 1)
     trace_diverged("trace replay diverged from the captured task sequence");
-  return rec;
+  if (rec.ispaces != ispaces) trace_diverged("trace replay diverged in region arguments");
+  return replay_cursor_ - 1;
 }
 
-void Runtime::trace_args(TracedLaunch& rec, std::vector<uint32_t> ispaces) {
-  if (!replaying_)
-    rec.ispaces = std::move(ispaces);
-  else if (ispaces != rec.ispaces)
-    trace_diverged("trace replay diverged in region arguments");
+Runtime::TracedLaunch* Runtime::trace_record(const Resolution& res) {
+  if (active_trace_ == nullptr && !res.trace_.has_value()) return nullptr;
+  IDXL_REQUIRE(active_trace_ != nullptr && res.trace_.has_value() &&
+                   *res.trace_ < active_trace_->launches.size(),
+               "a launch must be issued in the trace scope it was resolved in");
+  return &active_trace_->launches[*res.trace_];
 }
 
 void Runtime::trace_deps(TracedLaunch& rec, std::size_t task, const TaskNodePtr& node,

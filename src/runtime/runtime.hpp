@@ -6,7 +6,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "analysis/hybrid.hpp"
 #include "analysis/interference.hpp"
@@ -35,10 +34,6 @@ struct RuntimeConfig {
   /// Extended static classifier (modular / monotone-quadratic families) —
   /// launches it discharges skip their dynamic checks entirely.
   bool extended_static_analysis = false;
-  /// When true, an unsafe launch throws instead of falling back to the
-  /// sequential task loop (useful in tests; production Regent emits the
-  /// fallback branch, which is our default).
-  bool strict_unsafe = false;
   /// Record every task and dependence edge for export_task_graph_dot() —
   /// the Fig. 1-style task-graph inspector. Costs memory per task; off by
   /// default.
@@ -119,9 +114,6 @@ struct RuntimeConfig {
   std::function<void(const TaskFault& fault)> on_task_fault;
 };
 
-// RuntimeStats, Future and LaunchResult moved to runtime/api.hpp with the
-// RuntimeApi extraction; this header re-exports them via that include.
-
 /// The real, in-process runtime: sequential task issuance with implicit
 /// parallel execution on a thread pool, Legion-style. One instance per
 /// "program". Issuance calls (execute, execute_index, region/partition
@@ -141,13 +133,51 @@ class Runtime : public RuntimeApi {
   /// Register a task body under a new id.
   TaskFnId register_task(std::string name, TaskFn fn) override;
 
+  /// A launch resolved before it has had any effect: what resolve() returns
+  /// and execute()/execute_index() issue. The bulk expansion, the task
+  /// loop, tracing and the distributed delta planner all read it. Issue it
+  /// with its launcher on the runtime that resolved it, and inside a trace
+  /// scope before any other launch.
+  class Resolution {
+   public:
+    /// Index launch: the region the launch's `i`-th point (in domain order)
+    /// receives through argument `a`.
+    RegionId region(std::size_t i, std::size_t a) const {
+      return (*tables_[a])[cranks_[i * tables_.size() + a]];
+    }
+
+   private:
+    friend class Runtime;
+    std::vector<uint64_t> masks_;  ///< each argument's field mask
+    /// Index launch: each argument's subregions by color rank, and each
+    /// point's color rank per argument, point-major.
+    std::vector<const std::vector<RegionId>*> tables_;
+    std::vector<uint32_t> cranks_;
+    std::vector<PhysicalRegion> regions_;  ///< single task: its mapped regions
+    std::optional<std::size_t> trace_;  ///< in a trace scope: the launch's record
+  };
+
+  /// Resolve an index launch: evaluate every functor at every point and
+  /// check its color, resolve each argument's field list, check a trace
+  /// replay, and only then materialize the subregion tables, the launch's
+  /// first forest change, which cannot throw (DESIGN.md §3.4).
+  Resolution resolve(const IndexLauncher& launcher);
+  /// Resolve a single task: map its regions (and check a trace replay).
+  Resolution resolve(const TaskLauncher& launcher);
+
   /// Launch a single task (program-order semantics; §2).
-  LaunchResult execute(const TaskLauncher& launcher) override;
+  LaunchResult execute(const TaskLauncher& launcher) override {
+    return execute(launcher, resolve(launcher));
+  }
+  LaunchResult execute(const TaskLauncher& launcher, Resolution resolution);
 
   /// Launch |domain| tasks as one index launch (§3). Runs the hybrid safety
   /// analysis; an unsafe launch falls back to the equivalent sequential
-  /// task loop (Listing 3's generated branch) unless strict_unsafe is set.
-  LaunchResult execute_index(const IndexLauncher& launcher) override;
+  /// task loop (Listing 3's generated branch).
+  LaunchResult execute_index(const IndexLauncher& launcher) override {
+    return execute_index(launcher, resolve(launcher));
+  }
+  LaunchResult execute_index(const IndexLauncher& launcher, Resolution resolution);
 
   /// Dynamic tracing (Lee et al. [20]): capture the dependence analysis of
   /// the bracketed launches on first execution, replay it afterwards.
@@ -333,30 +363,35 @@ class Runtime : public RuntimeApi {
   /// either way the return value fills the node's Future slot.
   void run_body(TaskNode& node);
 
+  /// The next launch id, checked first against a replicated descriptor's
+  /// (a mismatch means this rank's issue stream diverged from the driver's).
+  uint64_t take_launch_id(const obs::TraceContext& ctx);
+
   /// Issue one task outside the bulk expansion (single tasks, task-loop
-  /// points): map regions into the task's slice of the arena's region
-  /// table, discover dependencies (or replay them from
-  /// `traced`), hand to the scheduler. `rank` is the task's index in its
-  /// launch: its Future slot and its place in the trace record.
+  /// points), whose regions are already mapped into its slice of the
+  /// arena's region table: discover dependencies (or replay them from
+  /// `traced`), hand to the scheduler. `masks` holds each argument's field
+  /// mask. `rank` is the task's index in its launch: its Future slot and
+  /// its place in the trace record.
   void issue_point_task(const ArenaPtr& arena, const Point& point,
-                        const std::vector<RegionArg>& args, std::size_t rank,
+                        std::span<const uint64_t> masks, std::size_t rank,
                         TracedLaunch* traced);
 
-  void expand_as_task_loop(const IndexLauncher& launcher, const ArenaPtr& arena,
-                           TracedLaunch* traced);
-  std::vector<RegionArg> project_args(const IndexLauncher& launcher, const Point& p);
+  void expand_as_task_loop(const IndexLauncher& launcher, const Resolution& res,
+                           const ArenaPtr& arena, TracedLaunch* traced);
   /// Hybrid safety analysis of an index launch (or its assume_verified
   /// claim), with the verdict counted.
-  SafetyReport analyze_safety(const IndexLauncher& launcher, uint64_t launch_id);
+  SafetyReport analyze_safety(const IndexLauncher& launcher, std::span<const uint64_t> masks,
+                              uint64_t launch_id);
 
-  /// Bulk expansion of a safe index launch: the issuing thread resolves
-  /// every point, then wires dependence edges through the group tracker
-  /// (group_mode), the per-point tracker, or the trace being replayed,
-  /// while chunk jobs on pool workers copy each point's prototype regions
-  /// into the arena, gated by an extra "closure guard" on each node's
-  /// pending count.
-  void expand_index_launch(const IndexLauncher& launcher, const ArenaPtr& arena,
-                           bool group_mode, SafetyOutcome outcome, TracedLaunch* traced);
+  /// Bulk expansion of a safe index launch: the issuing thread wires
+  /// dependence edges through the group tracker (group_mode), the
+  /// per-point tracker, or the trace being replayed, while chunk jobs on
+  /// pool workers copy each point's prototype regions into the arena,
+  /// gated by an extra "closure guard" on each node's pending count.
+  void expand_index_launch(const IndexLauncher& launcher, Resolution& res,
+                           const ArenaPtr& arena, bool group_mode, SafetyOutcome outcome,
+                           TracedLaunch* traced);
   /// Inter-launch short-circuit: is `s` certified kDisjoint against *every*
   /// summary recorded on `tree` since the last fence? Consults the
   /// interference cache first; analyzes (and caches) on a miss. `fp` is
@@ -378,15 +413,16 @@ class Runtime : public RuntimeApi {
                  const std::vector<TaskNodePtr>& deps);
 
   // --- tracing, shared by every issue path ---
-  /// Replay: the next captured launch, checked against this one before it
-  /// has any effect; a mismatch abandons the trace (trace_diverged).
-  TracedLaunch& replay_launch(TaskFnId fn, const Domain& domain, const Point& point);
-  /// Capture: open the record of the launch being issued.
-  TracedLaunch& capture_launch(TaskFnId fn, const Domain& domain, const Point& point,
-                               const LaunchResult& result);
-  /// Capture the launch's region-argument index spaces (per task, per
-  /// argument), or check them against the capture on replay.
-  void trace_args(TracedLaunch& rec, std::vector<uint32_t> ispaces);
+  /// The index of the trace record of a launch being resolved, none outside
+  /// a trace scope. A capture opens it, with `ispaces` (the launch's
+  /// region-argument index spaces, per task and argument). A replay checks
+  /// the launch against the next captured one before it has any effect; a
+  /// mismatch abandons the trace (trace_diverged).
+  std::optional<std::size_t> trace_launch(TaskFnId fn, const Domain& domain,
+                                          const Point& point, std::vector<uint32_t> ispaces);
+  /// The record a resolution is issued with (null outside a trace scope);
+  /// throws, before the launch has any effect, if the scope changed since.
+  TracedLaunch* trace_record(const Resolution& res);
   /// Replay: wire task `task` of `rec` to its captured predecessors.
   /// Capture: record the in-trace members of `deps` as its predecessors.
   void trace_deps(TracedLaunch& rec, std::size_t task, const TaskNodePtr& node,

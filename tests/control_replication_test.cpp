@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -262,6 +263,74 @@ TEST(InProcessRanksTest, SetupAfterFirstLaunchIsRefused) {
     // Nothing reached the workers: they are alive and hold the init state.
     fx.rt.wait_all();
     EXPECT_EQ(fx.values(24), serial_reference(24, 0));
+  }
+}
+
+TEST(InProcessRanksTest, RefusedLaunchLeavesEveryRankUsable) {
+  // Rank 0 resolves a launch before it has any effect: a launcher it
+  // refuses throws before rank 0 takes a launch id, plans a transfer or
+  // creates a subregion, and no worker sees it. So the next launch runs on
+  // every rank, whichever data plane moves the data.
+  for (const bool delta : {true, false}) {
+    SCOPED_TRACE(delta ? "delta" : "star-hub");
+    DistributedRuntime rt(in_process(2, delta));
+    RegionForest& forest = rt.forest();
+    const IndexSpaceId is = forest.create_index_space(Domain::line(64));
+    const FieldSpaceId fs = forest.create_field_space();
+    const FieldId fv = forest.allocate_field(fs, sizeof(double), "v");
+    const FieldId missing = fv + 1;  // the field space holds only fv
+    const RegionId grid = forest.create_region(is, fs);
+    const PartitionId touched = partition_equal(forest, is, Rect::line(8));
+    const PartitionId untouched = partition_equal(forest, is, Rect::line(4));
+    const TaskFnId inc = rt.register_task("inc", [](TaskContext& ctx) {
+      auto acc = ctx.region(0).accessor<double>(0);
+      ctx.region(0).domain().for_each([&](const Point& p) { acc.write(p, acc.read(p) + 1); });
+    });
+    const auto launch = [&](PartitionId part, int64_t colors, ProjectionFunctor functor,
+                            FieldId field) {
+      return IndexLauncher::over(Domain::line(colors))
+          .with_task(inc)
+          .region(grid, part, std::move(functor), {field}, Privilege::kReadWrite);
+    };
+    const auto valid = [&] {
+      rt.execute_index(launch(touched, 8, ProjectionFunctor::identity(1), fv));
+    };
+    valid();  // the init launch touches `touched`
+    double expected = 1;
+
+    // affine1d(1, 1) sends the last point one color past the partition.
+    const std::vector<std::pair<const char*, std::function<void()>>> refusals = {
+        {"color outside a touched partition",
+         [&] { rt.execute_index(launch(touched, 8, ProjectionFunctor::affine1d(1, 1), fv)); }},
+        {"color outside an untouched partition",
+         [&] {
+           rt.execute_index(launch(untouched, 4, ProjectionFunctor::affine1d(1, 1), fv));
+         }},
+        {"single task naming an unknown field",
+         [&] {
+           rt.execute(TaskLauncher::for_task(inc).region(grid, {missing},
+                                                         Privilege::kReadWrite));
+         }},
+        {"index launch naming an unknown field",
+         [&] {
+           rt.execute_index(launch(touched, 8, ProjectionFunctor::identity(1), missing));
+         }},
+    };
+    for (const auto& [what, refused] : refusals) {
+      SCOPED_TRACE(what);
+      const uint64_t next_launch = rt.local().peek_next_launch_id();
+      const std::size_t journal = forest.setup_journal().size();
+      EXPECT_THROW(refused(), RuntimeError);
+      EXPECT_EQ(rt.local().peek_next_launch_id(), next_launch);
+      EXPECT_EQ(forest.setup_journal().size(), journal);
+
+      valid();
+      ++expected;
+      rt.wait_all();
+      EXPECT_TRUE(rt.fault_report().ok());
+      auto acc = rt.read_region<double>(grid, fv);
+      for (int64_t i = 0; i < 64; ++i) ASSERT_EQ(acc.read(Point::p1(i)), expected) << i;
+    }
   }
 }
 

@@ -197,20 +197,6 @@ TEST(RuntimeTest, UnsafeLaunchFallsBackSequentially) {
   EXPECT_DOUBLE_EQ(traced_acc.read(Point::p1(2)), 5.0);
 }
 
-TEST(RuntimeTest, StrictUnsafeThrows) {
-  RuntimeConfig cfg;
-  cfg.strict_unsafe = true;
-  Fixture fx(3, 3, cfg);
-  const TaskFnId noop = fx.rt.register_task("noop", [](TaskContext&) {});
-  EXPECT_THROW(
-      fx.rt.execute_index(
-          IndexLauncher::over(Domain::line(6))
-              .with_task(noop)
-              .region(fx.region, fx.blocks, ProjectionFunctor::modular1d(0, 3),
-                      {fx.fv}, Privilege::kWrite)),
-      RuntimeError);
-}
-
 TEST(RuntimeTest, ReductionIntoSingleCell) {
   // Every task of the launch reduces its block's sum into one global cell
   // via a constant projection functor — safe because reductions are exempt

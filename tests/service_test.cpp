@@ -246,6 +246,49 @@ TEST(ServiceIsolation, ForeignHandlesAreTypedRejects) {
   intruder.goodbye();
 }
 
+TEST(ServiceIsolation, UnknownFieldIsTypedReject) {
+  // A read, a fill or a launch naming a field the region's field space
+  // lacks is a typed kBackend reject, not an abort of the server and every
+  // tenant with it: the same client's next launch and read succeed, and
+  // another session is unaffected.
+  ServiceRuntime server(local_backend());
+  const uint16_t port = server.listen_tcp();
+  ServiceClient client = ServiceClient::connect_tcp("127.0.0.1", port);
+  ServiceClient other = ServiceClient::connect_tcp("127.0.0.1", port);
+  const ClientRegion r = setup_region(client, 64, 4, 0.0);
+  const ClientRegion o = setup_region(other, 64, 4, 5.0);
+  const FieldId missing = r.f + 1;  // the field space holds only r.f
+
+  const auto expect_backend_reject = [](const char* what, const auto& request) {
+    try {
+      request();
+      ADD_FAILURE() << what << " naming an unknown field must be rejected";
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), Err::kBackend) << what;
+    }
+  };
+  expect_backend_reject("read", [&] { client.read_field(r.region, missing); });
+  expect_backend_reject("fill", [&] { client.fill(r.region, missing, 1.0); });
+  IndexLauncher unknown = increment_launch(client, r, 4);
+  unknown.args[0].fields = {missing};
+  expect_backend_reject("launch", [&] { client.launch_checked(unknown); });
+
+  const auto first_value = [](ServiceClient& c, const ClientRegion& cr) {
+    const std::vector<std::byte> bytes = c.read_field(cr.region, cr.f);
+    double v = 0;
+    std::memcpy(&v, bytes.data(), sizeof(double));
+    return v;
+  };
+  client.launch_checked(increment_launch(client, r, 4));
+  EXPECT_TRUE(client.fence().ok());
+  EXPECT_EQ(first_value(client, r), 1.0);
+  other.launch_checked(increment_launch(other, o, 4));
+  EXPECT_TRUE(other.fence().ok());
+  EXPECT_EQ(first_value(other, o), 6.0);
+  client.goodbye();
+  other.goodbye();
+}
+
 // --- fair-share scheduling under contention -------------------------------
 
 TEST(ServiceFairShare, WeightedIssueOrderUnderContention) {
