@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
+#include <variant>
 
 #include "dist/task_registry.hpp"
 #include "dist/worker.hpp"
@@ -202,7 +203,6 @@ void DistributedRuntime::ensure_started() {
   const std::size_t nworkers = config_.ranks - 1;
   peer_errors_.assign(nworkers, "");
   worker_closed_.assign(nworkers, false);
-  worker_net_.assign(nworkers, DataPlaneStats{});
   worker_metrics_.assign(nworkers, obs::MetricsSnapshot{});
 
   // Cluster tracing: IDXL_TRACE overrides DistConfig::trace_path, and a
@@ -241,19 +241,6 @@ void DistributedRuntime::ensure_started() {
     wd->set_on_stall([this](const obs::StallReport&) {
       std::fputs(distributed_stall_dump().c_str(), stderr);
     });
-
-  obs::MetricsRegistry& mreg = local().metrics();
-  m_bytes_hub_ = mreg.counter("idxl_net_data_bytes_total",
-                              "Data-plane payload bytes moved, by kind and route",
-                              {{"kind", "full"}, {"route", "hub"}});
-  m_bytes_relay_ = mreg.counter("idxl_net_data_bytes_total",
-                                "Data-plane payload bytes moved, by kind and route",
-                                {{"kind", "delta"}, {"route", "relay"}});
-  m_bytes_p2p_ = mreg.counter("idxl_net_data_bytes_total",
-                              "Data-plane payload bytes moved, by kind and route",
-                              {{"kind", "delta"}, {"route", "p2p"}});
-  m_transfers_ = mreg.counter("idxl_net_transfers_total",
-                              "kRegionData transfer messages sent, run-wide");
 
   if (nworkers == 0) return;
 
@@ -410,14 +397,18 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
       break;
     }
     case Msg::kTelemetry: {
-      Telemetry t = decode_telemetry(frame.payload);
-      const bool stall =
-          t.flavor == static_cast<uint8_t>(TelemetryFlavor::kStallPush);
+      std::variant<obs::RankTrace, obs::RankStall> t = decode_telemetry(frame.payload);
+      obs::RankTrace* trace = std::get_if<obs::RankTrace>(&t);
       {
         std::lock_guard<std::mutex> lock(fence_mu_);
-        (stall ? stall_push_ : telemetry_)[t.rank] = std::move(t);
+        if (trace != nullptr) {
+          telemetry_[trace->rank] = std::move(*trace);
+        } else {
+          obs::RankStall& stall = std::get<obs::RankStall>(t);
+          stall_push_[stall.rank] = std::move(stall);
+        }
       }
-      if (!stall) fence_cv_.notify_all();
+      if (trace != nullptr) fence_cv_.notify_all();
       break;
     }
     case Msg::kBye:
@@ -457,12 +448,6 @@ void DistributedRuntime::on_worker_close(std::size_t worker,
   fence_cv_.notify_all();
 }
 
-DataPlaneStats DistributedRuntime::data_plane_locked() const {
-  DataPlaneStats t = replica_->data_plane();
-  for (const DataPlaneStats& w : worker_net_) t += w;
-  return t;
-}
-
 bool DistributedRuntime::fence(bool nothrow) {
   replica_->quiesce();
   const std::size_t nworkers = conns_.size();
@@ -487,20 +472,10 @@ bool DistributedRuntime::fence(bool nothrow) {
     });
     acks = std::move(fence_acks_[id]);
     fence_acks_.erase(id);
-    // Fold each worker's cumulative data-plane counters in, then publish
-    // run-wide totals to the idxl_net_* series. The piggybacked metrics
-    // snapshot refreshes the per-rank cluster view.
-    for (const auto& [worker, ack] : acks) {
-      worker_net_[worker] = ack.net;
+    // The piggybacked metrics snapshot refreshes the per-rank cluster view.
+    for (const auto& [worker, ack] : acks)
       if (!ack.metrics.empty())
         worker_metrics_[worker] = deserialize_metrics_snapshot(ack.metrics);
-    }
-    const DataPlaneStats t = data_plane_locked();
-    m_bytes_hub_.inc(t.bytes_hub - metrics_emitted_.bytes_hub);
-    m_bytes_relay_.inc(t.bytes_relay - metrics_emitted_.bytes_relay);
-    m_bytes_p2p_.inc(t.bytes_p2p - metrics_emitted_.bytes_p2p);
-    m_transfers_.inc(t.transfers - metrics_emitted_.transfers);
-    metrics_emitted_ = t;
     for (std::size_t i = 0; i < nworkers; ++i) {
       if (acks.count(i) != 0) continue;
       problem = "worker rank " + std::to_string(i + 1) +
@@ -595,11 +570,13 @@ void DistributedRuntime::sync_for_read() {
 }
 
 DataPlaneStats DistributedRuntime::data_plane_stats() {
-  // A fence pulls every worker's current counters in via its ack.
-  if (started_ && replica_ != nullptr && !conns_.empty()) fence(/*nothrow=*/true);
   if (replica_ == nullptr) return {};
+  // A fence pulls every worker's current counters in via its ack.
+  if (!conns_.empty()) fence(/*nothrow=*/true);
+  DataPlaneStats total = data_plane_of(local().metrics().snapshot());
   std::lock_guard<std::mutex> lock(fence_mu_);
-  return data_plane_locked();
+  for (const obs::MetricsSnapshot& m : worker_metrics_) total += data_plane_of(m);
+  return total;
 }
 
 obs::MetricsSnapshot DistributedRuntime::cluster_metrics() {
@@ -642,21 +619,14 @@ obs::ClusterTrace DistributedRuntime::collect_cluster_trace() {
       return telemetry_.size() + closed_count_locked() >= conns_.size();
     });
   }
-  Telemetry mine = replica_->telemetry();
+  obs::RankTrace mine = replica_->telemetry();
   std::lock_guard<std::mutex> lock(fence_mu_);
   telemetry_[0] = std::move(mine);
   for (auto& [rank, t] : telemetry_) {
-    obs::RankTrace rt;
-    rt.rank = rank;
     const net::ClockEstimate est = replica_->clock_estimate(rank);
-    rt.clock_offset_ns = est.valid ? est.offset_ns : 0;
-    rt.rtt_ns = est.valid ? est.rtt_ns : 0;
-    rt.epoch_ns = t.epoch_ns;
-    rt.names = std::move(t.names);
-    rt.spans = std::move(t.spans);
-    rt.samples = std::move(t.samples);
-    rt.recent = std::move(t.recent);
-    trace.ranks.push_back(std::move(rt));
+    t.clock_offset_ns = est.valid ? est.offset_ns : 0;
+    t.rtt_ns = est.valid ? est.rtt_ns : 0;
+    trace.ranks.push_back(std::move(t));
   }
   telemetry_.clear();
   return trace;
@@ -667,23 +637,12 @@ void DistributedRuntime::write_merged_trace(const std::string& path) {
 }
 
 std::string DistributedRuntime::distributed_stall_dump() {
-  Telemetry mine = replica_->stall_telemetry(local().stall_report());
+  obs::RankStall mine = replica_->stall_telemetry(local().stall_report());
   std::vector<obs::RankStall> ranks;
   {
     std::lock_guard<std::mutex> lock(fence_mu_);
     stall_push_[0] = std::move(mine);
-    for (const auto& [rank, t] : stall_push_) {
-      obs::RankStall rs;
-      rs.rank = rank;
-      rs.report.completed = t.completed;
-      rs.report.pending = t.pending;
-      rs.report.window_ms = t.window_ms;
-      rs.report.blocked = t.blocked;
-      rs.report.recent = t.recent;
-      rs.report.metrics = t.metrics;
-      rs.pending_externals = t.pending_externals;
-      ranks.push_back(std::move(rs));
-    }
+    for (const auto& [rank, stall] : stall_push_) ranks.push_back(stall);
   }
   return obs::merged_stall_dump(ranks);
 }

@@ -116,7 +116,8 @@ class DistributedRuntime : public RuntimeApi {
   bool delta_transfers() const { return delta_; }
 
   /// Fence, then return run-wide data-plane byte counters (bench/CI gate):
-  /// the driver's own plus every worker's, from the fence acks.
+  /// each rank's counters, from rank 0's registry and every worker's last
+  /// fence-ack snapshot, summed — the rank="all" rows of cluster_metrics().
   DataPlaneStats data_plane_stats();
 
   /// Fence, then aggregate every rank's metrics into one snapshot: each
@@ -177,10 +178,6 @@ class DistributedRuntime : public RuntimeApi {
   /// Throw unless the driver's forest still matches every worker's.
   void require_replicated_forest() const;
 
-  /// Run-wide data-plane totals: rank 0's counters plus the latest from
-  /// every worker (fence_mu_ held).
-  DataPlaneStats data_plane_locked() const;
-
   DistConfig config_;
   std::shared_ptr<RegionForest> forest_;
   std::vector<std::pair<std::string, TaskFn>> tasks_;
@@ -198,9 +195,6 @@ class DistributedRuntime : public RuntimeApi {
   std::vector<pid_t> children_;        ///< fork mode
   std::vector<std::thread> rank_threads_;  ///< in-process mode
 
-  /// Run-wide idxl_net_* series, published at fences.
-  obs::Counter m_bytes_hub_, m_bytes_relay_, m_bytes_p2p_, m_transfers_;
-
   /// Driver-bound transfer payloads (kRegionData, dest 0) parked until the
   /// sender's slim kTaskDone completes the node (see on_worker_frame).
   std::mutex xdata_mu_;
@@ -211,18 +205,14 @@ class DistributedRuntime : public RuntimeApi {
   uint64_t next_fence_ = 0;
   /// fence id -> acks received (worker index -> ack)
   std::map<uint64_t, std::map<std::size_t, FenceAck>> fence_acks_;
-  /// Latest cumulative per-worker counters (fence_mu_).
-  std::vector<DataPlaneStats> worker_net_;
   /// Latest metrics snapshot per worker index, from fence acks (fence_mu_).
   std::vector<obs::MetricsSnapshot> worker_metrics_;
-  /// Shutdown-pull telemetry by rank, answering kTelemetryReq; rank 0's
-  /// own joins it at collection (fence_mu_).
-  std::map<uint32_t, Telemetry> telemetry_;
+  /// Shutdown-pull traces by rank, answering kTelemetryReq; rank 0's own
+  /// joins them at collection (fence_mu_).
+  std::map<uint32_t, obs::RankTrace> telemetry_;
   /// Latest stall push per rank from worker watchdogs; rank 0's own is
   /// taken at each dump (fence_mu_).
-  std::map<uint32_t, Telemetry> stall_push_;
-  /// Totals already folded into the metric counters (fence_mu_).
-  DataPlaneStats metrics_emitted_;
+  std::map<uint32_t, obs::RankStall> stall_push_;
   std::vector<std::string> peer_errors_;  // non-empty entry = worker trouble
   std::vector<bool> worker_closed_;       // recv loop ended (clean or not)
   std::size_t hello_acks_ = 0;

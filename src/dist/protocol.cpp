@@ -248,10 +248,6 @@ std::vector<std::byte> encode_fence_ack(const FenceAck& a) {
   s.put_header();
   s.put_u64(a.fence);
   s.put_blob(serialize_fault_report(a.report));
-  s.put_u64(a.net.bytes_hub);
-  s.put_u64(a.net.bytes_relay);
-  s.put_u64(a.net.bytes_p2p);
-  s.put_u64(a.net.transfers);
   s.put_blob(a.metrics);
   return s.take();
 }
@@ -262,10 +258,6 @@ FenceAck decode_fence_ack(const std::vector<std::byte>& bytes) {
   FenceAck a;
   a.fence = d.get_u64();
   a.report = deserialize_fault_report(d.get_blob());
-  a.net.bytes_hub = d.get_u64();
-  a.net.bytes_relay = d.get_u64();
-  a.net.bytes_p2p = d.get_u64();
-  a.net.transfers = d.get_u64();
   a.metrics = d.get_blob();
   IDXL_REQUIRE(d.done(), "trailing bytes after fence-ack message");
   return a;
@@ -340,16 +332,78 @@ obs::MetricsSnapshot deserialize_metrics_snapshot(
   return m;
 }
 
-std::vector<std::byte> encode_telemetry(const Telemetry& t) {
+namespace {
+
+/// The flavor byte that opens a kTelemetry payload.
+enum class TelemetryFlavor : uint8_t {
+  kShutdownPull = 0,  ///< an obs::RankTrace, answering kTelemetryReq
+  kStallPush = 1,     ///< an obs::RankStall, pushed by the rank's watchdog
+};
+
+/// A u32 count, then each item.
+template <class T, class Put>
+void put_list(Serializer& s, const std::vector<T>& items, Put&& put) {
+  s.put_u32(static_cast<uint32_t>(items.size()));
+  for (const T& item : items) put(item);
+}
+
+/// The inverse of put_list. The list grows as items decode, so a corrupt
+/// count fails on the truncated input instead of allocating up front.
+template <class T, class Get>
+std::vector<T> get_list(Deserializer& d, Get&& get) {
+  std::vector<T> items;
+  for (uint32_t n = d.get_u32(); n > 0; --n) items.push_back(get());
+  return items;
+}
+
+void put_seqs(Serializer& s, const std::vector<uint64_t>& seqs) {
+  put_list(s, seqs, [&](uint64_t seq) { s.put_u64(seq); });
+}
+
+std::vector<uint64_t> get_seqs(Deserializer& d) {
+  return get_list<uint64_t>(d, [&] { return d.get_u64(); });
+}
+
+void put_events(Serializer& s, const std::vector<obs::Event>& events) {
+  put_list(s, events, [&](const obs::Event& ev) {
+    s.put_u64(ev.ts_ns);
+    s.put_u64(ev.seq);
+    s.put_u64(ev.launch);
+    s.put_u64(ev.edge);
+    for (int i = 0; i < obs::Event::kMaxPointDim; ++i) s.put_i64(ev.coord[i]);
+    s.put_u8(static_cast<uint8_t>(ev.kind));
+    s.put_u8(static_cast<uint8_t>(ev.detail));
+    s.put_u8(static_cast<uint8_t>(ev.dim));
+    s.put_i64(ev.worker);
+  });
+}
+
+std::vector<obs::Event> get_events(Deserializer& d) {
+  return get_list<obs::Event>(d, [&] {
+    obs::Event ev;
+    ev.ts_ns = d.get_u64();
+    ev.seq = d.get_u64();
+    ev.launch = d.get_u64();
+    ev.edge = d.get_u64();
+    for (int i = 0; i < obs::Event::kMaxPointDim; ++i) ev.coord[i] = d.get_i64();
+    ev.kind = static_cast<obs::LifecycleEvent>(d.get_u8());
+    ev.detail = static_cast<obs::LifecycleDetail>(d.get_u8());
+    ev.dim = static_cast<int8_t>(d.get_u8());
+    ev.worker = static_cast<int32_t>(d.get_i64());
+    return ev;
+  });
+}
+
+}  // namespace
+
+std::vector<std::byte> encode_telemetry(const obs::RankTrace& t) {
   Serializer s;
   s.put_header();
+  s.put_u8(static_cast<uint8_t>(TelemetryFlavor::kShutdownPull));
   s.put_u32(t.rank);
-  s.put_u8(t.flavor);
   s.put_u64(t.epoch_ns);
-  s.put_u32(static_cast<uint32_t>(t.names.size()));
-  for (const std::string& n : t.names) s.put_string(n);
-  s.put_u32(static_cast<uint32_t>(t.spans.size()));
-  for (const ProfileEvent& ev : t.spans) {
+  put_list(s, t.names, [&](const std::string& n) { s.put_string(n); });
+  put_list(s, t.spans, [&](const ProfileEvent& ev) {
     s.put_u32(ev.name);
     s.put_u8(static_cast<uint8_t>(ev.cat));
     s.put_i64(ev.worker);
@@ -361,120 +415,96 @@ std::vector<std::byte> encode_telemetry(const Telemetry& t) {
     s.put_u64(ev.launch);
     s.put_u64(ev.parent);
     s.put_u32(ev.origin);
-  }
-  s.put_u32(static_cast<uint32_t>(t.samples.size()));
-  for (const TaskSample& sample : t.samples) {
+  });
+  put_list(s, t.samples, [&](const TaskSample& sample) {
     s.put_u64(sample.seq);
     s.put_u64(sample.dur_ns);
-    s.put_u32(static_cast<uint32_t>(sample.deps.size()));
-    for (uint64_t dep : sample.deps) s.put_u64(dep);
-  }
-  s.put_u32(static_cast<uint32_t>(t.recent.size()));
-  for (const obs::Event& ev : t.recent) {
-    s.put_u64(ev.ts_ns);
-    s.put_u64(ev.seq);
-    s.put_u64(ev.launch);
-    s.put_u64(ev.edge);
-    for (int i = 0; i < obs::Event::kMaxPointDim; ++i)
-      s.put_i64(ev.coord[i]);
-    s.put_u8(static_cast<uint8_t>(ev.kind));
-    s.put_u8(static_cast<uint8_t>(ev.detail));
-    s.put_u8(static_cast<uint8_t>(ev.dim));
-    s.put_i64(ev.worker);
-  }
-  s.put_blob(serialize_metrics_snapshot(t.metrics));
-  s.put_u64(t.completed);
-  s.put_u64(t.pending);
-  s.put_u64(t.window_ms);
-  s.put_u32(static_cast<uint32_t>(t.blocked.size()));
-  for (const obs::BlockedTask& b : t.blocked) {
-    s.put_u64(b.seq);
-    s.put_u64(b.launch);
-    s.put_string(b.label);
-    s.put_u32(static_cast<uint32_t>(b.waits_for.size()));
-    for (uint64_t dep : b.waits_for) s.put_u64(dep);
-  }
-  s.put_u32(static_cast<uint32_t>(t.pending_externals.size()));
-  for (uint64_t seq : t.pending_externals) s.put_u64(seq);
+    put_seqs(s, sample.deps);
+  });
+  put_events(s, t.recent);
   return s.take();
 }
 
-Telemetry decode_telemetry(const std::vector<std::byte>& bytes) {
+std::vector<std::byte> encode_telemetry(const obs::RankStall& stall) {
+  const obs::StallReport& r = stall.report;
+  Serializer s;
+  s.put_header();
+  s.put_u8(static_cast<uint8_t>(TelemetryFlavor::kStallPush));
+  s.put_u32(stall.rank);
+  s.put_u64(r.completed);
+  s.put_u64(r.pending);
+  s.put_u64(r.window_ms);
+  put_list(s, r.blocked, [&](const obs::BlockedTask& b) {
+    s.put_u64(b.seq);
+    s.put_u64(b.launch);
+    s.put_string(b.label);
+    put_seqs(s, b.waits_for);
+  });
+  put_events(s, r.recent);
+  s.put_blob(serialize_metrics_snapshot(r.metrics));
+  put_seqs(s, stall.pending_externals);
+  return s.take();
+}
+
+std::variant<obs::RankTrace, obs::RankStall> decode_telemetry(
+    const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   d.check_header("telemetry message");
-  Telemetry t;
-  t.rank = d.get_u32();
-  t.flavor = d.get_u8();
-  t.epoch_ns = d.get_u64();
-  const uint32_t nnames = d.get_u32();
-  t.names.reserve(nnames);
-  for (uint32_t i = 0; i < nnames; ++i) t.names.push_back(d.get_string());
-  const uint32_t nspans = d.get_u32();
-  t.spans.reserve(nspans);
-  for (uint32_t i = 0; i < nspans; ++i) {
-    ProfileEvent ev;
-    ev.name = d.get_u32();
-    ev.cat = static_cast<ProfCategory>(d.get_u8());
-    ev.worker = static_cast<int32_t>(d.get_i64());
-    ev.tid = d.get_u32();
-    ev.start_ns = d.get_u64();
-    ev.dur_ns = d.get_u64();
-    ev.seq = d.get_u64();
-    ev.queue_wait_ns = d.get_u64();
-    ev.launch = d.get_u64();
-    ev.parent = d.get_u64();
-    ev.origin = d.get_u32();
-    t.spans.push_back(ev);
+  const uint8_t flavor = d.get_u8();
+  std::variant<obs::RankTrace, obs::RankStall> out;
+  if (flavor == static_cast<uint8_t>(TelemetryFlavor::kShutdownPull)) {
+    obs::RankTrace t;
+    t.rank = d.get_u32();
+    t.epoch_ns = d.get_u64();
+    t.names = get_list<std::string>(d, [&] { return d.get_string(); });
+    t.spans = get_list<ProfileEvent>(d, [&] {
+      ProfileEvent ev;
+      ev.name = d.get_u32();
+      ev.cat = static_cast<ProfCategory>(d.get_u8());
+      ev.worker = static_cast<int32_t>(d.get_i64());
+      ev.tid = d.get_u32();
+      ev.start_ns = d.get_u64();
+      ev.dur_ns = d.get_u64();
+      ev.seq = d.get_u64();
+      ev.queue_wait_ns = d.get_u64();
+      ev.launch = d.get_u64();
+      ev.parent = d.get_u64();
+      ev.origin = d.get_u32();
+      return ev;
+    });
+    t.samples = get_list<TaskSample>(d, [&] {
+      TaskSample sample;
+      sample.seq = d.get_u64();
+      sample.dur_ns = d.get_u64();
+      sample.deps = get_seqs(d);
+      return sample;
+    });
+    t.recent = get_events(d);
+    out = std::move(t);
+  } else {
+    IDXL_REQUIRE(flavor == static_cast<uint8_t>(TelemetryFlavor::kStallPush),
+                 "telemetry message of unknown flavor " + std::to_string(flavor));
+    obs::RankStall stall;
+    obs::StallReport& r = stall.report;
+    stall.rank = d.get_u32();
+    r.completed = d.get_u64();
+    r.pending = d.get_u64();
+    r.window_ms = d.get_u64();
+    r.blocked = get_list<obs::BlockedTask>(d, [&] {
+      obs::BlockedTask b;
+      b.seq = d.get_u64();
+      b.launch = d.get_u64();
+      b.label = d.get_string();
+      b.waits_for = get_seqs(d);
+      return b;
+    });
+    r.recent = get_events(d);
+    r.metrics = deserialize_metrics_snapshot(d.get_blob());
+    stall.pending_externals = get_seqs(d);
+    out = std::move(stall);
   }
-  const uint32_t nsamples = d.get_u32();
-  t.samples.reserve(nsamples);
-  for (uint32_t i = 0; i < nsamples; ++i) {
-    TaskSample sample;
-    sample.seq = d.get_u64();
-    sample.dur_ns = d.get_u64();
-    const uint32_t ndeps = d.get_u32();
-    sample.deps.reserve(ndeps);
-    for (uint32_t j = 0; j < ndeps; ++j) sample.deps.push_back(d.get_u64());
-    t.samples.push_back(std::move(sample));
-  }
-  const uint32_t nrecent = d.get_u32();
-  t.recent.reserve(nrecent);
-  for (uint32_t i = 0; i < nrecent; ++i) {
-    obs::Event ev;
-    ev.ts_ns = d.get_u64();
-    ev.seq = d.get_u64();
-    ev.launch = d.get_u64();
-    ev.edge = d.get_u64();
-    for (int j = 0; j < obs::Event::kMaxPointDim; ++j)
-      ev.coord[j] = d.get_i64();
-    ev.kind = static_cast<obs::LifecycleEvent>(d.get_u8());
-    ev.detail = static_cast<obs::LifecycleDetail>(d.get_u8());
-    ev.dim = static_cast<int8_t>(d.get_u8());
-    ev.worker = static_cast<int32_t>(d.get_i64());
-    t.recent.push_back(ev);
-  }
-  t.metrics = deserialize_metrics_snapshot(d.get_blob());
-  t.completed = d.get_u64();
-  t.pending = d.get_u64();
-  t.window_ms = d.get_u64();
-  const uint32_t nblocked = d.get_u32();
-  t.blocked.reserve(nblocked);
-  for (uint32_t i = 0; i < nblocked; ++i) {
-    obs::BlockedTask b;
-    b.seq = d.get_u64();
-    b.launch = d.get_u64();
-    b.label = d.get_string();
-    const uint32_t ndeps = d.get_u32();
-    b.waits_for.reserve(ndeps);
-    for (uint32_t j = 0; j < ndeps; ++j) b.waits_for.push_back(d.get_u64());
-    t.blocked.push_back(std::move(b));
-  }
-  const uint32_t nexternals = d.get_u32();
-  t.pending_externals.reserve(nexternals);
-  for (uint32_t i = 0; i < nexternals; ++i)
-    t.pending_externals.push_back(d.get_u64());
   IDXL_REQUIRE(d.done(), "trailing bytes after telemetry message");
-  return t;
+  return out;
 }
 
 }  // namespace idxl::dist

@@ -4,12 +4,12 @@
 #include <mutex>
 #include <string>
 #include <unordered_set>
+#include <variant>
 #include <vector>
 
-#include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_context.hpp"
-#include "obs/watchdog.hpp"
+#include "obs/trace_merge.hpp"
 #include "region/region_forest.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/physical.hpp"
@@ -73,14 +73,14 @@ enum class Msg : uint8_t {
   kSingle,      ///< driver -> worker: one serialized TaskLauncher
   kTaskDone,    ///< owner -> everyone (via driver): terminal task outcome
   kFence,       ///< driver -> worker: quiesce and report
-  kFenceAck,    ///< worker -> driver: fence id + serialized FaultReport
+  kFenceAck,    ///< worker -> driver: fence id, FaultReport, metrics snapshot
   kShutdown,    ///< driver -> worker: drain and exit
   kBye,         ///< worker -> driver: teardown complete
   kPing,          ///< heartbeat + clock probe, either direction (net/clock.hpp)
   kRecall,        ///< driver -> worker: plan the recall to rank 0 (v6)
   kRegionData,    ///< src rank -> dest rank, direct or driver-relayed (v3)
-  kTelemetryReq,  ///< driver -> worker: ship your trace + metrics (v4)
-  kTelemetry,     ///< worker -> driver: spans, lifecycle tail, metrics (v4)
+  kTelemetryReq,  ///< driver -> worker: ship your trace (v4)
+  kTelemetry,     ///< worker -> driver: its trace, or its stall report (v7)
 };
 
 /// Metric-label name per message type (NetObs::type_name).
@@ -156,33 +156,13 @@ struct RegionData {
 std::vector<std::byte> encode_region_data(const RegionData& r);
 RegionData decode_region_data(const std::vector<std::byte>& bytes);
 
-/// Data-plane byte counters: one rank's cumulative sends, piggybacked on
-/// every FenceAck, or the driver's run-wide sum of every rank's (so direct
-/// worker->worker legs the driver never sees are counted too).
-struct DataPlaneStats {
-  uint64_t bytes_hub = 0;    ///< full-block outcome payload bytes
-  uint64_t bytes_relay = 0;  ///< delta patch bytes moved via the driver
-  uint64_t bytes_p2p = 0;    ///< delta patch bytes on direct worker links
-  uint64_t transfers = 0;    ///< kRegionData messages sent
-
-  uint64_t bytes_delta() const { return bytes_relay + bytes_p2p; }
-  uint64_t bytes_total() const { return bytes_hub + bytes_relay + bytes_p2p; }
-  DataPlaneStats& operator+=(const DataPlaneStats& o) {
-    bytes_hub += o.bytes_hub;
-    bytes_relay += o.bytes_relay;
-    bytes_p2p += o.bytes_p2p;
-    transfers += o.transfers;
-    return *this;
-  }
-};
-
 struct FenceAck {
   uint64_t fence = 0;
   FaultReport report;
-  DataPlaneStats net;
-  /// Serialized MetricsSnapshot of the worker's registry (may be empty):
-  /// fences are rare and snapshots small, so every ack refreshes the
-  /// driver's per-rank metrics view for cluster aggregation.
+  /// Serialized MetricsSnapshot of the worker's registry: every per-rank
+  /// counter, the data-plane bytes and transfers included. Fences are rare
+  /// and snapshots small, so every ack refreshes the driver's per-rank
+  /// metrics view.
   std::vector<std::byte> metrics;
 };
 std::vector<std::byte> encode_fence(uint64_t fence);
@@ -195,34 +175,15 @@ std::vector<std::byte> serialize_metrics_snapshot(const obs::MetricsSnapshot& m)
 obs::MetricsSnapshot deserialize_metrics_snapshot(
     const std::vector<std::byte>& bytes);
 
-/// Why a rank shipped its telemetry.
-enum class TelemetryFlavor : uint8_t {
-  kShutdownPull = 0,  ///< answering the driver's kTelemetryReq at shutdown
-  kStallPush = 1,     ///< the rank's own watchdog declared a stall
-};
-
-/// One rank's observability state on the wire: everything the driver needs
-/// for the clock-aligned trace merge (spans + intern table + epoch), the
-/// lifecycle tail, a metrics snapshot, and — for stall pushes — the
-/// waits-for graph so the distributed watchdog can name the blocking rank.
-struct Telemetry {
-  uint32_t rank = 0;
-  uint8_t flavor = 0;     ///< TelemetryFlavor
-  uint64_t epoch_ns = 0;  ///< event-log epoch, absolute steady-clock ns
-  std::vector<std::string> names;  ///< event-log intern table
-  std::vector<ProfileEvent> spans;
-  std::vector<TaskSample> samples;
-  std::vector<obs::Event> recent;
-  obs::MetricsSnapshot metrics;
-  // Stall-push fields (zero/empty on shutdown pulls).
-  uint64_t completed = 0;
-  uint64_t pending = 0;
-  uint64_t window_ms = 0;
-  std::vector<obs::BlockedTask> blocked;
-  /// Task seqs this rank still expects TaskDone/kRegionData for.
-  std::vector<uint64_t> pending_externals;
-};
-std::vector<std::byte> encode_telemetry(const Telemetry& t);
-Telemetry decode_telemetry(const std::vector<std::byte>& bytes);
+/// kTelemetry payloads carry the types the driver's merges consume, tagged
+/// by a flavor byte: a rank's obs::RankTrace answers the driver's
+/// kTelemetryReq at shutdown, and its obs::RankStall is pushed when its own
+/// watchdog declares a stall. A trace's clock fields are the driver's own
+/// estimates for the sending rank, filled in on arrival, so the codec leaves
+/// them out.
+std::vector<std::byte> encode_telemetry(const obs::RankTrace& trace);
+std::vector<std::byte> encode_telemetry(const obs::RankStall& stall);
+std::variant<obs::RankTrace, obs::RankStall> decode_telemetry(
+    const std::vector<std::byte>& bytes);
 
 }  // namespace idxl::dist

@@ -33,6 +33,13 @@ TaskLauncher xfer_launcher(TaskFnId task, const Transfer& t, uint32_t nranks) {
       .as_internal();
 }
 
+/// The data-plane series every rank registers and data_plane_of reads.
+constexpr const char* kDataBytes = "idxl_net_data_bytes_total";
+constexpr const char* kTransfers = "idxl_net_transfers_total";
+obs::Labels route_labels(const char* kind, const char* route) {
+  return {{"kind", kind}, {"route", route}};
+}
+
 /// The planner's footprint rules: a task reads every argument but a kWrite
 /// one, reads before it writes, and a sparse write footprint ships its full
 /// outcome (full_outcome_footprint), so its writes are current everywhere.
@@ -100,6 +107,15 @@ void plan_points(const RegionForest& forest, VersionMap& map,
 
 }  // namespace
 
+DataPlaneStats data_plane_of(const obs::MetricsSnapshot& metrics) {
+  DataPlaneStats s;
+  s.bytes_hub = metrics.value(kDataBytes, route_labels("full", "hub"));
+  s.bytes_relay = metrics.value(kDataBytes, route_labels("delta", "relay"));
+  s.bytes_p2p = metrics.value(kDataBytes, route_labels("delta", "p2p"));
+  s.transfers = metrics.value(kTransfers);
+  return s;
+}
+
 bool try_send(net::Connection& conn, Msg type, const std::vector<std::byte>& payload) {
   try {
     conn.send(static_cast<uint8_t>(type), payload);
@@ -137,11 +153,15 @@ Replica::Replica(uint32_t rank, uint32_t nranks, RuntimeConfig config,
   clocks_ = std::make_unique<net::ClockTable>(&rt_->metrics());
   name_xfer_apply_ = rt_->profiler().intern("xfer-apply");
   name_done_apply_ = rt_->profiler().intern("done-apply");
-  xfer_size_ = rt_->metrics().histogram("idxl_net_transfer_bytes",
-                                        "Per-transfer payload bytes (sender side)");
-  xfer_latency_ = rt_->metrics().histogram(
-      "idxl_net_transfer_latency_ns",
-      "Transfer send-to-apply latency, steady-clock ns (receiver side)");
+  obs::MetricsRegistry& m = rt_->metrics();
+  const char* bytes_help = "Data-plane payload bytes sent, by kind and route";
+  bytes_hub_ = m.counter(kDataBytes, bytes_help, route_labels("full", "hub"));
+  bytes_relay_ = m.counter(kDataBytes, bytes_help, route_labels("delta", "relay"));
+  bytes_p2p_ = m.counter(kDataBytes, bytes_help, route_labels("delta", "p2p"));
+  transfers_ = m.counter(kTransfers, "kRegionData transfer messages sent");
+  xfer_size_ = m.histogram("idxl_net_transfer_bytes", "Per-transfer payload bytes (sender side)");
+  xfer_latency_ = m.histogram("idxl_net_transfer_latency_ns",
+                              "Transfer send-to-apply latency, steady-clock ns (receiver side)");
 }
 
 LaunchResult Replica::execute_index(const IndexLauncher& launcher) {
@@ -263,8 +283,7 @@ void Replica::send_outcome(const TaskDone& done) {
   for (const RankLink& link : links_.outcomes)
     if (link.rank != done.data_dest || link.conn == links_.relay)
       try_send(*link.conn, Msg::kTaskDone, payload);
-  bytes_hub_.fetch_add(done.outcome.region_bytes.size() * links_.outcomes.size(),
-                       std::memory_order_relaxed);
+  bytes_hub_.inc(done.outcome.region_bytes.size() * links_.outcomes.size());
 }
 
 void Replica::send_transfer(uint64_t seq, uint64_t launch, TaskContext& ctx) {
@@ -289,14 +308,14 @@ void Replica::send_transfer(uint64_t seq, uint64_t launch, TaskContext& ctx) {
   const std::vector<std::byte> payload = encode_region_data(rd);
 
   // Fallback ladder: the direct link if it is up, the relay otherwise.
-  std::atomic<uint64_t>* route = nullptr;
+  const obs::Counter* route = nullptr;
   if (direct != nullptr && try_send(*direct, Msg::kRegionData, payload))
     route = links_.direct_is_p2p ? &bytes_p2p_ : &bytes_relay_;
   else if (links_.relay != nullptr && try_send(*links_.relay, Msg::kRegionData, payload))
     route = &bytes_relay_;
   if (route != nullptr) {
-    route->fetch_add(nbytes, std::memory_order_relaxed);
-    transfers_.fetch_add(1, std::memory_order_relaxed);
+    route->inc(nbytes);
+    transfers_.inc();
     xfer_size_.observe(nbytes);
   }
 
@@ -344,23 +363,13 @@ void Replica::answer_probe(uint32_t peer_rank, net::Connection& conn,
 }
 
 void Replica::count_forwarded(uint64_t hub_bytes, uint64_t relay_bytes) {
-  bytes_hub_.fetch_add(hub_bytes, std::memory_order_relaxed);
-  bytes_relay_.fetch_add(relay_bytes, std::memory_order_relaxed);
+  bytes_hub_.inc(hub_bytes);
+  bytes_relay_.inc(relay_bytes);
 }
 
-DataPlaneStats Replica::data_plane() const {
-  DataPlaneStats s;
-  s.bytes_hub = bytes_hub_.load(std::memory_order_relaxed);
-  s.bytes_relay = bytes_relay_.load(std::memory_order_relaxed);
-  s.bytes_p2p = bytes_p2p_.load(std::memory_order_relaxed);
-  s.transfers = transfers_.load(std::memory_order_relaxed);
-  return s;
-}
-
-Telemetry Replica::telemetry() const {
-  Telemetry t;
+obs::RankTrace Replica::telemetry() const {
+  obs::RankTrace t;
   t.rank = rank_;
-  t.flavor = static_cast<uint8_t>(TelemetryFlavor::kShutdownPull);
   const obs::EventLog& log = rt_->profiler();
   t.epoch_ns = log.epoch_ns();
   if (log.capturing()) {
@@ -369,24 +378,11 @@ Telemetry Replica::telemetry() const {
     t.samples = log.task_samples();
   }
   t.recent = log.tail(256);
-  t.metrics = rt_->metrics().snapshot();
-  t.pending_externals = rt_->pending_externals();
   return t;
 }
 
-Telemetry Replica::stall_telemetry(const obs::StallReport& report) const {
-  Telemetry t;
-  t.rank = rank_;
-  t.flavor = static_cast<uint8_t>(TelemetryFlavor::kStallPush);
-  t.epoch_ns = rt_->profiler().epoch_ns();
-  t.completed = report.completed;
-  t.pending = report.pending;
-  t.window_ms = report.window_ms;
-  t.blocked = report.blocked;
-  t.recent = report.recent;
-  t.metrics = report.metrics;
-  t.pending_externals = rt_->pending_externals();
-  return t;
+obs::RankStall Replica::stall_telemetry(const obs::StallReport& report) const {
+  return obs::RankStall{rank_, report, rt_->pending_externals()};
 }
 
 }  // namespace idxl::dist

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <utility>
@@ -10,9 +9,34 @@
 #include "net/connection.hpp"
 #include "dist/protocol.hpp"
 #include "dist/version_map.hpp"
+#include "obs/trace_merge.hpp"
 #include "runtime/runtime.hpp"
 
 namespace idxl::dist {
+
+/// Data-plane byte and transfer counts: one rank's, or a run's sum over
+/// every rank.
+struct DataPlaneStats {
+  uint64_t bytes_hub = 0;    ///< full-block outcome payload bytes
+  uint64_t bytes_relay = 0;  ///< delta patch bytes moved via the driver
+  uint64_t bytes_p2p = 0;    ///< delta patch bytes on direct worker links
+  uint64_t transfers = 0;    ///< kRegionData messages sent
+
+  uint64_t bytes_delta() const { return bytes_relay + bytes_p2p; }
+  uint64_t bytes_total() const { return bytes_hub + bytes_relay + bytes_p2p; }
+  DataPlaneStats& operator+=(const DataPlaneStats& o) {
+    bytes_hub += o.bytes_hub;
+    bytes_relay += o.bytes_relay;
+    bytes_p2p += o.bytes_p2p;
+    transfers += o.transfers;
+    return *this;
+  }
+};
+
+/// The data-plane counters a Replica keeps in its runtime's registry
+/// (`idxl_net_data_bytes_total{kind,route}`, `idxl_net_transfers_total`),
+/// read back from a snapshot of that registry.
+DataPlaneStats data_plane_of(const obs::MetricsSnapshot& metrics);
 
 /// Send one frame; false when the link is down. Its owner reports the lost
 /// peer (the driver at its next fence, a worker when its receive loop ends).
@@ -50,7 +74,8 @@ struct ReplicaLinks {
 /// and ship their outcomes — full or slim kTaskDone, and the planned rects
 /// of transfer tasks down the direct-link-then-relay ladder — plus the
 /// completion of remote outcomes, clock-probe answers, the rank's
-/// data-plane byte counters and its telemetry.
+/// data-plane counters (in its runtime's metrics registry) and its
+/// telemetry.
 ///
 /// On the delta data plane each replica also plans: it keeps its own
 /// VersionMap and, from its copy of the launch stream, issues the transfer
@@ -108,14 +133,14 @@ class Replica {
   /// Count bytes this rank forwarded on others' behalf (the driver's relay
   /// legs): route labels measure bytes on wires, once per hop.
   void count_forwarded(uint64_t hub_bytes, uint64_t relay_bytes);
-  /// This rank's cumulative data-plane counters.
-  DataPlaneStats data_plane() const;
 
-  /// This rank's observability state: event-log spans (when capturing), the
-  /// lifecycle tail, a metrics snapshot and the outcomes it is still owed.
-  Telemetry telemetry() const;
-  /// The same for a declared stall, built from the watchdog's report.
-  Telemetry stall_telemetry(const obs::StallReport& report) const;
+  /// This rank's part of the cluster trace: event-log spans and task graph
+  /// (when capturing) and the lifecycle tail. The clock fields are left to
+  /// the driver.
+  obs::RankTrace telemetry() const;
+  /// This rank's evidence for the merged stall dump: the watchdog's report
+  /// and the outcomes the rank is still owed.
+  obs::RankStall stall_telemetry(const obs::StallReport& report) const;
 
  private:
   /// Issue the transfer task of each planned transfer, in order.
@@ -141,12 +166,9 @@ class Replica {
   uint32_t name_xfer_apply_ = 0;
   uint32_t name_done_apply_ = 0;
 
-  /// Data-plane accounting. Atomics: success hooks fire on pool threads,
-  /// forwarding on link receive threads.
-  std::atomic<uint64_t> bytes_hub_{0};
-  std::atomic<uint64_t> bytes_relay_{0};
-  std::atomic<uint64_t> bytes_p2p_{0};
-  std::atomic<uint64_t> transfers_{0};
+  /// Data-plane accounting in the runtime's registry: success hooks fire on
+  /// pool threads, forwarding on link receive threads.
+  obs::Counter bytes_hub_, bytes_relay_, bytes_p2p_, transfers_;
   obs::Histogram xfer_size_, xfer_latency_;
   /// Last member, so it is destroyed first: its final wait_all may still
   /// run the hooks, which use everything above.

@@ -117,9 +117,9 @@ void WorkerSession::on_frame(net::Frame& frame) {
       ack.fence = decode_fence(frame.payload);
       replica_->quiesce();
       ack.report = rt.fault_report();
-      ack.net = replica_->data_plane();
-      // Piggyback a metrics snapshot: fences are rare and snapshots small,
-      // so every ack refreshes the driver's per-rank cluster view.
+      // Piggyback a metrics snapshot, the data-plane counters included:
+      // fences are rare and snapshots small, so every ack refreshes the
+      // driver's per-rank cluster view.
       ack.metrics = serialize_metrics_snapshot(rt.metrics().snapshot());
       conn_->send(static_cast<uint8_t>(Msg::kFenceAck), encode_fence_ack(ack));
       break;

@@ -473,6 +473,44 @@ CriticalPathReport EventLog::critical_path() const {
   return idxl::critical_path(samples);
 }
 
+std::string EventLog::task_graph_dot() const {
+  IDXL_REQUIRE(capturing(),
+               "the task graph is a capture-mode view: enable RuntimeConfig::enable_profiling");
+  // A task's kIssued record names its launch and point; the launch's issue
+  // span (the one stamped with its launch id) names its task.
+  std::unordered_map<uint64_t, uint32_t> launch_name;
+  std::unordered_map<uint64_t, std::pair<uint64_t, std::string>> issued;  // seq -> launch, point
+  visit([&](const Lane&, const Event& r) {
+    if (r.is_span() && r.cat == ProfCategory::kIssue && r.launch != Event::kNone)
+      launch_name[r.launch] = r.name;
+    else if (r.kind == LifecycleEvent::kIssued && !r.is_span() && r.seq != Event::kNone)
+      issued[r.seq] = {r.launch, r.point_string()};
+  });
+  const std::vector<std::string> table = names();
+  const std::vector<TaskSample> samples = task_samples();
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (const TaskSample& s : samples)
+    for (uint64_t dep : s.deps) edges.emplace_back(dep, s.seq);
+  std::sort(edges.begin(), edges.end());
+
+  std::string dot = "digraph tasks {\n  rankdir=TB;\n  node [shape=box];\n";
+  dot.reserve(dot.size() + samples.size() * 48 + edges.size() * 32);
+  for (const TaskSample& s : samples) {
+    dot += "  t" + std::to_string(s.seq) + " [label=\"";
+    if (const auto it = issued.find(s.seq); it != issued.end()) {
+      if (const auto name = launch_name.find(it->second.first); name != launch_name.end())
+        dot += table[name->second];
+      dot += '@';
+      dot += it->second.second;
+    }
+    dot += "\"];\n";
+  }
+  for (const auto& [from, to] : edges)
+    dot += "  t" + std::to_string(from) + " -> t" + std::to_string(to) + ";\n";
+  dot += "}\n";
+  return dot;
+}
+
 void append_chrome_spans(std::string& out, bool& first, std::span<const ProfileEvent> spans,
                          const std::vector<std::string>& names, uint32_t pid,
                          double offset_ns) {

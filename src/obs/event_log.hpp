@@ -199,7 +199,7 @@ enum class LogMode : uint8_t { kOff, kBounded, kCapture };
 ///
 /// Views: the lifecycle events (snapshot/tail/json, recorded/overwritten)
 /// in either mode, and — in capture mode only — the spans (events, Chrome
-/// trace, summary) and the task graph (task_samples, critical path).
+/// trace, summary) and the task graph (task_samples, critical path, DOT).
 class EventLog {
  public:
   static constexpr std::size_t kDefaultCapacity = 2048;
@@ -288,6 +288,12 @@ class EventLog {
   /// The recorded task graph, joined and sorted by seq.
   std::vector<TaskSample> task_samples() const;
   CriticalPathReport critical_path() const;
+  /// Graphviz DOT of the task graph: one node per task, labeled
+  /// `name@point` from its kIssued record and its launch's issue span, in
+  /// seq order, then every dependence edge, sorted. Render with
+  /// `dot -Tsvg` for the paper's Figure-1-style picture of a program.
+  /// Throws RuntimeError unless the log is capturing.
+  std::string task_graph_dot() const;
   /// Chrome trace-event JSON ("X" complete events, microsecond timestamps)
   /// — load in about:tracing or https://ui.perfetto.dev.
   std::string chrome_trace_json() const;

@@ -72,8 +72,6 @@ Counter::Counter() : cell_(&detail::sink_cell()) {}
 Gauge::Gauge() : cell_(&detail::sink_cell()) {}
 Histogram::Histogram() : cell_(&detail::sink_cell()) {}
 
-MetricsRegistry::~MetricsRegistry() { stop_sampler(); }
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;
@@ -183,48 +181,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.families.push_back(std::move(fs));
   }
   return snap;
-}
-
-void MetricsRegistry::start_sampler(uint32_t period_ms,
-                                    std::function<void()> sample) {
-  std::lock_guard<std::mutex> lock(sampler_mu_);
-  if (sampler_.joinable()) return;
-  sampler_stop_ = false;
-  if (period_ms == 0) period_ms = 1;
-  sampler_ = std::thread([this, period_ms, sample = std::move(sample)] {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(sampler_mu_);
-        sampler_cv_.wait_for(lock, std::chrono::milliseconds(period_ms),
-                             [this] { return sampler_stop_; });
-        if (sampler_stop_) return;
-      }
-      std::vector<std::function<void()>> collectors;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        collectors = collectors_;
-      }
-      for (const auto& fn : collectors) fn();
-      if (sample) sample();
-    }
-  });
-}
-
-void MetricsRegistry::stop_sampler() {
-  std::thread t;
-  {
-    std::lock_guard<std::mutex> lock(sampler_mu_);
-    if (!sampler_.joinable()) return;
-    sampler_stop_ = true;
-    t = std::move(sampler_);
-  }
-  sampler_cv_.notify_all();
-  t.join();
-}
-
-bool MetricsRegistry::sampler_running() const {
-  std::lock_guard<std::mutex> lock(sampler_mu_);
-  return sampler_.joinable();
 }
 
 const FamilySnapshot* MetricsSnapshot::family(std::string_view name) const {

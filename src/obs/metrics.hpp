@@ -2,14 +2,12 @@
 
 #include <atomic>
 #include <bit>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 namespace idxl::obs {
@@ -177,7 +175,6 @@ struct MetricsSnapshot {
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
-  ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -193,19 +190,12 @@ class MetricsRegistry {
                       Labels labels = {});
 
   /// Register a collector: a callback run at the start of every snapshot()
-  /// (and by the sampler thread) to refresh gauges whose truth lives
-  /// elsewhere — pool queue depth, cache hit counts, write-log sizes.
+  /// to refresh gauges whose truth lives elsewhere — pool queue depth, cache
+  /// hit counts, write-log sizes.
   void add_collector(std::function<void()> fn);
 
   /// Read every series in one pass (runs collectors first).
   MetricsSnapshot snapshot() const;
-
-  /// Start a background thread that refreshes collectors (and thereby
-  /// gauges) every `period_ms`, plus invokes `sample` if given — the hook
-  /// for sampled histograms (queue-depth-over-time). No-op if running.
-  void start_sampler(uint32_t period_ms, std::function<void()> sample = nullptr);
-  void stop_sampler();
-  bool sampler_running() const;
 
  private:
   struct Series {
@@ -226,11 +216,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;  // guards families_/collectors_ structure
   std::deque<Family> families_;
   std::vector<std::function<void()>> collectors_;
-
-  mutable std::mutex sampler_mu_;
-  std::condition_variable sampler_cv_;
-  std::thread sampler_;
-  bool sampler_stop_ = false;
 };
 
 }  // namespace idxl::obs

@@ -1,7 +1,6 @@
 #include "runtime/runtime.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -31,13 +30,12 @@ RuntimeConfig apply_env_overrides(RuntimeConfig cfg) {
   if (const uint32_t cap = env_u32("IDXL_FLIGHT_CAPACITY", 0); cap != 0)
     cfg.flight_recorder_capacity = cap;
   cfg.enable_watchdog = env_flag("IDXL_WATCHDOG", cfg.enable_watchdog);
-  cfg.watchdog_check_period_ms =
-      env_u32("IDXL_WATCHDOG_PERIOD_MS", cfg.watchdog_check_period_ms);
-  cfg.watchdog_stall_window_ms =
-      env_u32("IDXL_WATCHDOG_WINDOW_MS", cfg.watchdog_stall_window_ms);
-  cfg.watchdog_abort = env_flag("IDXL_WATCHDOG_ABORT", cfg.watchdog_abort);
-  cfg.watchdog_cancel = env_flag("IDXL_WATCHDOG_CANCEL", cfg.watchdog_cancel);
-  if (const char* v = std::getenv("IDXL_WATCHDOG_DUMP")) cfg.watchdog_dump_path = v;
+  obs::WatchdogConfig& wd = cfg.watchdog;
+  wd.check_period_ms = env_u32("IDXL_WATCHDOG_PERIOD_MS", wd.check_period_ms);
+  wd.stall_window_ms = env_u32("IDXL_WATCHDOG_WINDOW_MS", wd.stall_window_ms);
+  wd.abort_on_stall = env_flag("IDXL_WATCHDOG_ABORT", wd.abort_on_stall);
+  wd.cancel_on_stall = env_flag("IDXL_WATCHDOG_CANCEL", wd.cancel_on_stall);
+  if (const char* v = std::getenv("IDXL_WATCHDOG_DUMP")) wd.dump_path = v;
   if (auto plan = FaultPlan::from_env()) cfg.fault_plan = std::move(plan);
   return cfg;
 }
@@ -81,15 +79,8 @@ Runtime::Runtime(RuntimeConfig config, std::shared_ptr<RegionForest> forest)
       fault_plan_(config_.fault_plan) {
   init_metrics();
   if (config_.enable_watchdog) {
-    obs::WatchdogConfig wc;
-    wc.check_period_ms = config_.watchdog_check_period_ms;
-    wc.stall_window_ms = config_.watchdog_stall_window_ms;
-    wc.tail_events = config_.watchdog_tail_events;
-    wc.abort_on_stall = config_.watchdog_abort;
-    wc.cancel_on_stall = config_.watchdog_cancel;
-    wc.dump_path = config_.watchdog_dump_path;
     watchdog_ = std::make_unique<obs::Watchdog>(
-        std::move(wc),
+        config_.watchdog,
         [this] {
           const uint64_t done = cells_.tasks_completed.value();
           return std::pair<uint64_t, uint64_t>(
@@ -113,7 +104,6 @@ void Runtime::clear_faults() {
 
 Runtime::~Runtime() {
   if (watchdog_ != nullptr) watchdog_->stop();
-  metrics_.stop_sampler();
   wait_all();
 }
 
@@ -309,7 +299,7 @@ obs::StallReport Runtime::stall_report() const {
             [](const obs::BlockedTask& a, const obs::BlockedTask& b) {
               return a.seq < b.seq;
             });
-  report.recent = event_log_.tail(config_.watchdog_tail_events);
+  report.recent = event_log_.tail(config_.watchdog.tail_events);
   report.metrics = metrics_.snapshot();
   return report;
 }
@@ -513,8 +503,11 @@ Runtime::Resolution Runtime::resolve(const TaskLauncher& launcher) {
 
 LaunchResult Runtime::execute(const TaskLauncher& launcher, Resolution res) {
   TracedLaunch* traced = trace_record(res);
-  LogScope issue_scope(log_, ProfCategory::kIssue, obs::EventLog::kNameIssue);
+  // Named and stamped like an index launch's issue span, which the task
+  // graph view reads each task's name from.
+  LogScope issue_scope(log_, ProfCategory::kIssue, task_log_names_[launcher.task]);
   const uint64_t launch_id = take_launch_id(launcher.trace_ctx);
+  issue_scope.event().launch = launch_id;
   cells_.runtime_calls.inc();
   cells_.single_launches.inc();
   const ArenaPtr arena = make_arena(launcher, launcher.launch_domain, launch_id, 1);
@@ -758,22 +751,15 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher, Resolution re
 void Runtime::wire_node(const LaunchArena& arena, const TaskNodePtr& node,
                         const std::vector<TaskNodePtr>& deps) {
   cells_.dependence_edges.inc(deps.size());
-  if (config_.record_task_graph || live_enabled_) {
-    // "name@point", formatted only for the two readers of labels.
-    std::string label = task_registry_[arena.fn].first + "@" + node->point.to_string();
-    if (config_.record_task_graph) {
-      graph_nodes_.emplace_back(node->seq, label);
-      for (const TaskNodePtr& dep : deps) graph_edges_.emplace_back(dep->seq, node->seq);
-    }
-    if (live_enabled_) {
-      LiveTask lt;
-      lt.label = std::move(label);
-      lt.launch = node->launch;
-      lt.deps.reserve(deps.size());
-      for (const TaskNodePtr& dep : deps) lt.deps.push_back(dep->seq);
-      std::lock_guard<std::mutex> lock(live_mu_);
-      live_.emplace(node->seq, std::move(lt));
-    }
+  if (live_enabled_) {
+    LiveTask lt;
+    // "name@point", formatted only for the watchdog.
+    lt.label = task_registry_[arena.fn].first + "@" + node->point.to_string();
+    lt.launch = node->launch;
+    lt.deps.reserve(deps.size());
+    for (const TaskNodePtr& dep : deps) lt.deps.push_back(dep->seq);
+    std::lock_guard<std::mutex> lock(live_mu_);
+    live_.emplace(node->seq, std::move(lt));
   }
   if (log_ != nullptr && log_->capturing()) {
     std::vector<uint64_t> dep_seqs;
@@ -1080,42 +1066,6 @@ void Runtime::issue_point_task(const ArenaPtr& arena, const Point& point,
   node->arena = arena;
   node->rank = rank;
   release(node);  // the closure guard
-}
-
-std::string Runtime::export_task_graph_dot() const {
-  IDXL_REQUIRE(config_.record_task_graph,
-               "enable RuntimeConfig::record_task_graph to export the graph");
-  // Pre-size the output and append in place: the old chained operator+
-  // version built several temporaries per line, and reallocation churn made
-  // large graphs painfully slow to export.
-  std::size_t size = 64;
-  for (const auto& [seq, label] : graph_nodes_) size += label.size() + 32;
-  size += graph_edges_.size() * 32;
-  std::string dot;
-  dot.reserve(size);
-  dot += "digraph tasks {\n  rankdir=TB;\n  node [shape=box];\n";
-  char buf[24];
-  auto append_num = [&](uint64_t v) {
-    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    (void)ec;
-    dot.append(buf, end);
-  };
-  for (const auto& [seq, label] : graph_nodes_) {
-    dot += "  t";
-    append_num(seq);
-    dot += " [label=\"";
-    dot += label;
-    dot += "\"];\n";
-  }
-  for (const auto& [from, to] : graph_edges_) {
-    dot += "  t";
-    append_num(from);
-    dot += " -> t";
-    append_num(to);
-    dot += ";\n";
-  }
-  dot += "}\n";
-  return dot;
 }
 
 void Runtime::schedule(const TaskNodePtr& node, const std::vector<TaskNodePtr>& deps) {

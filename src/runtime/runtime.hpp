@@ -34,14 +34,11 @@ struct RuntimeConfig {
   /// Extended static classifier (modular / monotone-quadratic families) —
   /// launches it discharges skip their dynamic checks entirely.
   bool extended_static_analysis = false;
-  /// Record every task and dependence edge for export_task_graph_dot() —
-  /// the Fig. 1-style task-graph inspector. Costs memory per task; off by
-  /// default.
-  bool record_task_graph = false;
   /// Run the event log in capture mode: keep every record, with spans
   /// (issuance, dependence analysis, safety checks, task execution, ...)
-  /// and dependence edges, for Runtime::profiler()'s span views. Off by
-  /// default: a pure span then costs one branch per instrumentation point.
+  /// and dependence edges, for Runtime::profiler()'s span and task-graph
+  /// views (Chrome trace, critical path, task_graph_dot()). Off by default:
+  /// a pure span then costs one branch per instrumentation point.
   bool enable_profiling = false;
   /// Group-level dependence analysis (§5): when a safe index launch's every
   /// region argument goes through a disjoint partition with an analyzable
@@ -71,21 +68,13 @@ struct RuntimeConfig {
   /// with no completions for a whole stall window. Off by default (it adds
   /// a live-task table update per task). Env: IDXL_WATCHDOG=0/1.
   bool enable_watchdog = false;
-  /// Monitor sampling period. Env: IDXL_WATCHDOG_PERIOD_MS (1 to 2^32-1).
-  uint32_t watchdog_check_period_ms = 50;
-  /// No-progress window before a stall is declared.
-  /// Env: IDXL_WATCHDOG_WINDOW_MS (1 to 2^32-1).
-  uint32_t watchdog_stall_window_ms = 1000;
-  /// Lifecycle events included in a stall dump.
-  std::size_t watchdog_tail_events = 32;
-  /// Abort after dumping (post-mortem over hang). Env: IDXL_WATCHDOG_ABORT.
-  bool watchdog_abort = false;
-  /// Graceful degradation: on a stall, cancel the run (Runtime::cancel_all)
-  /// so blocked work drains as cancelled/poisoned into the FaultReport
-  /// instead of hanging. Env: IDXL_WATCHDOG_CANCEL.
-  bool watchdog_cancel = false;
-  /// Dump destination; empty = stderr. Env: IDXL_WATCHDOG_DUMP.
-  std::string watchdog_dump_path;
+  /// The watchdog's settings. Env: IDXL_WATCHDOG_PERIOD_MS
+  /// (check_period_ms) and IDXL_WATCHDOG_WINDOW_MS (stall_window_ms), each
+  /// 1 to 2^32-1; IDXL_WATCHDOG_ABORT (abort_on_stall);
+  /// IDXL_WATCHDOG_CANCEL (cancel_on_stall, which runs Runtime::cancel_all
+  /// so blocked work drains into the FaultReport instead of hanging);
+  /// IDXL_WATCHDOG_DUMP (dump_path).
+  obs::WatchdogConfig watchdog;
   /// Deterministic fault-injection plan (tests, soak CI). Every task
   /// execution consults should_fail(launch, point, attempt); a hit fails
   /// the attempt as FaultKind::kInjected. The IDXL_FAULT_PLAN env spec
@@ -295,28 +284,6 @@ class Runtime : public RuntimeApi {
   VerdictCache& verdict_cache() { return verdict_cache_; }
   const VerdictCache& verdict_cache() const { return verdict_cache_; }
 
-  /// The inter-launch pair-verdict cache, filled only by this runtime's own
-  /// analysis (RuntimeConfig::enable_interference_analysis) and kept across
-  /// fences. Shared-safe: internal mutex, like VerdictCache.
-  InterferenceCache& interference_cache() { return interference_cache_; }
-  const InterferenceCache& interference_cache() const { return interference_cache_; }
-
-  /// Graphviz DOT of every task issued so far and the dependence edges the
-  /// analysis discovered (requires RuntimeConfig::record_task_graph).
-  /// Render with `dot -Tsvg` to get the paper's Figure-1-style pictures of
-  /// your own program.
-  std::string export_task_graph_dot() const;
-
-  /// Raw recorded task graph (requires RuntimeConfig::record_task_graph):
-  /// nodes as (seq, label), edges as (from_seq, to_seq). The happens-before
-  /// relation tests compare across configurations.
-  const std::vector<std::pair<uint64_t, std::string>>& task_graph_nodes() const {
-    return graph_nodes_;
-  }
-  const std::vector<std::pair<uint64_t, uint64_t>>& task_graph_edges() const {
-    return graph_edges_;
-  }
-
  private:
   friend class Future;  // Future::get records its reduction span
 
@@ -406,7 +373,7 @@ class Runtime : public RuntimeApi {
   /// per-point use touches it.
   void materialize_tree(uint32_t tree);
   /// Shared tail of every issue path once `deps` is known: record the
-  /// edges (stats, task graph, event log, watchdog), take the closure guard
+  /// edges (stats, event log, watchdog), take the closure guard
   /// the caller releases once the node's arena and regions are attached,
   /// publish a remote-owned node to complete_external(), and schedule.
   void wire_node(const LaunchArena& arena, const TaskNodePtr& node,
@@ -589,10 +556,6 @@ class Runtime : public RuntimeApi {
   };
   using ProtoTable = std::vector<std::optional<PhysicalRegion>>;
   std::unordered_map<ProtoKey, std::shared_ptr<ProtoTable>, ProtoKeyHash> proto_cache_;
-
-  // --- task-graph recording (record_task_graph) ---
-  std::vector<std::pair<uint64_t, std::string>> graph_nodes_;  // (seq, label)
-  std::vector<std::pair<uint64_t, uint64_t>> graph_edges_;     // (from, to)
 
   // --- tracing state ---
   std::unordered_map<uint32_t, Trace> traces_;

@@ -16,8 +16,11 @@ namespace idxl {
 /// descriptors cross process boundaries (src/net frames carry their own
 /// transport-level magic; this one covers the descriptor payload itself).
 inline constexpr uint32_t kWireMagic = 0x4C584449;  // "IDXL", little-endian
-inline constexpr uint8_t kWireVersion = 6;  // v6: no routing directive,
-                                            // no Hello::p2p (v5: no analysis
+inline constexpr uint8_t kWireVersion = 7;  // v7: fence-ack counters in its
+                                            // metrics snapshot, telemetry as
+                                            // RankTrace/RankStall (v6: no
+                                            // routing directive, no
+                                            // Hello::p2p; v5: no analysis
                                             // payload on launchers; v4: trace
                                             // context; v3: RegionData)
 

@@ -466,6 +466,50 @@ TEST(DataPlaneTest, ThreeConfigurationsBitIdentical) {
   }
 }
 
+// Every rank counts its own data-plane bytes and transfers in its runtime's
+// registry. The counters reach the driver in each fence ack's metrics
+// snapshot, like every other per-rank counter, and the run-wide totals are
+// their rank="all" rows.
+TEST(DataPlaneTest, CountersLiveInEachRanksRegistry) {
+  DistConfig dc;
+  dc.ranks = 3;
+  dc.in_process = true;
+  dc.runtime.workers = 2;
+  dc.delta_transfers = true;
+  dc.p2p = true;
+  DistributedRuntime rt(dc);
+  const Grid g = make_grid(rt.forest());
+  init_grid(rt.forest(), g);
+  const TaskFnId st = rt.register_task("smoke_stencil", smoke::stencil_body);
+  const TaskFnId inc = rt.register_task("smoke_increment", smoke::increment_body);
+  run_stencil(rt, g, st, inc, kIters);
+  const DataPlaneStats stats = rt.data_plane_stats();
+  const obs::MetricsSnapshot m = rt.cluster_metrics();
+
+  const std::vector<std::pair<obs::Labels, uint64_t>> bytes = {
+      {{{"kind", "full"}, {"route", "hub"}}, stats.bytes_hub},
+      {{{"kind", "delta"}, {"route", "relay"}}, stats.bytes_relay},
+      {{{"kind", "delta"}, {"route", "p2p"}}, stats.bytes_p2p}};
+  const auto ranked = [](obs::Labels labels, const char* rank) {
+    labels.emplace_back("rank", rank);
+    return labels;
+  };
+  for (const char* rank : {"0", "1", "2"}) {
+    SCOPED_TRACE(std::string("rank ") + rank);
+    for (const auto& [route, total] : bytes)
+      EXPECT_NE(m.series("idxl_net_data_bytes_total", ranked(route, rank)), nullptr);
+    EXPECT_NE(m.series("idxl_net_transfers_total", {{"rank", rank}}), nullptr);
+  }
+  for (const auto& [route, total] : bytes)
+    EXPECT_EQ(m.value("idxl_net_data_bytes_total", ranked(route, "all")), total);
+  EXPECT_EQ(m.value("idxl_net_transfers_total", {{"rank", "all"}}), stats.transfers);
+  // The program moves payloads on both delta routes, so the rows compare
+  // real counts.
+  EXPECT_GT(stats.bytes_relay, 0u);
+  EXPECT_GT(stats.bytes_p2p, 0u);
+  EXPECT_GT(stats.transfers, 0u);
+}
+
 TEST(DataPlaneTest, SeveredPeerLinksFallBackToRelay) {
   // fail_peer_links brings the direct links up, then severs them before
   // first use: every delta payload must fail over to the driver relay and

@@ -396,10 +396,10 @@ TEST(FaultTest, TimeoutIsNotRetried) {
 TEST(FaultTest, WatchdogCancelsStalledLaunch) {
   RuntimeConfig cfg;
   cfg.enable_watchdog = true;
-  cfg.watchdog_check_period_ms = 10;
-  cfg.watchdog_stall_window_ms = 100;
-  cfg.watchdog_cancel = true;
-  cfg.watchdog_dump_path = "/dev/null";
+  cfg.watchdog.check_period_ms = 10;
+  cfg.watchdog.stall_window_ms = 100;
+  cfg.watchdog.cancel_on_stall = true;
+  cfg.watchdog.dump_path = "/dev/null";
   Fixture fx(8, 1, cfg);
   const TaskFnId stuck = fx.rt.register_task("stuck", [](TaskContext& ctx) {
     // Spins forever unless cancelled: the stall the watchdog must break.

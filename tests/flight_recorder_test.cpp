@@ -411,9 +411,9 @@ TEST(FlightRecorderTest, MalformedEnvOverridesAreRejected) {
 TEST(FlightRecorderTest, WatchdogNamesBlockedTaskEdgeAndRecentEvents) {
   RuntimeConfig cfg;
   cfg.enable_watchdog = true;
-  cfg.watchdog_check_period_ms = 5;
-  cfg.watchdog_stall_window_ms = 25;
-  cfg.watchdog_dump_path = ::testing::TempDir() + "idxl_stall_report.txt";
+  cfg.watchdog.check_period_ms = 5;
+  cfg.watchdog.stall_window_ms = 25;
+  cfg.watchdog.dump_path = ::testing::TempDir() + "idxl_stall_report.txt";
   Fixture fx(8, 1, cfg);
   ASSERT_NE(fx.rt.watchdog(), nullptr);
 
@@ -475,7 +475,7 @@ TEST(FlightRecorderTest, WatchdogNamesBlockedTaskEdgeAndRecentEvents) {
   // landed at the configured dump path with the metrics snapshot attached.
   EXPECT_TRUE(has_event(fx.rt.flight_recorder().snapshot(),
                         LifecycleEvent::kStall));
-  std::FILE* f = std::fopen(cfg.watchdog_dump_path.c_str(), "rb");
+  std::FILE* f = std::fopen(cfg.watchdog.dump_path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::string text(1 << 16, '\0');
   text.resize(std::fread(text.data(), 1, text.size(), f));
@@ -483,14 +483,14 @@ TEST(FlightRecorderTest, WatchdogNamesBlockedTaskEdgeAndRecentEvents) {
   EXPECT_NE(text.find("stall report"), std::string::npos);
   EXPECT_NE(text.find("waits for"), std::string::npos);
   EXPECT_NE(text.find("idxl_point_tasks_total"), std::string::npos);
-  std::remove(cfg.watchdog_dump_path.c_str());
+  std::remove(cfg.watchdog.dump_path.c_str());
 }
 
 TEST(FlightRecorderTest, WatchdogStaysQuietWhenWorkCompletes) {
   RuntimeConfig cfg;
   cfg.enable_watchdog = true;
-  cfg.watchdog_check_period_ms = 5;
-  cfg.watchdog_stall_window_ms = 50;
+  cfg.watchdog.check_period_ms = 5;
+  cfg.watchdog.stall_window_ms = 50;
   Fixture fx(32, 8, cfg);
   const TaskFnId fill = fx.rt.register_task("fill", [](TaskContext& ctx) {
     auto acc = ctx.region(0).accessor<double>(0);

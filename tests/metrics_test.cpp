@@ -178,16 +178,6 @@ TEST(MetricsTest, CollectorsRefreshGaugesAtSnapshot) {
   EXPECT_EQ(static_cast<int64_t>(reg.snapshot().value("derived")), 17);
 }
 
-TEST(MetricsTest, SamplerRunsUntilStopped) {
-  MetricsRegistry reg;
-  std::atomic<int> samples{0};
-  reg.start_sampler(1, [&] { samples.fetch_add(1); });
-  EXPECT_TRUE(reg.sampler_running());
-  while (samples.load() < 3) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  reg.stop_sampler();
-  EXPECT_FALSE(reg.sampler_running());
-}
-
 // ---------- exporters (golden) ----------
 
 TEST(MetricsTest, PrometheusTextGolden) {

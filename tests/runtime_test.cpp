@@ -480,6 +480,14 @@ TEST(RuntimeTest, TraceReplayDivergenceDetected) {
   EXPECT_EQ(fx.rt.stats().traced_tasks_replayed, 2u);
 }
 
+/// Every dependence edge (from, to) the runtime's event log recorded.
+std::vector<std::pair<uint64_t, uint64_t>> logged_edges(const Runtime& rt) {
+  std::vector<std::pair<uint64_t, uint64_t>> edges;
+  for (const TaskSample& s : rt.profiler().task_samples())
+    for (uint64_t dep : s.deps) edges.emplace_back(dep, s.seq);
+  return edges;
+}
+
 // Regression: a predecessor that had already *completed* by the time a later
 // conflicting task was analyzed used to compact out of the trackers without
 // reporting an edge. During trace capture that edge is load-bearing — on
@@ -490,7 +498,7 @@ TEST(RuntimeTest, TraceReplayDivergenceDetected) {
 TEST(RuntimeTest, TraceCaptureKeepsEdgesToCompletedPredecessors) {
   for (const bool group : {true, false}) {
     RuntimeConfig cfg;
-    cfg.record_task_graph = true;
+    cfg.enable_profiling = true;
     cfg.enable_group_analysis = group;
     Fixture fx(16, 4, cfg);
     const TaskFnId bump = fx.rt.register_task("bump", [](TaskContext& ctx) {
@@ -514,8 +522,8 @@ TEST(RuntimeTest, TraceCaptureKeepsEdgesToCompletedPredecessors) {
     fx.rt.wait_all();
     // Point i of launch 2 (seq 4+i) must order after point i of launch 1
     // (seq i); cross-color pairs of the disjoint partition stay edge-free.
-    ASSERT_EQ(fx.rt.task_graph_edges().size(), 4u) << "group=" << group;
-    for (const auto& [from, to] : fx.rt.task_graph_edges())
+    ASSERT_EQ(logged_edges(fx.rt).size(), 4u) << "group=" << group;
+    for (const auto& [from, to] : logged_edges(fx.rt))
       EXPECT_EQ(to, from + 4) << "group=" << group;
 
     // Replay re-executes both launches; the captured edges must come along.
@@ -525,8 +533,8 @@ TEST(RuntimeTest, TraceCaptureKeepsEdgesToCompletedPredecessors) {
     fx.rt.end_trace(11);
     fx.rt.wait_all();
     EXPECT_EQ(fx.rt.stats().traced_tasks_replayed, 8u) << "group=" << group;
-    ASSERT_EQ(fx.rt.task_graph_edges().size(), 8u) << "group=" << group;
-    for (const auto& [from, to] : fx.rt.task_graph_edges())
+    ASSERT_EQ(logged_edges(fx.rt).size(), 8u) << "group=" << group;
+    for (const auto& [from, to] : logged_edges(fx.rt))
       EXPECT_EQ(to, from + 4) << "group=" << group;
   }
 }
@@ -548,7 +556,7 @@ TEST(RuntimeTest, TraceReplayReproducesCaptureAcrossIssuePaths) {
   };
   auto run = [](bool traced) {
     RuntimeConfig cfg;
-    cfg.record_task_graph = true;
+    cfg.enable_profiling = true;
     cfg.workers = 2;
     Fixture fx(64, 8, cfg);
     auto& forest = fx.rt.forest();
@@ -588,8 +596,7 @@ TEST(RuntimeTest, TraceReplayReproducesCaptureAcrossIssuePaths) {
 
     Run out;
     for (int it = 0; it < kIterations; ++it) {
-      const std::size_t nodes_before = fx.rt.task_graph_nodes().size();
-      const std::size_t edges_before = fx.rt.task_graph_edges().size();
+      const std::size_t nodes_before = fx.rt.profiler().task_samples().size();
       if (traced) fx.rt.begin_trace(5);
       fx.rt.execute_index(IndexLauncher::over(Domain::line(8))
                               .with_task(scale)
@@ -617,10 +624,12 @@ TEST(RuntimeTest, TraceReplayReproducesCaptureAcrossIssuePaths) {
                                           Privilege::kRead));
       if (traced) fx.rt.end_trace(5);
       out.futures.push_back(sum.future.get(fx.rt));
-      out.first_seq.push_back(fx.rt.task_graph_nodes()[nodes_before].first);
-      const auto& edges = fx.rt.task_graph_edges();
-      out.edges.emplace_back(edges.begin() + static_cast<std::ptrdiff_t>(edges_before),
-                             edges.end());
+      // This iteration's tasks follow the earlier ones in seq order.
+      const std::vector<TaskSample> samples = fx.rt.profiler().task_samples();
+      out.first_seq.push_back(samples[nodes_before].seq);
+      std::vector<std::pair<uint64_t, uint64_t>>& edges = out.edges.emplace_back();
+      for (std::size_t i = nodes_before; i < samples.size(); ++i)
+        for (uint64_t dep : samples[i].deps) edges.emplace_back(dep, samples[i].seq);
     }
     for (FieldId f : {fv, fw}) {
       auto acc = fx.rt.read_region<double>(region, f);
@@ -665,7 +674,7 @@ TEST(RuntimeTest, TraceReplayReproducesCaptureAcrossIssuePaths) {
 
 TEST(RuntimeTest, TaskGraphExport) {
   RuntimeConfig cfg;
-  cfg.record_task_graph = true;
+  cfg.enable_profiling = true;
   Fixture fx(16, 4, cfg);
   // Pause the pool so launch 1's points are still live when launch 2's
   // dependences are analyzed; completed uses are compacted out of the
@@ -686,15 +695,15 @@ TEST(RuntimeTest, TaskGraphExport) {
   fx.rt.pool().resume();
   fx.rt.wait_all();
 
-  const std::string dot = fx.rt.export_task_graph_dot();
+  const std::string dot = fx.rt.profiler().task_graph_dot();
   // 8 nodes; launch 2's task i depends on launch 1's task i -> 4 edges.
   EXPECT_EQ(std::count(dot.begin(), dot.end(), '['), 1 + 8);  // node attrs + header
   EXPECT_NE(dot.find("stamp@(0)"), std::string::npos);
   EXPECT_EQ(static_cast<int>(std::count(dot.begin(), dot.end(), '>')), 4);
 
-  // Without recording, export throws.
+  // Without capture, export throws.
   Fixture plain(16, 4);
-  EXPECT_THROW(plain.rt.export_task_graph_dot(), RuntimeError);
+  EXPECT_THROW(plain.rt.profiler().task_graph_dot(), RuntimeError);
 }
 
 TEST(RuntimeTest, EmptyDomainLaunchThrows) {

@@ -1,12 +1,13 @@
 // Unit tests for the cluster-trace machinery added with distributed tracing:
 // the shared json_escape helper, the midpoint clock estimator, the
 // clock-aligned trace merge (orphans, flow edges, union critical path), the
-// merged stall dump, and the Telemetry / MetricsSnapshot wire codecs.
+// merged stall dump, and the telemetry / MetricsSnapshot wire codecs.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "dist/protocol.hpp"
@@ -306,9 +307,32 @@ TEST(TelemetryCodecTest, MetricsSnapshotRoundTripsExactly) {
 }
 
 TEST(TelemetryCodecTest, TelemetryRoundTripsEveryField) {
-  dist::Telemetry t;
+  obs::Event fe;
+  fe.ts_ns = 99;
+  fe.seq = 30;
+  fe.launch = 7;
+  fe.edge = 11;
+  const int64_t coord[2] = {1, -2};
+  fe.set_point(coord, 2);
+  fe.worker = 1;
+  const auto check_recent = [&](const std::vector<obs::Event>& recent) {
+    ASSERT_EQ(recent.size(), 1u);
+    EXPECT_EQ(recent[0].ts_ns, fe.ts_ns);
+    EXPECT_EQ(recent[0].seq, fe.seq);
+    EXPECT_EQ(recent[0].launch, fe.launch);
+    EXPECT_EQ(recent[0].edge, fe.edge);
+    EXPECT_EQ(recent[0].dim, 2);
+    EXPECT_EQ(recent[0].coord[0], 1);
+    EXPECT_EQ(recent[0].coord[1], -2);
+    EXPECT_EQ(recent[0].worker, fe.worker);
+  };
+
+  // A shutdown pull carries the rank's trace. The clock fields are the
+  // driver's to fill in, so they do not travel.
+  RankTrace t;
   t.rank = 3;
-  t.flavor = static_cast<uint8_t>(dist::TelemetryFlavor::kStallPush);
+  t.clock_offset_ns = -5;
+  t.rtt_ns = 8;
   t.epoch_ns = 123456789;
   t.names = {"alpha", "beta \"quoted\""};
   ProfileEvent ev;
@@ -325,32 +349,14 @@ TEST(TelemetryCodecTest, TelemetryRoundTripsEveryField) {
   ev.origin = 1;
   t.spans.push_back(ev);
   t.samples.push_back({30, 20, {10, 11}});
-  obs::Event fe;
-  fe.ts_ns = 99;
-  fe.seq = 30;
-  fe.launch = 7;
-  fe.edge = 11;
-  const int64_t coord[2] = {1, -2};
-  fe.set_point(coord, 2);
-  fe.worker = 1;
   t.recent.push_back(fe);
-  obs::MetricsRegistry reg;
-  reg.counter("c_total").inc(4);
-  t.metrics = reg.snapshot();
-  t.completed = 40;
-  t.pending = 2;
-  t.window_ms = 500;
-  obs::BlockedTask blocked;
-  blocked.seq = 31;
-  blocked.launch = 7;
-  blocked.label = "stuck";
-  blocked.waits_for = {30};
-  t.blocked.push_back(blocked);
-  t.pending_externals = {30, 32};
 
-  const dist::Telemetry back = dist::decode_telemetry(dist::encode_telemetry(t));
+  const auto pulled = dist::decode_telemetry(dist::encode_telemetry(t));
+  ASSERT_TRUE(std::holds_alternative<RankTrace>(pulled));
+  const RankTrace& back = std::get<RankTrace>(pulled);
   EXPECT_EQ(back.rank, t.rank);
-  EXPECT_EQ(back.flavor, t.flavor);
+  EXPECT_EQ(back.clock_offset_ns, 0);
+  EXPECT_EQ(back.rtt_ns, 0u);
   EXPECT_EQ(back.epoch_ns, t.epoch_ns);
   EXPECT_EQ(back.names, t.names);
   ASSERT_EQ(back.spans.size(), 1u);
@@ -370,22 +376,41 @@ TEST(TelemetryCodecTest, TelemetryRoundTripsEveryField) {
   EXPECT_EQ(back.samples[0].seq, 30u);
   EXPECT_EQ(back.samples[0].dur_ns, 20u);
   EXPECT_EQ(back.samples[0].deps, (std::vector<uint64_t>{10, 11}));
-  ASSERT_EQ(back.recent.size(), 1u);
-  EXPECT_EQ(back.recent[0].ts_ns, fe.ts_ns);
-  EXPECT_EQ(back.recent[0].seq, fe.seq);
-  EXPECT_EQ(back.recent[0].edge, fe.edge);
-  EXPECT_EQ(back.recent[0].dim, 2);
-  EXPECT_EQ(back.recent[0].coord[0], 1);
-  EXPECT_EQ(back.recent[0].coord[1], -2);
-  EXPECT_EQ(back.metrics.value("c_total"), 4u);
-  EXPECT_EQ(back.completed, t.completed);
-  EXPECT_EQ(back.pending, t.pending);
-  EXPECT_EQ(back.window_ms, t.window_ms);
-  ASSERT_EQ(back.blocked.size(), 1u);
-  EXPECT_EQ(back.blocked[0].seq, 31u);
-  EXPECT_EQ(back.blocked[0].label, "stuck");
-  EXPECT_EQ(back.blocked[0].waits_for, (std::vector<uint64_t>{30}));
-  EXPECT_EQ(back.pending_externals, t.pending_externals);
+  check_recent(back.recent);
+
+  // A stall push carries the rank's stall report and pending externals.
+  RankStall st;
+  st.rank = 2;
+  st.report.completed = 40;
+  st.report.pending = 2;
+  st.report.window_ms = 500;
+  obs::BlockedTask blocked;
+  blocked.seq = 31;
+  blocked.launch = 7;
+  blocked.label = "stuck";
+  blocked.waits_for = {30};
+  st.report.blocked.push_back(blocked);
+  st.report.recent.push_back(fe);
+  obs::MetricsRegistry reg;
+  reg.counter("c_total").inc(4);
+  st.report.metrics = reg.snapshot();
+  st.pending_externals = {30, 32};
+
+  const auto pushed = dist::decode_telemetry(dist::encode_telemetry(st));
+  ASSERT_TRUE(std::holds_alternative<RankStall>(pushed));
+  const RankStall& stall = std::get<RankStall>(pushed);
+  EXPECT_EQ(stall.rank, st.rank);
+  EXPECT_EQ(stall.report.completed, st.report.completed);
+  EXPECT_EQ(stall.report.pending, st.report.pending);
+  EXPECT_EQ(stall.report.window_ms, st.report.window_ms);
+  ASSERT_EQ(stall.report.blocked.size(), 1u);
+  EXPECT_EQ(stall.report.blocked[0].seq, 31u);
+  EXPECT_EQ(stall.report.blocked[0].launch, 7u);
+  EXPECT_EQ(stall.report.blocked[0].label, "stuck");
+  EXPECT_EQ(stall.report.blocked[0].waits_for, (std::vector<uint64_t>{30}));
+  check_recent(stall.report.recent);
+  EXPECT_EQ(stall.report.metrics.value("c_total"), 4u);
+  EXPECT_EQ(stall.pending_externals, st.pending_externals);
 }
 
 }  // namespace
