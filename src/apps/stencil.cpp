@@ -1,15 +1,53 @@
 #include "apps/stencil.hpp"
 
+#include <algorithm>
+#include <span>
+
 #include "region/partition_ops.hpp"
 
 namespace idxl::apps {
 
-double stencil_weight(int64_t offset, int64_t radius) {
-  // PRK star weights: w(k) = 1 / (2 * k * radius) for offset k on an axis.
-  IDXL_ASSERT(offset != 0 && std::abs(offset) <= radius);
-  return 1.0 / (2.0 * static_cast<double>(std::abs(offset)) *
-                static_cast<double>(radius)) *
-         (offset > 0 ? 1.0 : -1.0);
+void stencil_body(TaskContext& ctx, const StencilArgs& args) {
+  const int64_t r = args.radius;
+  const std::size_t rs = static_cast<std::size_t>(r);
+  auto in = ctx.region(0).accessor<double>(args.fin);
+  auto out = ctx.region(1).accessor<double>(args.fout);
+  ctx.region(1).domain().for_each_run([&](const Point& lo, int64_t n) {
+    // Clip the run (cells (x, y0..y1)) to the interior: PRK skips the ring.
+    const int64_t x = lo[0];
+    if (x < r || x > args.nx - 1 - r) return;
+    const int64_t y0 = std::max(lo[1], r);
+    const int64_t y1 = std::min(lo[1] + n - 1, args.ny - 1 - r);
+    if (y1 < y0) return;
+    const int64_t m = y1 - y0 + 1;
+    const std::span<double> o = out.write_run(Point::p2(x, y0), m);
+    // row[j + r] is in(x, y0 + j); the run's y-neighbours lie within it.
+    const std::span<const double> row = in.read_run(Point::p2(x, y0 - r), m + 2 * r);
+    // k-major, so o[j] accumulates the same terms in the same order as the
+    // reference's per-cell sum.
+    for (int64_t k = 1; k <= r; ++k) {
+      const double wp = stencil_weight(k, r), wm = stencil_weight(-k, r);
+      const std::span<const double> east = in.read_run(Point::p2(x + k, y0), m);
+      const std::span<const double> west = in.read_run(Point::p2(x - k, y0), m);
+      const std::size_t up = rs + static_cast<std::size_t>(k);
+      const std::size_t down = rs - static_cast<std::size_t>(k);
+      for (std::size_t j = 0; j < o.size(); ++j) {
+        double acc = o[j];
+        acc += wp * east[j];
+        acc += wm * west[j];
+        acc += wp * row[j + up];
+        acc += wm * row[j + down];
+        o[j] = acc;
+      }
+    }
+  });
+}
+
+void increment_body(TaskContext& ctx, FieldId fin) {
+  auto in = ctx.region(0).accessor<double>(fin);
+  ctx.region(0).domain().for_each_run([&](const Point& lo, int64_t n) {
+    for (double& v : in.write_run(lo, n)) v += 1.0;
+  });
 }
 
 StencilApp::StencilApp(RuntimeApi& rt, const StencilParams& params)
@@ -37,31 +75,11 @@ StencilApp::StencilApp(RuntimeApi& rt, const StencilParams& params)
     }
   }
 
-  const FieldId fin = f_in_, fout = f_out_;
-  const int64_t radius = params.radius;
-  const Rect interior(Point::p2(radius, radius),
-                      Point::p2(params.nx - 1 - radius, params.ny - 1 - radius));
-
-  t_stencil_ = rt_.register_task("stencil", [fin, fout, radius, interior](TaskContext& ctx) {
-    auto in = ctx.region(0).accessor<double>(fin);
-    auto out = ctx.region(1).accessor<double>(fout);
-    ctx.region(1).domain().for_each([&](const Point& p) {
-      if (!interior.contains(p)) return;  // PRK skips the boundary ring
-      double acc = out.read(p);
-      for (int64_t k = 1; k <= radius; ++k) {
-        acc += stencil_weight(k, radius) * in.read(Point::p2(p[0] + k, p[1]));
-        acc += stencil_weight(-k, radius) * in.read(Point::p2(p[0] - k, p[1]));
-        acc += stencil_weight(k, radius) * in.read(Point::p2(p[0], p[1] + k));
-        acc += stencil_weight(-k, radius) * in.read(Point::p2(p[0], p[1] - k));
-      }
-      out.write(p, acc);
-    });
-  });
-
-  t_increment_ = rt_.register_task("increment", [fin](TaskContext& ctx) {
-    auto in = ctx.region(0).accessor<double>(fin);
-    ctx.region(0).domain().for_each([&](const Point& p) { in.write(p, in.read(p) + 1.0); });
-  });
+  const StencilArgs args{f_in_, f_out_, params.radius, params.nx, params.ny};
+  t_stencil_ = rt_.register_task(
+      "stencil", [args](TaskContext& ctx) { stencil_body(ctx, args); });
+  t_increment_ = rt_.register_task(
+      "increment", [fin = f_in_](TaskContext& ctx) { increment_body(ctx, fin); });
 }
 
 bool StencilApp::run_iteration() {

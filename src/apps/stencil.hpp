@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdlib>
 #include <vector>
 
 #include "runtime/api.hpp"
@@ -47,8 +48,36 @@ class StencilApp {
   TaskFnId t_stencil_ = 0, t_increment_ = 0;
 };
 
-/// Star-stencil weights: weight(dx, dy) for |dx|+|dy| <= radius on the two
-/// axes (PRK normalization).
-double stencil_weight(int64_t offset, int64_t radius);
+/// Star-stencil weight of the neighbour `offset` cells away on either axis
+/// (PRK normalization: 1 / (2 * |offset| * radius), signed like `offset`).
+inline double stencil_weight(int64_t offset, int64_t radius) {
+  IDXL_ASSERT(offset != 0 && std::abs(offset) <= radius);
+  return 1.0 / (2.0 * static_cast<double>(std::abs(offset)) *
+                static_cast<double>(radius)) *
+         (offset > 0 ? 1.0 : -1.0);
+}
+
+/// Scalar arguments of the stencil task bodies. Trivially copyable, so a
+/// launch can ship them by value (ArgBuffer::of) to capture-free bodies
+/// registered by name (dist/smoke_tasks.hpp).
+struct StencilArgs {
+  FieldId fin = 0;
+  FieldId fout = 1;
+  int64_t radius = 1;
+  int64_t nx = 0;
+  int64_t ny = 0;
+};
+
+/// The star-stencil task body, over runs. Region 0 views `fin` over the
+/// block grown by `radius` (read); region 1 is the block of `fout`
+/// (read-write). Cells within `radius` of the nx x ny grid's edge are left
+/// alone (PRK). Each output run is clipped to the interior and read with
+/// the 1 + 2 * radius input runs it needs; every cell adds its terms in
+/// reference_output's order, so the result is bit-identical to it.
+void stencil_body(TaskContext& ctx, const StencilArgs& args);
+
+/// The PRK increment `fin += 1` over region 0 (read-write), one run at a
+/// time. Works on any dimension and on sparse views.
+void increment_body(TaskContext& ctx, FieldId fin);
 
 }  // namespace idxl::apps

@@ -1,47 +1,12 @@
 #include "dist/smoke_tasks.hpp"
 
-#include <cstdlib>
-
 #include "dist/task_registry.hpp"
 
 namespace idxl::dist::smoke {
 
-namespace {
+void stencil_body(TaskContext& ctx) { apps::stencil_body(ctx, ctx.arg<StencilArgs>()); }
 
-double weight(int64_t offset, int64_t radius) {
-  // PRK star weights, matching apps::stencil_weight.
-  return 1.0 / (2.0 * static_cast<double>(std::abs(offset)) *
-                static_cast<double>(radius)) *
-         (offset > 0 ? 1.0 : -1.0);
-}
-
-}  // namespace
-
-void stencil_body(TaskContext& ctx) {
-  const auto& a = ctx.arg<StencilArgs>();
-  const Rect interior(Point::p2(a.radius, a.radius),
-                      Point::p2(a.nx - 1 - a.radius, a.ny - 1 - a.radius));
-  auto in = ctx.region(0).accessor<double>(a.fin);
-  auto out = ctx.region(1).accessor<double>(a.fout);
-  ctx.region(1).domain().for_each([&](const Point& p) {
-    if (!interior.contains(p)) return;
-    double acc = out.read(p);
-    for (int64_t k = 1; k <= a.radius; ++k) {
-      acc += weight(k, a.radius) * in.read(Point::p2(p[0] + k, p[1]));
-      acc += weight(-k, a.radius) * in.read(Point::p2(p[0] - k, p[1]));
-      acc += weight(k, a.radius) * in.read(Point::p2(p[0], p[1] + k));
-      acc += weight(-k, a.radius) * in.read(Point::p2(p[0], p[1] - k));
-    }
-    out.write(p, acc);
-  });
-}
-
-void increment_body(TaskContext& ctx) {
-  const auto& a = ctx.arg<StencilArgs>();
-  auto in = ctx.region(0).accessor<double>(a.fin);
-  ctx.region(0).domain().for_each(
-      [&](const Point& p) { in.write(p, in.read(p) + 1.0); });
-}
+void increment_body(TaskContext& ctx) { apps::increment_body(ctx, ctx.arg<StencilArgs>().fin); }
 
 IDXL_DIST_REGISTER_TASK(smoke_stencil, stencil_body);
 IDXL_DIST_REGISTER_TASK(smoke_increment, increment_body);

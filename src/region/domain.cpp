@@ -33,11 +33,20 @@ Domain Domain::from_points(std::vector<Point> pts) {
   return d;
 }
 
-bool Domain::contains(const Point& p) const {
-  if (p.dim != dim()) return false;
+bool Domain::sparse_contains(const Point& p) const {
   if (!bounds_.contains(p)) return false;
-  if (dense()) return true;
   return std::binary_search(points_.begin(), points_.end(), p);
+}
+
+bool Domain::contains_run(const Point& lo, int64_t n) const {
+  if (n == 0) return true;
+  if (n < 0 || n > volume() || !bounds_.contains(lo)) return false;
+  Point end = lo;
+  end[dim() - 1] += n - 1;
+  if (dense()) return bounds_.contains(end);
+  const auto it = std::lower_bound(points_.begin(), points_.end(), lo);
+  if (it == points_.end() || *it != lo || points_.end() - it < n) return false;
+  return *(it + (n - 1)) == end;
 }
 
 bool Domain::disjoint_from(const Domain& other) const {

@@ -13,6 +13,11 @@ namespace idxl {
 /// The sparse form is what makes the DOM radiation sweeps expressible: each
 /// sweep stage launches over a *diagonal slice* of a 3-D grid, which is not
 /// a rectangle.
+///
+/// A *run* is a maximal stretch of the domain's points that are consecutive
+/// along the last dimension: lo, lo + e, ..., lo + (n-1)e, with e the unit
+/// vector of the last axis. Storage is row-major, so a run is contiguous in
+/// memory; task bodies and the data plane check and move one run at a time.
 class Domain {
  public:
   Domain() = default;
@@ -36,7 +41,16 @@ class Domain {
   }
   bool empty() const { return volume() == 0; }
 
-  bool contains(const Point& p) const;
+  /// Inline for dense domains: every region access makes this test.
+  bool contains(const Point& p) const {
+    return sparse_ ? sparse_contains(p) : bounds_.contains(p);
+  }
+
+  /// True iff all `n` points of the run starting at `lo` are in the domain
+  /// (vacuously for n == 0, never for n < 0). Exact for both forms: a dense
+  /// domain holds a run iff it holds both ends; a sparse one iff its sorted,
+  /// unique list has `lo` and, n - 1 entries later, the run's last point.
+  bool contains_run(const Point& lo, int64_t n) const;
 
   /// True iff no point is shared with `other`.
   bool disjoint_from(const Domain& other) const;
@@ -64,11 +78,46 @@ class Domain {
     }
   }
 
+  /// Call `fn(lo, n)` for each run, in for_each order: concatenating the
+  /// runs gives exactly for_each's sequence. A dense domain has one run per
+  /// row (a 1-D one is a single run); a sparse one splits its point list
+  /// wherever the last coordinate skips or a leading coordinate changes.
+  /// Fn: void(const Point& lo, int64_t n).
+  template <typename Fn>
+  void for_each_run(Fn&& fn) const {
+    if (empty()) return;
+    const int last = dim() - 1;
+    if (dense()) {
+      const int64_t n = bounds_.hi[last] - bounds_.lo[last] + 1;
+      Rect rows = bounds_;
+      rows.hi[last] = rows.lo[last];
+      for (const Point& lo : rows) fn(lo, n);
+      return;
+    }
+    std::size_t start = 0;
+    for (std::size_t i = 1; i <= points_.size(); ++i) {
+      if (i < points_.size() && extends_run(points_[i - 1], points_[i])) continue;
+      fn(points_[start], static_cast<int64_t>(i - start));
+      start = i;
+    }
+  }
+
   friend bool operator==(const Domain& a, const Domain& b);
 
   std::string to_string() const;
 
  private:
+  bool sparse_contains(const Point& p) const;
+
+  /// True iff `b` follows `a` in one run: same leading coordinates, last
+  /// coordinate one higher.
+  static bool extends_run(const Point& a, const Point& b) {
+    const std::size_t last = static_cast<std::size_t>(a.dim - 1);
+    for (std::size_t i = 0; i < last; ++i)
+      if (a.c[i] != b.c[i]) return false;
+    return b.c[last] == a.c[last] + 1;
+  }
+
   Rect bounds_;                 // tight bounding box
   std::vector<Point> points_;  // sorted & unique when sparse, else empty
   bool sparse_ = false;

@@ -149,8 +149,8 @@ struct Rect {
 
   bool contains(const Point& p) const {
     if (p.dim != dim()) return false;
-    for (int i = 0; i < dim(); ++i)
-      if (p[i] < lo[i] || p[i] > hi[i]) return false;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(dim()); ++i)
+      if (p.c[i] < lo.c[i] || p.c[i] > hi.c[i]) return false;
     return true;
   }
 

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <algorithm>
+#include <cstring>
 #include <span>
 #include <type_traits>
+#include <vector>
 
 #include "region/accessor.hpp"
 #include "runtime/fault.hpp"
@@ -33,10 +36,8 @@ class PhysicalRegion {
 
   template <typename T>
   Accessor<T> accessor(FieldId f) const {
-    for (const ResolvedField& rf : resolved_)
-      if (rf.id == f)
-        return Accessor<T>(rf.data, rf.size, storage_bounds_, domain_, priv_, redop_);
-    throw RuntimeError("idxl: field was not requested by this region argument");
+    const ResolvedField& rf = resolve(f);
+    return Accessor<T>(rf.data, rf.size, storage_bounds_, domain_, priv_, redop_);
   }
 
   RegionId region_id() const { return region_; }
@@ -49,29 +50,28 @@ class PhysicalRegion {
   void fill_bytes(FieldId f, const void* pattern, std::size_t size) {
     IDXL_REQUIRE(priv_ == Privilege::kWrite || priv_ == Privilege::kReadWrite,
                  "fill requires write privilege");
-    for (const ResolvedField& rf : resolved_) {
-      if (rf.id != f) continue;
-      IDXL_REQUIRE(rf.size == size, "fill pattern size does not match the field");
-      domain_->for_each([&](const Point& p) {
-        std::memcpy(rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * size,
-                    pattern, size);
-      });
-      return;
-    }
-    throw RuntimeError("idxl: field was not requested by this region argument");
+    const ResolvedField& rf = resolve(f);
+    IDXL_REQUIRE(rf.size == size, "fill pattern size does not match the field");
+    domain_->for_each_run([&](const Point& lo, int64_t n) {
+      // One pattern copy, then double the filled prefix until the run is full.
+      std::byte* dst = element(rf, lo);
+      const std::size_t bytes = static_cast<std::size_t>(n) * size;
+      std::memcpy(dst, pattern, size);
+      for (std::size_t done = size; done < bytes; done *= 2)
+        std::memcpy(dst + done, dst, std::min(done, bytes - done));
+    });
   }
 
   /// Append every resolved field's bytes over this view's domain to `out`,
-  /// fields in argument order, elements in Domain::for_each order. The
-  /// symmetric pair to copy_in: the owning process extracts its written
-  /// subregion, the others apply it — the explicit data movement Legion
-  /// performs implicitly between memories.
+  /// fields in argument order, elements in Domain::for_each order, one run
+  /// at a time. The symmetric pair to copy_in: the owning process extracts
+  /// its written subregion, the others apply it — the explicit data
+  /// movement Legion performs implicitly between memories.
   void copy_out(std::vector<std::byte>& out) const {
     for (const ResolvedField& rf : resolved_) {
-      domain_->for_each([&](const Point& p) {
-        const std::byte* src =
-            rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * rf.size;
-        out.insert(out.end(), src, src + rf.size);
+      domain_->for_each_run([&](const Point& lo, int64_t n) {
+        const std::byte* src = element(rf, lo);
+        out.insert(out.end(), src, src + static_cast<std::size_t>(n) * rf.size);
       });
     }
   }
@@ -81,12 +81,12 @@ class PhysicalRegion {
   /// range. Throws RuntimeError if `in` is too short.
   std::size_t copy_in(const std::vector<std::byte>& in, std::size_t offset) {
     for (const ResolvedField& rf : resolved_) {
-      domain_->for_each([&](const Point& p) {
-        IDXL_REQUIRE(offset + rf.size <= in.size(),
+      domain_->for_each_run([&](const Point& lo, int64_t n) {
+        const std::size_t bytes = static_cast<std::size_t>(n) * rf.size;
+        IDXL_REQUIRE(offset + bytes <= in.size(),
                      "remote region payload shorter than the region view");
-        std::memcpy(rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * rf.size,
-                    in.data() + offset, rf.size);
-        offset += rf.size;
+        std::memcpy(element(rf, lo), in.data() + offset, bytes);
+        offset += bytes;
       });
     }
     return offset;
@@ -100,11 +100,10 @@ class PhysicalRegion {
     IDXL_REQUIRE(storage_bounds_.contains(rect),
                  "transfer rect escapes the region's storage bounds");
     out.reserve(out.size() + static_cast<std::size_t>(rect.volume()) * rf.size);
-    for (const Point& p : rect) {
-      const std::byte* src =
-          rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * rf.size;
-      out.insert(out.end(), src, src + rf.size);
-    }
+    Domain(rect).for_each_run([&](const Point& lo, int64_t n) {
+      const std::byte* src = element(rf, lo);
+      out.insert(out.end(), src, src + static_cast<std::size_t>(n) * rf.size);
+    });
   }
 
   /// Apply a copy_out_rect payload to field `f` over `rect`. The symmetric
@@ -116,11 +115,11 @@ class PhysicalRegion {
     IDXL_REQUIRE(in.size() == static_cast<std::size_t>(rect.volume()) * rf.size,
                  "region patch payload does not match its rect");
     std::size_t offset = 0;
-    for (const Point& p : rect) {
-      std::memcpy(rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * rf.size,
-                  in.data() + offset, rf.size);
-      offset += rf.size;
-    }
+    Domain(rect).for_each_run([&](const Point& lo, int64_t n) {
+      const std::size_t bytes = static_cast<std::size_t>(n) * rf.size;
+      std::memcpy(element(rf, lo), in.data() + offset, bytes);
+      offset += bytes;
+    });
   }
 
  private:
@@ -128,6 +127,11 @@ class PhysicalRegion {
     for (const ResolvedField& rf : resolved_)
       if (rf.id == f) return rf;
     throw RuntimeError("idxl: field was not requested by this region argument");
+  }
+
+  /// First byte of `rf`'s element at `p`, a point within the storage bounds.
+  std::byte* element(const ResolvedField& rf, const Point& p) const {
+    return rf.data + static_cast<std::size_t>(storage_bounds_.linearize(p)) * rf.size;
   }
 
   RegionId region_;

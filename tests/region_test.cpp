@@ -151,6 +151,67 @@ TEST(DomainTest, DiagonalSliceIsSparse) {
   EXPECT_EQ(d.volume(), 10);  // C(3+2,2)
 }
 
+// `p` moved `by` steps along its last axis.
+Point along_last(Point p, int64_t by) {
+  p[p.dim - 1] += by;
+  return p;
+}
+
+TEST(DomainTest, RunsReproduceForEach) {
+  std::vector<Point> wave;  // the diagonal slice of DiagonalSliceIsSparse
+  for (int x = 0; x < 4; ++x)
+    for (int y = 0; y < 4; ++y)
+      for (int z = 0; z < 4; ++z)
+        if (x + y + z == 3) wave.push_back(Point::p3(x, y, z));
+  // A gap inside row 0, and rows 1 and 2 whose last coordinates continue
+  // row 0's and each other's: a run never crosses a row break.
+  const Domain gappy = Domain::from_points({Point::p2(0, 0), Point::p2(0, 1), Point::p2(0, 3),
+                                            Point::p2(0, 4), Point::p2(0, 5), Point::p2(1, 6),
+                                            Point::p2(2, 7), Point::p2(2, 8)});
+  struct Case {
+    Domain domain;
+    std::size_t runs;
+  };
+  const std::vector<Case> cases = {
+      {Domain(Rect(Point::p1(3), Point::p1(9))), 1},
+      {Domain(Rect(Point::p2(1, 2), Point::p2(3, 5))), 3},
+      {Domain(Rect(Point::p3(0, 1, 2), Point::p3(2, 2, 4))), 6},
+      {gappy, 4},
+      {Domain::from_points(wave), 10},
+      {Domain::from_points({}), 0},
+      {Domain(Rect(Point::p2(0, 0), Point::p2(-1, 3))), 0},
+  };
+  for (const Case& c : cases) {
+    const Domain& d = c.domain;
+    SCOPED_TRACE(d.to_string());
+    std::vector<Point> expect;
+    d.for_each([&](const Point& p) { expect.push_back(p); });
+    std::vector<Point> got;
+    std::size_t runs = 0;
+    d.for_each_run([&](const Point& lo, int64_t n) {
+      ++runs;
+      ASSERT_GE(n, 1);
+      for (int64_t i = 0; i < n; ++i) got.push_back(along_last(lo, i));
+      EXPECT_TRUE(d.contains_run(lo, n));
+      EXPECT_TRUE(d.contains_run(along_last(lo, 1), n - 1));
+      // Maximal: the points just before and after are not in the domain,
+      // and the run extended by one point at either end is not contained.
+      EXPECT_FALSE(d.contains(along_last(lo, -1)));
+      EXPECT_FALSE(d.contains(along_last(lo, n)));
+      EXPECT_FALSE(d.contains_run(along_last(lo, -1), n + 1));
+      EXPECT_FALSE(d.contains_run(lo, n + 1));
+      EXPECT_FALSE(d.contains_run(lo, -1));
+    });
+    EXPECT_EQ(runs, c.runs);
+    EXPECT_EQ(got, expect);
+  }
+  // Both ends of (0, 1)..(0, 3) are in `gappy`, (0, 2) is not.
+  EXPECT_FALSE(gappy.contains_run(Point::p2(0, 1), 3));
+  EXPECT_TRUE(gappy.contains_run(Point::p2(0, 3), 3));
+  EXPECT_FALSE(gappy.contains_run(Point::p2(0, 5), 2));  // row break
+  EXPECT_TRUE(gappy.contains_run(Point::p2(5, 5), 0));
+}
+
 // ---------- BitVector ----------
 
 TEST(BitVectorTest, SetTestClear) {

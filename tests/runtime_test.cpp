@@ -773,6 +773,214 @@ TEST(RuntimeDeathTest, OutOfBoundsAccessAborts) {
       "bounds");
 }
 
+// Runs one index launch of `body` over block 1 ([4, 8)) of an 8-element
+// line split in two, with privilege `priv`.
+void run_on_block_one(Fixture& fx, TaskFn body, Privilege priv) {
+  const TaskFnId t = fx.rt.register_task("run_access", std::move(body));
+  fx.rt.execute_index(IndexLauncher::over(Domain(Rect(Point::p1(1), Point::p1(1))))
+                          .with_task(t)
+                          .region(fx.region, fx.blocks, ProjectionFunctor::identity(1),
+                                  {fx.fv}, priv));
+  fx.rt.wait_all();
+}
+
+TEST(RuntimeDeathTest, RunPastEitherEndOfBlockAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Fixture fx(8, 2);
+  // The whole block is one run; it is fine.
+  run_on_block_one(
+      fx,
+      [](TaskContext& ctx) {
+        auto acc = ctx.region(0).accessor<double>(0);
+        for (double& v : acc.write_run(Point::p1(4), 4)) v = 1.0;
+      },
+      Privilege::kReadWrite);
+  EXPECT_DEATH(run_on_block_one(
+                   fx,
+                   [](TaskContext& ctx) {
+                     auto acc = ctx.region(0).accessor<double>(0);
+                     (void)acc.read_run(Point::p1(3), 5);  // one before the block
+                   },
+                   Privilege::kReadWrite),
+               "region access out of privilege bounds");
+  EXPECT_DEATH(run_on_block_one(
+                   fx,
+                   [](TaskContext& ctx) {
+                     auto acc = ctx.region(0).accessor<double>(0);
+                     (void)acc.write_run(Point::p1(4), 5);  // one past the block
+                   },
+                   Privilege::kReadWrite),
+               "region access out of privilege bounds");
+}
+
+TEST(RuntimeDeathTest, RunAcrossSparseGapAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Fixture fx(8, 2);
+  // Color 0 is {0, 1, 2, 5, 6, 7}: both ends of the run 2..5 are in it,
+  // the middle is not.
+  auto& forest = fx.rt.forest();
+  const PartitionId gapped = partition_by_coloring(
+      forest, fx.is, Rect::line(2),
+      [](const Point& p) { return Point::p1(p[0] == 3 || p[0] == 4 ? 1 : 0); });
+  const RegionId view = forest.subregion(fx.region, gapped, Point::p1(0));
+  ASSERT_FALSE(forest.region_domain(view).dense());
+  auto read_run = [&](int64_t lo, int64_t n) {
+    const TaskFnId t = fx.rt.register_task("sparse_run", [lo, n](TaskContext& ctx) {
+      auto acc = ctx.region(0).accessor<double>(0);
+      (void)acc.read_run(Point::p1(lo), n);
+    });
+    fx.rt.execute(TaskLauncher::for_task(t).region(view, {fx.fv}, Privilege::kRead));
+    fx.rt.wait_all();
+  };
+  read_run(0, 3);
+  read_run(5, 3);
+  EXPECT_DEATH(read_run(2, 4), "region access out of privilege bounds");
+}
+
+TEST(RuntimeDeathTest, WriteRunThroughReadOnlyViewAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Fixture fx(8, 2);
+  EXPECT_DEATH(run_on_block_one(
+                   fx,
+                   [](TaskContext& ctx) {
+                     auto acc = ctx.region(0).accessor<double>(0);
+                     (void)acc.write_run(Point::p1(4), 4);
+                   },
+                   Privilege::kRead),
+               "write access without write privilege");
+}
+
+// Whole storage of each of `fields` of root region `root`.
+std::vector<std::vector<std::byte>> storage_of(RegionForest& forest, RegionId root,
+                                               const std::vector<FieldId>& fields) {
+  std::vector<std::vector<std::byte>> out;
+  const std::size_t volume = static_cast<std::size_t>(forest.storage_bounds(root).volume());
+  for (const FieldId f : fields) {
+    const std::byte* data = forest.field_data(root, f);
+    out.emplace_back(data, data + volume * forest.field(forest.region(root).fspace, f).size);
+  }
+  return out;
+}
+
+// Bytes `n`, `n + 1`, ... (mod 251): contents no two neighbours share.
+std::vector<std::byte> numbered_bytes(std::size_t count, std::size_t n) {
+  std::vector<std::byte> out(count);
+  for (std::size_t i = 0; i < count; ++i) out[i] = std::byte((n + i) % 251);
+  return out;
+}
+
+// The per-element reference for the run-wise copy paths: every element is
+// linearized and copied on its own, in Domain::for_each order.
+TEST(PhysicalRegionTest, RunCopiesMatchPerElementReference) {
+  RegionForest forest;
+  const IndexSpaceId grid_is = forest.create_index_space(Domain(Rect::box2(6, 5)));
+  const IndexSpaceId line_is = forest.create_index_space(Domain::line(20));
+  const IndexSpaceId src_is = forest.create_index_space(Domain::line(8));
+  const FieldSpaceId fs = forest.create_field_space();
+  const FieldId fa = forest.allocate_field(fs, sizeof(double), "a");
+  const FieldId fb = forest.allocate_field(fs, sizeof(int32_t), "b");
+  const std::vector<FieldId> fields = {fb, fa};  // argument order, not id order
+  const RegionId grid = forest.create_region(grid_is, fs);
+  const RegionId line = forest.create_region(line_is, fs);
+  const PartitionId blocks = partition_equal(forest, grid_is, Rect::box2(2, 2));
+  const PartitionId columns = partition_equal(forest, grid_is, Rect::box2(1, 5));
+  const PartitionId image = partition_image(
+      forest, grid_is, partition_equal(forest, src_is, Rect::line(2)),
+      [](const Point& p) { return Point::p2((p[0] * 3) % 6, (p[0] * 2) % 5); });
+  const PartitionId pieces = partition_equal(forest, line_is, Rect::line(3));
+  const std::vector<RegionId> views = {
+      forest.subregion(grid, blocks, Point::p2(1, 0)),   // dense 2-D block
+      forest.subregion(grid, columns, Point::p2(0, 3)),  // 1-wide column: 1-element runs
+      forest.subregion(grid, image, Point::p1(0)),       // sparse image view
+      forest.subregion(line, pieces, Point::p1(1)),      // 1-D block: one run
+  };
+  ASSERT_FALSE(forest.region_domain(views[2]).dense());
+
+  std::size_t salt = 1;
+  for (const RegionId v : views) {
+    const Domain& d = forest.region_domain(v);
+    SCOPED_TRACE(d.to_string());
+    const RegionId root = forest.region(v).root;
+    const Rect& bounds = forest.storage_bounds(root);
+    auto element = [&](std::vector<std::vector<std::byte>>& storage, std::size_t i,
+                       const Point& p) {
+      const std::size_t size = forest.field(fs, fields[i]).size;
+      return storage[i].data() + static_cast<std::size_t>(bounds.linearize(p)) * size;
+    };
+    auto seed = [&] {
+      for (const FieldId f : fields) {
+        const std::size_t bytes =
+            static_cast<std::size_t>(bounds.volume()) * forest.field(fs, f).size;
+        const std::vector<std::byte> init = numbered_bytes(bytes, salt++);
+        std::memcpy(forest.field_data(root, f), init.data(), bytes);
+      }
+    };
+    seed();
+    PhysicalRegion pr(forest, v, fields, Privilege::kReadWrite, ReductionOp::kNone);
+
+    // copy_out appends fields in argument order, elements in for_each order.
+    auto now = storage_of(forest, root, fields);
+    std::vector<std::byte> expect = {std::byte{0xAB}};
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      const std::size_t size = forest.field(fs, fields[i]).size;
+      d.for_each([&](const Point& p) {
+        const std::byte* src = element(now, i, p);
+        expect.insert(expect.end(), src, src + size);
+      });
+    }
+    std::vector<std::byte> out = {std::byte{0xAB}};
+    pr.copy_out(out);
+    EXPECT_EQ(out, expect);
+
+    // copy_in consumes the same layout from an offset.
+    const std::vector<std::byte> payload = numbered_bytes(3 + expect.size() - 1, salt++);
+    auto want = storage_of(forest, root, fields);
+    std::size_t offset = 3;
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      const std::size_t size = forest.field(fs, fields[i]).size;
+      d.for_each([&](const Point& p) {
+        std::memcpy(element(want, i, p), payload.data() + offset, size);
+        offset += size;
+      });
+    }
+    EXPECT_EQ(pr.copy_in(payload, 3), offset);
+    EXPECT_EQ(storage_of(forest, root, fields), want);
+    const std::vector<std::byte> short_payload(payload.begin(), payload.end() - 1);
+    EXPECT_THROW(pr.copy_in(short_payload, 3), RuntimeError);
+    seed();
+
+    // fill_bytes writes the pattern into every element of one field.
+    const double pattern = -2.75;
+    want = storage_of(forest, root, fields);
+    d.for_each(
+        [&](const Point& p) { std::memcpy(element(want, 1, p), &pattern, sizeof(pattern)); });
+    pr.fill_bytes(fa, &pattern, sizeof(pattern));
+    EXPECT_EQ(storage_of(forest, root, fields), want);
+
+    // copy_out_rect / copy_in_rect cover the view's bounding rect row-major.
+    const Rect rect = d.bounds();
+    now = storage_of(forest, root, fields);
+    std::vector<std::byte> rect_expect;
+    for (const Point& p : rect) {
+      const std::byte* src = element(now, 0, p);
+      rect_expect.insert(rect_expect.end(), src, src + sizeof(int32_t));
+    }
+    std::vector<std::byte> rect_out;
+    pr.copy_out_rect(fb, rect, rect_out);
+    EXPECT_EQ(rect_out, rect_expect);
+
+    const std::vector<std::byte> patch = numbered_bytes(rect_expect.size(), salt++);
+    want = storage_of(forest, root, fields);
+    offset = 0;
+    for (const Point& p : rect) {
+      std::memcpy(element(want, 0, p), patch.data() + offset, sizeof(int32_t));
+      offset += sizeof(int32_t);
+    }
+    pr.copy_in_rect(fb, rect, patch);
+    EXPECT_EQ(storage_of(forest, root, fields), want);
+  }
+}
+
 TEST(RuntimeTest, FutureReducesTaskReturnValues) {
   Fixture fx(100, 10);
   const TaskFnId block_sum = fx.rt.register_task("block_sum", [](TaskContext& ctx) {
