@@ -10,6 +10,7 @@
 #include <ctime>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "apps/circuit.hpp"
@@ -102,70 +103,92 @@ static IssueBench bench_issue_phase(bool group, int64_t pieces, int iters,
 // zero fresh pair tests.
 
 struct InterLaunchBench {
-  double issue_s = 0;          // issuing-thread seconds, steady-state epoch
+  double issue_s = 0;          // issuing-thread seconds, summed over the timed epochs
   uint64_t pair_tests = 0;     // fresh analyzer runs, cumulative (warm + timed)
-  uint64_t steady_tests = 0;   // fresh analyzer runs in the timed epoch alone
-  uint64_t skips = 0;          // cross-launch walks skipped in the timed epoch
+  uint64_t steady_tests = 0;   // fresh analyzer runs in one steady-state epoch
+  uint64_t skips = 0;          // cross-launch walks skipped in one steady-state epoch
 };
 
-static InterLaunchBench bench_inter_launch(bool analysis, int64_t pieces,
-                                           int stride) {
-  RuntimeConfig cfg;
-  cfg.enable_interference_analysis = analysis;
-  Runtime rt(cfg);
-  auto& forest = rt.forest();
-  const int64_t colors = pieces * stride;
-  const IndexSpaceId is = forest.create_index_space(Domain::line(colors * 4));
-  const FieldSpaceId fs = forest.create_field_space();
-  const FieldId fv = forest.allocate_field(fs, sizeof(double), "v");
-  const RegionId region = forest.create_region(is, fs);
-  const PartitionId blocks = partition_equal(forest, is, Rect::line(colors));
-  const TaskFnId noop = rt.register_task("noop", [](TaskContext&) {});
-  std::vector<IndexLauncher> launchers;
-  launchers.reserve(static_cast<std::size_t>(stride));
-  for (int j = 0; j < stride; ++j)
-    launchers.push_back(
-        IndexLauncher::over(Domain::line(pieces))
-            .with_task(noop)
-            .region(region, blocks,
-                    ProjectionFunctor::symbolic({make_add(
-                        make_mul(make_const(stride), make_coord(0)),
-                        make_const(j))}),
-                    {fv}, Privilege::kWrite));
+/// One runtime issuing the residue-class chain, with the analysis on or off.
+class InterLaunchChain {
+ public:
+  InterLaunchChain(bool analysis, int64_t pieces, int stride)
+      : rt_([analysis] {
+          RuntimeConfig cfg;
+          cfg.enable_interference_analysis = analysis;
+          return cfg;
+        }()) {
+    auto& forest = rt_.forest();
+    const int64_t colors = pieces * stride;
+    const IndexSpaceId is = forest.create_index_space(Domain::line(colors * 4));
+    const FieldSpaceId fs = forest.create_field_space();
+    const FieldId fv = forest.allocate_field(fs, sizeof(double), "v");
+    const RegionId region = forest.create_region(is, fs);
+    const PartitionId blocks = partition_equal(forest, is, Rect::line(colors));
+    const TaskFnId noop = rt_.register_task("noop", [](TaskContext&) {});
+    for (int j = 0; j < stride; ++j)
+      launchers_.push_back(
+          IndexLauncher::over(Domain::line(pieces))
+              .with_task(noop)
+              .region(region, blocks,
+                      ProjectionFunctor::symbolic({make_add(
+                          make_mul(make_const(stride), make_coord(0)),
+                          make_const(j))}),
+                      {fv}, Privilege::kWrite));
+    // Warm epoch: safety verdicts and all stride*(stride-1)/2 pair verdicts
+    // land in their caches — the cost real programs pay once per launch-site
+    // set. The fence clears the interference history; the pair cache persists.
+    for (const IndexLauncher& l : launchers_) rt_.execute_index(l);
+    rt_.wait_all();
+  }
 
-  // Warm epoch: safety verdicts and all stride*(stride-1)/2 pair verdicts
-  // land in their caches — the cost real programs pay once per launch-site
-  // set. The fence clears the interference history; the pair cache persists.
-  for (const IndexLauncher& l : launchers) rt.execute_index(l);
-  rt.wait_all();
-
-  // Best-of-N steady-state epochs: one epoch is a few hundred microseconds,
-  // well inside scheduler-noise territory, and the CI gate compares the
-  // on/off epochs as a ratio. Counter deltas come from the fastest epoch
-  // (every steady epoch produces identical counts anyway).
-  InterLaunchBench r;
-  const int epochs = 7;
-  for (int e = 0; e < epochs; ++e) {
-    rt.pool().pause();
-    const RuntimeStats before = rt.stats();
+  /// Issue one steady-state epoch with the workers paused; adds its
+  /// issuing-thread seconds to r.issue_s and records its counters.
+  void epoch(InterLaunchBench& r) {
+    rt_.pool().pause();
+    const RuntimeStats before = rt_.stats();
     timespec t0{}, t1{};
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
-    for (const IndexLauncher& l : launchers) rt.execute_index(l);
+    for (const IndexLauncher& l : launchers_) rt_.execute_index(l);
     clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
-    const RuntimeStats after = rt.stats();
-    rt.pool().resume();
-    rt.wait_all();
-    const double s = static_cast<double>(t1.tv_sec - t0.tv_sec) +
-                     static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-9;
-    if (e == 0 || s < r.issue_s) {
-      r.issue_s = s;
-      r.pair_tests = after.interference_pair_tests;
-      r.steady_tests =
-          after.interference_pair_tests - before.interference_pair_tests;
-      r.skips = after.interference_skips - before.interference_skips;
+    const RuntimeStats after = rt_.stats();
+    rt_.pool().resume();
+    rt_.wait_all();
+    r.issue_s += static_cast<double>(t1.tv_sec - t0.tv_sec) +
+                 static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-9;
+    r.pair_tests = after.interference_pair_tests;
+    r.steady_tests = after.interference_pair_tests - before.interference_pair_tests;
+    r.skips = after.interference_skips - before.interference_skips;
+  }
+
+ private:
+  Runtime rt_;
+  std::vector<IndexLauncher> launchers_;
+};
+
+/// The chain with the analysis on and off, on two runtimes, epoch by epoch
+/// in alternating order, each side's issuing-thread CPU time summed. One
+/// epoch is about a millisecond and a half: a best-of-N over separate epochs
+/// read the on/off ratio anywhere in 0.87–1.32 against a cap of 1.25. Load
+/// bursts last far longer than one epoch pair, so interleaving spreads them
+/// over both sides and they cancel in the ratio, as in the flight-recorder
+/// measurement below. Every steady epoch produces identical counts, so the
+/// counters are the last epoch's.
+static std::pair<InterLaunchBench, InterLaunchBench> bench_inter_launch(
+    int64_t pieces, int stride, int epochs) {
+  InterLaunchChain on(/*analysis=*/true, pieces, stride);
+  InterLaunchChain off(/*analysis=*/false, pieces, stride);
+  InterLaunchBench r_on, r_off;
+  for (int e = 0; e < epochs; ++e) {
+    if (e % 2 == 0) {
+      on.epoch(r_on);
+      off.epoch(r_off);
+    } else {
+      off.epoch(r_off);
+      on.epoch(r_on);
     }
   }
-  return r;
+  return {r_on, r_off};
 }
 
 // Best-of-N repetitions: single-run timings on a loaded (or single-core)
@@ -210,13 +233,12 @@ static void issue_phase_breakdown() {
   // on vs off, on the residue-class writer chain (16 launches per epoch).
   const int inter_stride = 16;
   const int64_t inter_pieces = 512;
-  const InterLaunchBench il_on =
-      bench_inter_launch(/*analysis=*/true, inter_pieces, inter_stride);
-  const InterLaunchBench il_off =
-      bench_inter_launch(/*analysis=*/false, inter_pieces, inter_stride);
+  const int inter_epochs = 200;
+  const auto [il_on, il_off] = bench_inter_launch(inter_pieces, inter_stride, inter_epochs);
   std::printf("\nInter-launch interference phase: %d residue-class writers, "
-              "%lld colors each, one shared field\n",
-              inter_stride, static_cast<long long>(inter_pieces));
+              "%lld colors each, one shared field; issue s summed over %d "
+              "interleaved epochs per side\n",
+              inter_stride, static_cast<long long>(inter_pieces), inter_epochs);
   std::printf("%-12s%14s%16s%16s%14s\n", "config", "issue s", "pair tests",
               "steady tests", "walks skipped");
   std::printf("%-12s%14.4f%16llu%16llu%14llu\n", "analysis", il_on.issue_s,

@@ -1,6 +1,7 @@
 #include "dist/replica.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "dist/dist_runtime.hpp"
 #include "support/error.hpp"
@@ -75,9 +76,7 @@ void plan_points(const RegionForest& forest, VersionMap& map,
     // ahead of it.
     for (std::size_t a = 0; a < nargs; ++a) {
       if (!has_read_half(arg[a].privilege)) continue;
-      const RegionId root = forest.region(arg[a].region).root;
-      const Rect& bounds = forest.region_domain(arg[a].region).bounds();
-      for (FieldId f : *arg[a].fields) map.plan_read(root, f, bounds, owner, out);
+      for (FieldId f : *arg[a].fields) map.plan_read(arg[a].region, f, owner, out);
     }
     // Writes. A launch aliasing across ranks or a sparse write footprint
     // makes the owner broadcast the whole task outcome (on_success); the map
@@ -86,18 +85,18 @@ void plan_points(const RegionForest& forest, VersionMap& map,
     const bool everywhere = full_launch || sparse_write(forest, arg, nargs);
     for (std::size_t a = 0; a < nargs; ++a) {
       if (!privilege_writes(arg[a].privilege)) continue;
-      const RegionId root = forest.region(arg[a].region).root;
-      const Domain& dom = forest.region_domain(arg[a].region);
+      const RegionId producer = arg[a].region;
+      const Domain& dom = forest.region_domain(producer);
       for (FieldId f : *arg[a].fields) {
         if (!everywhere) {
-          map.note_write(root, f, dom.bounds(), owner, arg[a].region);
+          map.note_write(producer, f, dom.bounds(), owner);
         } else if (dom.dense()) {
-          map.note_write_everywhere(root, f, dom.bounds(), owner, arg[a].region);
+          map.note_write_everywhere(producer, f, dom.bounds(), owner);
         } else {
           // A sparse footprint's bounding box would erase records of newer
           // data the task never touched — record the exact points instead.
           dom.for_each([&](const Point& q) {
-            map.note_write_everywhere(root, f, Rect(q, q), owner, arg[a].region);
+            map.note_write_everywhere(producer, f, Rect(q, q), owner);
           });
         }
       }
@@ -130,7 +129,7 @@ Replica::Replica(uint32_t rank, uint32_t nranks, RuntimeConfig config,
                  const std::vector<std::pair<std::string, TaskFn>>& tasks, bool delta,
                  TaskFnId xfer_task)
     : rank_(rank), nranks_(nranks), delta_(delta), xfer_task_(xfer_task) {
-  if (delta) vmap_ = std::make_unique<VersionMap>(nranks);
+  if (delta) vmap_ = std::make_unique<VersionMap>(nranks, *forest);
   // The hooks capture `this`; they fire only once launches are issued, by
   // which time attach() has set the links.
   config.point_owned = [rank, nranks](uint64_t, const Point& p, const Domain& domain) {
@@ -176,7 +175,7 @@ LaunchResult Replica::execute_index(const IndexLauncher& launcher) {
   // cannot be planned — its transfer would be issued ahead of the launch
   // producing its data — so the owners ship full outcomes for that launch
   // instead.
-  const RegionForest& forest = rt_->forest();
+  RegionForest& forest = rt_->forest();
   const std::size_t nargs = launcher.args.size();
   std::vector<uint32_t> owners;
   std::vector<PlanArg> args;
@@ -184,9 +183,11 @@ LaunchResult Replica::execute_index(const IndexLauncher& launcher) {
     uint32_t owner;
     RegionId root;
     FieldId field;
-    Rect rect;
   };
-  std::vector<Write> writes;
+  // The launch's writes so far, by the writing subregion's index space: a
+  // read meets only the buckets the overlap index lists for its own, whose
+  // bounds overlap the read's by construction.
+  std::unordered_map<uint32_t, std::vector<Write>> writes;
   bool aliased = false;
   launcher.domain.for_each([&](const Point& p) {
     const std::size_t i = owners.size();
@@ -197,22 +198,22 @@ LaunchResult Replica::execute_index(const IndexLauncher& launcher) {
     const PlanArg* arg = args.data() + i * nargs;
     for (std::size_t a = 0; a < nargs && !aliased; ++a) {
       if (!has_read_half(arg[a].privilege)) continue;
-      const RegionId root = forest.region(arg[a].region).root;
-      const Rect& rect = forest.region_domain(arg[a].region).bounds();
+      const RegionInfo& info = forest.region(arg[a].region);
       const std::vector<FieldId>& fields = *arg[a].fields;
-      for (const Write& w : writes)
-        if (w.owner != owner && w.root == root && w.rect.overlaps(rect) &&
-            std::find(fields.begin(), fields.end(), w.field) != fields.end()) {
-          aliased = true;
-          break;
-        }
+      aliased = std::ranges::any_of(forest.overlapping(info.ispace), [&](IndexSpaceId is) {
+        const auto it = writes.find(is.id);
+        return it != writes.end() && std::ranges::any_of(it->second, [&](const Write& w) {
+                 return w.owner != owner && w.root == info.root &&
+                        std::ranges::find(fields, w.field) != fields.end();
+               });
+      });
     }
     if (sparse_write(forest, arg, nargs)) return;  // current everywhere: no read moves it
     for (std::size_t a = 0; a < nargs; ++a) {
       if (!privilege_writes(arg[a].privilege)) continue;
-      const RegionId root = forest.region(arg[a].region).root;
-      const Rect& rect = forest.region_domain(arg[a].region).bounds();
-      for (FieldId f : *arg[a].fields) writes.push_back({owner, root, f, rect});
+      const RegionInfo& info = forest.region(arg[a].region);
+      std::vector<Write>& bucket = writes[info.ispace.id];
+      for (FieldId f : *arg[a].fields) bucket.push_back({owner, info.root, f});
     }
   });
   std::vector<Transfer> transfers;
@@ -242,9 +243,8 @@ void Replica::recall() {
   for (uint32_t i = 0; i < forest.region_count(); ++i) {
     const RegionInfo& info = forest.region(RegionId{i});
     if (info.root != info.handle) continue;
-    const Rect bounds = forest.storage_bounds(info.handle);
     for (const FieldInfo& fi : forest.fields(info.fspace))
-      vmap_->plan_read(info.handle, fi.id, bounds, /*dest=*/0, transfers);
+      vmap_->plan_read(info.handle, fi.id, /*dest=*/0, transfers);
   }
   issue(transfers);
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -37,6 +38,15 @@ struct Transfer {
 /// kept disjoint via rectangle subtraction on overlap, so the map is a
 /// partition of the written footprint, not a log. Updates split and replace
 /// entries in place; the order of a field's entries is unspecified.
+///
+/// A field's entries sit in buckets keyed by the index space of their
+/// producer subregion, and an entry's rect always lies inside its
+/// producer's bounds (a write records the producer's bounds or one of its
+/// points; a split keeps the producer). So a call touching a rect inside
+/// region R's bounds visits only the buckets of the index spaces the
+/// forest's overlap index lists for R's (RegionForest::overlapping), not
+/// every entry of the field. Like that index, the map is used only from
+/// the issuing thread.
 class VersionMap {
  public:
   struct Entry {
@@ -47,35 +57,42 @@ class VersionMap {
     RegionId producer;
   };
 
-  explicit VersionMap(uint32_t nranks);
+  /// A map of `nranks` ranks over the regions of `forest`, which must
+  /// outlive it.
+  VersionMap(uint32_t nranks, RegionForest& forest);
 
-  /// Record that `owner` is about to produce a new version of `rect`; only
-  /// `owner` will hold it (delta mode ships nothing on write).
-  void note_write(RegionId root, FieldId field, const Rect& rect,
-                  uint32_t owner, RegionId producer);
+  /// Record that `owner` is about to produce, through subregion `producer`,
+  /// a new version of `rect` (inside producer's bounds); only `owner` will
+  /// hold it (delta mode ships nothing on write).
+  void note_write(RegionId producer, FieldId field, const Rect& rect, uint32_t owner);
 
   /// Record a write whose bytes are broadcast to every rank (the full-block
   /// fallback for sparse write footprints and the star-hub baseline).
-  void note_write_everywhere(RegionId root, FieldId field, const Rect& rect,
-                             uint32_t owner, RegionId producer);
+  void note_write_everywhere(RegionId producer, FieldId field, const Rect& rect,
+                             uint32_t owner);
 
-  /// Plan the transfers `dest` needs before reading `rect`, appending to
-  /// `out`, and mark the shipped spans current at `dest`. Never yields a
-  /// transfer with src == dest (an owner is always current).
-  void plan_read(RegionId root, FieldId field, const Rect& rect,
-                 uint32_t dest, std::vector<Transfer>& out);
+  /// Plan the transfers `dest` needs before reading the bounds of `region`,
+  /// appending to `out`, and mark the shipped spans current at `dest`.
+  /// Never yields a transfer with src == dest (an owner is always current).
+  void plan_read(RegionId region, FieldId field, uint32_t dest,
+                 std::vector<Transfer>& out);
 
-  /// Entries currently tracked for (root, field) — tests only.
-  const std::vector<Entry>& entries(RegionId root, FieldId field) const;
+  /// Entries currently tracked for (root, field), over every bucket — tests
+  /// only.
+  std::vector<Entry> entries(RegionId root, FieldId field) const;
 
  private:
-  void note(RegionId root, FieldId field, const Rect& rect, uint32_t owner,
-            RegionId producer, uint64_t current);
+  /// One (root, field)'s entries, by producer index space id.
+  using Buckets = std::unordered_map<uint32_t, std::vector<Entry>>;
+
+  void note(RegionId producer, FieldId field, const Rect& rect, uint32_t owner,
+            uint64_t current);
 
   uint32_t nranks_;
   uint64_t all_mask_;
+  RegionForest* forest_;
   uint64_t next_version_ = 0;
-  std::map<std::pair<uint32_t, FieldId>, std::vector<Entry>> fields_;
+  std::map<std::pair<uint32_t, FieldId>, Buckets> fields_;
 };
 
 }  // namespace idxl::dist

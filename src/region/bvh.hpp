@@ -12,9 +12,11 @@ namespace idxl {
 /// Legion's physical analysis uses a distributed BVH to find the
 /// sub-collections a task's regions interfere with in O(log |P|) instead of
 /// scanning every partition color (§5). This is the in-process analogue:
-/// the DependenceTracker queries it to prune candidate region uses, and the
-/// physical-analysis cost model of the simulator charges the log factor it
-/// provides.
+/// RegionForest builds one per index-space tree for its overlap index
+/// (RegionForest::overlapping), which the per-point dependence tracker, the
+/// delta plane's version map and its alias test look candidates up in, and
+/// the physical-analysis cost model of the simulator charges the log factor
+/// it provides.
 ///
 /// Built once over a snapshot of items (median split on the longest axis);
 /// queries report every item whose rect overlaps the probe rect. Callers

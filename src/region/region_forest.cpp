@@ -12,7 +12,9 @@ IndexSpaceId RegionForest::create_index_space(Domain domain) {
     journal_.push_back(std::move(op));
   }
   index_spaces_.push_back(std::move(domain));
-  return IndexSpaceId{static_cast<uint32_t>(index_spaces_.size() - 1)};
+  const auto id = static_cast<uint32_t>(index_spaces_.size() - 1);
+  ispace_overlaps_.emplace_back().tree = id;  // a tree of its own
+  return IndexSpaceId{id};
 }
 
 const Domain& RegionForest::domain(IndexSpaceId is) const {
@@ -84,6 +86,21 @@ PartitionId RegionForest::create_partition(IndexSpaceId parent, const Rect& colo
   for (Domain& sub : subspaces)
     node.subspaces.push_back(create_index_space(std::move(sub)));
   journal_suspended_ = false;
+
+  // The subspaces join the parent's tree: that tree's overlap index goes
+  // stale, every other tree's stays.
+  const uint32_t tree = ispace_overlaps_[parent.id].tree;
+  OverlapTree& index = overlap_tree(tree);
+  for (IndexSpaceId sub : node.subspaces) {
+    ispace_overlaps_[sub.id].tree = tree;
+    index.members.push_back(sub);
+  }
+  index.built = false;
+  for (IndexSpaceId is : index.listed) {
+    ispace_overlaps_[is.id].listed = false;
+    ispace_overlaps_[is.id].overlapping.clear();
+  }
+  index.listed.clear();
 
   partitions_.push_back(std::move(node));
   const PartitionId pid{static_cast<uint32_t>(partitions_.size() - 1)};
@@ -234,6 +251,37 @@ bool RegionForest::partitions_independent(RegionId ra, PartitionId p, RegionId r
   const Domain& pd = domain(partitions_[p.id].parent);
   const Domain& qd = domain(partitions_[q.id].parent);
   return pd.disjoint_from(qd);
+}
+
+RegionForest::OverlapTree& RegionForest::overlap_tree(uint32_t root) {
+  auto [it, made] = overlap_trees_.try_emplace(root);
+  if (made) it->second.members.push_back(IndexSpaceId{root});
+  return it->second;
+}
+
+std::span<const IndexSpaceId> RegionForest::overlapping(IndexSpaceId is) {
+  IDXL_ASSERT(is.valid() && is.id < index_spaces_.size());
+  IndexSpaceOverlaps& mine = ispace_overlaps_[is.id];
+  if (mine.listed) return mine.overlapping;
+  OverlapTree& index = overlap_tree(mine.tree);
+  const Rect& bounds = index_spaces_[is.id].bounds();
+  if (!bounds.empty()) {  // an empty rect overlaps nothing
+    if (!index.built) {
+      std::vector<std::pair<Rect, uint32_t>> items;
+      items.reserve(index.members.size());
+      for (IndexSpaceId m : index.members)
+        if (!index_spaces_[m.id].bounds().empty())
+          items.emplace_back(index_spaces_[m.id].bounds(), m.id);
+      index.bvh.build(std::move(items));
+      index.built = true;
+    }
+    index.bvh.query(bounds, [&](uint32_t id) { mine.overlapping.push_back(IndexSpaceId{id}); });
+    std::sort(mine.overlapping.begin(), mine.overlapping.end(),
+              [](IndexSpaceId a, IndexSpaceId b) { return a.id < b.id; });
+  }
+  mine.listed = true;
+  index.listed.push_back(is);
+  return mine.overlapping;
 }
 
 std::byte* RegionForest::field_data(RegionId r, FieldId f) {

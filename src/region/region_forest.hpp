@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "region/bvh.hpp"
 #include "region/domain.hpp"
 
 namespace idxl {
@@ -101,9 +102,9 @@ struct SetupOp {
 
 /// Owner of the region "forest": index spaces, field spaces, partitions,
 /// logical regions and the physical storage of root regions. Thread-safe
-/// for concurrent *reads* after setup; creation calls must be serialized
-/// (the runtime's issue loop is single-threaded, as in Legion's
-/// application-visible API).
+/// for concurrent *reads* after setup; creation calls, and the caches
+/// resolve_fields and overlapping fill, must be serialized (the runtime's
+/// issue loop is single-threaded, as in Legion's application-visible API).
 class RegionForest {
  public:
   RegionForest() = default;
@@ -161,6 +162,19 @@ class RegionForest {
   bool partitions_independent(RegionId ra, PartitionId p, RegionId rb,
                               PartitionId q) const;
 
+  /// The index spaces of `is`'s index-space tree whose bounding rects
+  /// overlap `is`'s, sorted by id; `is` itself is one of them unless its
+  /// domain is empty. A subspace belongs to its partition parent's tree.
+  /// This is the forest's overlap index (§5 finds interfering
+  /// sub-collections through a BVH, not by a scan): the first query after a
+  /// tree changed builds one RectBVH over the tree's members, each list is
+  /// computed on its own first query, and both are kept until the tree gains
+  /// a partition. Bounds only: callers that need exact overlap of sparse
+  /// domains test it themselves. Building is a mutation: call it only from
+  /// the issuing thread, like resolve_fields. The span stays valid until the
+  /// next create_partition on the same tree.
+  std::span<const IndexSpaceId> overlapping(IndexSpaceId is);
+
   // --- physical storage ---
   /// Raw bytes of `field` of the *root* of region `r`, laid out row-major
   /// over the root index space's bounding rect.
@@ -206,6 +220,24 @@ class RegionForest {
     std::size_t operator()(const std::vector<FieldId>& fields) const;
   };
 
+  /// An index space's place in the overlap index.
+  struct IndexSpaceOverlaps {
+    uint32_t tree = 0;  // id of its index-space tree's root
+    bool listed = false;
+    std::vector<IndexSpaceId> overlapping;  // valid while `listed`
+  };
+
+  /// The overlap index of one index-space tree.
+  struct OverlapTree {
+    std::vector<IndexSpaceId> members;  // the root, then subspaces by creation
+    std::vector<IndexSpaceId> listed;   // members whose list is computed
+    RectBVH bvh;                        // over members' bounds, valid while `built`
+    bool built = false;
+  };
+
+  /// The overlap index of the tree rooted at `root`, made on first use.
+  OverlapTree& overlap_tree(uint32_t root);
+
   struct RootStorage {
     Rect bounds;  // bounding rect of the root index space
     std::unordered_map<FieldId, std::vector<std::byte>> data;
@@ -220,6 +252,8 @@ class RegionForest {
   // create_* calls (including subregion materialization on the issue path),
   // so element addresses must survive growth.
   std::deque<Domain> index_spaces_;
+  std::deque<IndexSpaceOverlaps> ispace_overlaps_;  // parallel to index_spaces_
+  std::unordered_map<uint32_t, OverlapTree> overlap_trees_;  // by tree root id
   std::vector<std::vector<FieldInfo>> field_spaces_;
   std::deque<PartitionNode> partitions_;
   std::deque<RegionInfo> regions_;

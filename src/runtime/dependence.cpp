@@ -62,40 +62,31 @@ bool DependenceTracker::contains(IndexSpaceId outer, IndexSpaceId inner) {
   return result;
 }
 
-void DependenceTracker::candidates(TreeState& ts, const Rect& bounds,
-                                   std::vector<Entry*>& out) {
-  // Rebuild the BVH once enough unindexed entries accumulate; the linear
-  // fresh-list scan amortizes the rebuilds away.
-  if (ts.fresh.size() > 16 && ts.fresh.size() > ts.built) {
-    std::vector<std::pair<Rect, uint32_t>> items;
-    items.reserve(ts.entries.size());
-    for (const auto& [id, entry] : ts.entries)
-      items.emplace_back(forest_->domain(entry.ispace).bounds(), id);
-    ts.bvh.build(std::move(items));
-    ts.fresh.clear();
-    ts.built = ts.entries.size();
+DependenceTracker::Slot& DependenceTracker::slot(uint32_t tree, IndexSpaceId ispace) {
+  Slot& s = slots_[uint64_t{tree} << 32 | ispace.id];
+  if (!s.touched) {
+    s.touched = true;
+    touched_.push_back(&s);
   }
-
-  ts.bvh.query(bounds, [&](uint32_t id) { out.push_back(&ts.entries.at(id)); });
-  for (uint32_t id : ts.fresh) {
-    Entry& entry = ts.entries.at(id);
-    if (forest_->domain(entry.ispace).bounds().overlaps(bounds)) out.push_back(&entry);
-  }
+  s.ispace = ispace;
+  return s;
 }
 
 void DependenceTracker::record_use(uint32_t tree, IndexSpaceId ispace, uint64_t fields,
                                    bool writes, PartitionId through,
                                    bool through_disjoint, const TaskNodePtr& node,
                                    std::vector<TaskNodePtr>& out_deps, bool keep_done) {
-  TreeState& ts = trees_[tree];
-
-  // Candidate entries by bounding-box overlap (BVH + fresh list); exact
+  // Candidates: the slots used since the last reset among the index spaces
+  // whose bounds overlap this one's (the forest's overlap index). Exact
   // domain tests follow below, so bounding boxes of sparse domains are a
   // sound over-approximation.
-  std::vector<Entry*> nearby;
-  candidates(ts, forest_->domain(ispace).bounds(), nearby);
+  nearby_.clear();
+  for (IndexSpaceId other : forest_->overlapping(ispace)) {
+    const auto it = slots_.find(uint64_t{tree} << 32 | other.id);
+    if (it != slots_.end() && it->second.touched) nearby_.push_back(&it->second);
+  }
 
-  for (Entry* entry : nearby) {
+  for (Slot* entry : nearby_) {
     // Whole-partition disjointness: distinct colors of one disjoint
     // partition never overlap — no domain test needed.
     if (through_disjoint && entry->through == through && !(entry->ispace == ispace))
@@ -114,8 +105,8 @@ void DependenceTracker::record_use(uint32_t tree, IndexSpaceId ispace, uint64_t 
     // A write supersedes every use it fully covers (same or subset fields):
     // later tasks ordering against this write are transitively ordered
     // against the superseded uses. Containment implies bounds overlap, so
-    // the candidate set covers every prunable entry.
-    for (Entry* entry : nearby) {
+    // the candidate set covers every prunable slot.
+    for (Slot* entry : nearby_) {
       if (through_disjoint && entry->through == through && !(entry->ispace == ispace))
         continue;
       if (!contains(ispace, entry->ispace)) continue;
@@ -128,10 +119,7 @@ void DependenceTracker::record_use(uint32_t tree, IndexSpaceId ispace, uint64_t 
     }
   }
 
-  auto [it, inserted] = ts.entries.try_emplace(ispace.id);
-  Entry& mine = it->second;
-  if (inserted) ts.fresh.push_back(ispace.id);
-  mine.ispace = ispace;
+  Slot& mine = slot(tree, ispace);
   mine.through = through;
   mine.through_disjoint = through_disjoint;
   (writes ? mine.writers : mine.readers).push_back(TaskUse{node, fields});
@@ -141,11 +129,7 @@ void DependenceTracker::seed_entry(uint32_t tree, IndexSpaceId ispace,
                                    PartitionId through, bool through_disjoint,
                                    std::vector<TaskUse>&& writers,
                                    std::vector<TaskUse>&& readers) {
-  TreeState& ts = trees_[tree];
-  auto [it, inserted] = ts.entries.try_emplace(ispace.id);
-  Entry& mine = it->second;
-  if (inserted) ts.fresh.push_back(ispace.id);
-  mine.ispace = ispace;
+  Slot& mine = slot(tree, ispace);
   mine.through = through;
   mine.through_disjoint = through_disjoint;
   if (mine.writers.empty()) {
@@ -162,6 +146,13 @@ void DependenceTracker::seed_entry(uint32_t tree, IndexSpaceId ispace,
   }
 }
 
-void DependenceTracker::reset() { trees_.clear(); }
+void DependenceTracker::reset() {
+  for (Slot* s : touched_) {
+    s->writers.clear();
+    s->readers.clear();
+    s->touched = false;
+  }
+  touched_.clear();
+}
 
 }  // namespace idxl

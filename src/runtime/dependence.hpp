@@ -4,7 +4,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "region/bvh.hpp"
 #include "region/region_forest.hpp"
 #include "runtime/task_graph.hpp"
 
@@ -46,11 +45,19 @@ void collect_conflicting_uses(std::vector<TaskUse>& uses, uint64_t fields,
 /// writes by the executor (a legal serialization; the *safety analysis* in
 /// src/analysis still treats reductions as commuting, per the paper).
 ///
+/// Each (tree, index space) used so far has one slot. A use visits the
+/// slots of the index spaces the forest's overlap index
+/// (RegionForest::overlapping) lists for its own, so finding candidates
+/// costs one cached lookup and a hash probe per listed index space, not a
+/// scan of the live entries. Slots outlive fences; a fence clears only the
+/// use lists of the slots touched since the last one.
+///
 /// Not thread-safe: called only from the issuing thread, matching the
-/// sequential-issue semantics of the programming model.
+/// sequential-issue semantics of the programming model (and the overlap
+/// index's own rule).
 class DependenceTracker {
  public:
-  explicit DependenceTracker(const RegionForest& forest) : forest_(&forest) {}
+  explicit DependenceTracker(RegionForest& forest) : forest_(&forest) {}
 
   /// Record that `node` uses `ispace` (in region tree `tree`) with the given
   /// field mask. Appends required predecessor nodes to `out_deps` (may
@@ -79,7 +86,8 @@ class DependenceTracker {
                   bool through_disjoint, std::vector<TaskUse>&& writers,
                   std::vector<TaskUse>&& readers);
 
-  /// Drop all recorded uses (used at trace fences and wait_all).
+  /// Drop all recorded uses (used at trace fences and wait_all). Costs
+  /// O(slots touched since the last reset).
   void reset();
 
   uint64_t dependence_tests() const {
@@ -87,35 +95,29 @@ class DependenceTracker {
   }
 
  private:
-  struct Entry {
+  /// One index space of one region tree: its uses since the last reset.
+  struct Slot {
     IndexSpaceId ispace;
     PartitionId through;            // partition this subregion came from
     bool through_disjoint = false;
+    bool touched = false;           // in touched_: used since the last reset
     std::vector<TaskUse> writers;  // writers/reducers since the last covering write
     std::vector<TaskUse> readers;
   };
 
-  /// Per-region-tree state: the entry table plus a bounding-volume
-  /// hierarchy over entry bounds. The BVH turns the per-use candidate scan
-  /// from O(entries) into O(log entries + matches) — the in-process
-  /// analogue of the BVH Legion's physical analysis uses (§5). Entries
-  /// created since the last build sit in `fresh` and are scanned linearly
-  /// until the tree is rebuilt.
-  struct TreeState {
-    std::unordered_map<uint32_t, Entry> entries;  // by ispace id
-    RectBVH bvh;
-    std::vector<uint32_t> fresh;  // ispace ids not yet indexed
-    std::size_t built = 0;        // entries covered by the current BVH
-  };
+  /// The slot of `ispace` in region tree `tree`, touched.
+  Slot& slot(uint32_t tree, IndexSpaceId ispace);
 
   bool overlaps(IndexSpaceId a, IndexSpaceId b);
   bool contains(IndexSpaceId outer, IndexSpaceId inner);
 
-  /// Candidate entries whose bounds overlap `bounds` (BVH + fresh list).
-  void candidates(TreeState& ts, const Rect& bounds, std::vector<Entry*>& out);
-
-  const RegionForest* forest_;
-  std::unordered_map<uint32_t, TreeState> trees_;
+  RegionForest* forest_;
+  /// Keyed by (tree << 32 | ispace id). A hash map, not a table indexed by
+  /// the forest-wide id: one forest may hold many tenants' index spaces.
+  /// Rehashing never moves a node, so the Slot pointers below stay valid.
+  std::unordered_map<uint64_t, Slot> slots_;
+  std::vector<Slot*> touched_;
+  std::vector<Slot*> nearby_;  // record_use's candidate buffer, reused
   std::unordered_map<uint64_t, bool> overlap_cache_;
   std::unordered_map<uint64_t, bool> contains_cache_;
   /// Atomic so Runtime::stats() can read it live mid-run; all writes come

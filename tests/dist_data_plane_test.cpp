@@ -29,42 +29,66 @@ namespace {
 
 // --- VersionMap unit tests -------------------------------------------------
 
-const RegionId kRoot{0};
-const RegionId kProdA{10};
-const RegionId kProdB{11};
+/// A forest holding one 2-D root region with one field, for VersionMap unit
+/// tests. `sub(rect)` makes a one-color aliased partition of the root, whose
+/// only subregion covers exactly `rect`: a producer or reader region with
+/// that rect as its bounds.
+struct MapForest {
+  RegionForest forest;
+  IndexSpaceId is;
+  RegionId root;
+
+  explicit MapForest(const Rect& bounds) {
+    is = forest.create_index_space(Domain(bounds));
+    const FieldSpaceId fs = forest.create_field_space();
+    forest.allocate_field(fs, sizeof(double), "v");
+    root = forest.create_region(is, fs);
+  }
+
+  RegionId sub(const Rect& rect) {
+    const PartitionId p =
+        forest.create_partition(is, Rect::line(1), {Domain(rect)}, Disjointness::kAliased);
+    return forest.subregion(root, p, Point::p1(0));
+  }
+};
 
 TEST(VersionMapTest, UntouchedSpaceIsCurrentEverywhere) {
-  VersionMap vm(4);
+  MapForest mf(Rect::box2(8, 8));
+  VersionMap vm(4, mf.forest);
   std::vector<Transfer> out;
-  vm.plan_read(kRoot, 0, Rect::box2(8, 8), /*dest=*/3, out);
+  vm.plan_read(mf.root, 0, /*dest=*/3, out);
   EXPECT_TRUE(out.empty());  // version 0 = the broadcast bootstrap state
-  EXPECT_TRUE(vm.entries(kRoot, 0).empty());
+  EXPECT_TRUE(vm.entries(mf.root, 0).empty());
 }
 
 TEST(VersionMapTest, WriteThenRemoteReadShipsOnce) {
-  VersionMap vm(2);
+  MapForest mf(Rect::box2(8, 8));
+  VersionMap vm(2, mf.forest);
   const Rect block{Point::p2(0, 0), Point::p2(3, 3)};
-  vm.note_write(kRoot, 0, block, /*owner=*/1, kProdA);
+  const RegionId prod_a = mf.sub(block);
+  vm.note_write(prod_a, 0, block, /*owner=*/1);
 
   std::vector<Transfer> out;
-  vm.plan_read(kRoot, 0, block, /*dest=*/0, out);
+  vm.plan_read(prod_a, 0, /*dest=*/0, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].src, 1u);
-  EXPECT_EQ(out[0].producer, kProdA);
+  EXPECT_EQ(out[0].producer, prod_a);
   EXPECT_EQ(out[0].rect, block);
 
   // The shipped span is now current at dest: planning again is a no-op.
   out.clear();
-  vm.plan_read(kRoot, 0, block, /*dest=*/0, out);
+  vm.plan_read(prod_a, 0, /*dest=*/0, out);
   EXPECT_TRUE(out.empty());
 }
 
 TEST(VersionMapTest, OwnerNeverShipsToItself) {
-  VersionMap vm(2);
+  MapForest mf(Rect::box2(8, 8));
+  VersionMap vm(2, mf.forest);
   const Rect block{Point::p2(0, 0), Point::p2(3, 3)};
-  vm.note_write(kRoot, 0, block, /*owner=*/1, kProdA);
+  const RegionId prod_a = mf.sub(block);
+  vm.note_write(prod_a, 0, block, /*owner=*/1);
   std::vector<Transfer> out;
-  vm.plan_read(kRoot, 0, block, /*dest=*/1, out);
+  vm.plan_read(prod_a, 0, /*dest=*/1, out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -72,53 +96,66 @@ TEST(VersionMapTest, HaloReadClipsToWrittenSpan) {
   // Stencil shape: rank 1 wrote its 4x4 block; rank 0 reads a halo rect one
   // cell into it. Only the overlap strip ships — not the whole block, and
   // nothing for the halo's version-0 remainder.
-  VersionMap vm(2);
+  MapForest mf(Rect::box2(8, 8));
+  VersionMap vm(2, mf.forest);
   const Rect block{Point::p2(4, 0), Point::p2(7, 3)};
-  vm.note_write(kRoot, 0, block, /*owner=*/1, kProdA);
-  const Rect halo{Point::p2(0, 0), Point::p2(4, 3)};
+  vm.note_write(mf.sub(block), 0, block, /*owner=*/1);
+  const RegionId halo = mf.sub(Rect{Point::p2(0, 0), Point::p2(4, 3)});
   std::vector<Transfer> out;
-  vm.plan_read(kRoot, 0, halo, /*dest=*/0, out);
+  vm.plan_read(halo, 0, /*dest=*/0, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].rect, Rect(Point::p2(4, 0), Point::p2(4, 3)));
   // The entry split: the shipped strip and the still-exclusive remainder.
-  EXPECT_EQ(vm.entries(kRoot, 0).size(), 2u);
+  EXPECT_EQ(vm.entries(mf.root, 0).size(), 2u);
 }
 
 TEST(VersionMapTest, NewWriteInvalidatesShippedCopies) {
-  VersionMap vm(2);
+  // Two producers with the same rect: distinct index spaces, so distinct
+  // buckets, and the second write must still retire the first's entry.
+  MapForest mf(Rect::box2(8, 8));
+  VersionMap vm(2, mf.forest);
   const Rect block{Point::p2(0, 0), Point::p2(3, 3)};
-  vm.note_write(kRoot, 0, block, /*owner=*/1, kProdA);
+  const RegionId prod_a = mf.sub(block);
+  const RegionId prod_b = mf.sub(block);
+  vm.note_write(prod_a, 0, block, /*owner=*/1);
   std::vector<Transfer> out;
-  vm.plan_read(kRoot, 0, block, /*dest=*/0, out);
+  vm.plan_read(prod_a, 0, /*dest=*/0, out);
   ASSERT_EQ(out.size(), 1u);
 
   // Version bump: the old copy at rank 0 is stale again.
-  vm.note_write(kRoot, 0, block, /*owner=*/1, kProdB);
+  vm.note_write(prod_b, 0, block, /*owner=*/1);
   out.clear();
-  vm.plan_read(kRoot, 0, block, /*dest=*/0, out);
+  vm.plan_read(prod_a, 0, /*dest=*/0, out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].producer, kProdB);
+  EXPECT_EQ(out[0].producer, prod_b);
   EXPECT_GT(out[0].version, 1u);
 }
 
 TEST(VersionMapTest, BroadcastWriteNeedsNoTransfers) {
-  VersionMap vm(4);
+  MapForest mf(Rect::box2(8, 8));
+  VersionMap vm(4, mf.forest);
   const Rect block{Point::p2(0, 0), Point::p2(3, 3)};
-  vm.note_write_everywhere(kRoot, 0, block, /*owner=*/2, kProdA);
+  const RegionId prod_a = mf.sub(block);
+  vm.note_write_everywhere(prod_a, 0, block, /*owner=*/2);
   std::vector<Transfer> out;
   for (uint32_t dest = 0; dest < 4; ++dest)
-    vm.plan_read(kRoot, 0, block, dest, out);
+    vm.plan_read(prod_a, 0, dest, out);
   EXPECT_TRUE(out.empty());
 }
 
 TEST(VersionMapTest, OverlappingWritesStayDisjoint) {
   // A second write punching through the middle of an earlier one must leave
   // a disjoint partition: reads see each span's latest producer exactly once.
-  VersionMap vm(2);
-  vm.note_write(kRoot, 0, Rect{Point::p2(0, 0), Point::p2(7, 7)}, 1, kProdA);
-  vm.note_write(kRoot, 0, Rect{Point::p2(2, 2), Point::p2(5, 5)}, 1, kProdB);
+  MapForest mf(Rect::box2(8, 8));
+  VersionMap vm(2, mf.forest);
+  const Rect outer{Point::p2(0, 0), Point::p2(7, 7)};
+  const Rect inner_rect{Point::p2(2, 2), Point::p2(5, 5)};
+  const RegionId prod_a = mf.sub(outer);
+  const RegionId prod_b = mf.sub(inner_rect);
+  vm.note_write(prod_a, 0, outer, 1);
+  vm.note_write(prod_b, 0, inner_rect, 1);
   std::vector<Transfer> out;
-  vm.plan_read(kRoot, 0, Rect{Point::p2(0, 0), Point::p2(7, 7)}, 0, out);
+  vm.plan_read(mf.root, 0, 0, out);
   int64_t covered = 0;
   for (const Transfer& t : out) {
     covered += t.rect.volume();
@@ -129,8 +166,8 @@ TEST(VersionMapTest, OverlappingWritesStayDisjoint) {
   }
   EXPECT_EQ(covered, 64);
   const int64_t inner = std::accumulate(
-      out.begin(), out.end(), int64_t{0}, [](int64_t acc, const Transfer& t) {
-        return acc + (t.producer == kProdB ? t.rect.volume() : 0);
+      out.begin(), out.end(), int64_t{0}, [&](int64_t acc, const Transfer& t) {
+        return acc + (t.producer == prod_b ? t.rect.volume() : 0);
       });
   EXPECT_EQ(inner, 16);  // exactly the punched 4x4 belongs to the new write
 }
@@ -140,7 +177,9 @@ TEST(VersionMapTest, RandomOpsMatchPerCellModel) {
   // per-cell model of (version, owner, current mask, producer). Every read
   // must ship exactly its stale cells, each from the rank holding the
   // newest version, and the map's entries must stay a disjoint partition
-  // that agrees with the model cell by cell.
+  // that agrees with the model cell by cell. Each op's rect is the bounds
+  // of a subregion of its own, so producers and readers spread over as many
+  // buckets as there are ops.
   constexpr int64_t kW = 7, kH = 5;
   struct Cell {
     uint64_t version = 0;
@@ -153,7 +192,8 @@ TEST(VersionMapTest, RandomOpsMatchPerCellModel) {
     Rng rng(seed);
     const auto nranks = static_cast<uint32_t>(2 + seed % 3);
     const uint64_t all = (uint64_t{1} << nranks) - 1;
-    VersionMap vm(nranks);
+    MapForest mf(Rect::box2(kW, kH));
+    VersionMap vm(nranks, mf.forest);
     std::vector<Cell> cells(static_cast<std::size_t>(kW * kH));
     const auto cell = [&](const Point& p) -> Cell& {
       return cells[static_cast<std::size_t>(p[1] * kW + p[0])];
@@ -171,18 +211,19 @@ TEST(VersionMapTest, RandomOpsMatchPerCellModel) {
       const Rect rect = random_rect();
       const auto rank = static_cast<uint32_t>(rng.next_below(nranks));
       const uint64_t kind = rng.next_below(3);
+      const RegionId region = mf.sub(rect);
       if (kind < 2) {
-        const RegionId producer{op};
+        const RegionId producer = region;
         const uint64_t current = kind == 0 ? uint64_t{1} << rank : all;
         if (kind == 0)
-          vm.note_write(kRoot, 0, rect, rank, producer);
+          vm.note_write(producer, 0, rect, rank);
         else
-          vm.note_write_everywhere(kRoot, 0, rect, rank, producer);
+          vm.note_write_everywhere(producer, 0, rect, rank);
         ++version;
         for (const Point& p : rect) cell(p) = Cell{version, rank, current, producer};
       } else {
         std::vector<Transfer> out;
-        vm.plan_read(kRoot, 0, rect, rank, out);
+        vm.plan_read(region, 0, rank, out);
         const uint64_t bit = uint64_t{1} << rank;
         int64_t stale = 0;
         for (const Point& p : rect)
@@ -212,7 +253,7 @@ TEST(VersionMapTest, RandomOpsMatchPerCellModel) {
           if (cell(p).version != 0) cell(p).current |= bit;
       }
 
-      const std::vector<VersionMap::Entry>& entries = vm.entries(kRoot, 0);
+      const std::vector<VersionMap::Entry> entries = vm.entries(mf.root, 0);
       int64_t covered = 0;
       for (std::size_t i = 0; i < entries.size(); ++i) {
         const VersionMap::Entry& e = entries[i];
@@ -738,8 +779,9 @@ TEST(DataPlaneTest, StarHubWorkerRefusesRecall) {
 TEST(VersionMapTest, RejectsRanksBeyondMaskWidth) {
   // The currency mask is 64 bits wide; DistributedRuntime auto-disables the
   // delta plane past that, so the map itself must refuse rather than wrap.
-  EXPECT_THROW(VersionMap(65), RuntimeError);
-  EXPECT_NO_THROW(VersionMap(64));
+  RegionForest forest;
+  EXPECT_THROW(VersionMap(65, forest), RuntimeError);
+  EXPECT_NO_THROW(VersionMap(64, forest));
 }
 
 }  // namespace

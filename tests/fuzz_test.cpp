@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "analysis/certificate.hpp"
@@ -623,6 +629,265 @@ TEST_P(PairOracleFuzz, PairVerdictsNeverContradictExhaustiveCheck) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PairOracleFuzz, ::testing::Range<uint64_t>(1, 6));
+
+// ---------------------------------------------------------------------------
+// Dependence-oracle fuzz: the edges the runtime records, checked against the
+// definition of a conflict. Random single tasks, index launches and fills
+// over equal, halo, image and nested partitions of two region trees that
+// share one index space, with one partition created mid-program. The pool is
+// paused while the program issues, so no body runs and nothing completes
+// early: every edge is then a function of the program alone. Two checks,
+// with group analysis on and off:
+//
+//   1. every edge joins a conflicting pair: same region tree, overlapping
+//      domains, a shared field, and one of the two writes (a reduction
+//      counts as a write);
+//   2. every conflicting pair is ordered by the transitive closure of the
+//      edges.
+// ---------------------------------------------------------------------------
+
+struct OracleOp {
+  enum Kind { kIndex, kSingle, kFill } kind = kIndex;
+  int part = -1;       // partition index (kIndex: launched over; else -1 = root)
+  int read_part = -1;  // kIndex: a second, read-only argument's partition
+  int region = 0;      // which root region: 0 or 1
+  int read_region = 0;
+  int64_t shift = 0;   // the read argument's functor offset along x
+  Point color;         // kSingle / kFill: the subregion's color
+  FieldId field = 0;
+  Privilege priv = Privilege::kRead;
+};
+
+/// The partitions of the oracle forest, in creation order. Partition 3 is a
+/// partition of block (1,1), partition 4 is created mid-program.
+constexpr int kOracleParts = 5;
+constexpr int kOracleLatePart = 4;
+
+Rect oracle_colors(int part) {
+  return part == 3 || part == 4 ? Rect::box2(2, 2) : Rect::box2(3, 3);
+}
+
+std::vector<OracleOp> random_oracle_program(uint64_t seed) {
+  Rng rng(seed * 7919);
+  std::vector<OracleOp> ops(static_cast<std::size_t>(rng.next_in(24, 36)));
+  const std::size_t mid = ops.size() / 2;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    OracleOp& op = ops[i];
+    const int parts = i >= mid ? kOracleParts : kOracleLatePart;
+    const uint64_t kind = rng.next_below(6);
+    op.kind = kind < 3 ? OracleOp::kIndex : kind < 5 ? OracleOp::kSingle : OracleOp::kFill;
+    op.region = static_cast<int>(rng.next_below(2));
+    op.field = static_cast<FieldId>(rng.next_below(2));
+    switch (rng.next_below(4)) {
+      case 0: op.priv = Privilege::kRead; break;
+      case 1: op.priv = Privilege::kReadWrite; break;
+      case 2: op.priv = Privilege::kWrite; break;
+      default: op.priv = Privilege::kReduce; break;
+    }
+    if (op.kind == OracleOp::kIndex) {
+      op.part = static_cast<int>(rng.next_below(static_cast<uint64_t>(parts)));
+      if (rng.next_below(2) == 0) {
+        do {
+          op.read_part = static_cast<int>(rng.next_below(static_cast<uint64_t>(parts)));
+        } while (op.read_part == 3);  // a root's partitions only
+        op.read_region = static_cast<int>(rng.next_below(2));
+        op.shift = rng.next_in(0, 2);
+      }
+    } else {
+      op.part = static_cast<int>(rng.next_below(static_cast<uint64_t>(parts) + 1)) - 1;
+      if (op.part >= 0) {
+        const Rect colors = oracle_colors(op.part);
+        op.color = Point::p2(rng.next_in(0, colors.hi[0]), rng.next_in(0, colors.hi[1]));
+      }
+      if (op.kind == OracleOp::kFill) op.priv = Privilege::kWrite;
+    }
+  }
+  return ops;
+}
+
+/// One region use of one issued task, as the oracle models it.
+struct OracleUse {
+  uint32_t tree = 0;
+  IndexSpaceId ispace;
+  uint64_t fields = 0;
+  bool writes = false;
+};
+
+struct OracleTask {
+  std::string label_prefix;  // "oracle@" or "idxl_fill@"
+  std::vector<OracleUse> uses;
+};
+
+/// One issued program: the runtime (whose forest holds the index spaces the
+/// model names), every task in issue (= seq) order, and the task graph.
+struct OracleRun {
+  std::unique_ptr<Runtime> rt;
+  std::vector<OracleTask> model;
+  std::string dot;
+};
+
+/// Issue the program with group analysis on or off.
+OracleRun run_oracle_program(const std::vector<OracleOp>& ops, bool group) {
+  RuntimeConfig cfg;
+  cfg.enable_group_analysis = group;
+  cfg.enable_profiling = true;
+  cfg.workers = 2;
+  OracleRun run{std::make_unique<Runtime>(cfg), {}, {}};
+  Runtime& rt = *run.rt;
+  RegionForest& forest = rt.forest();
+  std::vector<OracleTask>& model = run.model;
+  const IndexSpaceId grid = forest.create_index_space(Domain(Rect::box2(12, 12)));
+  const FieldSpaceId fs = forest.create_field_space();
+  forest.allocate_field(fs, sizeof(double), "a");
+  forest.allocate_field(fs, sizeof(double), "b");
+  const RegionId roots[2] = {forest.create_region(grid, fs), forest.create_region(grid, fs)};
+  std::vector<PartitionId> parts;
+  parts.push_back(partition_equal(forest, grid, Rect::box2(3, 3)));
+  parts.push_back(partition_halo(forest, grid, parts[0], 1));
+  parts.push_back(partition_image(forest, grid, parts[0], [](const Point& p) {
+    return Point::p2((p[0] * 5 + p[1]) % 12, (p[1] * 7 + 3) % 12);
+  }));
+  const IndexSpaceId block11 = forest.subspace(parts[0], Point::p2(1, 1));
+  parts.push_back(partition_equal(forest, block11, Rect::box2(2, 2)));
+  const auto part = [&](int i) { return parts[static_cast<std::size_t>(i)]; };
+  // The parent region a partition is taken from, per root.
+  const auto parent = [&](int i, int region) {
+    return i == 3 ? forest.subregion(roots[region], parts[0], Point::p2(1, 1)) : roots[region];
+  };
+  const auto use_of = [&](RegionId r, FieldId f, Privilege priv) {
+    const RegionInfo& info = forest.region(r);
+    return OracleUse{info.tree_id, info.ispace, uint64_t{1} << f, privilege_writes(priv)};
+  };
+  const TaskFnId task = rt.register_task("oracle", [](TaskContext&) {});
+  const auto redop = [](Privilege priv) {
+    return priv == Privilege::kReduce ? ReductionOp::kSum : ReductionOp::kNone;
+  };
+
+  rt.pool().pause();
+  const std::size_t mid = ops.size() / 2;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    if (i == mid) parts.push_back(partition_equal(forest, grid, Rect::box2(2, 2)));
+    const OracleOp& op = ops[i];
+    if (op.kind == OracleOp::kIndex) {
+      const Rect colors = oracle_colors(op.part);
+      const RegionId pr = parent(op.part, op.region);
+      IndexLauncher launcher = IndexLauncher::over(Domain(colors)).with_task(task);
+      launcher.region(pr, part(op.part), ProjectionFunctor::identity(2), {op.field}, op.priv,
+                      redop(op.priv));
+      const FieldId g = 1 - op.field;
+      Rect read_colors;
+      if (op.read_part >= 0) {
+        read_colors = oracle_colors(op.read_part);
+        launcher.region(
+            roots[op.read_region], part(op.read_part),
+            ProjectionFunctor::symbolic(
+                {make_mod(make_add(make_coord(0), make_const(op.shift)),
+                          make_const(read_colors.hi[0] + 1)),
+                 make_mod(make_coord(1), make_const(read_colors.hi[1] + 1))}),
+            {g}, Privilege::kRead);
+      }
+      rt.execute_index(launcher);
+      for (const Point& p : colors) {
+        OracleTask t{"oracle@", {}};
+        t.uses.push_back(use_of(forest.subregion(pr, part(op.part), p), op.field, op.priv));
+        if (op.read_part >= 0) {
+          const Point q = Point::p2((p[0] + op.shift) % (read_colors.hi[0] + 1),
+                                    p[1] % (read_colors.hi[1] + 1));
+          t.uses.push_back(use_of(forest.subregion(roots[op.read_region], part(op.read_part), q), g,
+                                  Privilege::kRead));
+        }
+        model.push_back(std::move(t));
+      }
+      continue;
+    }
+    const RegionId r = op.part < 0 ? roots[op.region]
+                                   : forest.subregion(parent(op.part, op.region), part(op.part),
+                                                      op.color);
+    if (op.kind == OracleOp::kFill) {
+      rt.fill(r, op.field, 1.0);
+      model.push_back(OracleTask{"idxl_fill@", {use_of(r, op.field, Privilege::kWrite)}});
+    } else {
+      rt.execute(TaskLauncher::for_task(task).region(r, {op.field}, op.priv, redop(op.priv)));
+      model.push_back(OracleTask{"oracle@", {use_of(r, op.field, op.priv)}});
+    }
+  }
+  rt.pool().resume();
+  rt.wait_all();
+  run.dot = rt.profiler().task_graph_dot();
+  return run;
+}
+
+bool oracle_conflict(const RegionForest& forest, const OracleTask& a, const OracleTask& b) {
+  for (const OracleUse& u : a.uses)
+    for (const OracleUse& v : b.uses)
+      if (u.tree == v.tree && (u.fields & v.fields) != 0 && (u.writes || v.writes) &&
+          !forest.domain(u.ispace).disjoint_from(forest.domain(v.ispace)))
+        return true;
+  return false;
+}
+
+class DependenceOracleFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DependenceOracleFuzz, EdgesAreConflictsAndOrderEveryConflict) {
+  const std::vector<OracleOp> ops = random_oracle_program(GetParam());
+  for (const bool group : {true, false}) {
+    SCOPED_TRACE(group ? "group analysis on" : "group analysis off");
+    const OracleRun run = run_oracle_program(ops, group);
+    const std::vector<OracleTask>& model = run.model;
+    const RegionForest& forest = run.rt->forest();
+
+    // Nodes come in seq order, which is issue order: the i-th node is the
+    // model's i-th task.
+    std::unordered_map<uint64_t, std::size_t> index_of;
+    std::vector<std::pair<std::size_t, std::size_t>> edges;
+    std::istringstream lines(run.dot);
+    for (std::string line; std::getline(lines, line);) {
+      uint64_t from = 0, to = 0;
+      char label[64] = {};
+      if (std::sscanf(line.c_str(), "  t%" SCNu64 " -> t%" SCNu64 ";", &from, &to) == 2) {
+        ASSERT_TRUE(index_of.contains(from) && index_of.contains(to)) << line;
+        edges.emplace_back(index_of[from], index_of[to]);
+      } else if (std::sscanf(line.c_str(), "  t%" SCNu64 " [label=\"%63[^\"]", &from, label) == 2) {
+        const std::size_t i = index_of.size();
+        ASSERT_LT(i, model.size()) << "more tasks than the program issued";
+        EXPECT_EQ(std::string(label).rfind(model[i].label_prefix, 0), 0u) << line;
+        index_of.emplace(from, i);
+      }
+    }
+    ASSERT_EQ(index_of.size(), model.size());
+
+    // Check 1: every edge joins an earlier task to a later, conflicting one.
+    const std::size_t n = model.size();
+    std::vector<std::vector<std::size_t>> succ(n);
+    for (const auto& [a, b] : edges) {
+      EXPECT_LT(a, b);
+      EXPECT_TRUE(oracle_conflict(forest, model[a], model[b]))
+          << "edge between non-conflicting tasks " << a << " -> " << b;
+      succ[a].push_back(b);
+    }
+    // Check 2: every conflicting pair is ordered. Edges point forward, so
+    // one backward pass computes each task's reachable set.
+    std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+    for (std::size_t a = n; a-- > 0;)
+      for (std::size_t b : succ[a]) {
+        reach[a][b] = true;
+        for (std::size_t c = b + 1; c < n; ++c)
+          if (reach[b][c]) reach[a][c] = true;
+      }
+    int conflicts = 0;
+    for (std::size_t a = 0; a < n; ++a)
+      for (std::size_t b = a + 1; b < n; ++b)
+        if (oracle_conflict(forest, model[a], model[b])) {
+          ++conflicts;
+          EXPECT_TRUE(reach[a][b]) << "conflicting tasks " << a << " and " << b
+                                   << " are unordered";
+        }
+    // Vacuity guard: the program must actually conflict.
+    EXPECT_GT(conflicts, 10);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DependenceOracleFuzz, ::testing::Range<uint64_t>(1, 6));
 
 }  // namespace
 }  // namespace idxl

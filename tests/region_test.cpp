@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+
 #include "region/accessor.hpp"
 #include "region/bvh.hpp"
 #include "region/partition_ops.hpp"
@@ -461,6 +465,118 @@ TEST(RectBVHTest, PointQueryVisitsLogarithmically) {
   bvh.query(Rect(Point::p1(1000), Point::p1(1000)), [&](uint32_t) { ++hits; });
   EXPECT_EQ(hits, 1);
   EXPECT_LT(bvh.last_query_visits(), 200u);  // ~12 levels * small constants
+}
+
+// ---------- RegionForest::overlapping (the overlap index) ----------
+
+/// One index-space tree as the tests build it: the root and every subspace
+/// added so far, for the brute-force side of the comparison.
+struct TreeMembers {
+  std::vector<IndexSpaceId> members;
+
+  void add(const RegionForest& forest, PartitionId p) {
+    for (const Point& color : forest.color_space(p))
+      members.push_back(forest.subspace(p, color));
+  }
+};
+
+std::vector<uint32_t> ids_of(std::span<const IndexSpaceId> list) {
+  std::vector<uint32_t> out;
+  for (IndexSpaceId is : list) out.push_back(is.id);
+  return out;
+}
+
+/// The members of `tree` whose bounds overlap `is`'s, sorted by id.
+std::vector<uint32_t> brute_overlaps(const RegionForest& forest, const TreeMembers& tree,
+                                     IndexSpaceId is) {
+  const Rect& bounds = forest.domain(is).bounds();
+  std::vector<uint32_t> out;
+  for (IndexSpaceId m : tree.members) {
+    const Rect& mb = forest.domain(m).bounds();
+    if (!bounds.empty() && !mb.empty() && mb.overlaps(bounds)) out.push_back(m.id);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void expect_index_matches_brute_force(RegionForest& forest, const TreeMembers& tree) {
+  for (IndexSpaceId is : tree.members) {
+    SCOPED_TRACE("index space " + std::to_string(is.id));
+    EXPECT_EQ(ids_of(forest.overlapping(is)), brute_overlaps(forest, tree, is));
+  }
+}
+
+TEST(OverlapIndexTest, MatchesBruteForceAcrossPartitionKindsAndTrees) {
+  RegionForest forest;
+  // Tree A: a 2-D grid with dense blocks, an aliased halo, a sparse image, a
+  // nested partition of one block, and a partition with an empty color.
+  TreeMembers a;
+  const IndexSpaceId grid = forest.create_index_space(Domain(Rect::box2(16, 16)));
+  a.members.push_back(grid);
+  const PartitionId blocks = partition_equal(forest, grid, Rect::box2(4, 4));
+  a.add(forest, blocks);
+  a.add(forest, partition_halo(forest, grid, blocks, 1));
+  a.add(forest, partition_image(forest, grid, blocks, [](const Point& p) {
+    return Point::p2((p[0] * 7 + p[1]) % 16, (p[1] * 3) % 16);
+  }));
+  const IndexSpaceId block11 = forest.subspace(blocks, Point::p2(1, 1));
+  a.add(forest, partition_equal(forest, block11, Rect::box2(2, 2)));
+  a.add(forest, forest.create_partition(
+                    grid, Rect::line(2),
+                    {Domain(Rect(Point::p2(3, 3), Point::p2(9, 4))), Domain::from_points({})},
+                    Disjointness::kCompute));
+
+  // Tree B: a second root, 1-D, whose multi-coloring leaves color 3 empty.
+  TreeMembers b;
+  const IndexSpaceId line = forest.create_index_space(Domain::line(64));
+  b.members.push_back(line);
+  b.add(forest, partition_equal(forest, line, Rect::line(8)));
+  b.add(forest, partition_by_multi_coloring(
+                    forest, line, Rect::line(4), [](const Point& p, std::vector<Point>& out) {
+                      if (p[0] % 5 == 0) out.push_back(Point::p1(0));
+                      if (p[0] % 3 == 0) out.push_back(Point::p1(1));
+                      if (p[0] > 40) out.push_back(Point::p1(2));
+                    }));
+
+  expect_index_matches_brute_force(forest, a);
+  expect_index_matches_brute_force(forest, b);
+  // A color with an empty domain overlaps nothing, not even itself.
+  const IndexSpaceId empty = a.members.back();
+  ASSERT_TRUE(forest.domain(empty).empty());
+  EXPECT_TRUE(forest.overlapping(empty).empty());
+  // The root's list holds every nonempty member of its own tree, no other.
+  EXPECT_EQ(forest.overlapping(line).size(), b.members.size() - 1);
+}
+
+TEST(OverlapIndexTest, PartitionAfterQueryJoinsTheLists) {
+  RegionForest forest;
+  TreeMembers a;
+  const IndexSpaceId grid = forest.create_index_space(Domain(Rect::box2(8, 8)));
+  a.members.push_back(grid);
+  const PartitionId blocks = partition_equal(forest, grid, Rect::box2(2, 2));
+  a.add(forest, blocks);
+  TreeMembers b;
+  const IndexSpaceId other = forest.create_index_space(Domain(Rect::box2(8, 8)));
+  b.members.push_back(other);
+  b.add(forest, partition_equal(forest, other, Rect::box2(2, 2)));
+  expect_index_matches_brute_force(forest, a);
+  expect_index_matches_brute_force(forest, b);
+  const std::vector<uint32_t> other_before = ids_of(forest.overlapping(other));
+
+  // New subspaces join every list they overlap, in their own tree only.
+  const PartitionId halo = partition_halo(forest, grid, blocks, 1);
+  a.add(forest, halo);
+  const IndexSpaceId block00 = forest.subspace(blocks, Point::p2(0, 0));
+  const std::vector<uint32_t> got = ids_of(forest.overlapping(block00));
+  EXPECT_NE(std::find(got.begin(), got.end(), forest.subspace(halo, Point::p2(1, 1)).id),
+            got.end());
+  expect_index_matches_brute_force(forest, a);
+  EXPECT_EQ(ids_of(forest.overlapping(other)), other_before);
+  expect_index_matches_brute_force(forest, b);
+
+  // And again, one level down.
+  a.add(forest, partition_equal(forest, block00, Rect::box2(2, 2)));
+  expect_index_matches_brute_force(forest, a);
 }
 
 TEST(DependentPartitioningTest, PreimagePartitionsEdgesByNodeOwner) {
