@@ -218,10 +218,13 @@ int main() {
   // wire path; there an iteration is almost entirely IPC wake/sleep latency,
   // and a 5% budget on a mostly-idle denominator gates scheduler jitter, not
   // tracing. The overhead arms use production-shaped blocks instead so the
-  // ratio measures tracing cost against real work.
+  // ratio measures tracing cost against real work. They are sized so the
+  // untraced best-of-5 takes over 0.13 s: since task bodies check once per
+  // run of cells and each rank completes a launch's points in one slice,
+  // 16 iterations of a 512^2 grid take only ~0.03 s.
   apps::StencilParams oparams = params;
-  oparams.nx = oparams.ny = 512;  // 16k cells per block task
-  const int oiters = iters * 2;   // longer arms shrink relative jitter
+  oparams.nx = oparams.ny = 1024;  // 64k cells per block task
+  const int oiters = iters * 5;    // longer arms shrink relative jitter
   double best_off = HUGE_VAL, best_on = HUGE_VAL;
   bool traced_ok = true;
   const int reps = 5;  // best-of-5: the gate compares floors, not averages

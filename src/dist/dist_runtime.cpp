@@ -326,11 +326,12 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
       break;
     }
     case Msg::kTaskDone: {
-      // Star topology: relay the owner's outcome to the other workers
-      // *before* completing locally, so on every per-connection FIFO all
-      // outcomes a fence depends on precede the fence frame itself. The
-      // rank named by data_dest is excluded — its copy of the outcome is a
-      // kRegionData payload travelling a direct link or the relay below.
+      // Star topology: relay the owner's slice verbatim to the other
+      // workers *before* completing locally, so on every per-connection
+      // FIFO all outcomes a fence depends on precede the fence frame
+      // itself. The rank named by data_dest is excluded — its copy of the
+      // outcome is a kRegionData payload travelling a direct link or the
+      // relay below.
       TaskDone td = decode_task_done(frame.payload);
       const std::size_t skip =
           (td.data_dest != TaskDone::kNoDest && td.data_dest != 0)
@@ -341,7 +342,7 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
         if (i == worker || i == skip) continue;
         if (try_send(*conns_[i], Msg::kTaskDone, frame.payload)) ++relays;
       }
-      replica_->count_forwarded(td.outcome.region_bytes.size() * relays, 0);
+      replica_->count_forwarded(td.region_bytes.size() * relays, 0);
       if (td.data_dest != 0) {
         replica_->apply_done(std::move(td));
         break;
@@ -356,7 +357,7 @@ void DistributedRuntime::on_worker_frame(std::size_t worker, net::Frame& frame) 
       RegionData data;
       {
         std::lock_guard<std::mutex> lock(xdata_mu_);
-        auto it = driver_data_.find(td.seq);
+        auto it = driver_data_.find(td.first);
         IDXL_REQUIRE(it != driver_data_.end(),
                      "transfer outcome arrived without its data payload");
         data = std::move(it->second);
@@ -448,7 +449,7 @@ void DistributedRuntime::on_worker_close(std::size_t worker,
   fence_cv_.notify_all();
 }
 
-bool DistributedRuntime::fence(bool nothrow) {
+bool DistributedRuntime::fence(bool nothrow, bool metrics) {
   replica_->quiesce();
   const std::size_t nworkers = conns_.size();
   if (nworkers == 0) return true;
@@ -457,7 +458,7 @@ bool DistributedRuntime::fence(bool nothrow) {
     std::lock_guard<std::mutex> lock(fence_mu_);
     id = ++next_fence_;
   }
-  broadcast(Msg::kFence, encode_fence(id));
+  broadcast(Msg::kFence, encode_fence(Fence{id, metrics}));
   std::map<std::size_t, FenceAck> acks;
   std::string problem;
   {
@@ -472,7 +473,7 @@ bool DistributedRuntime::fence(bool nothrow) {
     });
     acks = std::move(fence_acks_[id]);
     fence_acks_.erase(id);
-    // The piggybacked metrics snapshot refreshes the per-rank cluster view.
+    // A snapshot the fence asked for refreshes the per-rank cluster view.
     for (const auto& [worker, ack] : acks)
       if (!ack.metrics.empty())
         worker_metrics_[worker] = deserialize_metrics_snapshot(ack.metrics);
@@ -518,13 +519,11 @@ LaunchResult DistributedRuntime::execute(const TaskLauncher& launcher) {
   require_replicated_forest();
   // An unserializable launcher must throw before any rank sees it.
   (void)serialize_task_launcher(launcher);
-  // Rank 0 maps, plans and issues before the broadcast, as execute_index
-  // does.
-  LaunchResult result = replica_->execute(launcher);
-  TaskLauncher annotated = launcher;
-  annotated.trace_ctx = obs::TraceContext{result.launch_id, obs::TraceContext::kNone, 0};
-  broadcast(Msg::kSingle, serialize_task_launcher(annotated));
-  return result;
+  // Rank 0 maps and plans before the broadcast, and issues after it, as
+  // execute_index does.
+  return replica_->execute(launcher, [&](const TaskLauncher& stamped) {
+    broadcast(Msg::kSingle, serialize_task_launcher(stamped));
+  });
 }
 
 LaunchResult DistributedRuntime::execute_index(const IndexLauncher& launcher) {
@@ -534,20 +533,21 @@ LaunchResult DistributedRuntime::execute_index(const IndexLauncher& launcher) {
   // An unserializable launcher must throw before any rank (rank 0
   // included) observes the launch.
   (void)serialize_launcher(launcher);
-  // Issue on rank 0 before the broadcast. Rank 0 resolves the launch first:
-  // a launcher it refuses (a color outside a partition, an unknown field)
-  // throws before rank 0 takes a launch id, plans a transfer or creates a
-  // subregion, and no worker sees it. The descriptor carries no plan and no
-  // analysis: every rank resolves, plans and analyzes its own copy of the
-  // stream. Frames go out on this thread in program order, and issuance is
-  // asynchronous, so no task outcome can precede its launch frame.
-  LaunchResult result = replica_->execute_index(launcher);
-  IndexLauncher annotated = launcher;
-  // Replicas assert they assign the same launch id rank 0 just did, which
-  // also catches a rank whose plan issued a different number of transfers.
-  annotated.trace_ctx =
-      obs::TraceContext{result.launch_id, obs::TraceContext::kNone, 0};
-  broadcast(Msg::kLaunch, serialize_launcher(annotated));
+  // Rank 0 resolves the launch first: a launcher it refuses (a color
+  // outside a partition, an unknown field) throws before rank 0 takes a
+  // launch id, plans a transfer or creates a subregion, and no worker sees
+  // it. Resolution is the only step that refuses a launch, so rank 0 then
+  // plans it, issues its transfers and broadcasts the descriptor before it
+  // expands the launch: the workers expand it alongside rank 0 instead of
+  // after it. The descriptor carries no plan and no analysis: every rank
+  // resolves, plans and analyzes its own copy of the stream. Its launch id
+  // is the one rank 0 takes next; every rank asserts it takes the same,
+  // which also catches a rank whose plan issued a different number of
+  // transfers.
+  const LaunchResult result =
+      replica_->execute_index(launcher, [&](const IndexLauncher& stamped) {
+        broadcast(Msg::kLaunch, serialize_launcher(stamped));
+      });
   // Every rank creates this launch's subregions in the same order.
   replicated_setup_ops_ = forest_->setup_journal().size();
   return result;
@@ -572,7 +572,7 @@ void DistributedRuntime::sync_for_read() {
 DataPlaneStats DistributedRuntime::data_plane_stats() {
   if (replica_ == nullptr) return {};
   // A fence pulls every worker's current counters in via its ack.
-  if (!conns_.empty()) fence(/*nothrow=*/true);
+  if (!conns_.empty()) fence(/*nothrow=*/true, /*metrics=*/true);
   DataPlaneStats total = data_plane_of(local().metrics().snapshot());
   std::lock_guard<std::mutex> lock(fence_mu_);
   for (const obs::MetricsSnapshot& m : worker_metrics_) total += data_plane_of(m);
@@ -582,7 +582,7 @@ DataPlaneStats DistributedRuntime::data_plane_stats() {
 obs::MetricsSnapshot DistributedRuntime::cluster_metrics() {
   ensure_started();
   // A fence refreshes every worker's snapshot via its ack.
-  if (!conns_.empty()) fence(/*nothrow=*/true);
+  if (!conns_.empty()) fence(/*nothrow=*/true, /*metrics=*/true);
   std::vector<std::pair<uint32_t, obs::MetricsSnapshot>> ranks;
   ranks.emplace_back(0, local().metrics().snapshot());
   {

@@ -7,6 +7,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/clock.hpp"
@@ -26,6 +27,17 @@ inline uint32_t owner_of(const Domain& domain, const Point& p, uint32_t nranks) 
   if (vol <= 1 || nranks <= 1) return 0;
   const int64_t idx = domain.linear_index(p);
   return static_cast<uint32_t>(idx * static_cast<int64_t>(nranks) / vol);
+}
+
+/// The inverse of owner_of: the linear indices of `domain` that `rank`
+/// owns, one run [first, second) (empty for a rank that owns none).
+inline std::pair<int64_t, int64_t> owned_run(const Domain& domain, uint32_t rank,
+                                             uint32_t nranks) {
+  const int64_t vol = domain.volume();
+  if (vol <= 1 || nranks <= 1) return {0, rank == 0 ? vol : 0};
+  // owner_of(idx) >= r exactly when idx * nranks >= r * vol.
+  const auto start = [&](int64_t r) { return (r * vol + nranks - 1) / nranks; };
+  return {start(rank), start(static_cast<int64_t>(rank) + 1)};
 }
 
 struct DistConfig {
@@ -164,8 +176,9 @@ class DistributedRuntime : public RuntimeApi {
   void on_worker_close(std::size_t worker, const std::string& error);
   void broadcast(Msg type, const std::vector<std::byte>& payload);
   /// Fence all ranks; returns false (instead of throwing) on peer loss or
-  /// report divergence when `nothrow` — the destructor path.
-  bool fence(bool nothrow);
+  /// report divergence when `nothrow` — the destructor path. `metrics` has
+  /// every worker ack with its metrics snapshot (the cluster views).
+  bool fence(bool nothrow, bool metrics = false);
   /// Stop and reap every worker, then drop the driver runtime.
   void shutdown();
   /// Write the merged trace if requested, fence, then kShutdown every
@@ -205,7 +218,8 @@ class DistributedRuntime : public RuntimeApi {
   uint64_t next_fence_ = 0;
   /// fence id -> acks received (worker index -> ack)
   std::map<uint64_t, std::map<std::size_t, FenceAck>> fence_acks_;
-  /// Latest metrics snapshot per worker index, from fence acks (fence_mu_).
+  /// Latest metrics snapshot per worker index, from the acks of fences that
+  /// asked for one (fence_mu_).
   std::vector<obs::MetricsSnapshot> worker_metrics_;
   /// Shutdown-pull traces by rank, answering kTelemetryReq; rank 0's own
   /// joins them at collection (fence_mu_).

@@ -157,19 +157,41 @@ Setup decode_setup(const std::vector<std::byte>& bytes) {
   return su;
 }
 
+RemoteOutcome TaskDone::outcome(uint32_t index, std::size_t* fault) {
+  RemoteOutcome o;
+  if (!rets.empty()) o.ret = rets[index];
+  o.has_data = has_data;
+  if (has_data) o.region_bytes = std::move(region_bytes);
+  if (*fault < faults.size() && faults[*fault].index == index) {
+    Fault& f = faults[(*fault)++];
+    o.kind = f.kind;
+    o.root = f.root;
+    o.attempts = f.attempts;
+    o.message = std::move(f.message);
+  }
+  return o;
+}
+
 std::vector<std::byte> encode_task_done(const TaskDone& t) {
+  IDXL_ASSERT(t.count == 1 || !t.has_data);
   Serializer s;
   s.put_header();
-  s.put_u64(t.seq);
+  s.put_u64(t.first);
+  s.put_u32(t.count);
   s.put_u32(t.data_dest);
   put_trace_ctx(s, t.ctx);
-  s.put_u8(static_cast<uint8_t>(t.outcome.kind));
-  s.put_u64(t.outcome.root);
-  s.put_u32(t.outcome.attempts);
-  s.put_string(t.outcome.message);
-  s.put_f64(t.outcome.ret);
-  s.put_u8(t.outcome.has_data ? 1 : 0);
-  s.put_blob(t.outcome.region_bytes);
+  s.put_u32(static_cast<uint32_t>(t.faults.size()));
+  for (const TaskDone::Fault& f : t.faults) {
+    s.put_u32(f.index);
+    s.put_u8(static_cast<uint8_t>(f.kind));
+    s.put_u64(f.root);
+    s.put_u32(f.attempts);
+    s.put_string(f.message);
+  }
+  s.put_u32(static_cast<uint32_t>(t.rets.size()));
+  for (const double r : t.rets) s.put_f64(r);
+  s.put_u8(t.has_data ? 1 : 0);
+  if (t.has_data) s.put_blob(t.region_bytes);
   return s.take();
 }
 
@@ -177,16 +199,30 @@ TaskDone decode_task_done(const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   d.check_header("task-done message");
   TaskDone t;
-  t.seq = d.get_u64();
+  t.first = d.get_u64();
+  t.count = d.get_u32();
   t.data_dest = d.get_u32();
   t.ctx = get_trace_ctx(d);
-  t.outcome.kind = static_cast<FaultKind>(d.get_u8());
-  t.outcome.root = d.get_u64();
-  t.outcome.attempts = d.get_u32();
-  t.outcome.message = d.get_string();
-  t.outcome.ret = d.get_f64();
-  t.outcome.has_data = d.get_u8() != 0;
-  t.outcome.region_bytes = d.get_blob();
+  for (uint32_t n = d.get_u32(); n > 0; --n) {
+    TaskDone::Fault f;
+    f.index = d.get_u32();
+    f.kind = static_cast<FaultKind>(d.get_u8());
+    f.root = d.get_u64();
+    f.attempts = d.get_u32();
+    f.message = d.get_string();
+    IDXL_REQUIRE(f.index < t.count && (t.faults.empty() || t.faults.back().index < f.index),
+                 "task-done fault out of order or outside its slice");
+    t.faults.push_back(std::move(f));
+  }
+  const uint32_t nrets = d.get_u32();
+  IDXL_REQUIRE(nrets == 0 || nrets == t.count, "task-done return values do not match its slice");
+  t.rets.reserve(nrets);
+  for (uint32_t i = 0; i < nrets; ++i) t.rets.push_back(d.get_f64());
+  t.has_data = d.get_u8() != 0;
+  if (t.has_data) {
+    IDXL_REQUIRE(t.count == 1, "task-done region bytes on a slice of more than one task");
+    t.region_bytes = d.get_blob();
+  }
   IDXL_REQUIRE(d.done(), "trailing bytes after task-done message");
   return t;
 }
@@ -230,17 +266,22 @@ RegionData decode_region_data(const std::vector<std::byte>& bytes) {
   return r;
 }
 
-std::vector<std::byte> encode_fence(uint64_t fence) {
+std::vector<std::byte> encode_fence(const Fence& f) {
   Serializer s;
   s.put_header();
-  s.put_u64(fence);
+  s.put_u64(f.id);
+  s.put_u8(f.metrics ? 1 : 0);
   return s.take();
 }
 
-uint64_t decode_fence(const std::vector<std::byte>& bytes) {
+Fence decode_fence(const std::vector<std::byte>& bytes) {
   Deserializer d(bytes);
   d.check_header("fence message");
-  return d.get_u64();
+  Fence f;
+  f.id = d.get_u64();
+  f.metrics = d.get_u8() != 0;
+  IDXL_REQUIRE(d.done(), "trailing bytes after fence message");
+  return f;
 }
 
 std::vector<std::byte> encode_fence_ack(const FenceAck& a) {

@@ -64,16 +64,17 @@ class FullOutcomeLaunches {
 /// Protocol messages of the distributed runtime, carried as the `type` byte
 /// of a net frame (src/net/frame.hpp). Control replication keeps the
 /// vocabulary small: the driver broadcasts the launch stream verbatim and
-/// the only data that crosses per task is its terminal outcome.
+/// the only data that crosses per task is its terminal outcome, one slice
+/// per owning rank of a launch.
 enum class Msg : uint8_t {
   kHello = 1,   ///< driver -> worker: rank assignment + run parameters
   kHelloAck,    ///< worker -> driver: handshake complete
   kSetup,       ///< driver -> worker (exec mode): forest journal + task names
   kLaunch,      ///< driver -> worker: one serialized IndexLauncher
   kSingle,      ///< driver -> worker: one serialized TaskLauncher
-  kTaskDone,    ///< owner -> everyone (via driver): terminal task outcome
+  kTaskDone,    ///< owner -> everyone (via driver): a slice's outcomes (v8)
   kFence,       ///< driver -> worker: quiesce and report
-  kFenceAck,    ///< worker -> driver: fence id, FaultReport, metrics snapshot
+  kFenceAck,    ///< worker -> driver: fence id, FaultReport, metrics if asked
   kShutdown,    ///< driver -> worker: drain and exit
   kBye,         ///< worker -> driver: teardown complete
   kPing,          ///< heartbeat + clock probe, either direction (net/clock.hpp)
@@ -119,24 +120,47 @@ struct Setup {
 std::vector<std::byte> encode_setup(const Setup& s);
 Setup decode_setup(const std::vector<std::byte>& bytes);
 
-/// Terminal outcome of one owned task, broadcast so every other rank can
-/// complete its external placeholder node. In star-hub mode success carries
-/// the full written-region bytes (copy_out order); in delta mode most
-/// outcomes are slim (has_data = false) and the bytes travel separately as
-/// kRegionData to the one rank that needs them (`data_dest`). Faults carry
-/// the fault fields and no bytes.
+/// A `task-done` frame: the terminal outcomes of a slice, a run of
+/// consecutive tasks one rank owns, broadcast so every other rank can
+/// complete its external placeholder nodes. A sliced index launch sends one
+/// per owning rank, naming the rank's block of the launch (owner_of gives
+/// each rank one run of linear indices, so one run of seqs), once every
+/// task of it has settled. Every other outcome is a slice of one. A slice
+/// lists only what differs between its tasks: the faults, and the return
+/// values when the launch folds a Future (the slice of one of a success
+/// always carries its return value). Every task it names without a fault
+/// completed.
 struct TaskDone {
   /// data_dest value meaning "no separate data message for this outcome".
   static constexpr uint32_t kNoDest = UINT32_MAX;
 
-  uint64_t seq = 0;
-  /// Rank receiving this task's bytes via kRegionData (transfer tasks
-  /// only); the driver excludes it from the TaskDone relay.
+  /// A task of the slice that settled in a fault state.
+  struct Fault {
+    uint32_t index = 0;  ///< position in the slice: seq - first
+    FaultKind kind = FaultKind::kNone;
+    uint64_t root = UINT64_MAX;
+    uint32_t attempts = 0;
+    std::string message;
+  };
+
+  uint64_t first = 0;  ///< seq of the slice's first task
+  uint32_t count = 1;  ///< the slice names seqs [first, first + count)
+  /// Rank receiving the slice's bytes via kRegionData (a transfer task's
+  /// slice of one); the driver excludes it from the relay.
   uint32_t data_dest = kNoDest;
-  /// Causal parent of the external completion: the executing rank and the
-  /// task's launch id there (span = seq; replication makes it global).
+  /// Causal parent of the external completions: the executing rank and the
+  /// launch id there (span = first; replication makes it global).
   obs::TraceContext ctx;
-  RemoteOutcome outcome;
+  std::vector<Fault> faults;  ///< ascending index
+  std::vector<double> rets;   ///< empty, or one return value per task
+  /// A slice of one only: star-hub and full outcomes carry the task's
+  /// written-region bytes (copy_out order); delta-plane outcomes are slim.
+  bool has_data = false;
+  std::vector<std::byte> region_bytes;
+
+  /// The outcome of the task at `index`, given the slice's fault at or
+  /// after `*fault` (a cursor: a receiver walks the slice in order).
+  RemoteOutcome outcome(uint32_t index, std::size_t* fault);
 };
 std::vector<std::byte> encode_task_done(const TaskDone& t);
 TaskDone decode_task_done(const std::vector<std::byte>& bytes);
@@ -156,17 +180,22 @@ struct RegionData {
 std::vector<std::byte> encode_region_data(const RegionData& r);
 RegionData decode_region_data(const std::vector<std::byte>& bytes);
 
+struct Fence {
+  uint64_t id = 0;
+  /// Ask for the worker's metrics snapshot in the ack: only the driver's
+  /// cluster views (cluster_metrics, data_plane_stats) read it.
+  bool metrics = false;
+};
 struct FenceAck {
   uint64_t fence = 0;
   FaultReport report;
-  /// Serialized MetricsSnapshot of the worker's registry: every per-rank
-  /// counter, the data-plane bytes and transfers included. Fences are rare
-  /// and snapshots small, so every ack refreshes the driver's per-rank
-  /// metrics view.
+  /// Serialized MetricsSnapshot of the worker's registry when the fence
+  /// asked for it (every per-rank counter, the data-plane bytes and
+  /// transfers included), else empty.
   std::vector<std::byte> metrics;
 };
-std::vector<std::byte> encode_fence(uint64_t fence);
-uint64_t decode_fence(const std::vector<std::byte>& bytes);
+std::vector<std::byte> encode_fence(const Fence& f);
+Fence decode_fence(const std::vector<std::byte>& bytes);
 std::vector<std::byte> encode_fence_ack(const FenceAck& a);
 FenceAck decode_fence_ack(const std::vector<std::byte>& bytes);
 

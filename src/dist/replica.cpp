@@ -137,16 +137,7 @@ Replica::Replica(uint32_t rank, uint32_t nranks, RuntimeConfig config,
   };
   config.on_task_success = [this](uint64_t seq, uint64_t launch, const Point&,
                                   TaskContext& ctx) { on_success(seq, launch, ctx); };
-  config.on_task_fault = [this](const TaskFault& fault) {
-    TaskDone td;
-    td.seq = fault.seq;
-    td.ctx = obs::TraceContext{fault.launch, fault.seq, rank_};
-    td.outcome.kind = fault.kind;
-    td.outcome.root = fault.root;
-    td.outcome.attempts = fault.attempts;
-    td.outcome.message = fault.message;
-    send_outcome(td);
-  };
+  config.on_task_fault = [this](const TaskFault& fault) { on_fault(fault); };
   rt_ = std::make_unique<Runtime>(std::move(config), std::move(forest));
   for (const auto& [name, fn] : tasks) rt_->register_task(name, fn);
   clocks_ = std::make_unique<net::ClockTable>(&rt_->metrics());
@@ -163,11 +154,35 @@ Replica::Replica(uint32_t rank, uint32_t nranks, RuntimeConfig config,
                               "Transfer send-to-apply latency, steady-clock ns (receiver side)");
 }
 
-LaunchResult Replica::execute_index(const IndexLauncher& launcher) {
-  if (!delta_) return rt_->execute_index(launcher);
+LaunchResult Replica::execute_index(IndexLauncher launcher,
+                                    const Announce<IndexLauncher>& announce) {
   // The runtime resolves the launch first: a launcher it refuses throws
-  // before this rank's map or stream has changed.
+  // before this rank's map or stream has changed, and before rank 0
+  // announces it.
   Runtime::Resolution res = rt_->resolve(launcher);
+  const bool slim = delta_ && plan(launcher, res);
+  const uint64_t launch = rt_->peek_next_launch_id();
+  if (announce) {
+    launcher.trace_ctx = obs::TraceContext{launch, obs::TraceContext::kNone, 0};
+    announce(launcher);
+  }
+  const std::pair<int64_t, int64_t> owned = owned_run(launcher.domain, rank_, nranks_);
+  return rt_->execute_index(launcher, std::move(res), [&](bool index_launch) {
+    // Held from before the launch's first task exists, so every owned
+    // task's hook finds it.
+    if (!slim || !index_launch || owned.first == owned.second) return;
+    Held h;
+    h.left = static_cast<uint32_t>(owned.second - owned.first);
+    h.slice.first = rt_->peek_next_seq() + static_cast<uint64_t>(owned.first);
+    h.slice.count = h.left;
+    h.slice.ctx = obs::TraceContext{launch, h.slice.first, rank_};
+    if (launcher.result_redop != ReductionOp::kNone) h.slice.rets.assign(h.left, 0.0);
+    std::lock_guard<std::mutex> lock(held_mu_);
+    held_.emplace(launch, std::move(h));
+  });
+}
+
+bool Replica::plan(const IndexLauncher& launcher, const Runtime::Resolution& res) {
   // Plan every point from the resolution's subregions, and decide whether
   // the launch aliases across ranks: whether a point reads data an earlier
   // point of the same launch writes on another rank. Points that fold into
@@ -189,6 +204,7 @@ LaunchResult Replica::execute_index(const IndexLauncher& launcher) {
   // bounds overlap the read's by construction.
   std::unordered_map<uint32_t, std::vector<Write>> writes;
   bool aliased = false;
+  bool sparse = false;
   launcher.domain.for_each([&](const Point& p) {
     const std::size_t i = owners.size();
     const uint32_t owner = owners.emplace_back(owner_of(launcher.domain, p, nranks_));
@@ -208,7 +224,10 @@ LaunchResult Replica::execute_index(const IndexLauncher& launcher) {
                });
       });
     }
-    if (sparse_write(forest, arg, nargs)) return;  // current everywhere: no read moves it
+    if (sparse_write(forest, arg, nargs)) {
+      sparse = true;
+      return;  // current everywhere: no read moves it
+    }
     for (std::size_t a = 0; a < nargs; ++a) {
       if (!privilege_writes(arg[a].privilege)) continue;
       const RegionInfo& info = forest.region(arg[a].region);
@@ -220,19 +239,27 @@ LaunchResult Replica::execute_index(const IndexLauncher& launcher) {
   plan_points(forest, *vmap_, owners, args, aliased, transfers);
   issue(transfers);
   if (aliased) full_launches_.mark(rt_->peek_next_launch_id());
-  return rt_->execute_index(launcher, std::move(res));
+  return !aliased && !sparse;
 }
 
-LaunchResult Replica::execute(const TaskLauncher& launcher) {
-  if (!delta_) return rt_->execute(launcher);
+LaunchResult Replica::execute(TaskLauncher launcher, const Announce<TaskLauncher>& announce) {
   // Mapped before anything is planned, like an index launch's resolution.
   Runtime::Resolution res = rt_->resolve(launcher);
-  std::vector<PlanArg> args;
-  for (const RegionArg& ra : launcher.args) args.push_back({ra.region, ra.privilege, &ra.fields});
-  std::vector<Transfer> transfers;
-  plan_points(rt_->forest(), *vmap_, {owner_of(launcher.launch_domain, launcher.point, nranks_)},
-              args, /*full_launch=*/false, transfers);
-  issue(transfers);
+  if (delta_) {
+    std::vector<PlanArg> args;
+    for (const RegionArg& ra : launcher.args)
+      args.push_back({ra.region, ra.privilege, &ra.fields});
+    std::vector<Transfer> transfers;
+    plan_points(rt_->forest(), *vmap_,
+                {owner_of(launcher.launch_domain, launcher.point, nranks_)}, args,
+                /*full_launch=*/false, transfers);
+    issue(transfers);
+  }
+  if (announce) {
+    launcher.trace_ctx =
+        obs::TraceContext{rt_->peek_next_launch_id(), obs::TraceContext::kNone, 0};
+    announce(launcher);
+  }
   return rt_->execute(launcher, std::move(res));
 }
 
@@ -258,23 +285,55 @@ void Replica::quiesce() {
   full_launches_.clear();
 }
 
+bool Replica::settle_held(uint64_t launch, uint64_t seq, double ret, const TaskFault* fault) {
+  TaskDone whole;
+  {
+    std::lock_guard<std::mutex> lock(held_mu_);
+    const auto it = held_.find(launch);
+    if (it == held_.end()) return false;
+    Held& h = it->second;
+    const auto index = static_cast<uint32_t>(seq - h.slice.first);
+    IDXL_ASSERT(index < h.slice.count);
+    if (fault != nullptr)
+      h.slice.faults.push_back({index, fault->kind, fault->root, fault->attempts, fault->message});
+    else if (!h.slice.rets.empty())
+      h.slice.rets[index] = ret;
+    if (--h.left != 0) return true;
+    whole = std::move(h.slice);
+    held_.erase(it);
+  }
+  std::ranges::sort(whole.faults, {}, &TaskDone::Fault::index);
+  send_outcome(whole);
+  return true;
+}
+
 void Replica::on_success(uint64_t seq, uint64_t launch, TaskContext& ctx) {
   if (delta_ && ctx.fn == xfer_task_) {
     send_transfer(seq, launch, ctx);
     return;
   }
+  if (settle_held(launch, seq, ctx.return_value, nullptr)) return;
   TaskDone td;
-  td.seq = seq;
+  td.first = seq;
   td.ctx = obs::TraceContext{launch, seq, rank_};
-  td.outcome.ret = ctx.return_value;
+  td.rets.push_back(ctx.return_value);
   if (!delta_ || needs_full_outcome(ctx) || full_launches_.contains(launch)) {
+    td.has_data = true;
     for (PhysicalRegion& pr : ctx.regions)
-      if (privilege_writes(pr.privilege())) pr.copy_out(td.outcome.region_bytes);
-  } else {
-    // Delta mode: the written data stays here; every rank's version map
-    // knows this rank produced it and plans a transfer when a read needs it.
-    td.outcome.has_data = false;
+      if (privilege_writes(pr.privilege())) pr.copy_out(td.region_bytes);
   }
+  // Otherwise (delta plane) the written data stays here; every rank's
+  // version map knows this rank produced it and plans a transfer when a
+  // read needs it.
+  send_outcome(td);
+}
+
+void Replica::on_fault(const TaskFault& fault) {
+  if (settle_held(fault.launch, fault.seq, 0.0, &fault)) return;
+  TaskDone td;
+  td.first = fault.seq;
+  td.ctx = obs::TraceContext{fault.launch, fault.seq, rank_};
+  td.faults.push_back({0, fault.kind, fault.root, fault.attempts, fault.message});
   send_outcome(td);
 }
 
@@ -283,7 +342,7 @@ void Replica::send_outcome(const TaskDone& done) {
   for (const RankLink& link : links_.outcomes)
     if (link.rank != done.data_dest || link.conn == links_.relay)
       try_send(*link.conn, Msg::kTaskDone, payload);
-  bytes_hub_.inc(done.outcome.region_bytes.size() * links_.outcomes.size());
+  bytes_hub_.inc(done.region_bytes.size() * links_.outcomes.size());
 }
 
 void Replica::send_transfer(uint64_t seq, uint64_t launch, TaskContext& ctx) {
@@ -319,21 +378,23 @@ void Replica::send_transfer(uint64_t seq, uint64_t launch, TaskContext& ctx) {
     xfer_size_.observe(nbytes);
   }
 
-  // Slim completion for every other rank; the destination's copy of this
-  // outcome is the payload above, ahead of it on any connection both use.
+  // A slim slice of one for every other rank; the destination's copy of
+  // this outcome is the payload above, ahead of it on any connection both
+  // use.
   TaskDone td;
-  td.seq = seq;
+  td.first = seq;
   td.data_dest = xa.dest;
   td.ctx = obs::TraceContext{launch, seq, rank_};
-  td.outcome.ret = ctx.return_value;
-  td.outcome.has_data = false;
   send_outcome(td);
 }
 
 void Replica::apply_done(TaskDone done) {
   const uint64_t span_start = rt_->profiler().now_ns();
-  rt_->complete_external(done.seq, std::move(done.outcome));
-  rt_->profiler().record_remote_span(name_done_apply_, done.seq, done.ctx, span_start);
+  std::size_t fault = 0;
+  for (uint32_t i = 0; i < done.count; ++i)
+    rt_->complete_external(done.first + i, done.outcome(i, &fault));
+  // Parented on the slice's first task, on the rank that ran it.
+  rt_->profiler().record_remote_span(name_done_apply_, done.first, done.ctx, span_start);
 }
 
 void Replica::apply_data(RegionData data) {

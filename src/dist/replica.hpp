@@ -1,7 +1,10 @@
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,11 +54,11 @@ struct RankLink {
 /// The connections one rank's replica sends over. A driver replica and a
 /// worker replica differ only in these.
 struct ReplicaLinks {
-  /// Every task outcome (kTaskDone) goes out on each of these: the driver's
-  /// links to its workers, or a worker's link to the driver.
+  /// Every slice of task outcomes (kTaskDone) goes out on each of these: the
+  /// driver's links to its workers, or a worker's link to the driver.
   std::vector<RankLink> outcomes;
   /// The outcome link that forwards to every other rank (a worker's driver
-  /// link), or null. A transfer's slim outcome skips the outcome link to the
+  /// link), or null. A transfer's slim slice skips the outcome link to the
   /// payload's destination, whose copy is the payload, unless it relays.
   net::Connection* relay = nullptr;
   /// Links that carry a transfer payload straight to its destination rank:
@@ -71,11 +74,20 @@ struct ReplicaLinks {
 /// One rank's half of dynamic control replication, the same on the driver
 /// (rank 0) and on every worker: the local Runtime issued from the
 /// replicated launch stream, with hooks that keep the points this rank owns
-/// and ship their outcomes — full or slim kTaskDone, and the planned rects
-/// of transfer tasks down the direct-link-then-relay ladder — plus the
+/// and ship their outcomes — slices of kTaskDone, and the planned rects of
+/// transfer tasks down the direct-link-then-relay ladder — plus the
 /// completion of remote outcomes, clock-probe answers, the rank's
 /// data-plane counters (in its runtime's metrics registry) and its
 /// telemetry.
+///
+/// A launch is *sliced* when it runs as an index launch on the delta plane,
+/// does not alias across ranks and writes no sparse footprint: its points
+/// cannot wait on each other, and each ships a slim outcome. The replica
+/// then holds back the outcomes of the launch's points it owns and sends
+/// them as one slice once the last of them has settled. Every other outcome
+/// goes out at once as a slice of one: single and transfer tasks, a task
+/// loop's points (which can wait on each other across ranks), and outcomes
+/// that carry region bytes.
 ///
 /// On the delta data plane each replica also plans: it keeps its own
 /// VersionMap and, from its copy of the launch stream, issues the transfer
@@ -101,14 +113,24 @@ class Replica {
 
   Runtime& runtime() { return *rt_; }
 
+  /// Rank 0's hook between planning a launch and issuing it: called with
+  /// the launcher stamped with the launch id rank 0 is about to take, so
+  /// the driver can broadcast it before rank 0 expands the launch.
+  template <class Launcher>
+  using Announce = std::function<void(const Launcher&)>;
+
   /// Issue a replicated index launch. The runtime resolves it first
   /// (Runtime::resolve), so a launcher it refuses throws before any effect.
   /// On the delta plane, from that resolution: decide whether its points
   /// alias across ranks (then every owned point ships its full outcome),
-  /// plan every point, issue the planned transfers, then the launch.
-  LaunchResult execute_index(const IndexLauncher& launcher);
-  /// Issue a replicated single task, resolved and planned the same way.
-  LaunchResult execute(const TaskLauncher& launcher);
+  /// plan every point and issue the planned transfers. Then `announce`, if
+  /// set, and the launch, whose own launch id the runtime checks against
+  /// the stamp.
+  LaunchResult execute_index(IndexLauncher launcher,
+                             const Announce<IndexLauncher>& announce = {});
+  /// Issue a replicated single task, resolved, planned and announced the
+  /// same way.
+  LaunchResult execute(TaskLauncher launcher, const Announce<TaskLauncher>& announce = {});
   /// Delta plane: issue the transfers bringing every span another rank
   /// produced back to rank 0, so a direct read of rank 0's forest sees
   /// current data.
@@ -117,7 +139,8 @@ class Replica {
   /// launch set is dropped.
   void quiesce();
 
-  /// Complete the external node a kTaskDone names (`done-apply` span).
+  /// Complete the external nodes a kTaskDone slice names (one `done-apply`
+  /// span per slice).
   void apply_done(TaskDone done);
   /// Complete a transfer node from its payload (`xfer-apply` span, and the
   /// send-to-apply latency histogram).
@@ -143,10 +166,26 @@ class Replica {
   obs::RankStall stall_telemetry(const obs::StallReport& report) const;
 
  private:
+  /// The outcomes this rank holds back for one sliced launch: the slice so
+  /// far, and how many of its tasks have yet to settle.
+  struct Held {
+    TaskDone slice;
+    uint32_t left = 0;
+  };
+
+  /// Delta plane: decide whether the launch's points alias across ranks,
+  /// plan every point and issue the transfers. True when every point ships
+  /// a slim outcome: no aliasing and no sparse write footprint.
+  bool plan(const IndexLauncher& launcher, const Runtime::Resolution& res);
   /// Issue the transfer task of each planned transfer, in order.
   void issue(const std::vector<Transfer>& transfers);
+  /// Record an owned task's outcome (`fault`, or a success returning `ret`)
+  /// in its launch's held slice, and send the slice once it is whole. False
+  /// when the launch is not held: the outcome goes out on its own.
+  bool settle_held(uint64_t launch, uint64_t seq, double ret, const TaskFault* fault);
 
   void on_success(uint64_t seq, uint64_t launch, TaskContext& ctx);
+  void on_fault(const TaskFault& fault);
   /// Transfer task: extract the planned rect, push it to the destination,
   /// then announce a slim outcome.
   void send_transfer(uint64_t seq, uint64_t launch, TaskContext& ctx);
@@ -162,6 +201,11 @@ class Replica {
   /// Delta plane: this rank's coherence map. Only the issuing thread plans,
   /// so it needs no lock.
   std::unique_ptr<VersionMap> vmap_;
+  /// Sliced launches with owned tasks still running, by launch id. Opened by
+  /// the issuing thread before a launch expands, settled by the hooks on
+  /// pool threads.
+  std::mutex held_mu_;
+  std::unordered_map<uint64_t, Held> held_;
   /// Interned event-log names of the remote-parent apply spans.
   uint32_t name_xfer_apply_ = 0;
   uint32_t name_done_apply_ = 0;

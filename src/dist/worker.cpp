@@ -113,14 +113,14 @@ void WorkerSession::on_frame(net::Frame& frame) {
       // externals need was forwarded before the fence on the same FIFO
       // connection (or arrives on an independent peer link), so wait_all()
       // cannot depend on an unread driver frame.
+      const Fence fence = decode_fence(frame.payload);
       FenceAck ack;
-      ack.fence = decode_fence(frame.payload);
+      ack.fence = fence.id;
       replica_->quiesce();
       ack.report = rt.fault_report();
-      // Piggyback a metrics snapshot, the data-plane counters included:
-      // fences are rare and snapshots small, so every ack refreshes the
-      // driver's per-rank cluster view.
-      ack.metrics = serialize_metrics_snapshot(rt.metrics().snapshot());
+      // The metrics snapshot, the data-plane counters included, only when
+      // the driver's cluster views asked for it: every wait_all fences.
+      if (fence.metrics) ack.metrics = serialize_metrics_snapshot(rt.metrics().snapshot());
       conn_->send(static_cast<uint8_t>(Msg::kFenceAck), encode_fence_ack(ack));
       break;
     }

@@ -686,7 +686,8 @@ Runtime::Resolution Runtime::resolve(const IndexLauncher& launcher) {
   return res;
 }
 
-LaunchResult Runtime::execute_index(const IndexLauncher& launcher, Resolution res) {
+LaunchResult Runtime::execute_index(const IndexLauncher& launcher, Resolution res,
+                                    const std::function<void(bool)>& expanding) {
   TracedLaunch* traced = trace_record(res);
   // The issue span is also the launch's kIssued record (at its start).
   LogScope issue_scope(log_, ProfCategory::kIssue, task_log_names_[launcher.task],
@@ -721,6 +722,7 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher, Resolution re
     }
   }
 
+  if (expanding) expanding(result.ran_as_index_launch);
   if (!result.ran_as_index_launch) {
     LogScope replay_scope(replaying_ ? log_ : nullptr, ProfCategory::kTrace,
                           obs::EventLog::kNameTraceReplay);

@@ -166,7 +166,11 @@ class Runtime : public RuntimeApi {
   LaunchResult execute_index(const IndexLauncher& launcher) override {
     return execute_index(launcher, resolve(launcher));
   }
-  LaunchResult execute_index(const IndexLauncher& launcher, Resolution resolution);
+  /// `expanding`, when set, is called once the launch is analyzed and
+  /// before its first task is issued, with whether it runs as an index
+  /// launch (false: the task loop).
+  LaunchResult execute_index(const IndexLauncher& launcher, Resolution resolution,
+                             const std::function<void(bool index_launch)>& expanding = {});
 
   /// Dynamic tracing (Lee et al. [20]): capture the dependence analysis of
   /// the bracketed launches on first execution, replay it afterwards.
@@ -209,6 +213,10 @@ class Runtime : public RuntimeApi {
   /// replicas assert their own counter agrees (divergence = replication
   /// bug). Only meaningful from the issuing thread.
   uint64_t peek_next_launch_id() const { return next_launch_id_; }
+  /// The seq the next issued task will be assigned; a launch's tasks take
+  /// consecutive seqs in domain order. Only meaningful from the issuing
+  /// thread.
+  uint64_t peek_next_seq() const { return next_seq_; }
 
   /// Drop accumulated fault records and re-arm after cancel_all(), so the
   /// runtime can be reused for another program phase.

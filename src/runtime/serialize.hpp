@@ -16,9 +16,12 @@ namespace idxl {
 /// descriptors cross process boundaries (src/net frames carry their own
 /// transport-level magic; this one covers the descriptor payload itself).
 inline constexpr uint32_t kWireMagic = 0x4C584449;  // "IDXL", little-endian
-inline constexpr uint8_t kWireVersion = 7;  // v7: fence-ack counters in its
+inline constexpr uint8_t kWireVersion = 8;  // v8: task-done as slices,
+                                            // metrics in a fence-ack only
+                                            // when the fence asks (v7:
+                                            // fence-ack counters in its
                                             // metrics snapshot, telemetry as
-                                            // RankTrace/RankStall (v6: no
+                                            // RankTrace/RankStall; v6: no
                                             // routing directive, no
                                             // Hello::p2p; v5: no analysis
                                             // payload on launchers; v4: trace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <map>
 #include <set>
@@ -19,6 +20,7 @@
 
 #include "dist/dist_runtime.hpp"
 #include "region/partition_ops.hpp"
+#include "runtime/runtime.hpp"
 
 namespace idxl::dist {
 namespace {
@@ -199,6 +201,128 @@ TEST(InProcessRanksTest, TransfersNeedNoDirective) {
   EXPECT_EQ(control, (std::map<std::string, uint64_t>{{"launch", launches}}));
   EXPECT_GT(fx.rt.data_plane_stats().transfers, 0u);
   EXPECT_EQ(fx.values(24), serial_reference(24, 3));
+}
+
+/// task-done frames rank 0 sent to `worker` (its own registry's series).
+uint64_t task_done_to(DistributedRuntime& rt, uint32_t worker) {
+  return rt.metrics().snapshot().value(
+      "idxl_net_frames_sent_total",
+      {{"peer", "rank-" + std::to_string(worker)}, {"type", "task-done"}});
+}
+
+/// task-done frames worker `rank` sent to the driver, from the cluster view.
+uint64_t task_done_from(const obs::MetricsSnapshot& cluster, uint32_t rank) {
+  return cluster.value("idxl_net_frames_sent_total",
+                       {{"peer", "driver"}, {"rank", std::to_string(rank)}, {"type", "task-done"}});
+}
+
+TEST(InProcessRanksTest, OneTaskDoneFramePerLaunchAndOwningRank) {
+  // 6 pieces on 3 ranks: each rank owns 2 points of every launch, and each
+  // sends one task-done slice per index launch, which the driver relays
+  // once to each other worker. Single and transfer tasks still send a slice
+  // of one each. The halo reads move one boundary cell per rank boundary
+  // and direction per iteration: 0->1, 1->0, 1->2 and 2->1.
+  const int64_t pieces = 6;
+  const int iterations = 3;
+  HaloFixture fx(in_process(3), 36, pieces);
+  fx.rt.fill(fx.grid, fx.fw, 0.0);  // a single task on rank 0
+  fx.issue_program(fx.rt, pieces, iterations);
+  fx.rt.wait_all();
+  const uint64_t launches = 1 + 2 * iterations;
+  const uint64_t iters = iterations;
+
+  // Rank 0's slice of every launch, and the other worker's relayed, to each
+  // worker; the fill's slice of one to both. A transfer's slice skips its
+  // source and its destination: 0->1 and the relayed 1->0 reach rank 2 only.
+  EXPECT_EQ(task_done_to(fx.rt, 1), 1 + 2 * launches);
+  EXPECT_EQ(task_done_to(fx.rt, 2), 1 + 2 * launches + 2 * iters);
+  const obs::MetricsSnapshot cluster = fx.rt.cluster_metrics();
+  // Each worker's slice of every launch, and one per transfer it sources.
+  EXPECT_EQ(task_done_from(cluster, 1), launches + 2 * iters);
+  EXPECT_EQ(task_done_from(cluster, 2), launches + iters);
+  EXPECT_EQ(fx.rt.data_plane_stats().transfers, 4 * iters);
+  EXPECT_EQ(fx.values(36), serial_reference(36, iterations));
+}
+
+TEST(InProcessRanksTest, RankWithNoPointsSendsNoSlice) {
+  // Two points on three ranks: owner_of gives rank 2 none, so rank 2 sends
+  // no slice, while ranks 0 and 1 send one each.
+  HaloFixture fx(in_process(3), 12, 2);
+  fx.issue_init(fx.rt, 2);
+  fx.rt.wait_all();
+  const obs::MetricsSnapshot cluster = fx.rt.cluster_metrics();
+  EXPECT_EQ(task_done_from(cluster, 1), 1u);
+  EXPECT_EQ(task_done_from(cluster, 2), 0u);
+  EXPECT_EQ(task_done_to(fx.rt, 1), 1u);  // rank 0's
+  EXPECT_EQ(task_done_to(fx.rt, 2), 2u);  // rank 0's and rank 1's, relayed
+  EXPECT_EQ(fx.values(12), serial_reference(12, 0));
+}
+
+TEST(InProcessRanksTest, WriteOnlyChainAcrossRanksRunsAsTaskLoop) {
+  // Every point writes color 0: unsafe, so the launch runs as the task
+  // loop, each point ordered after the previous one by a write-after-write
+  // edge that crosses the rank boundaries. It has no read half, so the
+  // alias test does not flag it and every outcome stays slim; the chain
+  // completes only because a task loop's outcomes go out at once.
+  DistributedRuntime rt(in_process(3));
+  RegionForest& forest = rt.forest();
+  const IndexSpaceId is = forest.create_index_space(Domain::line(12));
+  const FieldSpaceId fs = forest.create_field_space();
+  const FieldId fv = forest.allocate_field(fs, sizeof(double), "v");
+  const RegionId grid = forest.create_region(is, fs);
+  const PartitionId blocks = partition_equal(forest, is, Rect::line(4));
+  const TaskFnId stamp = rt.register_task("stamp", [](TaskContext& ctx) {
+    auto acc = ctx.region(0).accessor<double>(0);
+    ctx.region(0).domain().for_each(
+        [&](const Point& p) { acc.write(p, static_cast<double>(ctx.point[0] + 1)); });
+  });
+  const LaunchResult r =
+      rt.execute_index(IndexLauncher::over(Domain::line(6))
+                           .with_task(stamp)
+                           .region(grid, blocks, ProjectionFunctor::affine1d(0, 0), {fv},
+                                   Privilege::kWrite));
+  rt.wait_all();
+  EXPECT_FALSE(r.ran_as_index_launch);
+  EXPECT_TRUE(rt.fault_report().ok());
+  // The serial result: the last point's write wins color 0.
+  auto acc = rt.read_region<double>(grid, fv);
+  for (int64_t i = 0; i < 3; ++i) EXPECT_EQ(acc.read(Point::p1(i)), 6.0) << i;
+}
+
+TEST(InProcessRanksTest, FutureSumMatchesLocalBitForBit) {
+  // The return values of a sliced launch that folds a Future ride its
+  // slices, one per owning rank, and rank 0 folds them in launch-point
+  // order like the local backend does.
+  const auto sum = [](RuntimeApi& api) {
+    RegionForest& forest = api.forest();
+    const IndexSpaceId is = forest.create_index_space(Domain::line(14));
+    const FieldSpaceId fs = forest.create_field_space();
+    const FieldId fv = forest.allocate_field(fs, sizeof(double), "v");
+    const RegionId grid = forest.create_region(is, fs);
+    const PartitionId blocks = partition_equal(forest, is, Rect::line(7));
+    const TaskFnId third = api.register_task("third", [](TaskContext& ctx) {
+      ctx.return_value = 1.0 / (3.0 + static_cast<double>(ctx.point[0]));
+      auto acc = ctx.region(0).accessor<double>(0);
+      ctx.region(0).domain().for_each([&](const Point& p) { acc.write(p, ctx.return_value); });
+    });
+    const LaunchResult r =
+        api.execute_index(IndexLauncher::over(Domain::line(7))
+                              .with_task(third)
+                              .reduce(ReductionOp::kSum)
+                              .region(grid, blocks, ProjectionFunctor::identity(1), {fv},
+                                      Privilege::kWrite));
+    EXPECT_TRUE(r.ran_as_index_launch);
+    return api.get(r.future);
+  };
+  Runtime local;
+  const double expected = sum(local);
+  DistributedRuntime rt(in_process(3));
+  const double got = sum(rt);
+  EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(expected));
+  // Sliced: one frame from each worker carried its three or two values.
+  const obs::MetricsSnapshot cluster = rt.cluster_metrics();
+  EXPECT_EQ(task_done_from(cluster, 1), 1u);
+  EXPECT_EQ(task_done_from(cluster, 2), 1u);
 }
 
 TEST(InProcessRanksTest, CrossRankDependenciesExist) {

@@ -350,6 +350,27 @@ TEST(DistTest, OwnerOfPartitionsEveryDomain) {
   EXPECT_EQ(owner_of(Domain::line(1), Point::p1(0), 8), 0u);
 }
 
+TEST(DistTest, OwnedRunInvertsOwnerOf) {
+  // Each rank's run of linear indices holds exactly the points owner_of
+  // gives it, so a rank's points of a launch are one run of seqs.
+  for (const Domain& dom : {Domain(Rect::box2(4, 4)), Domain::line(7), Domain::line(1),
+                            Domain::line(2)}) {
+    for (const uint32_t nranks : {1u, 2u, 3u, 5u, 16u, 17u}) {
+      for (uint32_t rank = 0; rank < nranks; ++rank) {
+        const auto [lo, hi] = owned_run(dom, rank, nranks);
+        int64_t owned = 0;
+        dom.for_each([&](const Point& p) {
+          const int64_t idx = dom.linear_index(p);
+          const bool mine = owner_of(dom, p, nranks) == rank;
+          EXPECT_EQ(mine, idx >= lo && idx < hi) << "rank " << rank << " of " << nranks;
+          owned += mine ? 1 : 0;
+        });
+        EXPECT_EQ(owned, hi - lo) << "rank " << rank << " of " << nranks;
+      }
+    }
+  }
+}
+
 // ---------- block placement of launch points onto ranks ----------
 
 TEST(MappingTest, BlockShardingPartitionsDomain) {

@@ -706,6 +706,65 @@ TEST(InProcessFaultTest, RetryRecoversAcrossRanks) {
   EXPECT_EQ(metrics.value("idxl_retry_succeeded_total", {{"rank", "all"}}), 1u);
 }
 
+TEST(InProcessFaultTest, SlicedLaunchReportMatchesLocal) {
+  // Six points on three ranks, two per rank, each launch sliced. Launch 0
+  // fails point 1 (rank 0) and point 3 (rank 1) on both attempts, and point
+  // 4 (rank 2) only on its first, which its retry recovers; launch 1
+  // rewrites each block, so points 1 and 3 are poisoned. The faults ride
+  // the slices, every fence compares every rank's report with rank 0's, and
+  // the program moves no data between ranks, so seqs and launch ids match
+  // the local backend's and the reports compare field for field.
+  auto plan = std::make_shared<FaultPlan>();
+  plan->fail(0, Point::p1(1), 0).fail(0, Point::p1(1), 1);
+  plan->fail(0, Point::p1(3), 0).fail(0, Point::p1(3), 1);
+  plan->fail(0, Point::p1(4), 0);
+  const auto program = [](RuntimeApi& api) {
+    RegionForest& forest = api.forest();
+    const auto is = forest.create_index_space(Domain::line(12));
+    const auto fs = forest.create_field_space();
+    const FieldId fv = forest.allocate_field(fs, sizeof(double), "v");
+    const RegionId grid = forest.create_region(is, fs);
+    const PartitionId blocks = partition_equal(forest, is, Rect::line(6));
+    const TaskFnId fill = api.register_task("fill", [](TaskContext& ctx) {
+      auto acc = ctx.region(0).accessor<double>(0);
+      ctx.region(0).domain().for_each([&](const Point& p) { acc.write(p, 1.0); });
+    });
+    const TaskFnId bump = api.register_task("bump", [](TaskContext& ctx) {
+      auto acc = ctx.region(0).accessor<double>(0);
+      ctx.region(0).domain().for_each([&](const Point& p) { acc.write(p, acc.read(p) + 1); });
+    });
+    const auto id = ProjectionFunctor::identity(1);
+    return api.run([&](RuntimeApi& a) {
+      a.execute_index(IndexLauncher::over(Domain::line(6))
+                          .with_task(fill)
+                          .retries(1)
+                          .region(grid, blocks, id, {fv}, Privilege::kWrite));
+      a.execute_index(IndexLauncher::over(Domain::line(6))
+                          .with_task(bump)
+                          .region(grid, blocks, id, {fv}, Privilege::kReadWrite));
+    });
+  };
+  RuntimeConfig cfg;
+  cfg.workers = 2;
+  cfg.fault_plan = plan;
+  Runtime local(cfg);
+  const FaultReport expected = program(local);
+  ASSERT_EQ(expected.failures.size(), 2u);
+  ASSERT_EQ(expected.poisoned.size(), 2u);
+
+  dist::DistributedRuntime rt(in_process_ranks(3, plan));
+  EXPECT_EQ(program(rt), expected);
+  const obs::MetricsSnapshot cluster = rt.cluster_metrics();
+  for (const char* rank : {"1", "2"}) {
+    // One slice per launch from each worker, faults and all.
+    EXPECT_EQ(cluster.value("idxl_net_frames_sent_total",
+                            {{"peer", "driver"}, {"rank", rank}, {"type", "task-done"}}),
+              2u)
+        << "rank " << rank;
+  }
+  EXPECT_EQ(cluster.value("idxl_retry_succeeded_total", {{"rank", "2"}}), 1u);
+}
+
 // --- fault-injection soak (nightly CI scales the knobs up) ----------------
 
 // Every poisoned task must name a recorded root failure that precedes it.
