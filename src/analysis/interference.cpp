@@ -8,8 +8,8 @@ namespace idxl {
 
 namespace {
 
-/// Pair probes beyond this many functor evaluations are not worth the issue
-/// latency; the dynamic tracker handles those launches instead.
+/// Pair probes beyond this many functor evaluations are not worth their
+/// cost; such pairs stay kUnknown.
 constexpr int64_t kMaxProbePoints = 1 << 16;
 
 CertOp cert_op_of(ExprKind k) {
@@ -75,8 +75,8 @@ std::optional<AbsVal> record_eval(const Expr& e, const Rect& bounds,
 }
 
 /// Wrap a fact-kind certificate, re-validate it through the independent
-/// checker, and only then return the kDisjoint result: the runtime refuses
-/// uncertified skips, including its own.
+/// checker, and only then return the kDisjoint result: no kDisjoint verdict
+/// leaves the analyzer without a validated proof, including its own.
 InterferenceResult certified(Certificate cert, const LaunchArgSummary& a,
                              const LaunchArgSummary& b, std::string reason) {
   InterferenceResult r;
@@ -90,15 +90,6 @@ InterferenceResult certified(Certificate cert, const LaunchArgSummary& a,
   r.certificate = std::move(cert);
   r.reason = std::move(reason);
   return r;
-}
-
-std::string domain_fingerprint(const Domain& d) {
-  // Dense bounds are a full-fidelity description; a sparse domain's
-  // to_string() elides the point list, so serialize every point.
-  if (d.dense()) return "R" + d.bounds().to_string();
-  std::string s = "S";
-  d.for_each([&](const Point& p) { s += p.to_string(); });
-  return s;
 }
 
 }  // namespace
@@ -123,36 +114,6 @@ CertSide LaunchArgSummary::side() const {
   s.priv = priv;
   s.redop = redop;
   return s;
-}
-
-std::optional<std::string> LaunchArgSummary::fingerprint() const {
-  if (!functor.is_symbolic()) return std::nullopt;
-  // Built on the issue path (amortized, but still hot for novel shapes):
-  // append in place instead of chaining operator+ temporaries.
-  std::string k;
-  k.reserve(192);
-  k += "f=";
-  for (const auto& e : functor.exprs()) {
-    k += e->to_string();
-    k += ';';
-  }
-  k += " d=";
-  k += domain_fingerprint(domain);
-  k += " cs=";
-  k += color_space.to_string();
-  k += " pd=";
-  k += partition_disjoint ? '1' : '0';
-  k += " pu=";
-  k += std::to_string(partition_uid);
-  k += " cu=";
-  k += std::to_string(collection_uid);
-  k += " fm=";
-  k += std::to_string(field_mask);
-  k += " pr=";
-  k += std::to_string(static_cast<int>(priv));
-  k += " ro=";
-  k += std::to_string(static_cast<int>(redop));
-  return k;
 }
 
 InterferenceResult analyze_interference(const LaunchArgSummary& a,
@@ -243,7 +204,7 @@ InterferenceResult analyze_interference(const LaunchArgSummary& a,
     if (!found && a.partition_disjoint && b.partition_disjoint) {
       // Exhaustive probe with no collision on a disjoint partition is a
       // *dynamic* disjointness proof; it carries no static certificate, so
-      // it stays kUnknown — the runtime only skips on certified verdicts.
+      // it stays kUnknown — kDisjoint always carries a certificate.
       if (result.reason.empty())
         result.reason = "probe found no collision (no certificate)";
     }
@@ -252,112 +213,6 @@ InterferenceResult analyze_interference(const LaunchArgSummary& a,
   if (result.reason.empty())
     result.reason = "not decidable by the static pair analysis";
   return result;
-}
-
-std::optional<std::string> interference_key(const LaunchArgSummary& a,
-                                            const LaunchArgSummary& b) {
-  const auto ka = a.fingerprint();
-  const auto kb = b.fingerprint();
-  if (!ka || !kb) return std::nullopt;
-  return make_interference_key(*ka, *kb);
-}
-
-std::string make_interference_key(const std::string& fp_a, const std::string& fp_b) {
-  // Order-canonical so (a, b) and (b, a) share one entry.
-  const std::string& lo = fp_a <= fp_b ? fp_a : fp_b;
-  const std::string& hi = fp_a <= fp_b ? fp_b : fp_a;
-  std::string k;
-  k.reserve(4 + lo.size() + hi.size());
-  k += "P|";
-  k += lo;
-  k += "||";
-  k += hi;
-  return k;
-}
-
-std::optional<PairVerdict> InterferenceCache::lookup(const std::string& k) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = map_.find(k);
-  if (it == map_.end()) {
-    ++counters_.misses;
-    return std::nullopt;
-  }
-  ++counters_.hits;
-  return it->second;
-}
-
-void InterferenceCache::insert(const std::string& k, const InterferenceResult& r) {
-  // A kDisjoint result without its certificate must never enter the cache.
-  if (r.verdict == PairVerdict::kDisjoint && !r.certificate.has_value()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.insert_or_assign(k, r.verdict);
-}
-
-std::size_t InterferenceCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
-}
-
-InterferenceCache::Counters InterferenceCache::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
-}
-
-void InterferenceHistory::settle(Tree& th) {
-  if (th.pending.empty()) return;
-  for (Rec& r : th.pending) {
-    if (!r.fp_built) {
-      r.fp = r.summary.fingerprint();
-      r.fp_built = true;
-    }
-    if (r.fp.has_value() && !th.seen.insert(*r.fp).second)
-      continue;  // already recorded
-    th.args.push_back(std::move(r));
-    ++th.epoch;
-  }
-  th.pending.clear();
-}
-
-bool InterferenceHistory::certified_disjoint(uint32_t tree,
-                                             const LaunchArgSummary& s,
-                                             LazyFingerprint& fp,
-                                             InterferenceCache& cache,
-                                             uint64_t* pair_tests) {
-  // No recorded launches on this tree: the walk would traverse empty lists,
-  // which costs nothing — don't claim a certificate-backed skip.
-  const auto it = trees_.find(tree);
-  if (it == trees_.end()) return false;
-  Tree& th = it->second;
-  settle(th);
-  if (th.args.empty()) return false;
-  const std::optional<std::string>& sfp = fp.get(s);
-  if (sfp.has_value()) {
-    const auto m = th.memo.find(*sfp);
-    if (m != th.memo.end() && m->second == th.epoch) return true;
-  }
-  for (const Rec& h : th.args) {
-    std::optional<PairVerdict> v;
-    std::optional<std::string> key;
-    if (h.fp.has_value() && sfp.has_value()) {
-      key = make_interference_key(*h.fp, *sfp);
-      v = cache.lookup(*key);
-    }
-    if (!v.has_value()) {
-      if (pair_tests != nullptr) ++*pair_tests;
-      const InterferenceResult r = analyze_interference(h.summary, s);
-      if (key.has_value()) cache.insert(*key, r);
-      v = r.verdict;
-    }
-    if (*v != PairVerdict::kDisjoint) return false;
-  }
-  if (sfp.has_value()) th.memo[*sfp] = th.epoch;
-  return true;
-}
-
-void InterferenceHistory::record(uint32_t tree, LaunchArgSummary s,
-                                 LazyFingerprint fp) {
-  trees_[tree].pending.push_back(
-      Rec{std::move(s), std::move(fp.value), fp.built});
 }
 
 }  // namespace idxl

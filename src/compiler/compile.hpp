@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "analysis/interference.hpp"
 #include "compiler/ast.hpp"
 #include "runtime/runtime.hpp"
 

@@ -186,9 +186,7 @@ void WorkerSession::serve(net::Socket sock) {
   }
 
   // Hello carries only the pool width, profiling and the fault plan; every
-  // other knob keeps its default here, the interference analysis (on)
-  // included. A pair skip only elides a dependence walk that would find no
-  // edge, so it never changes this rank's edges or region contents.
+  // other knob keeps its default here.
   RuntimeConfig rc;
   rc.workers = hello.workers;
   rc.enable_profiling = hello.enable_profiling != 0;

@@ -130,7 +130,6 @@ const char* lifecycle_event_name(LifecycleEvent e) {
     case LifecycleEvent::kFence: return "fence";
     case LifecycleEvent::kTraceBegin: return "trace-begin";
     case LifecycleEvent::kTraceEnd: return "trace-end";
-    case LifecycleEvent::kGroupFallback: return "group-fallback";
     case LifecycleEvent::kStall: return "stall";
     case LifecycleEvent::kFailed: return "failed";
     case LifecycleEvent::kPoisoned: return "poisoned";
@@ -221,8 +220,7 @@ EventLog::EventLog(LogMode mode, std::size_t capacity)
   names_ = {"issue",         "dependence-analysis", "safety-check",
             "safety-check/static", "safety-check/dynamic", "safety-check/cache",
             "trace-capture", "trace-replay",        "future-reduce",
-            "wait-all",      "dependence-group",    "dependence-materialize",
-            "expand-chunk"};
+            "wait-all",      "expand-chunk"};
   IDXL_ASSERT(names_.size() == kWellKnownCount);
   for (uint32_t i = 0; i < names_.size(); ++i) name_ids_.emplace(names_[i], i);
 }

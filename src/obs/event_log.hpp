@@ -96,8 +96,8 @@ namespace obs {
 void set_current_worker(int worker);
 
 /// Task-lifecycle stages, in pipeline order, plus the structural events
-/// (fences, trace boundaries, group fallbacks) that explain why dependence
-/// state changed shape. The last two kinds are internal to the log and
+/// (fences, trace boundaries) that explain why dependence state changed
+/// shape. The last two kinds are internal to the log and
 /// never appear in the lifecycle view.
 enum class LifecycleEvent : uint8_t {
   kIssued,         ///< the task (or launch) entered the runtime
@@ -109,7 +109,6 @@ enum class LifecycleEvent : uint8_t {
   kFence,          ///< wait_all() quiesced the pipeline
   kTraceBegin,     ///< begin_trace (capture or replay starts)
   kTraceEnd,       ///< end_trace
-  kGroupFallback,  ///< a safe launch was forced onto the per-point path
   kStall,          ///< the watchdog declared a stall
   kFailed,         ///< the task body failed terminally (detail = fault cause)
   kPoisoned,       ///< skipped: an upstream failure poisoned this task
@@ -217,8 +216,6 @@ class EventLog {
     kNameTraceReplay,
     kNameFutureReduce,
     kNameWaitAll,
-    kNameGroupDependence,  ///< group-level (whole-partition) dependence pass
-    kNameMaterialize,      ///< group state flushed into the per-point tracker
     kNameExpandChunk,      ///< one bulk-expansion chunk mapping point regions
     kWellKnownCount,
   };

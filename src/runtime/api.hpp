@@ -33,19 +33,15 @@ struct RuntimeStats {
   /// Tasks a worker started right after its own completion readied them,
   /// without a trip through the pool queue (live).
   uint64_t tasks_inline = 0;
-  uint64_t dependence_tests = 0;    ///< per-use conflict tests, both tiers (live)
+  uint64_t dependence_tests = 0;    ///< per-use conflict tests (live)
   uint64_t verdict_cache_hits = 0;   ///< launches served from the verdict cache
   uint64_t verdict_cache_misses = 0; ///< cacheable launches analyzed afresh
-  // --- group-level (two-tier) dependence analysis ---
-  uint64_t group_launches = 0;       ///< index launches issued on the group path
-  uint64_t group_edges = 0;          ///< launch-level summary conflicts (O(args))
-  uint64_t group_fallbacks = 0;      ///< safe launches forced onto the per-point path
-  uint64_t group_materializations = 0;  ///< trees flushed group → per-point
-  // --- inter-launch interference analysis (certified pair verdicts) ---
-  uint64_t interference_pair_tests = 0;  ///< pair analyses run (cache misses)
-  uint64_t interference_skips = 0;   ///< group walks skipped on a checked certificate
-  uint64_t interference_cache_hits = 0;
-  uint64_t interference_cache_misses = 0;
+  /// Always 0: the second dependence tier and the certificate skip that
+  /// counted these are gone. Kept while the benchmark harness still reports
+  /// them.
+  uint64_t group_edges = 0;
+  uint64_t group_fallbacks = 0;
+  uint64_t interference_skips = 0;
   // --- fault tolerance ---
   uint64_t tasks_failed = 0;        ///< terminal root-cause failures, all kinds
   uint64_t tasks_poisoned = 0;      ///< tasks skipped due to upstream failure

@@ -64,26 +64,49 @@ bool DependenceTracker::contains(IndexSpaceId outer, IndexSpaceId inner) {
 
 DependenceTracker::Slot& DependenceTracker::slot(uint32_t tree, IndexSpaceId ispace) {
   Slot& s = slots_[uint64_t{tree} << 32 | ispace.id];
+  if (!s.ispace.valid()) {
+    s.ispace = ispace;
+    s.empty = forest_->domain(ispace).bounds().empty();
+  }
   if (!s.touched) {
     s.touched = true;
     touched_.push_back(&s);
   }
-  s.ispace = ispace;
   return s;
+}
+
+DependenceTracker::Tree& DependenceTracker::tree_state(uint32_t tree) {
+  if (tree != last_tree_) {
+    last_tree_ = tree;
+    last_state_ = &trees_[tree];
+  }
+  return *last_state_;
 }
 
 void DependenceTracker::record_use(uint32_t tree, IndexSpaceId ispace, uint64_t fields,
                                    bool writes, PartitionId through,
                                    bool through_disjoint, const TaskNodePtr& node,
                                    std::vector<TaskNodePtr>& out_deps, bool keep_done) {
-  // Candidates: the slots used since the last reset among the index spaces
-  // whose bounds overlap this one's (the forest's overlap index). Exact
-  // domain tests follow below, so bounding boxes of sparse domains are a
-  // sound over-approximation.
   nearby_.clear();
-  for (IndexSpaceId other : forest_->overlapping(ispace)) {
-    const auto it = slots_.find(uint64_t{tree} << 32 | other.id);
-    if (it != slots_.end() && it->second.touched) nearby_.push_back(&it->second);
+  Slot* mine = nullptr;
+  Tree& t = tree_state(tree);
+  if (!t.one.valid() && !t.mixed) touched_trees_.push_back(&t);
+  if (through_disjoint && !t.mixed && (!t.one.valid() || t.one == through)) {
+    // Whole-partition rule: every slot of this tree touched since the last
+    // reset is a color of `through`, and distinct colors never overlap.
+    t.one = through;
+    mine = &slot(tree, ispace);
+    if (!mine->empty) nearby_.push_back(mine);
+  } else {
+    // Candidates: the slots used since the last reset among the index
+    // spaces whose bounds overlap this one's (the forest's overlap index).
+    // Exact domain tests follow below, so bounding boxes of sparse domains
+    // are a sound over-approximation.
+    t.mixed = true;
+    for (IndexSpaceId other : forest_->overlapping(ispace)) {
+      const auto it = slots_.find(uint64_t{tree} << 32 | other.id);
+      if (it != slots_.end() && it->second.touched) nearby_.push_back(&it->second);
+    }
   }
 
   for (Slot* entry : nearby_) {
@@ -119,31 +142,10 @@ void DependenceTracker::record_use(uint32_t tree, IndexSpaceId ispace, uint64_t 
     }
   }
 
-  Slot& mine = slot(tree, ispace);
-  mine.through = through;
-  mine.through_disjoint = through_disjoint;
-  (writes ? mine.writers : mine.readers).push_back(TaskUse{node, fields});
-}
-
-void DependenceTracker::seed_entry(uint32_t tree, IndexSpaceId ispace,
-                                   PartitionId through, bool through_disjoint,
-                                   std::vector<TaskUse>&& writers,
-                                   std::vector<TaskUse>&& readers) {
-  Slot& mine = slot(tree, ispace);
-  mine.through = through;
-  mine.through_disjoint = through_disjoint;
-  if (mine.writers.empty()) {
-    mine.writers = std::move(writers);
-  } else {
-    mine.writers.insert(mine.writers.end(), std::make_move_iterator(writers.begin()),
-                        std::make_move_iterator(writers.end()));
-  }
-  if (mine.readers.empty()) {
-    mine.readers = std::move(readers);
-  } else {
-    mine.readers.insert(mine.readers.end(), std::make_move_iterator(readers.begin()),
-                        std::make_move_iterator(readers.end()));
-  }
+  if (mine == nullptr) mine = &slot(tree, ispace);
+  mine->through = through;
+  mine->through_disjoint = through_disjoint;
+  (writes ? mine->writers : mine->readers).push_back(TaskUse{node, fields});
 }
 
 void DependenceTracker::reset() {
@@ -153,6 +155,8 @@ void DependenceTracker::reset() {
     s->touched = false;
   }
   touched_.clear();
+  for (Tree* t : touched_trees_) *t = Tree{};
+  touched_trees_.clear();
 }
 
 }  // namespace idxl

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "region/region_forest.hpp"
 #include "runtime/task_graph.hpp"
@@ -13,9 +12,7 @@ namespace idxl {
 /// most 64 fields (ample for the paper's workloads).
 uint64_t field_mask(const std::vector<FieldId>& fields);
 
-/// One recorded use of a piece of data by a live task. Shared between the
-/// per-point DependenceTracker and the group-level GroupDependenceTracker,
-/// so group state can be materialized into per-point state verbatim.
+/// One recorded use of a piece of data by a live task.
 struct TaskUse {
   TaskNodePtr node;
   uint64_t fields = 0;
@@ -52,6 +49,15 @@ void collect_conflicting_uses(std::vector<TaskUse>& uses, uint64_t fields,
 /// scan of the live entries. Slots outlive fences; a fence clears only the
 /// use lists of the slots touched since the last one.
 ///
+/// §5's whole-partition rule picks the candidates without the index while a
+/// region tree is used through one disjoint partition only: per tree, the
+/// tracker records the one disjoint partition every slot touched since the
+/// last fence came through, or that the tree is mixed. A use through that
+/// same partition has its own slot as its only candidate, because siblings
+/// of a disjoint partition never overlap (and an empty color has none, as
+/// the overlap index also says). Any other use marks the tree mixed until
+/// the next fence, and looks its candidates up in the overlap index.
+///
 /// Not thread-safe: called only from the issuing thread, matching the
 /// sequential-issue semantics of the programming model (and the overlap
 /// index's own rule).
@@ -77,15 +83,6 @@ class DependenceTracker {
                   PartitionId through, bool through_disjoint, const TaskNodePtr& node,
                   std::vector<TaskNodePtr>& out_deps, bool keep_done = false);
 
-  /// Install a fully-formed entry without scanning for conflicts — the
-  /// GroupDependenceTracker materializing one summarized color into
-  /// per-point state. Ordering among seeded uses was already established by
-  /// the group edges; if the entry already exists the uses are appended in
-  /// program order.
-  void seed_entry(uint32_t tree, IndexSpaceId ispace, PartitionId through,
-                  bool through_disjoint, std::vector<TaskUse>&& writers,
-                  std::vector<TaskUse>&& readers);
-
   /// Drop all recorded uses (used at trace fences and wait_all). Costs
   /// O(slots touched since the last reset).
   void reset();
@@ -100,13 +97,22 @@ class DependenceTracker {
     IndexSpaceId ispace;
     PartitionId through;            // partition this subregion came from
     bool through_disjoint = false;
+    bool empty = false;             // the index space's bounds are empty
     bool touched = false;           // in touched_: used since the last reset
     std::vector<TaskUse> writers;  // writers/reducers since the last covering write
     std::vector<TaskUse> readers;
   };
 
+  /// Which partitions a region tree was used through since the last reset.
+  struct Tree {
+    PartitionId one;     // the one disjoint partition, while not mixed
+    bool mixed = false;  // used otherwise too: candidates come from the index
+  };
+
   /// The slot of `ispace` in region tree `tree`, touched.
   Slot& slot(uint32_t tree, IndexSpaceId ispace);
+  /// The state of region tree `tree`.
+  Tree& tree_state(uint32_t tree);
 
   bool overlaps(IndexSpaceId a, IndexSpaceId b);
   bool contains(IndexSpaceId outer, IndexSpaceId inner);
@@ -117,6 +123,12 @@ class DependenceTracker {
   /// Rehashing never moves a node, so the Slot pointers below stay valid.
   std::unordered_map<uint64_t, Slot> slots_;
   std::vector<Slot*> touched_;
+  /// Like slots_, entries outlive fences; touched_trees_ lists those used
+  /// since the last reset.
+  std::unordered_map<uint32_t, Tree> trees_;
+  std::vector<Tree*> touched_trees_;
+  uint32_t last_tree_ = UINT32_MAX;  // tree_state's one-entry cache
+  Tree* last_state_ = nullptr;
   std::vector<Slot*> nearby_;  // record_use's candidate buffer, reused
   std::unordered_map<uint64_t, bool> overlap_cache_;
   std::unordered_map<uint64_t, bool> contains_cache_;

@@ -68,7 +68,6 @@ Runtime::Runtime(RuntimeConfig config, std::shared_ptr<RegionForest> forest)
       forest_(forest != nullptr ? std::move(forest)
                                 : std::make_shared<RegionForest>()),
       tracker_(*forest_),
-      group_(*forest_),
       event_log_(config_.enable_profiling         ? obs::LogMode::kCapture
                  : config_.enable_flight_recorder ? obs::LogMode::kBounded
                                                   : obs::LogMode::kOff,
@@ -108,7 +107,7 @@ Runtime::~Runtime() {
 }
 
 /// Counter rows name the StatsCells handle the runtime increments; gauge
-/// rows name the externally owned value (trackers, caches, pool, event
+/// rows name the externally owned value (tracker, caches, pool, event
 /// log) a collector copies in at snapshot time.
 struct Runtime::StatRow {
   const char* series;
@@ -173,20 +172,6 @@ std::span<const Runtime::StatRow> Runtime::stat_rows() {
               &S::verdict_cache_hits, &C::cache_hit_launches, "result", "hit"),
       counter("idxl_verdict_cache_launches_total", "", &S::verdict_cache_misses,
               &C::cache_miss_launches, "result", "miss"),
-      counter("idxl_group_launches_total", "index launches issued on the group path",
-              &S::group_launches, &C::group_launches),
-      counter("idxl_group_edges_total", "launch-level summary conflicts (O(args))",
-              &S::group_edges, &C::group_edges),
-      counter("idxl_group_fallbacks_total", "safe launches forced onto the per-point path",
-              &S::group_fallbacks, &C::group_fallbacks),
-      counter("idxl_group_materializations_total", "trees flushed group -> per-point",
-              &S::group_materializations, &C::group_materializations),
-      counter("idxl_interference_pair_tests_total",
-              "inter-launch pair analyses run (cache misses)", &S::interference_pair_tests,
-              &C::interference_pair_tests),
-      counter("idxl_interference_skips_total",
-              "group-walk skips authorized by checked pair certificates",
-              &S::interference_skips, &C::interference_skips),
       counter("idxl_fault_tasks_total", faults, &S::tasks_failed, &C::fault_exception,
               "kind", "exception"),
       counter("idxl_fault_tasks_total", "", &S::tasks_failed, &C::fault_explicit, "kind",
@@ -206,11 +191,8 @@ std::span<const Runtime::StatRow> Runtime::stat_rows() {
               &S::retry_attempts, &C::retry_attempts),
       counter("idxl_retry_succeeded_total", "tasks that succeeded after at least one retry",
               &S::retries_succeeded, &C::retry_succeeded),
-      gauge("idxl_dependence_tests", "per-use conflict tests, both tiers (live)",
-            &S::dependence_tests,
-            [](const Runtime& rt) {
-              return rt.tracker_.dependence_tests() + rt.group_.dependence_tests();
-            }),
+      gauge("idxl_dependence_tests", "per-use conflict tests (live)", &S::dependence_tests,
+            [](const Runtime& rt) { return rt.tracker_.dependence_tests(); }),
       gauge("idxl_verdict_cache_hits", "verdict cache lookup hits", nullptr,
             [](const Runtime& rt) { return rt.verdict_cache_.counters().hits; }),
       gauge("idxl_verdict_cache_misses", "verdict cache lookup misses", nullptr,
@@ -219,14 +201,6 @@ std::span<const Runtime::StatRow> Runtime::stat_rows() {
             [](const Runtime& rt) { return rt.verdict_cache_.counters().uncacheable; }),
       gauge("idxl_verdict_cache_entries", "verdicts currently cached", nullptr,
             [](const Runtime& rt) { return uint64_t{rt.verdict_cache_.size()}; }),
-      gauge("idxl_interference_cache_hits", "pair-verdict cache lookup hits",
-            &S::interference_cache_hits,
-            [](const Runtime& rt) { return rt.interference_cache_.counters().hits; }),
-      gauge("idxl_interference_cache_misses", "pair-verdict cache lookup misses",
-            &S::interference_cache_misses,
-            [](const Runtime& rt) { return rt.interference_cache_.counters().misses; }),
-      gauge("idxl_interference_cache_entries", "pair verdicts currently cached", nullptr,
-            [](const Runtime& rt) { return uint64_t{rt.interference_cache_.size()}; }),
       gauge("idxl_pool_queue_depth", "ready tasks waiting for a worker", nullptr,
             [](const Runtime& rt) { return uint64_t{rt.pool_->queue_depth()}; }),
       gauge("idxl_pool_executing", "tasks mid-execution on workers", nullptr,
@@ -541,42 +515,6 @@ void Runtime::expand_as_task_loop(const IndexLauncher& launcher, const Resolutio
   });
 }
 
-bool Runtime::group_eligible(const IndexLauncher& launcher) {
-  // Every argument must go through a disjoint partition with an analyzable
-  // (symbolic) functor, on a tree that is not summarized by a *different*
-  // partition and holds no un-summarized per-point state. A launch using
-  // two different partitions of one tree cannot be summarized either.
-  for (std::size_t i = 0; i < launcher.args.size(); ++i) {
-    const ProjectedArg& pa = launcher.args[i];
-    if (!forest_->is_disjoint(pa.partition)) return false;
-    if (!pa.functor.is_symbolic()) return false;
-    const uint32_t tree = forest_->region(pa.parent).tree_id;
-    if (!group_.groupable(tree, pa.partition)) return false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (forest_->region(launcher.args[j].parent).tree_id == tree &&
-          launcher.args[j].partition != pa.partition)
-        return false;
-    }
-  }
-  return true;
-}
-
-void Runtime::materialize_tree(uint32_t tree) {
-  if (!group_.has_state(tree)) return;
-  LogScope scope(log_, ProfCategory::kDependence, obs::EventLog::kNameMaterialize);
-  if (group_.materialize_into(tracker_, tree)) cells_.group_materializations.inc();
-}
-
-bool Runtime::history_certified_disjoint(uint32_t tree, const LaunchArgSummary& s,
-                                         LazyFingerprint& fp) {
-  LogScope scope(log_, ProfCategory::kSafety, obs::EventLog::kNameSafetyCheck);
-  uint64_t pair_tests = 0;
-  const bool disjoint = interference_history_.certified_disjoint(
-      tree, s, fp, interference_cache_, &pair_tests);
-  cells_.interference_pair_tests.inc(pair_tests);
-  return disjoint;
-}
-
 SafetyReport Runtime::analyze_safety(const IndexLauncher& launcher,
                                      std::span<const uint64_t> masks, uint64_t launch_id) {
   SafetyReport safety;
@@ -732,20 +670,10 @@ LaunchResult Runtime::execute_index(const IndexLauncher& launcher, Resolution re
 
   // Safe: expand into point tasks. In this in-process executor "expansion"
   // assigns work directly to the scheduler; the distributed pipeline's
-  // sharded/sliced distribution is modeled by src/sim. Two-tier dependence
-  // analysis (§5): group-level when every argument is analyzable at
-  // whole-partition granularity, per-point otherwise; a replay reads the
+  // sharded/sliced distribution is modeled by src/sim. The tracker orders
+  // the points (§5's whole-partition rule inside it); a replay reads the
   // captured edges instead.
-  const bool group_mode =
-      !replaying_ && config_.enable_group_analysis && group_eligible(launcher);
-  if (group_mode) {
-    cells_.group_launches.inc();
-  } else if (!replaying_ && config_.enable_group_analysis) {
-    cells_.group_fallbacks.inc();
-    if (log_ != nullptr)
-      log_->record({.launch = launch_id, .kind = LifecycleEvent::kGroupFallback});
-  }
-  expand_index_launch(launcher, res, arena, group_mode, result.safety.outcome, traced);
+  expand_index_launch(launcher, res, arena, traced);
   cells_.index_launches.inc();
   return result;
 }
@@ -781,8 +709,7 @@ void Runtime::wire_node(const LaunchArena& arena, const TaskNodePtr& node,
 }
 
 void Runtime::expand_index_launch(const IndexLauncher& launcher, Resolution& res,
-                                  const ArenaPtr& arena, bool group_mode,
-                                  SafetyOutcome outcome, TracedLaunch* traced) {
+                                  const ArenaPtr& arena, TracedLaunch* traced) {
   const bool replay = replaying_;
   const std::size_t n_args = launcher.args.size();
   arena->protos.reserve(n_args);
@@ -792,7 +719,6 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, Resolution& res
     const std::vector<RegionId>* table = nullptr;  // subregion by color rank
     const std::vector<FieldId>* fields = nullptr;
     ProtoTable* protos = nullptr;
-    std::size_t n_colors = 0;
     uint32_t tree = 0;
     PartitionId partition;
     bool disjoint = false;
@@ -800,7 +726,6 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, Resolution& res
     bool writes = false;
     Privilege priv = Privilege::kRead;
     ReductionOp redop = ReductionOp::kNone;
-    bool scan = true;  // group mode: walk the per-color lists at all?
   };
   std::vector<ArgPlan> plans;
   plans.reserve(n_args);
@@ -809,7 +734,6 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, Resolution& res
     ArgPlan plan;
     plan.table = res.tables_[a];
     plan.fields = &pa.fields;
-    plan.n_colors = plan.table->size();
     plan.tree = forest_->region(pa.parent).tree_id;
     plan.partition = pa.partition;
     plan.disjoint = forest_->is_disjoint(pa.partition);
@@ -820,7 +744,7 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, Resolution& res
     const ProtoKey key{pa.parent.id, pa.partition.id, plan.mask, pa.privilege,
                        pa.redop};
     auto [it, inserted] = proto_cache_.try_emplace(key);
-    if (inserted) it->second = std::make_shared<ProtoTable>(plan.n_colors);
+    if (inserted) it->second = std::make_shared<ProtoTable>(plan.table->size());
     arena->protos.push_back(it->second);
     plan.protos = it->second.get();
     plans.push_back(std::move(plan));
@@ -839,90 +763,11 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, Resolution& res
         proto.emplace(*forest_, (*plan.table)[crank], *plan.fields, plan.priv, plan.redop);
     }
 
-  if (group_mode) {
-    // Launch-level summary tests: one O(1) field-mask test per argument is
-    // the group→group edge discovery (idxl_group_edges_total counts hits).
-    // Write arguments always walk their color lists — a safe launch's
-    // writers are either injective (one point per color) or commuting
-    // reductions that the executor orders serially, and only the list walk
-    // chains the latter. Read arguments skip the walk entirely unless a
-    // prior (or same-launch) writer could conflict.
-    //
-    // Inter-launch short-circuit: an argument certified kDisjoint against
-    // *every* summary recorded on its tree since the fence skips the walk
-    // even when the union-mask summary test fires — the certificate proves
-    // the walk would discover nothing (disjoint fields, or image-separated
-    // color sets of one disjoint partition). Writer skips additionally
-    // require a kSafeStatic/kSafeDynamic launch (injective writers need no
-    // ordering among their own points) and a plain write privilege —
-    // commuting reductions are ordered serially by the walk, so they never
-    // skip. Uncertified skips are impossible: kDisjoint only leaves the
-    // analyzer/cache with a CertificateChecker-validated proof.
-    const bool pair_analysis = config_.enable_interference_analysis &&
-                               (outcome == SafetyOutcome::kSafeStatic ||
-                                outcome == SafetyOutcome::kSafeDynamic);
-    std::vector<LaunchArgSummary> summaries;
-    std::vector<LazyFingerprint> fps;
-    if (config_.enable_interference_analysis) {
-      summaries.reserve(n_args);
-      fps.resize(n_args);  // fingerprints build lazily, on first pair test
-      for (std::size_t a = 0; a < n_args; ++a) {
-        const ArgPlan& plan = plans[a];
-        LaunchArgSummary s;
-        s.functor = launcher.args[a].functor;
-        s.domain = launcher.domain;
-        s.color_space = forest_->color_space(plan.partition);
-        s.partition_uid = plan.partition.id;
-        s.partition_disjoint = plan.disjoint;
-        s.collection_uid = plan.tree;
-        s.field_mask = plan.mask;
-        s.priv = plan.priv;
-        s.redop = plan.redop;
-        summaries.push_back(std::move(s));
-      }
-    }
-    for (std::size_t a = 0; a < n_args; ++a) {
-      ArgPlan& plan = plans[a];
-      const bool conflict =
-          group_.summary_conflict(plan.tree, plan.mask, plan.writes);
-      if (conflict) cells_.group_edges.inc();
-      plan.scan = conflict || plan.writes;
-      bool same_launch_overlap = false;
-      for (std::size_t o = 0; o < n_args; ++o)
-        if (o != a && plans[o].tree == plan.tree && (plans[o].mask & plan.mask) &&
-            (plans[o].writes || plan.writes))
-          same_launch_overlap = true;
-      if (!plan.scan && same_launch_overlap) plan.scan = true;
-      if (plan.scan && pair_analysis && !same_launch_overlap &&
-          plan.priv != Privilege::kReduce &&
-          history_certified_disjoint(plan.tree, summaries[a], fps[a])) {
-        plan.scan = false;
-        cells_.interference_skips.inc();
-      }
-    }
-    // Record this launch's summaries only after every argument was tested —
-    // self-pairs are handled by the same-launch overlap test above.
-    if (config_.enable_interference_analysis)
-      for (std::size_t a = 0; a < n_args; ++a)
-        interference_history_.record(plans[a].tree, std::move(summaries[a]),
-                                     std::move(fps[a]));
-  } else if (!replay) {
-    // Per-point mode: any summarized state on the touched trees must be
-    // visible to the per-point tracker, and the trees stay per-point until
-    // the next fence.
-    for (const ArgPlan& plan : plans) {
-      materialize_tree(plan.tree);
-      group_.mark_per_point(plan.tree);
-    }
-  }
-
   // The expansion span is also the launch's kExpanded record (at its end).
   // A replayed launch's is one trace-replay span, so the dependence spans
   // time live analysis only.
   LogScope dep_scope(log_, replay ? ProfCategory::kTrace : ProfCategory::kDependence,
-                     replay       ? obs::EventLog::kNameTraceReplay
-                     : group_mode ? obs::EventLog::kNameGroupDependence
-                                  : obs::EventLog::kNameDependence,
+                     replay ? obs::EventLog::kNameTraceReplay : obs::EventLog::kNameDependence,
                      LifecycleEvent::kExpanded);
   dep_scope.event().launch = arena->launch;
   if (replay) dep_scope.event().detail = obs::LifecycleDetail::kReplay;
@@ -1006,15 +851,9 @@ void Runtime::expand_index_launch(const IndexLauncher& launcher, Resolution& res
       const bool keep_done = traced != nullptr;
       for (std::size_t a = 0; a < n_args; ++a) {
         const ArgPlan& plan = plans[a];
-        if (group_mode) {
-          group_.record_point_use(plan.tree, plan.partition, plan.n_colors, cranks[a],
-                                  plan.mask, plan.writes, plan.scan, node, deps,
-                                  keep_done);
-        } else {
-          const RegionInfo& info = forest_->region((*plan.table)[cranks[a]]);
-          tracker_.record_use(plan.tree, info.ispace, plan.mask, plan.writes,
-                              plan.partition, plan.disjoint, node, deps, keep_done);
-        }
+        const RegionInfo& info = forest_->region((*plan.table)[cranks[a]]);
+        tracker_.record_use(plan.tree, info.ispace, plan.mask, plan.writes, plan.partition,
+                            plan.disjoint, node, deps, keep_done);
       }
       dedupe_deps(deps, node);
       if (traced != nullptr) trace_deps(*traced, rank, node, deps);
@@ -1048,10 +887,6 @@ void Runtime::issue_point_task(const ArenaPtr& arena, const Point& point,
       const std::span<const PhysicalRegion> regions = arena->regions_of(rank);
       for (std::size_t a = 0; a < regions.size(); ++a) {
         const RegionInfo& info = forest_->region(regions[a].region_id());
-        // A per-point use makes any group summary of this tree stale: flush
-        // it first, and keep the tree per-point until the next fence.
-        materialize_tree(info.tree_id);
-        group_.mark_per_point(info.tree_id);
         const bool through_disjoint =
             info.through.valid() && forest_->is_disjoint(info.through);
         tracker_.record_use(info.tree_id, info.ispace, masks[a],
@@ -1307,7 +1142,7 @@ TaskNodePtr Runtime::settle(const TaskNodePtr& node, uint64_t poison) {
     std::lock_guard<std::mutex> lock(live_mu_);
     live_.erase(node->seq);
   }
-  // Release what the body ran with promptly: the trackers may hold the node
+  // Release what the body ran with promptly: the tracker may hold the node
   // itself until the next fence.
   node->arena.reset();
   node->remote.reset();
@@ -1365,7 +1200,7 @@ TaskNodePtr Runtime::fan_out(const TaskNodePtr& node, uint64_t poison) {
     pool_->submit_batch(std::move(jobs));
   }
   // The list is spent: drop the references still held now, not when the
-  // trackers release the node at the next fence.
+  // tracker releases the node at the next fence.
   done.first_successor.reset();
   done.later_successors.clear();
   return next;
@@ -1373,7 +1208,7 @@ TaskNodePtr Runtime::fan_out(const TaskNodePtr& node, uint64_t poison) {
 
 void Runtime::begin_trace(uint32_t trace_id) {
   IDXL_REQUIRE(!trace_id_.has_value(), "traces cannot nest");
-  wait_all();  // the fence also drops both trackers' state
+  wait_all();  // the fence also drops the tracker's state
   Trace& trace = traces_[trace_id];
   if (log_ != nullptr)
     log_->record({.kind = LifecycleEvent::kTraceBegin,
@@ -1401,7 +1236,7 @@ void Runtime::end_trace(uint32_t trace_id) {
   trace_nodes_.clear();
   // Quiesce before validating: every fault a traced task will ever produce
   // is in the log once the fence returns (which, outside a trace, also drops
-  // both trackers' state).
+  // the tracker's state).
   wait_all();
   if (trace != nullptr) {
     // A trace containing a failed step is dropped, not replayed: the
@@ -1472,7 +1307,7 @@ void Runtime::trace_deps(TracedLaunch& rec, std::size_t task, const TaskNodePtr&
 
 void Runtime::trace_diverged(const char* what) {
   // Drop the capture the way a faulted trace is dropped, fence the tasks
-  // already replayed (they never touched the trackers, so the untraced
+  // already replayed (they never touched the tracker, so the untraced
   // rest of the scope starts from a clean fence), and leave the scope open
   // for end_trace to close normally.
   active_trace_->captured = false;
@@ -1603,11 +1438,8 @@ void Runtime::wait_all() {
   }
   if (active_trace_ == nullptr) {
     // Quiescence is a natural fence: every recorded task has completed, so
-    // both dependence tiers can drop their state. Trees that were
-    // summarized or contaminated mid-run become group-analyzable again.
+    // the tracker drops its uses, and every tree is back on no partition.
     tracker_.reset();
-    group_.reset();
-    interference_history_.clear();
   }
 }
 

@@ -8,14 +8,12 @@
 #include <unordered_map>
 
 #include "analysis/hybrid.hpp"
-#include "analysis/interference.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/watchdog.hpp"
 #include "runtime/api.hpp"
 #include "runtime/dependence.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/group_dependence.hpp"
 #include "runtime/physical.hpp"
 #include "runtime/task_graph.hpp"
 #include "runtime/thread_pool.hpp"
@@ -40,21 +38,6 @@ struct RuntimeConfig {
   /// views (Chrome trace, critical path, task_graph_dot()). Off by default:
   /// a pure span then costs one branch per instrumentation point.
   bool enable_profiling = false;
-  /// Group-level dependence analysis (§5): when a safe index launch's every
-  /// region argument goes through a disjoint partition with an analyzable
-  /// (symbolic) functor, order the *launch* with one summary test per
-  /// argument and per-color list walks instead of |D| per-point tracker
-  /// scans, and copy point regions on pool workers. Set false to force
-  /// the per-point path everywhere (differential testing, perf baselines).
-  bool enable_group_analysis = true;
-  /// Inter-launch interference analysis: prove *pairs of launches* disjoint
-  /// (residue-class / interval-gap image separation, disjoint fields) so the
-  /// group tracker skips its per-color dependence walks across launches.
-  /// Every skip is backed by a certificate the independent CertificateChecker
-  /// re-validated — the runtime refuses uncertified skips by construction.
-  /// Each distributed rank analyzes its own replicated launch stream under
-  /// its own setting of this flag; exec-mode workers use the default.
-  bool enable_interference_analysis = true;
   /// Run the event log (obs/event_log.hpp) in bounded mode when not
   /// profiling: per-thread rings of issued/analyzed/ready/running/complete
   /// records, the always-on black box stall dumps read. Cheap (batched
@@ -360,26 +343,12 @@ class Runtime : public RuntimeApi {
                               uint64_t launch_id);
 
   /// Bulk expansion of a safe index launch: the issuing thread wires
-  /// dependence edges through the group tracker (group_mode), the
-  /// per-point tracker, or the trace being replayed, while chunk jobs on
-  /// pool workers copy each point's prototype regions into the arena,
-  /// gated by an extra "closure guard" on each node's pending count.
+  /// dependence edges through the tracker, or from the trace being
+  /// replayed, while chunk jobs on pool workers copy each point's prototype
+  /// regions into the arena, gated by an extra "closure guard" on each
+  /// node's pending count.
   void expand_index_launch(const IndexLauncher& launcher, Resolution& res,
-                           const ArenaPtr& arena, bool group_mode, SafetyOutcome outcome,
-                           TracedLaunch* traced);
-  /// Inter-launch short-circuit: is `s` certified kDisjoint against *every*
-  /// summary recorded on `tree` since the last fence? Consults the
-  /// interference cache first; analyzes (and caches) on a miss. `fp` is
-  /// s's memoized fingerprint. Thin stats-
-  /// and-profiling wrapper over InterferenceHistory::certified_disjoint.
-  bool history_certified_disjoint(uint32_t tree, const LaunchArgSummary& s,
-                                  LazyFingerprint& fp);
-  /// All-args qualification for the group path (disjoint partitions,
-  /// symbolic functors, uncontaminated trees, one partition per tree).
-  bool group_eligible(const IndexLauncher& launcher);
-  /// Flush any group state on `tree` into the per-point tracker before a
-  /// per-point use touches it.
-  void materialize_tree(uint32_t tree);
+                           const ArenaPtr& arena, TracedLaunch* traced);
   /// Shared tail of every issue path once `deps` is known: record the
   /// edges (stats, event log, watchdog), take the closure guard
   /// the caller releases once the node's arena and regions are attached,
@@ -407,7 +376,7 @@ class Runtime : public RuntimeApi {
   [[noreturn]] void trace_diverged(const char* what);
 
   /// Create the registry-backed stat cells and register the collector that
-  /// refreshes externally-owned gauges (trackers, caches, pool, event log).
+  /// refreshes externally-owned gauges (tracker, caches, pool, event log).
   void init_metrics();
   /// Drop one guard from `node`'s pending count; the last one readies it.
   void release(const TaskNodePtr& node);
@@ -457,9 +426,7 @@ class Runtime : public RuntimeApi {
     obs::Counter runtime_calls, single_launches, index_launches, point_tasks,
         tasks_completed, tasks_inline, dependence_edges, safe_static, safe_dynamic,
         safe_unchecked, assumed_verified, unsafe, dynamic_check_points,
-        traced_replayed, cache_hit_launches, cache_miss_launches,
-        group_launches, group_edges, group_fallbacks, group_materializations,
-        interference_pair_tests, interference_skips;
+        traced_replayed, cache_hit_launches, cache_miss_launches;
     obs::Counter fault_exception, fault_explicit, fault_injected, fault_timeout,
         fault_cancelled, fault_poisoned, fault_injections, retry_attempts,
         retry_succeeded;
@@ -490,15 +457,7 @@ class Runtime : public RuntimeApi {
   RuntimeConfig config_;
   std::shared_ptr<RegionForest> forest_;
   DependenceTracker tracker_;
-  GroupDependenceTracker group_;
   VerdictCache verdict_cache_;
-  InterferenceCache interference_cache_;
-  /// Per-tree launch-argument summaries recorded since the last fence —
-  /// the "other side" of every inter-launch pair test. Mirrors the group
-  /// tracker's lifecycle: entries are added only by group-path launches and
-  /// cleared wherever the trackers fence (the cache itself persists — pair
-  /// verdicts are properties of launch shapes, not of runtime state).
-  InterferenceHistory interference_history_;
   // Observability members outlive the pool (declared first): workers
   // record events and counters until the pool's destructor joins them.
   obs::MetricsRegistry metrics_;

@@ -16,7 +16,10 @@ namespace idxl {
 /// descriptors cross process boundaries (src/net frames carry their own
 /// transport-level magic; this one covers the descriptor payload itself).
 inline constexpr uint32_t kWireMagic = 0x4C584449;  // "IDXL", little-endian
-inline constexpr uint8_t kWireVersion = 8;  // v8: task-done as slices,
+inline constexpr uint8_t kWireVersion = 9;  // v9: no group-fallback
+                                            // lifecycle kind (telemetry
+                                            // carries kinds as raw bytes);
+                                            // v8: task-done as slices,
                                             // metrics in a fence-ack only
                                             // when the fence asks (v7:
                                             // fence-ack counters in its

@@ -69,6 +69,10 @@ constexpr int64_t kBlockElems = 4;
 constexpr int kLaunchesPerWindow = 4;
 constexpr int kWarmupWindows = 2;
 constexpr int kCountedWindows = 16;
+/// What is left per task is the pool queue's blocks and per-chunk and
+/// per-launch state (node block, chunk closure, ready list, arena); the
+/// dependence tracker's slots and per-tree state outlive fences.
+constexpr double kMaxPerTask = 0.2;
 
 /// Allocations per point task over the counted windows of a launch over
 /// `domain`; also checks that every point of every launch ran exactly once.
@@ -115,7 +119,7 @@ double allocations_per_point_task(const Domain& domain) {
 TEST(AllocTest, DenseLaunchAllocatesAtMostOncePerPointTask) {
   const double per_task = allocations_per_point_task(Domain::line(kPoints));
   RecordProperty("allocations_per_point_task", std::to_string(per_task));
-  EXPECT_LE(per_task, 1.0);
+  EXPECT_LE(per_task, kMaxPerTask);
 }
 
 TEST(AllocTest, SparseLaunchAllocatesAtMostOncePerPointTask) {
@@ -128,7 +132,7 @@ TEST(AllocTest, SparseLaunchAllocatesAtMostOncePerPointTask) {
   ASSERT_FALSE(sparse.dense());
   const double per_task = allocations_per_point_task(sparse);
   RecordProperty("allocations_per_point_task", std::to_string(per_task));
-  EXPECT_LE(per_task, 1.0);
+  EXPECT_LE(per_task, kMaxPerTask);
 }
 
 }  // namespace

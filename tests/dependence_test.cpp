@@ -1,7 +1,8 @@
-// Tests for the two-tier (group-level + per-point) dependence analysis and
-// the bulk point-task expansion path, plus the satellites that rode along:
-// ThreadPool::submit_batch, live dependence_tests stats, and the linear-time
-// task-graph DOT export.
+// Tests for the dependence analysis of index launches (the paper's parallel
+// task groups, hence the suite name) and the bulk point-task expansion path:
+// §5's whole-partition rule inside the one tracker, the overlap-index lookup
+// a mixed tree falls back to, live dependence_tests stats,
+// ThreadPool::submit_batch and the linear-time task-graph DOT export.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,28 +45,29 @@ TaskFnId register_bump(Runtime& rt) {
   });
 }
 
-// ---------- group fast path ----------
+// ---------- one disjoint partition ----------
 
 TEST(GroupDependenceTest, DisjointLaunchesTakeGroupPath) {
   Fixture fx(64, 16);
   const TaskFnId bump = register_bump(fx.rt);
   fx.rt.fill(fx.region, fx.fv, 0.0);
-  fx.rt.wait_all();  // fence: the fill's per-point use is forgotten
+  fx.rt.wait_all();  // fence: the fill's root use is forgotten
 
   const IndexLauncher launcher =
       IndexLauncher::over(Domain::line(16))
           .with_task(bump)
           .region(fx.region, fx.blocks, ProjectionFunctor::identity(1), {fx.fv},
                   Privilege::kReadWrite);
+  // Paused, so every use stays live: each point of launches 2 and 3 meets
+  // exactly one use, its own color's last writer.
+  fx.rt.pool().pause();
   for (int i = 0; i < 3; ++i) fx.rt.execute_index(launcher);
+  fx.rt.pool().resume();
   fx.rt.wait_all();
 
   const RuntimeStats stats = fx.rt.stats();
-  EXPECT_EQ(stats.group_launches, 3u);
-  EXPECT_EQ(stats.group_fallbacks, 0u);
-  // Launch-level summary conflicts: the first launch finds no prior state,
-  // each subsequent one fires exactly one O(1) test per region argument.
-  EXPECT_EQ(stats.group_edges, 2u);
+  EXPECT_EQ(stats.dependence_tests, 2u * 16u);
+  EXPECT_EQ(stats.dependence_edges, 2u * 16u);
   EXPECT_EQ(stats.point_tasks, 3u * 16u + 1u);  // +1 fill
 
   auto acc = fx.rt.read_region<double>(fx.region, fx.fv);
@@ -85,10 +87,6 @@ TEST(GroupDependenceTest, GroupEdgesScaleWithArgsNotPoints) {
   fx.rt.wait_all();
 
   const RuntimeStats stats = fx.rt.stats();
-  EXPECT_EQ(stats.group_launches, 10u);
-  // O(args) group edges: 9 conflicting launches x 1 argument — nowhere near
-  // the 10 x 256 per-point figure, let alone |D|^2.
-  EXPECT_EQ(stats.group_edges, 9u);
   // Each point chains only to its same-color predecessor: the per-use walks
   // stay linear in tasks, and so do the emitted edges (predecessors that
   // already completed are legitimately dropped, so these are upper bounds).
@@ -107,15 +105,13 @@ TEST(GroupDependenceTest, ReadOnlyLaunchesSkipTheWalkEntirely) {
   for (int i = 0; i < 5; ++i) fx.rt.execute_index(reader);
   fx.rt.wait_all();
   const RuntimeStats stats = fx.rt.stats();
-  EXPECT_EQ(stats.group_launches, 5u);
-  // Reader-vs-reader never conflicts: the launch-level summary test says so
-  // once per launch, and no per-color list is ever walked.
-  EXPECT_EQ(stats.group_edges, 0u);
+  // Reader-vs-reader never conflicts: a reader tests writers only, and
+  // there are none.
   EXPECT_EQ(stats.dependence_tests, 0u);
   EXPECT_EQ(stats.dependence_edges, 0u);
 }
 
-// ---------- fallbacks ----------
+// ---------- mixed trees: candidates from the overlap index ----------
 
 TEST(GroupDependenceTest, AliasedPartitionFallsBack) {
   Fixture fx(64, 8);
@@ -142,10 +138,9 @@ TEST(GroupDependenceTest, AliasedPartitionFallsBack) {
   const LaunchResult result = fx.rt.execute_index(launcher);
   fx.rt.wait_all();
 
-  EXPECT_TRUE(result.ran_as_index_launch);  // safe, just not groupable
-  const RuntimeStats stats = fx.rt.stats();
-  EXPECT_EQ(stats.group_launches, 0u);
-  EXPECT_EQ(stats.group_fallbacks, 1u);
+  // Safe; the halo argument marks the tree mixed, so both arguments look
+  // their candidates up in the overlap index.
+  EXPECT_TRUE(result.ran_as_index_launch);
   // Interior blocks read radius-1 halos of 8 ones; boundary blocks one less.
   auto acc = fx.rt.read_region<double>(fx.region, fx.fv);
   EXPECT_DOUBLE_EQ(acc.read(Point::p1(0)), 9.0);
@@ -153,46 +148,31 @@ TEST(GroupDependenceTest, AliasedPartitionFallsBack) {
 }
 
 TEST(GroupDependenceTest, OpaqueFunctorFallsBack) {
+  // An opaque functor falls back to the dynamic safety check. Dependence
+  // does not care how a color was chosen: the uses are still colors of one
+  // disjoint partition.
   Fixture fx(64, 16);
-  const TaskFnId noop = fx.rt.register_task("noop", [](TaskContext&) {});
-  const LaunchResult result = fx.rt.execute_index(
-      IndexLauncher::over(Domain::line(16))
-          .with_task(noop)
-          .region(fx.region, fx.blocks,
-                  ProjectionFunctor::opaque([](const Point& p) { return p; }, 1),
-                  {fx.fv}, Privilege::kWrite));
+  const TaskFnId bump = register_bump(fx.rt);
+  const IndexLauncher launcher = IndexLauncher::over(Domain::line(16))
+                                     .with_task(bump)
+                                     .region(fx.region, fx.blocks,
+                                             ProjectionFunctor::opaque(
+                                                 [](const Point& p) {
+                                                   return Point::p1(15 - p[0]);
+                                                 },
+                                                 1),
+                                             {fx.fv}, Privilege::kReadWrite);
+  fx.rt.pool().pause();
+  const LaunchResult result = fx.rt.execute_index(launcher);
+  fx.rt.execute_index(launcher);
+  fx.rt.pool().resume();
   fx.rt.wait_all();
   EXPECT_TRUE(result.ran_as_index_launch);
   EXPECT_EQ(result.safety.outcome, SafetyOutcome::kSafeDynamic);
-  const RuntimeStats stats = fx.rt.stats();
-  EXPECT_EQ(stats.group_launches, 0u);
-  EXPECT_EQ(stats.group_fallbacks, 1u);
+  EXPECT_EQ(fx.rt.stats().dependence_edges, 16u);
 }
 
-TEST(GroupDependenceTest, ConfigKnobForcesPerPointPath) {
-  RuntimeConfig cfg;
-  cfg.enable_group_analysis = false;
-  Fixture fx(64, 16, cfg);
-  const TaskFnId bump = register_bump(fx.rt);
-  fx.rt.fill(fx.region, fx.fv, 0.0);
-  fx.rt.wait_all();
-  const IndexLauncher launcher =
-      IndexLauncher::over(Domain::line(16))
-          .with_task(bump)
-          .region(fx.region, fx.blocks, ProjectionFunctor::identity(1), {fx.fv},
-                  Privilege::kReadWrite);
-  for (int i = 0; i < 3; ++i) fx.rt.execute_index(launcher);
-  fx.rt.wait_all();
-  const RuntimeStats stats = fx.rt.stats();
-  EXPECT_EQ(stats.group_launches, 0u);
-  EXPECT_EQ(stats.group_fallbacks, 0u);  // not counted when the knob is off
-  EXPECT_EQ(stats.group_edges, 0u);
-  auto acc = fx.rt.read_region<double>(fx.region, fx.fv);  // same schedule either way
-  Domain::line(64).for_each(
-      [&](const Point& p) { EXPECT_DOUBLE_EQ(acc.read(p), 3.0); });
-}
-
-// ---------- materialization and contamination ----------
+// ---------- other uses of a tree, before the next fence ----------
 
 TEST(GroupDependenceTest, SingleTaskMaterializesGroupState) {
   Fixture fx(64, 16);
@@ -213,40 +193,40 @@ TEST(GroupDependenceTest, SingleTaskMaterializesGroupState) {
           .with_task(init)
           .region(fx.region, fx.blocks, ProjectionFunctor::identity(1), {fx.fv},
                   Privilege::kWrite));
-  // Single-task read of the whole region: the group summary must flush into
-  // the per-point tracker so the read orders after all 16 writers.
+  // Single-task read of the whole region: a root use marks the tree mixed,
+  // and the overlap index finds all 16 writers.
   const LaunchResult sum_result =
       fx.rt.execute(TaskLauncher::for_task(sum_task)
                         .region(fx.region, {fx.fv}, Privilege::kRead)
                         .reduce(ReductionOp::kSum));
   EXPECT_DOUBLE_EQ(sum_result.future.get(fx.rt), 63.0 * 64.0 / 2.0);
 
-  RuntimeStats stats = fx.rt.stats();
-  EXPECT_EQ(stats.group_launches, 1u);
-  EXPECT_EQ(stats.group_materializations, 1u);
-  // The seeded entries carried the 16 writers into the per-point tracker:
-  // the whole-region read collected an edge to each still-live one.
-  EXPECT_LE(stats.dependence_edges, 16u);
+  // The whole-region read collected an edge to each still-live writer.
+  const uint64_t before = fx.rt.stats().dependence_edges;
+  EXPECT_LE(before, 16u);
 
-  // Future::get's wait_all fenced both tiers: the tree is group-analyzable
-  // again, not stuck on the per-point path forever.
-  fx.rt.execute_index(
-      IndexLauncher::over(Domain::line(16))
-          .with_task(init)
-          .region(fx.region, fx.blocks, ProjectionFunctor::identity(1), {fx.fv},
-                  Privilege::kWrite));
+  // Future::get's wait_all fenced the tracker: the tree is on no partition
+  // again, and the second of two launches through the blocks orders each
+  // point after the last writer of its own color only.
+  fx.rt.pool().pause();
+  for (int i = 0; i < 2; ++i)
+    fx.rt.execute_index(
+        IndexLauncher::over(Domain::line(16))
+            .with_task(init)
+            .region(fx.region, fx.blocks, ProjectionFunctor::identity(1), {fx.fv},
+                    Privilege::kWrite));
+  const uint64_t after = fx.rt.stats().dependence_edges;
+  fx.rt.pool().resume();
   fx.rt.wait_all();
-  stats = fx.rt.stats();
-  EXPECT_EQ(stats.group_launches, 2u);
-  EXPECT_EQ(stats.group_fallbacks, 0u);
+  EXPECT_EQ(after - before, 16u);
 }
 
 TEST(GroupDependenceTest, ContaminatedTreeFallsBackUntilFence) {
   Fixture fx(64, 16);
   const TaskFnId bump = register_bump(fx.rt);
-  // The fill is a per-point (single-task) use with no prior group state:
-  // nothing to materialize, but the tree must still be contaminated or the
-  // next group launch would miss its edge to the fill.
+  // The fill is a root use before any launch through the blocks: it must
+  // mark the tree mixed, or the launch would take its own color as its only
+  // candidate and miss its edge to the fill.
   fx.rt.fill(fx.region, fx.fv, 5.0);
   fx.rt.execute_index(
       IndexLauncher::over(Domain::line(16))
@@ -254,10 +234,6 @@ TEST(GroupDependenceTest, ContaminatedTreeFallsBackUntilFence) {
           .region(fx.region, fx.blocks, ProjectionFunctor::identity(1), {fx.fv},
                   Privilege::kReadWrite));
   fx.rt.wait_all();
-  const RuntimeStats stats = fx.rt.stats();
-  EXPECT_EQ(stats.group_launches, 0u);
-  EXPECT_EQ(stats.group_fallbacks, 1u);
-  EXPECT_EQ(stats.group_materializations, 0u);
   auto acc = fx.rt.read_region<double>(fx.region, fx.fv);
   EXPECT_DOUBLE_EQ(acc.read(Point::p1(13)), 6.0);
 }
@@ -282,8 +258,6 @@ TEST(GroupDependenceTest, DependenceTestsAreLiveMidRun) {
   // No wait_all has run: the counter must already reflect the issue-time
   // walks (it used to be synced only inside wait_all).
   const RuntimeStats mid = fx.rt.stats();
-  EXPECT_EQ(mid.group_launches, 2u);
-  EXPECT_EQ(mid.group_edges, 1u);
   EXPECT_GE(mid.dependence_tests, 16u);
   release.store(true, std::memory_order_release);
   fx.rt.wait_all();
@@ -331,7 +305,7 @@ TEST(GroupDependenceTest, DotExportOfLargeGraphIsBounded) {
   EXPECT_NE(dot.find("t10239"), std::string::npos);
 }
 
-// ---------- differential stress: group vs per-point ----------
+// ---------- differential stress: index launches vs No-IDX ----------
 
 // A randomized launch sequence, issued identically under several configs.
 struct ProgramOp {
@@ -358,10 +332,7 @@ std::vector<ProgramOp> random_program(uint32_t seed, std::size_t n_ops) {
   return ops;
 }
 
-// Issue `ops` against `fx` (8 pieces over 64 elements). Bodies are gated so
-// nothing completes while issuing — dependence edges then depend only on the
-// program, not on scheduling races, and the recorded edge sets of the group
-// and per-point paths can be compared exactly.
+// Issue `ops` against `fx` (8 pieces over 64 elements).
 void issue_program(Fixture& fx, const std::vector<ProgramOp>& ops,
                    TaskFnId gated_touch, PartitionId halo) {
   for (const ProgramOp& op : ops) {
@@ -376,8 +347,7 @@ void issue_program(Fixture& fx, const std::vector<ProgramOp>& ops,
         break;
       case ProgramOp::kShiftRead:
         // Update f through identity while reading g through a rotation:
-        // different fields, so safe — and the read arg's summary test runs
-        // against whatever state g accumulated.
+        // different fields, so safe.
         launcher
             .region(fx.region, fx.blocks, ProjectionFunctor::identity(1), {f},
                     Privilege::kReadWrite)
@@ -406,48 +376,17 @@ void issue_program(Fixture& fx, const std::vector<ProgramOp>& ops,
   }
 }
 
-TEST(DifferentialTest, GroupAndPerPointPathsEmitIdenticalEdgeSets) {
-  for (uint32_t seed = 1; seed <= 5; ++seed) {
-    const std::vector<ProgramOp> ops = random_program(seed, 24);
-    std::string dots[2];
-    for (int variant = 0; variant < 2; ++variant) {
-      RuntimeConfig cfg;
-      cfg.enable_group_analysis = variant == 0;
-      cfg.enable_profiling = true;
-      cfg.workers = 2;
-      Fixture fx(64, 8, cfg);
-      PartitionId halo = partition_halo(fx.rt.forest(), fx.is, fx.blocks, 1);
-      std::atomic<bool> release{false};
-      const TaskFnId gated =
-          fx.rt.register_task("gated", [&release](TaskContext&) {
-            while (!release.load(std::memory_order_acquire))
-              std::this_thread::yield();
-          });
-      issue_program(fx, ops, gated, halo);
-      release.store(true, std::memory_order_release);
-      fx.rt.wait_all();
-      dots[variant] = fx.rt.profiler().task_graph_dot();
-    }
-    // Same program, same issue order: node seqs and labels line up 1:1, and
-    // the happens-before edge sets must be identical. The DOT lists nodes in
-    // seq order and edges sorted, so the texts match exactly.
-    EXPECT_NE(dots[0].find(" -> "), std::string::npos) << "seed " << seed;
-    EXPECT_EQ(dots[0], dots[1]) << "seed " << seed;
-  }
-}
-
 // Deterministic arithmetic bodies: under any legal schedule that preserves
 // the discovered edges, the final region contents are a pure function of
-// the program. Compares group path, forced per-point path, and the No-IDX
-// task loop, with traces and fills mixed in.
+// the program. Compares index launches against the No-IDX task loop, with
+// traces and fills mixed in.
 TEST(DifferentialTest, RegionContentsMatchAcrossConfigs) {
   for (uint32_t seed = 10; seed <= 13; ++seed) {
     const std::vector<ProgramOp> ops = random_program(seed, 18);
     std::vector<std::vector<double>> contents;
-    for (int variant = 0; variant < 3; ++variant) {
+    for (int variant = 0; variant < 2; ++variant) {
       RuntimeConfig cfg;
-      cfg.enable_group_analysis = variant == 0;
-      cfg.enable_index_launches = variant != 2;
+      cfg.enable_index_launches = variant == 0;
       Fixture fx(64, 8, cfg);
       PartitionId halo = partition_halo(fx.rt.forest(), fx.is, fx.blocks, 1);
       const TaskFnId touch = fx.rt.register_task("touch", [](TaskContext& ctx) {
@@ -468,8 +407,8 @@ TEST(DifferentialTest, RegionContentsMatchAcrossConfigs) {
       fx.rt.wait_all();
 
       issue_program(fx, ops, touch, halo);
-      // Trace a fixed safe segment twice: first pass captures (through
-      // whichever dependence tier applies), second pass replays it.
+      // Trace a fixed safe segment twice: first pass captures, second pass
+      // replays it.
       const std::vector<ProgramOp> segment = random_program(seed + 100, 4);
       for (int rep = 0; rep < 2; ++rep) {
         fx.rt.begin_trace(seed);
@@ -486,8 +425,7 @@ TEST(DifferentialTest, RegionContentsMatchAcrossConfigs) {
       }
       contents.push_back(std::move(values));
     }
-    EXPECT_EQ(contents[0], contents[1]) << "seed " << seed << " (per-point)";
-    EXPECT_EQ(contents[0], contents[2]) << "seed " << seed << " (No-IDX)";
+    EXPECT_EQ(contents[0], contents[1]) << "seed " << seed << " (No-IDX)";
   }
 }
 

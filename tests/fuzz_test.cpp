@@ -633,11 +633,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PairOracleFuzz, ::testing::Range<uint64_t>(1, 6)
 // ---------------------------------------------------------------------------
 // Dependence-oracle fuzz: the edges the runtime records, checked against the
 // definition of a conflict. Random single tasks, index launches and fills
-// over equal, halo, image and nested partitions of two region trees that
-// share one index space, with one partition created mid-program. The pool is
-// paused while the program issues, so no body runs and nothing completes
-// early: every edge is then a function of the program alone. Two checks,
-// with group analysis on and off:
+// over equal, halo, image, nested and empty-colored partitions of two region
+// trees that share one index space, with one partition created mid-program.
+// The pool is paused while the program issues, so no body runs and nothing
+// completes early: every edge is then a function of the program alone. Two
+// checks:
 //
 //   1. every edge joins a conflicting pair: same region tree, overlapping
 //      domains, a shared field, and one of the two writes (a reduction
@@ -658,14 +658,13 @@ struct OracleOp {
   Privilege priv = Privilege::kRead;
 };
 
-/// The partitions of the oracle forest, in creation order. Partition 3 is a
-/// partition of block (1,1), partition 4 is created mid-program.
-constexpr int kOracleParts = 5;
-constexpr int kOracleLatePart = 4;
+/// The partitions of the oracle forest, in creation order: 0 equal blocks,
+/// 1 their halos, 2 an image, 3 a partition of block (1,1), 4 a disjoint
+/// partition whose color (1,1) is empty, and 5, created mid-program.
+constexpr int kOracleParts = 6;
+constexpr int kOracleLatePart = 5;
 
-Rect oracle_colors(int part) {
-  return part == 3 || part == 4 ? Rect::box2(2, 2) : Rect::box2(3, 3);
-}
+Rect oracle_colors(int part) { return part >= 3 ? Rect::box2(2, 2) : Rect::box2(3, 3); }
 
 std::vector<OracleOp> random_oracle_program(uint64_t seed) {
   Rng rng(seed * 7919);
@@ -726,10 +725,9 @@ struct OracleRun {
   std::string dot;
 };
 
-/// Issue the program with group analysis on or off.
-OracleRun run_oracle_program(const std::vector<OracleOp>& ops, bool group) {
+/// Issue the program.
+OracleRun run_oracle_program(const std::vector<OracleOp>& ops) {
   RuntimeConfig cfg;
-  cfg.enable_group_analysis = group;
   cfg.enable_profiling = true;
   cfg.workers = 2;
   OracleRun run{std::make_unique<Runtime>(cfg), {}, {}};
@@ -749,6 +747,13 @@ OracleRun run_oracle_program(const std::vector<OracleOp>& ops, bool group) {
   }));
   const IndexSpaceId block11 = forest.subspace(parts[0], Point::p2(1, 1));
   parts.push_back(partition_equal(forest, block11, Rect::box2(2, 2)));
+  parts.push_back(forest.create_partition(
+      grid, Rect::box2(2, 2),
+      {Domain(Rect(Point::p2(0, 0), Point::p2(5, 5))),
+       Domain(Rect(Point::p2(0, 6), Point::p2(5, 11))),
+       Domain(Rect(Point::p2(6, 0), Point::p2(11, 11))),
+       Domain(Rect(Point::p2(0, 0), Point::p2(-1, -1)))},
+      Disjointness::kDisjoint));
   const auto part = [&](int i) { return parts[static_cast<std::size_t>(i)]; };
   // The parent region a partition is taken from, per root.
   const auto parent = [&](int i, int region) {
@@ -826,68 +831,141 @@ bool oracle_conflict(const RegionForest& forest, const OracleTask& a, const Orac
   return false;
 }
 
+/// Check `run`'s edges against its model: every edge joins an earlier task
+/// to a later, conflicting one, and the edges' transitive closure orders
+/// every conflicting pair. Returns the edges, as model indices.
+std::vector<std::pair<std::size_t, std::size_t>> check_oracle(const OracleRun& run) {
+  const std::vector<OracleTask>& model = run.model;
+  const RegionForest& forest = run.rt->forest();
+
+  // Nodes come in seq order, which is issue order: the i-th node is the
+  // model's i-th task.
+  std::unordered_map<uint64_t, std::size_t> index_of;
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  std::istringstream lines(run.dot);
+  for (std::string line; std::getline(lines, line);) {
+    uint64_t from = 0, to = 0;
+    char label[64] = {};
+    if (std::sscanf(line.c_str(), "  t%" SCNu64 " -> t%" SCNu64 ";", &from, &to) == 2) {
+      EXPECT_TRUE(index_of.contains(from) && index_of.contains(to)) << line;
+      edges.emplace_back(index_of[from], index_of[to]);
+    } else if (std::sscanf(line.c_str(), "  t%" SCNu64 " [label=\"%63[^\"]", &from, label) == 2) {
+      const std::size_t i = index_of.size();
+      EXPECT_LT(i, model.size()) << "more tasks than the program issued";
+      if (i >= model.size()) return edges;
+      EXPECT_EQ(std::string(label).rfind(model[i].label_prefix, 0), 0u) << line;
+      index_of.emplace(from, i);
+    }
+  }
+  EXPECT_EQ(index_of.size(), model.size());
+
+  // Check 1: every edge joins an earlier task to a later, conflicting one.
+  const std::size_t n = model.size();
+  std::vector<std::vector<std::size_t>> succ(n);
+  for (const auto& [a, b] : edges) {
+    EXPECT_LT(a, b);
+    EXPECT_TRUE(oracle_conflict(forest, model[a], model[b]))
+        << "edge between non-conflicting tasks " << a << " -> " << b;
+    succ[a].push_back(b);
+  }
+  // Check 2: every conflicting pair is ordered. Edges point forward, so
+  // one backward pass computes each task's reachable set.
+  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+  for (std::size_t a = n; a-- > 0;)
+    for (std::size_t b : succ[a]) {
+      reach[a][b] = true;
+      for (std::size_t c = b + 1; c < n; ++c)
+        if (reach[b][c]) reach[a][c] = true;
+    }
+  for (std::size_t a = 0; a < n; ++a)
+    for (std::size_t b = a + 1; b < n; ++b) {
+      if (oracle_conflict(forest, model[a], model[b])) {
+        EXPECT_TRUE(reach[a][b]) << "conflicting tasks " << a << " and " << b
+                                 << " are unordered";
+      }
+    }
+  return edges;
+}
+
+/// Conflicting task pairs of `run`'s model.
+int oracle_conflicts(const OracleRun& run) {
+  int conflicts = 0;
+  for (std::size_t a = 0; a < run.model.size(); ++a)
+    for (std::size_t b = a + 1; b < run.model.size(); ++b)
+      if (oracle_conflict(run.rt->forest(), run.model[a], run.model[b])) ++conflicts;
+  return conflicts;
+}
+
 class DependenceOracleFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DependenceOracleFuzz, EdgesAreConflictsAndOrderEveryConflict) {
-  const std::vector<OracleOp> ops = random_oracle_program(GetParam());
-  for (const bool group : {true, false}) {
-    SCOPED_TRACE(group ? "group analysis on" : "group analysis off");
-    const OracleRun run = run_oracle_program(ops, group);
-    const std::vector<OracleTask>& model = run.model;
-    const RegionForest& forest = run.rt->forest();
-
-    // Nodes come in seq order, which is issue order: the i-th node is the
-    // model's i-th task.
-    std::unordered_map<uint64_t, std::size_t> index_of;
-    std::vector<std::pair<std::size_t, std::size_t>> edges;
-    std::istringstream lines(run.dot);
-    for (std::string line; std::getline(lines, line);) {
-      uint64_t from = 0, to = 0;
-      char label[64] = {};
-      if (std::sscanf(line.c_str(), "  t%" SCNu64 " -> t%" SCNu64 ";", &from, &to) == 2) {
-        ASSERT_TRUE(index_of.contains(from) && index_of.contains(to)) << line;
-        edges.emplace_back(index_of[from], index_of[to]);
-      } else if (std::sscanf(line.c_str(), "  t%" SCNu64 " [label=\"%63[^\"]", &from, label) == 2) {
-        const std::size_t i = index_of.size();
-        ASSERT_LT(i, model.size()) << "more tasks than the program issued";
-        EXPECT_EQ(std::string(label).rfind(model[i].label_prefix, 0), 0u) << line;
-        index_of.emplace(from, i);
-      }
-    }
-    ASSERT_EQ(index_of.size(), model.size());
-
-    // Check 1: every edge joins an earlier task to a later, conflicting one.
-    const std::size_t n = model.size();
-    std::vector<std::vector<std::size_t>> succ(n);
-    for (const auto& [a, b] : edges) {
-      EXPECT_LT(a, b);
-      EXPECT_TRUE(oracle_conflict(forest, model[a], model[b]))
-          << "edge between non-conflicting tasks " << a << " -> " << b;
-      succ[a].push_back(b);
-    }
-    // Check 2: every conflicting pair is ordered. Edges point forward, so
-    // one backward pass computes each task's reachable set.
-    std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-    for (std::size_t a = n; a-- > 0;)
-      for (std::size_t b : succ[a]) {
-        reach[a][b] = true;
-        for (std::size_t c = b + 1; c < n; ++c)
-          if (reach[b][c]) reach[a][c] = true;
-      }
-    int conflicts = 0;
-    for (std::size_t a = 0; a < n; ++a)
-      for (std::size_t b = a + 1; b < n; ++b)
-        if (oracle_conflict(forest, model[a], model[b])) {
-          ++conflicts;
-          EXPECT_TRUE(reach[a][b]) << "conflicting tasks " << a << " and " << b
-                                   << " are unordered";
-        }
-    // Vacuity guard: the program must actually conflict.
-    EXPECT_GT(conflicts, 10);
-  }
+  const OracleRun run = run_oracle_program(random_oracle_program(GetParam()));
+  check_oracle(run);
+  // Vacuity guard: the program must actually conflict.
+  EXPECT_GT(oracle_conflicts(run), 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DependenceOracleFuzz, ::testing::Range<uint64_t>(1, 6));
+
+// The tracker's whole-partition rule, on the shapes that decide it, checked
+// against the same model. P is the equal blocks (partition 0), launched
+// read-write over field 0 of region 0.
+
+OracleOp oracle_index(int part, Privilege priv) {
+  OracleOp op;
+  op.part = part;
+  op.priv = priv;
+  return op;
+}
+
+const OracleOp kLaunchThroughP = oracle_index(0, Privilege::kReadWrite);
+
+/// Every other kind of use of P's tree: a root use, a fill, a use through
+/// a second (nested) partition, a halo use, and a single task through P.
+std::vector<std::pair<const char*, OracleOp>> other_uses() {
+  OracleOp root;
+  root.kind = OracleOp::kSingle;
+  root.priv = Privilege::kReadWrite;
+  OracleOp fill;
+  fill.kind = OracleOp::kFill;
+  fill.priv = Privilege::kWrite;
+  OracleOp single = root;
+  single.part = 0;
+  single.color = Point::p2(1, 1);
+  return {{"root use", root},
+          {"fill", fill},
+          {"second partition", oracle_index(3, Privilege::kReadWrite)},
+          {"halo use", oracle_index(1, Privilege::kRead)},
+          {"single task through P", single}};
+}
+
+TEST(DependenceOracleTest, EmptyColorWritersGetNoEdge) {
+  // Partition 4's color (1,1) is empty: its two writers touch no data.
+  const OracleOp writer = oracle_index(4, Privilege::kWrite);
+  const OracleRun run = run_oracle_program({writer, writer});
+  const auto edges = check_oracle(run);
+  ASSERT_EQ(run.model.size(), 8u);
+  EXPECT_EQ(edges.size(), 3u);  // one per non-empty color
+  for (const auto& [a, b] : edges) EXPECT_NE(a % 4, 3u) << a << " -> " << b;
+}
+
+TEST(DependenceOracleTest, OtherUsesAfterLaunchesThroughOnePartition) {
+  for (const auto& [what, use] : other_uses()) {
+    SCOPED_TRACE(what);
+    const OracleRun run = run_oracle_program({kLaunchThroughP, use, kLaunchThroughP});
+    check_oracle(run);
+    EXPECT_GT(oracle_conflicts(run), 0);
+  }
+}
+
+TEST(DependenceOracleTest, OtherUsesBeforeTheFirstLaunchThroughOnePartition) {
+  for (const auto& [what, use] : other_uses()) {
+    SCOPED_TRACE(what);
+    const OracleRun run = run_oracle_program({use, kLaunchThroughP});
+    check_oracle(run);
+    EXPECT_GT(oracle_conflicts(run), 0);
+  }
+}
 
 }  // namespace
 }  // namespace idxl

@@ -286,44 +286,5 @@ TEST(CertificateChecker, RejectsNonDisjointPartitionForImageSeparation) {
                                             aliased_b.side()));
 }
 
-// --- InterferenceCache ---
-
-TEST(InterferenceCache, KeyIsOrderCanonical) {
-  const auto a = make_arg(sym1(make_mul(make_const(2), make_coord(0))), Domain::line(8));
-  const auto b = make_arg(
-      sym1(make_add(make_mul(make_const(2), make_coord(0)), make_const(1))),
-      Domain::line(8));
-  const auto kab = interference_key(a, b);
-  const auto kba = interference_key(b, a);
-  ASSERT_TRUE(kab.has_value());
-  EXPECT_EQ(*kab, *kba);
-}
-
-TEST(InterferenceCache, OpaqueFunctorsAreUncacheable) {
-  const auto f = ProjectionFunctor::opaque(
-      [](const Point& p) { return p; }, 1, "opq");
-  const auto a = make_arg(f, Domain::line(8));
-  const auto b = make_arg(ProjectionFunctor::identity(1), Domain::line(8));
-  EXPECT_FALSE(interference_key(a, b).has_value());
-}
-
-TEST(InterferenceCache, InsertThenLookupHits) {
-  const auto a = make_arg(sym1(make_mul(make_const(2), make_coord(0))), Domain::line(8));
-  const auto b = make_arg(
-      sym1(make_add(make_mul(make_const(2), make_coord(0)), make_const(1))),
-      Domain::line(8));
-  const auto key = interference_key(a, b);
-  ASSERT_TRUE(key.has_value());
-  InterferenceCache cache;
-  EXPECT_FALSE(cache.lookup(*key).has_value());
-  cache.insert(*key, analyze_interference(a, b));
-  const auto v = cache.lookup(*key);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, PairVerdict::kDisjoint);
-  EXPECT_EQ(cache.counters().hits, 1u);
-  EXPECT_EQ(cache.counters().misses, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
 }  // namespace
 }  // namespace idxl

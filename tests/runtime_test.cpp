@@ -489,59 +489,56 @@ std::vector<std::pair<uint64_t, uint64_t>> logged_edges(const Runtime& rt) {
 }
 
 // Regression: a predecessor that had already *completed* by the time a later
-// conflicting task was analyzed used to compact out of the trackers without
+// conflicting task was analyzed used to compact out of the tracker without
 // reporting an edge. During trace capture that edge is load-bearing — on
 // replay both tasks re-execute concurrently, and the missing ordering
 // surfaced as an intermittent data race (ASan flake in
 // DifferentialTest.RegionContentsMatchAcrossConfigs). Capture must keep
-// done-clean uses and record their edges; covers both dependence tiers.
+// done-clean uses and record their edges.
 TEST(RuntimeTest, TraceCaptureKeepsEdgesToCompletedPredecessors) {
-  for (const bool group : {true, false}) {
-    RuntimeConfig cfg;
-    cfg.enable_profiling = true;
-    cfg.enable_group_analysis = group;
-    Fixture fx(16, 4, cfg);
-    const TaskFnId bump = fx.rt.register_task("bump", [](TaskContext& ctx) {
-      auto acc = ctx.region(0).accessor<double>(0);
-      ctx.region(0).domain().for_each(
-          [&](const Point& p) { acc.write(p, acc.read(p) + 1.0); });
-    });
-    const IndexLauncher launcher =
-        IndexLauncher::over(Domain::line(4))
-            .with_task(bump)
-            .region(fx.region, fx.blocks, ProjectionFunctor::identity(1),
-                    {fx.fv}, Privilege::kReadWrite);
+  RuntimeConfig cfg;
+  cfg.enable_profiling = true;
+  Fixture fx(16, 4, cfg);
+  const TaskFnId bump = fx.rt.register_task("bump", [](TaskContext& ctx) {
+    auto acc = ctx.region(0).accessor<double>(0);
+    ctx.region(0).domain().for_each(
+        [&](const Point& p) { acc.write(p, acc.read(p) + 1.0); });
+  });
+  const IndexLauncher launcher =
+      IndexLauncher::over(Domain::line(4))
+          .with_task(bump)
+          .region(fx.region, fx.blocks, ProjectionFunctor::identity(1),
+                  {fx.fv}, Privilege::kReadWrite);
 
-    fx.rt.begin_trace(11);
-    fx.rt.execute_index(launcher);
-    // Let the first launch fully retire mid-capture: its tracker uses are
-    // now done-clean — exactly the state that used to vanish edgeless.
-    fx.rt.pool().wait_idle();
-    fx.rt.execute_index(launcher);
-    fx.rt.end_trace(11);
-    fx.rt.wait_all();
-    // Point i of launch 2 (seq 4+i) must order after point i of launch 1
-    // (seq i); cross-color pairs of the disjoint partition stay edge-free.
-    ASSERT_EQ(logged_edges(fx.rt).size(), 4u) << "group=" << group;
-    for (const auto& [from, to] : logged_edges(fx.rt))
-      EXPECT_EQ(to, from + 4) << "group=" << group;
+  fx.rt.begin_trace(11);
+  fx.rt.execute_index(launcher);
+  // Let the first launch fully retire mid-capture: its tracker uses are
+  // now done-clean — exactly the state that used to vanish edgeless.
+  fx.rt.pool().wait_idle();
+  fx.rt.execute_index(launcher);
+  fx.rt.end_trace(11);
+  fx.rt.wait_all();
+  // Point i of launch 2 (seq 4+i) must order after point i of launch 1
+  // (seq i); cross-color pairs of the disjoint partition stay edge-free.
+  ASSERT_EQ(logged_edges(fx.rt).size(), 4u);
+  for (const auto& [from, to] : logged_edges(fx.rt))
+    EXPECT_EQ(to, from + 4);
 
-    // Replay re-executes both launches; the captured edges must come along.
-    fx.rt.begin_trace(11);
-    fx.rt.execute_index(launcher);
-    fx.rt.execute_index(launcher);
-    fx.rt.end_trace(11);
-    fx.rt.wait_all();
-    EXPECT_EQ(fx.rt.stats().traced_tasks_replayed, 8u) << "group=" << group;
-    ASSERT_EQ(logged_edges(fx.rt).size(), 8u) << "group=" << group;
-    for (const auto& [from, to] : logged_edges(fx.rt))
-      EXPECT_EQ(to, from + 4) << "group=" << group;
-  }
+  // Replay re-executes both launches; the captured edges must come along.
+  fx.rt.begin_trace(11);
+  fx.rt.execute_index(launcher);
+  fx.rt.execute_index(launcher);
+  fx.rt.end_trace(11);
+  fx.rt.wait_all();
+  EXPECT_EQ(fx.rt.stats().traced_tasks_replayed, 8u);
+  ASSERT_EQ(logged_edges(fx.rt).size(), 8u);
+  for (const auto& [from, to] : logged_edges(fx.rt))
+    EXPECT_EQ(to, from + 4);
 }
 
-// A traced segment that mixes every issue path — a group-path launch, a
-// launch through an aliased partition (per-point path), a single task, a
-// fill and a launch with a Future reduction — replays exactly what it
+// A traced segment that mixes every issue path — a launch through a
+// disjoint partition, a launch through an aliased partition, a single task,
+// a fill and a launch with a Future reduction — replays exactly what it
 // captured: each replay's edge set is the capture's shifted by the seq
 // offset, and every Future value and the final region contents are
 // bit-identical to an untraced runtime running the same program.
@@ -641,9 +638,6 @@ TEST(RuntimeTest, TraceReplayReproducesCaptureAcrossIssuePaths) {
 
   const Run plain = run(false);
   const Run traced = run(true);
-  // The segment really mixes the issue paths.
-  EXPECT_EQ(plain.stats.group_launches, uint64_t{kIterations});
-  EXPECT_GE(plain.stats.group_fallbacks, uint64_t{2 * kIterations});
   const uint64_t per_iteration = 8 + 8 + 1 + 1 + 8;
   EXPECT_EQ(traced.stats.traced_tasks_replayed, (kIterations - 1) * per_iteration);
 
