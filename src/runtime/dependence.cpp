@@ -144,7 +144,6 @@ void DependenceTracker::record_use(uint32_t tree, IndexSpaceId ispace, uint64_t 
 
   if (mine == nullptr) mine = &slot(tree, ispace);
   mine->through = through;
-  mine->through_disjoint = through_disjoint;
   (writes ? mine->writers : mine->readers).push_back(TaskUse{node, fields});
 }
 

@@ -96,7 +96,6 @@ class DependenceTracker {
   struct Slot {
     IndexSpaceId ispace;
     PartitionId through;            // partition this subregion came from
-    bool through_disjoint = false;
     bool empty = false;             // the index space's bounds are empty
     bool touched = false;           // in touched_: used since the last reset
     std::vector<TaskUse> writers;  // writers/reducers since the last covering write
