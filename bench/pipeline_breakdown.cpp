@@ -35,8 +35,9 @@ using namespace idxl::sim;
 // point counts; a tracker that scanned its live entries would cost about 4x
 // per point at the larger domain. Writes machine-readable results to
 // BENCH_issue.json (see bench_json_path() for the override knobs), with the
-// measured cost of the on-by-default flight recorder on the same issue path
-// and the residue-class writer chain's dependence counts.
+// measured cost of the on-by-default flight recorder on the same issue path,
+// the residue-class writer chain's dependence counts and the Circuit
+// kernel's time against its serial reference.
 
 struct IssueBench {
   double issue_s = 0;  // issuing-thread seconds across timed launches
@@ -165,6 +166,67 @@ static ResidueChainCounts residue_chain(int64_t pieces, int stride) {
   return r;
 }
 
+// ---------- the Circuit kernel against its serial reference ----------
+//
+// How long does one worker take to execute a Circuit step's tasks, against
+// CircuitApp::reference_voltages' time per step on the same graph? The step
+// is issued against a paused pool, so the clock covers only execution: the
+// task bodies with their checked accesses (DESIGN.md §3.6) and the worker's
+// per-task runtime work. Both sides are timed in one run, interleaved, and
+// each keeps its best time, so the ratio does not move with the host or its
+// load.
+
+struct CircuitKernel {
+  double step_s = 1e9;       // one worker executing one step's 3 launches
+  double reference_s = 1e9;  // the serial reference, per step
+  double ratio = 0;
+};
+
+static double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+static CircuitKernel circuit_kernel() {
+  apps::CircuitParams params;  // perfbench's circuit_traced graph
+  params.pieces = 64;
+  params.nodes_per_piece = 64;
+  params.wires_per_piece = 256;
+  params.pct_external = 10;
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  Runtime rt(cfg);
+  apps::CircuitApp app(rt, params);
+  app.run(2);  // warm the verdict cache and the task slabs
+  const int ref_steps = 64;
+  double full_s = 1e9, graph_s = 1e9;
+  CircuitKernel k;
+  for (int rep = 0; rep < 10; ++rep) {
+    for (int step = 0; step < 5; ++step) {
+      rt.pool().pause();
+      app.run_iteration();
+      const auto t0 = std::chrono::steady_clock::now();
+      rt.pool().resume();
+      rt.wait_all();
+      k.step_s = std::min(k.step_s, seconds_since(t0));
+    }
+    // The reference's time per step, net of generating the graph.
+    auto t0 = std::chrono::steady_clock::now();
+    (void)apps::CircuitApp::reference_voltages(params, ref_steps);
+    full_s = std::min(full_s, seconds_since(t0));
+    t0 = std::chrono::steady_clock::now();
+    (void)apps::CircuitApp::reference_voltages(params, 0);
+    graph_s = std::min(graph_s, seconds_since(t0));
+  }
+  k.reference_s = (full_s - graph_s) / ref_steps;
+  k.ratio = k.step_s / k.reference_s;
+  std::printf("\nCircuit kernel (%lld pieces, %lld wires): one worker executes a step in "
+              "%.1f us, the serial reference in %.1f us: %.1fx\n",
+              static_cast<long long>(params.pieces),
+              static_cast<long long>(params.pieces * params.wires_per_piece),
+              k.step_s * 1e6, k.reference_s * 1e6, k.ratio);
+  return k;
+}
+
 static void issue_phase_breakdown() {
   // Equal point counts at both domain sizes, so per-point times compare.
   const int64_t small = 1024, large = 4096;
@@ -194,6 +256,8 @@ static void issue_phase_breakdown() {
     std::printf("%-10s issue time per point, |D| = %lld over |D| = %lld: %.2fx\n", c.name,
                 static_cast<long long>(large), static_cast<long long>(small), c.scaling);
   }
+
+  const CircuitKernel kernel = circuit_kernel();
 
   // Residue-class chain: 16 launches per epoch, 512 colors each.
   const ResidueChainCounts residue = residue_chain(512, 16);
@@ -291,6 +355,9 @@ static void issue_phase_breakdown() {
       .raw("halo_4096", config_json(chains[1].at_large))
       .field("issue_scaling_disjoint", chains[0].scaling)
       .field("issue_scaling_halo", chains[1].scaling)
+      .field("circuit_kernel_step_s", kernel.step_s)
+      .field("circuit_reference_step_s", kernel.reference_s)
+      .field("circuit_kernel_over_reference", kernel.ratio)
       .field("residue_chain_dependence_tests", residue.dependence_tests)
       .field("residue_chain_dependence_edges", residue.dependence_edges)
       .field("flight_recorder_on_s", on_s)

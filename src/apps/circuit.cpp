@@ -127,16 +127,25 @@ CircuitApp::CircuitApp(Runtime& rt, const CircuitParams& params)
   const FieldId fi = f_in_, fo = f_out_, fr = f_res_, fcur = f_cur_;
   const double dt = params.dt;
 
+  // Wire fields and owned nodes are dense blocks, read and written a run at
+  // a time; the node a wire names is checked per element against the
+  // (sparse) neighbourhood subregion.
   t_cnc_ = rt_.register_task("calc_new_currents", [fv, fi, fo, fr, fcur](TaskContext& ctx) {
     auto volt = ctx.region(0).accessor<double>(fv);
     auto in = ctx.region(1).accessor<int64_t>(fi);
     auto out = ctx.region(1).accessor<int64_t>(fo);
     auto res = ctx.region(1).accessor<double>(fr);
     auto cur = ctx.region(2).accessor<double>(fcur);
-    ctx.region(1).domain().for_each([&](const Point& w) {
-      const double v_in = volt.read(Point::p1(in.read(w)));
-      const double v_out = volt.read(Point::p1(out.read(w)));
-      cur.write(w, (v_in - v_out) / res.read(w));
+    ctx.region(1).domain().for_each_run([&](const Point& lo, int64_t n) {
+      const auto wi = in.read_run(lo, n);
+      const auto wo = out.read_run(lo, n);
+      const auto wr = res.read_run(lo, n);
+      const auto wc = cur.write_run(lo, n);
+      for (std::size_t k = 0; k < wc.size(); ++k) {
+        const double v_in = volt.read(Point::p1(wi[k]));
+        const double v_out = volt.read(Point::p1(wo[k]));
+        wc[k] = (v_in - v_out) / wr[k];
+      }
     });
   });
 
@@ -145,10 +154,14 @@ CircuitApp::CircuitApp(Runtime& rt, const CircuitParams& params)
     auto out = ctx.region(0).accessor<int64_t>(fo);
     auto cur = ctx.region(0).accessor<double>(fcur);
     auto charge = ctx.region(1).accessor<double>(fq);
-    ctx.region(0).domain().for_each([&](const Point& w) {
-      const double i = cur.read(w);
-      charge.reduce(Point::p1(in.read(w)), -dt * i);
-      charge.reduce(Point::p1(out.read(w)), dt * i);
+    ctx.region(0).domain().for_each_run([&](const Point& lo, int64_t n) {
+      const auto wi = in.read_run(lo, n);
+      const auto wo = out.read_run(lo, n);
+      const auto wc = cur.read_run(lo, n);
+      for (std::size_t k = 0; k < wc.size(); ++k) {
+        charge.reduce(Point::p1(wi[k]), -dt * wc[k]);
+        charge.reduce(Point::p1(wo[k]), dt * wc[k]);
+      }
     });
   });
 
@@ -156,9 +169,14 @@ CircuitApp::CircuitApp(Runtime& rt, const CircuitParams& params)
     auto volt = ctx.region(0).accessor<double>(fv);
     auto charge = ctx.region(0).accessor<double>(fq);
     auto cap = ctx.region(1).accessor<double>(fc);
-    ctx.region(0).domain().for_each([&](const Point& n) {
-      volt.write(n, volt.read(n) + charge.read(n) / cap.read(n));
-      charge.write(n, 0.0);
+    ctx.region(0).domain().for_each_run([&](const Point& lo, int64_t n) {
+      const auto v = volt.write_run(lo, n);
+      const auto q = charge.write_run(lo, n);
+      const auto c = cap.read_run(lo, n);
+      for (std::size_t k = 0; k < v.size(); ++k) {
+        v[k] += q[k] / c[k];
+        q[k] = 0.0;
+      }
     });
   });
 }

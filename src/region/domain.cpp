@@ -12,7 +12,7 @@ Domain Domain::from_points(std::vector<Point> pts) {
     return d;
   }
   const int dim = pts.front().dim;
-  for (const Point& p : pts) IDXL_ASSERT_MSG(p.dim == dim, "mixed-dim point list");
+  for (const Point& p : pts) IDXL_REQUIRE(p.dim == dim, "mixed-dim point list");
   std::sort(pts.begin(), pts.end());
   pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
 
@@ -22,31 +22,34 @@ Domain Domain::from_points(std::vector<Point> pts) {
       bounds.lo[i] = std::min(bounds.lo[i], p[i]);
       bounds.hi[i] = std::max(bounds.hi[i], p[i]);
     }
-  d.bounds_ = bounds;
+  const std::optional<int64_t> volume = bounds.checked_volume();
+  IDXL_REQUIRE(volume.has_value(), "point list's bounding box " + bounds.to_string() +
+                                       " holds more than INT64_MAX points");
   // A sparse list that fills its bounding box exactly is really dense;
   // normalize so dense() reflects structure, not construction history.
-  if (static_cast<int64_t>(pts.size()) == bounds.volume()) {
-    return Domain(bounds);
-  }
+  if (static_cast<int64_t>(pts.size()) == *volume) return Domain(bounds);
+  d.bounds_ = bounds;
   d.points_ = std::move(pts);
   d.sparse_ = true;
+  // Sorted points have increasing offsets, so rank r is offsets[r].
+  std::vector<int64_t> offsets;
+  offsets.reserve(d.points_.size());
+  for (const Point& p : d.points_) offsets.push_back(d.box_offset(p));
+  d.index_ = OffsetIndex(offsets);
   return d;
-}
-
-bool Domain::sparse_contains(const Point& p) const {
-  if (!bounds_.contains(p)) return false;
-  return std::binary_search(points_.begin(), points_.end(), p);
 }
 
 bool Domain::contains_run(const Point& lo, int64_t n) const {
   if (n == 0) return true;
   if (n < 0 || n > volume() || !bounds_.contains(lo)) return false;
+  const int last = dim() - 1;
+  if (n - 1 > bounds_.hi[last] - lo[last]) return false;  // leaves the box
+  if (dense()) return true;
+  const int64_t r = index_.find(box_offset(lo));
+  if (r < 0 || static_cast<int64_t>(points_.size()) - r < n) return false;
   Point end = lo;
-  end[dim() - 1] += n - 1;
-  if (dense()) return bounds_.contains(end);
-  const auto it = std::lower_bound(points_.begin(), points_.end(), lo);
-  if (it == points_.end() || *it != lo || points_.end() - it < n) return false;
-  return *(it + (n - 1)) == end;
+  end[last] += n - 1;
+  return points_[static_cast<std::size_t>(r + n - 1)] == end;
 }
 
 bool Domain::disjoint_from(const Domain& other) const {
@@ -88,10 +91,10 @@ Domain Domain::intersection(const Domain& other) const {
 }
 
 int64_t Domain::linear_index(const Point& p) const {
-  IDXL_ASSERT_MSG(contains(p), "linear_index of a point outside the domain");
-  if (dense()) return bounds_.linearize(p);
-  const auto it = std::lower_bound(points_.begin(), points_.end(), p);
-  return static_cast<int64_t>(it - points_.begin());
+  const int64_t r = dense() ? (bounds_.contains(p) ? bounds_.linearize(p) : -1)
+                            : index_.find(box_offset(p));
+  IDXL_ASSERT_MSG(r >= 0, "linear_index of a point outside the domain");
+  return r;
 }
 
 std::vector<Point> Domain::points() const {

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "region/offset_index.hpp"
 #include "region/point.hpp"
 
 namespace idxl {
@@ -18,6 +19,10 @@ namespace idxl {
 /// along the last dimension: lo, lo + e, ..., lo + (n-1)e, with e the unit
 /// vector of the last axis. Storage is row-major, so a run is contiguous in
 /// memory; task bodies and the data plane check and move one run at a time.
+///
+/// A sparse domain answers membership, rank and run queries with one lookup
+/// in its OffsetIndex, keyed by a point's row-major offset inside the
+/// bounding box; a dense one by arithmetic on its bounds.
 class Domain {
  public:
   Domain() = default;
@@ -26,7 +31,8 @@ class Domain {
   explicit Domain(const Rect& bounds) : bounds_(bounds) {}
 
   /// Sparse domain from an explicit point list (deduplicated, canonical
-  /// order). All points must share one dimensionality.
+  /// order). All points must share one dimensionality, and the volume of
+  /// their bounding box must fit in int64_t (both throw otherwise).
   static Domain from_points(std::vector<Point> pts);
 
   /// Convenience: dense 1-D domain [0, n).
@@ -41,15 +47,19 @@ class Domain {
   }
   bool empty() const { return volume() == 0; }
 
-  /// Inline for dense domains: every region access makes this test.
+  /// Inline: every element access makes this test. A bounds test, then for
+  /// a sparse domain one index lookup.
   bool contains(const Point& p) const {
-    return sparse_ ? sparse_contains(p) : bounds_.contains(p);
+    if (!sparse_) return bounds_.contains(p);
+    const int64_t offset = box_offset(p);
+    return offset >= 0 && index_.find(offset) >= 0;
   }
 
   /// True iff all `n` points of the run starting at `lo` are in the domain
   /// (vacuously for n == 0, never for n < 0). Exact for both forms: a dense
   /// domain holds a run iff it holds both ends; a sparse one iff its sorted,
-  /// unique list has `lo` and, n - 1 entries later, the run's last point.
+  /// unique list has `lo` (one lookup) and, n - 1 entries later, the run's
+  /// last point.
   bool contains_run(const Point& lo, int64_t n) const;
 
   /// True iff no point is shared with `other`.
@@ -64,7 +74,7 @@ class Domain {
   std::vector<Point> points() const;
 
   /// Rank of `p` in the row-major enumeration of this domain (0-based).
-  /// O(1) for dense domains, O(log n) for sparse ones.
+  /// O(1) for both forms: arithmetic when dense, one lookup when sparse.
   int64_t linear_index(const Point& p) const;
 
   /// Call `fn(p)` for each point, avoiding materialization for dense
@@ -106,8 +116,27 @@ class Domain {
 
   std::string to_string() const;
 
+  /// The sparse form's lookup table (empty for a dense domain).
+  const OffsetIndex& index() const { return index_; }
+
  private:
-  bool sparse_contains(const Point& p) const;
+  /// Row-major offset of `p` inside bounds_ (the index's key), or -1 when
+  /// `p` lies outside the box: the bounds test and the offset in one pass.
+  /// Unsigned, so a point far outside cannot overflow; it wraps to an axis
+  /// position past the extent. from_points checked that the box's volume
+  /// fits in int64_t, so every offset does.
+  int64_t box_offset(const Point& p) const {
+    if (p.dim != bounds_.dim()) return -1;
+    uint64_t offset = 0;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(p.dim); ++i) {
+      const uint64_t lo = static_cast<uint64_t>(bounds_.lo.c[i]);
+      const uint64_t at = static_cast<uint64_t>(p.c[i]) - lo;
+      const uint64_t extent = static_cast<uint64_t>(bounds_.hi.c[i]) - lo + 1;
+      if (at >= extent) return -1;
+      offset = offset * extent + at;
+    }
+    return static_cast<int64_t>(offset);
+  }
 
   /// True iff `b` follows `a` in one run: same leading coordinates, last
   /// coordinate one higher.
@@ -120,6 +149,7 @@ class Domain {
 
   Rect bounds_;                 // tight bounding box
   std::vector<Point> points_;  // sorted & unique when sparse, else empty
+  OffsetIndex index_;          // sparse: box_offset(points_[r]) -> r
   bool sparse_ = false;
 };
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -144,6 +145,23 @@ struct Rect {
     if (empty()) return 0;
     int64_t v = 1;
     for (int i = 0; i < dim(); ++i) v *= hi[i] - lo[i] + 1;
+    return v;
+  }
+
+  /// volume(), or nullopt when it does not fit in int64_t (a box spanning
+  /// most of the coordinate range, which a wire frame can name). When it
+  /// fits, so does every extent and every linearize() result.
+  std::optional<int64_t> checked_volume() const {
+    if (empty()) return 0;
+    int64_t v = 1;
+    for (int i = 0; i < dim(); ++i) {
+      // hi - lo + 1 in unsigned arithmetic, exact for any hi >= lo.
+      const uint64_t extent =
+          static_cast<uint64_t>(hi[i]) - static_cast<uint64_t>(lo[i]) + 1;
+      if (extent == 0 || extent > static_cast<uint64_t>(INT64_MAX) ||
+          __builtin_mul_overflow(v, static_cast<int64_t>(extent), &v))
+        return std::nullopt;
+    }
     return v;
   }
 

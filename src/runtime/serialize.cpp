@@ -161,9 +161,19 @@ Domain deserialize_domain(Deserializer& d) {
   if (d.get_u8() != 0) {
     const Point lo = d.get_point();
     const Point hi = d.get_point();
-    return Domain(Rect(lo, hi));
+    IDXL_REQUIRE(lo.dim == hi.dim, "corrupt dense domain: bounds of two dimensions");
+    const Rect bounds(lo, hi);
+    IDXL_REQUIRE(bounds.checked_volume().has_value(),
+                 "dense domain " + bounds.to_string() + " holds more than INT64_MAX points");
+    return Domain(bounds);
   }
+  // A point takes at least 9 bytes (its dimension and one coordinate), so a
+  // count the rest of the input cannot hold is corrupt: refuse it before
+  // reserving for it.
   const int64_t n = d.get_i64();
+  IDXL_REQUIRE(n >= 0 && static_cast<uint64_t>(n) <= d.remaining() / 9,
+               "corrupt sparse domain: " + std::to_string(n) + " points in " +
+                   std::to_string(d.remaining()) + " bytes");
   std::vector<Point> pts;
   pts.reserve(static_cast<std::size_t>(n));
   for (int64_t i = 0; i < n; ++i) pts.push_back(d.get_point());

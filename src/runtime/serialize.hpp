@@ -86,6 +86,8 @@ class Deserializer {
   /// magic or version mismatch.
   void check_header(const char* what);
   bool done() const { return cursor_ == bytes_->size(); }
+  /// Bytes not yet read: a bound on any count the input claims.
+  std::size_t remaining() const { return bytes_->size() - cursor_; }
 
  private:
   const std::vector<std::byte>* bytes_;

@@ -568,14 +568,6 @@ TEST(InProcessRanksTest, LaunchDescriptorsStayConstantAcrossEpochs) {
     EXPECT_DOUBLE_EQ(v.read(Point::p1(i)), static_cast<double>(i));
 }
 
-TEST(InProcessRanksTest, InterferenceKnobOffMatchesResults) {
-  // The halo program on two ranks matches the serial reference.
-  const int64_t pieces = 4;
-  HaloFixture fx(in_process(2), 24, pieces);
-  fx.rt.run([&](RuntimeApi& api) { fx.issue_program(api, pieces, 3); });
-  EXPECT_EQ(fx.values(24), serial_reference(24, 3));
-}
-
 /// Delta data plane on or off.
 class InProcessWavefront : public ::testing::TestWithParam<bool> {};
 

@@ -831,6 +831,30 @@ TEST(RuntimeDeathTest, RunAcrossSparseGapAborts) {
   EXPECT_DEATH(read_run(2, 4), "region access out of privilege bounds");
 }
 
+TEST(RuntimeDeathTest, ElementReadAtSparseGapAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Fixture fx(8, 2);
+  // Color 0 is {0, 1, 2, 5, 6, 7}: 3 and 4 lie inside its bounds, outside
+  // its points, so only the sparse index can refuse them.
+  auto& forest = fx.rt.forest();
+  const PartitionId gapped = partition_by_coloring(
+      forest, fx.is, Rect::line(2),
+      [](const Point& p) { return Point::p1(p[0] == 3 || p[0] == 4 ? 1 : 0); });
+  const RegionId view = forest.subregion(fx.region, gapped, Point::p1(0));
+  ASSERT_FALSE(forest.region_domain(view).dense());
+  auto read_at = [&](int64_t x) {
+    const TaskFnId t = fx.rt.register_task("sparse_read", [x](TaskContext& ctx) {
+      auto acc = ctx.region(0).accessor<double>(0);
+      (void)acc.read(Point::p1(x));
+    });
+    fx.rt.execute(TaskLauncher::for_task(t).region(view, {fx.fv}, Privilege::kRead));
+    fx.rt.wait_all();
+  };
+  for (int64_t x : {0, 2, 5, 7}) read_at(x);
+  EXPECT_DEATH(read_at(3), "region access out of privilege bounds");
+  EXPECT_DEATH(read_at(4), "region access out of privilege bounds");
+}
+
 TEST(RuntimeDeathTest, WriteRunThroughReadOnlyViewAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Fixture fx(8, 2);

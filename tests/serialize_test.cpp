@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "region/partition_ops.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/serialize.hpp"
@@ -163,6 +167,71 @@ TEST(SerializeTest, RejectsTruncatedDescriptor) {
   auto bytes = serialize_launcher(sample_launcher(8));
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(deserialize_launcher(bytes), RuntimeError);
+}
+
+// A sparse launch domain's point count sits right after the header (5
+// bytes), the task id (4) and the dense/sparse flag (1).
+constexpr std::size_t kSparseCountAt = 10;
+
+std::vector<std::byte> with_point_count(std::vector<std::byte> bytes, int64_t n) {
+  for (std::size_t i = 0; i < 8; ++i)
+    bytes[kSparseCountAt + i] = static_cast<std::byte>(static_cast<uint64_t>(n) >> (8 * i));
+  return bytes;
+}
+
+TEST(SerializeTest, RejectsSparsePointCountBeyondTheInput) {
+  IndexLauncher launcher = sample_launcher(8);
+  launcher.domain = Domain::from_points({Point::p1(1), Point::p1(4), Point::p1(6)});
+  const auto bytes = serialize_launcher(launcher);
+  ASSERT_EQ(deserialize_launcher(bytes).domain, launcher.domain);
+  // A count the rest of the descriptor cannot hold is refused before any
+  // allocation: -1 and 2^40 once asked for SIZE_MAX and 40 TiB of points.
+  for (const int64_t n : {int64_t{-1}, int64_t{1} << 40, INT64_MIN, INT64_MAX})
+    EXPECT_THROW(deserialize_launcher(with_point_count(bytes, n)), RuntimeError) << n;
+  // Four points where three are encoded: the count fits the bytes left, so
+  // decoding reads on and finds the descriptor malformed.
+  EXPECT_THROW(deserialize_launcher(with_point_count(bytes, 4)), RuntimeError);
+}
+
+Domain decode_domain(const std::function<void(Serializer&)>& encode) {
+  Serializer s;
+  encode(s);
+  Deserializer d(s.bytes());
+  return deserialize_domain(d);
+}
+
+TEST(SerializeTest, RejectsMalformedDomains) {
+  const auto dense = [](const Point& lo, const Point& hi) {
+    return [lo, hi](Serializer& s) {
+      s.put_u8(1);
+      s.put_point(lo);
+      s.put_point(hi);
+    };
+  };
+  const auto sparse = [](const std::vector<Point>& pts) {
+    return [pts](Serializer& s) {
+      s.put_u8(0);
+      s.put_i64(static_cast<int64_t>(pts.size()));
+      for (const Point& p : pts) s.put_point(p);
+    };
+  };
+  // Boxes whose volume overflows int64_t: 1-D over the whole range, 2-D
+  // with extents that fit but a product that does not.
+  EXPECT_THROW(decode_domain(dense(Point::p1(INT64_MIN), Point::p1(INT64_MAX))), RuntimeError);
+  EXPECT_THROW(decode_domain(dense(Point::p1(0), Point::p1(INT64_MAX))), RuntimeError);
+  EXPECT_THROW(decode_domain(dense(Point::p2(0, 0), Point::p2(int64_t{1} << 32,
+                                                               int64_t{1} << 32))),
+               RuntimeError);
+  EXPECT_THROW(decode_domain(sparse({Point::p1(INT64_MIN), Point::p1(INT64_MAX)})),
+               RuntimeError);
+  EXPECT_THROW(decode_domain(sparse({Point::p2(0, INT64_MIN), Point::p2(3, INT64_MAX)})),
+               RuntimeError);
+  // Bounds or points of two dimensions.
+  EXPECT_THROW(decode_domain(dense(Point::p1(0), Point::p2(1, 1))), RuntimeError);
+  EXPECT_THROW(decode_domain(sparse({Point::p1(0), Point::p2(1, 1)})), RuntimeError);
+  // The largest boxes that fit still decode.
+  EXPECT_EQ(decode_domain(dense(Point::p1(INT64_MIN), Point::p1(-2))).volume(), INT64_MAX);
+  EXPECT_EQ(decode_domain(sparse({Point::p1(1), Point::p1(INT64_MAX)})).volume(), 2);
 }
 
 }  // namespace

@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include "dist/task_registry.hpp"
+#include "net/frame.hpp"
+#include "net/socket.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/serialize.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/client.hpp"
 #include "service/fair_share.hpp"
@@ -286,6 +289,63 @@ TEST(ServiceIsolation, UnknownFieldIsTypedReject) {
   EXPECT_TRUE(other.fence().ok());
   EXPECT_EQ(first_value(other, o), 6.0);
   client.goodbye();
+  other.goodbye();
+}
+
+TEST(ServiceIsolation, MalformedSparseDomainIsTypedReject) {
+  // A launch frame whose sparse domain claims more points than the frame
+  // holds (-1 and 2^40 once made the server reserve for them and die on the
+  // escaping std::length_error or std::bad_alloc) is a typed kBackend reject
+  // of that launch; another session keeps launching. ServiceClient only
+  // sends well-formed frames, so this session speaks the protocol by hand.
+  ServiceRuntime server(local_backend());
+  const uint16_t port = server.listen_tcp();
+  const net::Socket sock = net::Socket::connect_tcp("127.0.0.1", port);
+  net::FrameReader reader;
+  const auto send = [&](Msg type, const std::vector<std::byte>& payload) {
+    const std::vector<std::byte> wire = net::encode_frame(static_cast<uint8_t>(type), payload);
+    sock.write_all(wire.data(), wire.size());
+  };
+  const auto next = [&](Msg type) {
+    net::Frame f;
+    for (;;) {
+      while (!reader.poll(f)) {
+        std::byte buf[4096];
+        const std::size_t n = sock.read_some(buf, sizeof(buf));
+        if (n == 0) throw std::runtime_error("server closed the connection");
+        reader.feed(buf, n);
+      }
+      if (static_cast<Msg>(f.type) == type) return f;
+      if (static_cast<Msg>(f.type) != Msg::kPing)
+        throw std::runtime_error("unexpected frame type " + std::to_string(f.type));
+    }
+  };
+  send(Msg::kHello, encode_client_hello(ClientHello{}));
+  next(Msg::kWelcome);
+
+  IndexLauncher l = IndexLauncher::over(Domain::from_points({Point::p1(0), Point::p1(2)}));
+  std::vector<std::byte> bytes = serialize_launcher(l);
+  const std::size_t count_at = 10;  // header 5, task id 4, sparse flag 1
+  uint64_t tag = 1;
+  for (const int64_t n : {int64_t{-1}, int64_t{1} << 40}) {
+    for (std::size_t i = 0; i < 8; ++i)
+      bytes[count_at + i] = static_cast<std::byte>(static_cast<uint64_t>(n) >> (8 * i));
+    send(Msg::kLaunch, encode_tagged(tag, bytes));
+    const LaunchAck ack = decode_launch_ack(next(Msg::kLaunchAck).payload);
+    EXPECT_EQ(ack.tag, tag) << n;
+    EXPECT_EQ(ack.code, Err::kBackend) << n;
+    EXPECT_NE(ack.error.find("corrupt sparse domain"), std::string::npos) << ack.error;
+    ++tag;
+  }
+
+  ServiceClient other = ServiceClient::connect_tcp("127.0.0.1", port);
+  const ClientRegion r = setup_region(other, 64, 4, 5.0);
+  other.launch_checked(increment_launch(other, r, 4));
+  EXPECT_TRUE(other.fence().ok());
+  const std::vector<std::byte> data = other.read_field(r.region, r.f);
+  double v = 0;
+  std::memcpy(&v, data.data(), sizeof(double));
+  EXPECT_EQ(v, 6.0);
   other.goodbye();
 }
 
